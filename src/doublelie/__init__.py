@@ -16,7 +16,7 @@ from .brackets import (CATALOG_BRACKET_NAMES, DoubleBracket, bracket_from_rb,
 from .dmodules import (DoubleAction, check_module_axioms,
                        induced_module_from_ideal, rb_bimodule_split_check,
                        trivial_extension_bracket)
-from .exact import Scalar, Tensor2, Tensor3, Vec, outer, tensor_permute
+from .exact import Tensor2, Vec
 from .grammar import parse_poly, render_tensor2, render_vec
 from .ideals import (Subspace, ideal_closure, is_ideal, quotient_bracket,
                      quotient_reduce, simplicity_probe, theorem3_replay)
@@ -26,24 +26,24 @@ from .rb import (CATALOG_RB_NAMES, RBOperator, build_pk, catalog_rb,
                  check_rb_identity, check_skew_symmetry, conjugate_by,
                  remark3_suite, tensor_extend,
                  verify_trace_functional_identities)
-from .report import VerificationReport, all_pass, merge_reports
+from .report import VerificationReport
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CATALOG_BRACKET_NAMES", "CATALOG_RB_NAMES", "Domain", "DoubleAction",
     "DoubleBracket", "FinitaryMatrix", "LocallyFiniteOperator", "RBOperator",
-    "Scalar", "StridedRayOperator", "Subspace", "Tensor2", "Tensor3", "Vec",
-    "VerificationReport", "all_pass", "bracket_from_rb", "build_pk",
+    "StridedRayOperator", "Subspace", "Tensor2", "Vec",
+    "VerificationReport", "bracket_from_rb", "build_pk",
     "catalog_bracket", "catalog_rb", "check_anticommutativity",
     "check_jacobi", "check_leibniz", "check_module_axioms",
     "check_rb_identity", "check_skew_symmetry", "commutator", "conjugate_by",
     "divided_difference", "ideal_closure", "induced_module_from_ideal",
-    "is_ideal", "merge_reports", "mul_mixed", "outer", "parse_poly",
+    "is_ideal", "mul_mixed", "parse_poly",
     "quotient_bracket", "render_tensor2", "render_vec",
     "quotient_reduce",
     "rb_bimodule_split_check", "rb_from_bracket",
-    "remark3_suite", "simplicity_probe", "tensor_extend", "tensor_permute",
+    "remark3_suite", "simplicity_probe", "tensor_extend",
     "theorem3_replay", "trace_pair", "trivial_extension_bracket",
     "verify_trace_functional_identities",
 ]

@@ -16,9 +16,10 @@ x - y; the quotient, expanded, is the bracket value as a finite tensor.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import chain
 
-from .exact import Tensor2, Vec, esym, tsym, ysym
+from .exact import Tensor2, Vec, esym, sparse_sum, tsym, ysym
+from .grammar import render_sym
 from .linalg import invert_matrix
 from .matrices import Domain, FinitaryMatrix
 from .rb import RBOperator, unit_range
@@ -143,11 +144,10 @@ class DoubleBracket:
         return tuple((a, b, c) for (a, b), c in self.eval(s1, s2).items())
 
     def eval_linear(self, va, vb):
-        out = Tensor2()
-        for s1, c1 in va.terms.items():
-            for s2, c2 in vb.terms.items():
-                out = out + self.eval(s1, s2).scale(c1 * c2)
-        return out
+        return Tensor2(sparse_sum((key, c * c1 * c2)
+                                  for s1, c1 in va.terms.items()
+                                  for s2, c2 in vb.terms.items()
+                                  for key, c in self.eval(s1, s2).items()))
 
     def __repr__(self):
         return "DoubleBracket(%r on %s)" % (self.name, self.carrier.name)
@@ -158,42 +158,19 @@ class DoubleBracket:
 
 def _divide_by_x_minus_y(num):
     """Exact quotient of a bivariate (Laurent) polynomial {(a, b): coeff} by
-    x - y; raises if the division leaves a remainder."""
-    num = {k: c for k, c in num.items() if c}
+    x - y; raises if the division leaves a remainder.
+
+    With s the least x-exponent, x^a y^b = x^s y^b (x^(a-s) - y^(a-s))
+    + x^s y^(a-s+b), and (x^k - y^k)/(x - y) = sum_{i<k} x^i y^(k-1-i); the
+    second parts sum to x^s times a polynomial in y alone, which must
+    vanish."""
     if not num:
         return {}
-    sa = min(a for a, _ in num)
-    sb = min(b for _, b in num)
-    shifted = {(a - sa, b - sb): c for (a, b), c in num.items()}
-    cols = {}
-    for (a, b), c in shifted.items():
-        cols.setdefault(a, {})[b] = c
-    top = max(cols)
-    quot_cols = {}
-    carry = {}
-    for a in range(top - 1, -1, -1):
-        # from (x - y) * Q = P: Q_a = P_{a+1} + y * Q_{a+1}
-        cur = dict(cols.get(a + 1, {}))
-        for b, c in carry.items():
-            v = cur.get(b + 1, 0) + c
-            if v:
-                cur[b + 1] = v
-            else:
-                cur.pop(b + 1, None)
-        if cur:
-            quot_cols[a] = cur
-        carry = cur
-    rem = dict(cols.get(0, {}))
-    for b, c in carry.items():
-        v = rem.get(b + 1, 0) + c
-        if v:
-            rem[b + 1] = v
-        else:
-            rem.pop(b + 1, None)
-    if rem:
+    s = min(a for a, _ in num)
+    if sparse_sum((a + b, c) for (a, b), c in num.items()):
         raise ValueError("numerator not divisible by x - y")
-    return {(a + sa, b + sb): c for a, col in quot_cols.items()
-            for b, c in col.items() if c}
+    return sparse_sum(((s + i, a - s - 1 - i + b), c)
+                      for (a, b), c in num.items() for i in range(a - s))
 
 
 _DD_VARIANTS = ("L1", "L2", "L3", "L4")
@@ -201,20 +178,12 @@ _DD_VARIANTS = ("L1", "L2", "L3", "L4")
 
 def _dd_numerator(variant, n, m):
     if variant == "L1":
-        num = {}
-        for (a, b), c in (((n + m, 0), 1), ((0, n + m), 1),
-                          ((n, m), -1), ((m, n), -1)):
-            num[(a, b)] = num.get((a, b), 0) + c
-        return num
+        return sparse_sum((((n + m, 0), 1), ((0, n + m), 1),
+                           ((n, m), -1), ((m, n), -1)))
     if variant == "L2":
-        num = {(n, m): -1}
-        num[(m, n)] = num.get((m, n), 0) + 1
-        return num
+        return sparse_sum((((n, m), -1), ((m, n), 1)))
     if variant == "L3":
-        num = {(n + 1, m + 1): 1}
-        key = (m + 1, n + 1)
-        num[key] = num.get(key, 0) - 1
-        return num
+        return sparse_sum((((n + 1, m + 1), 1), ((m + 1, n + 1), -1)))
     raise ValueError("unknown divided-difference variant %r" % variant)
 
 
@@ -270,16 +239,10 @@ def catalog_bracket(name, **params):
 
         def eval_fn(s1, s2):
             (m, i, j), (n, k, l) = s1[1], s2[1]
-            terms = {}
-            for r in range(min(m, n)):
-                for key, c in (((ysym(r, k, j), ysym(m + n - r - 1, i, l)), 1),
-                               ((ysym(m + n - r - 1, k, j), ysym(r, i, l)), -1)):
-                    v = terms.get(key, 0) + c
-                    if v:
-                        terms[key] = v
-                    else:
-                        terms.pop(key, None)
-            return Tensor2(terms)
+            return Tensor2(sparse_sum(
+                term for r in range(min(m, n)) for term in (
+                    ((ysym(r, k, j), ysym(m + n - r - 1, i, l)), 1),
+                    ((ysym(m + n - r - 1, k, j), ysym(r, i, l)), -1))))
 
         return DoubleBracket("dY(%d)" % N, carrier, eval_fn, degree_shift=-1)
     if name == "zero":
@@ -319,29 +282,17 @@ def bracket_from_rb(R, name=None, degree_shift=None):
     if R.N > 1:
         def eval_fn(s1, s2):
             (m, i, j), (n, k, l) = s1[1], s2[1]
-            terms = {}
-            for p in R.support_hint(m, n):
-                for r, c in R.apply_image(m, p, n).items():
-                    key = (ysym(p, k, j), ysym(r, i, l))
-                    v = terms.get(key, 0) + c
-                    if v:
-                        terms[key] = v
-                    else:
-                        terms.pop(key, None)
-            return Tensor2(terms)
+            return Tensor2(sparse_sum(
+                ((ysym(p, k, j), ysym(r, i, l)), c)
+                for p in R.support_hint(m, n)
+                for r, c in R.apply_image(m, p, n).items()))
     else:
         def eval_fn(s1, s2):
             p, q = carrier.index(s1), carrier.index(s2)
-            terms = {}
-            for s in R.support_hint(p, q):
-                for r, c in R.apply_image(p, s, q).items():
-                    key = (carrier.sym(s), carrier.sym(r))
-                    v = terms.get(key, 0) + c
-                    if v:
-                        terms[key] = v
-                    else:
-                        terms.pop(key, None)
-            return Tensor2(terms)
+            return Tensor2(sparse_sum(
+                ((carrier.sym(s), carrier.sym(r)), c)
+                for s in R.support_hint(p, q)
+                for r, c in R.apply_image(p, s, q).items()))
 
     return DoubleBracket(name or "<<%s>>" % R.name, carrier, eval_fn,
                          degree_shift)
@@ -355,13 +306,11 @@ def rb_from_bracket(B, dim, name=None):
     domain = Domain.finite(dim)
 
     def image_fn(p, s):
-        ents = {}
         ssym = carrier.sym(s)
-        for q in range(dim):
-            for (a, b), c in B.eval(carrier.sym(p), carrier.sym(q)).items():
-                if a == ssym:
-                    r = carrier.index(b)
-                    ents[(r, q)] = ents.get((r, q), 0) + c
+        ents = sparse_sum(
+            ((carrier.index(b), q), c) for q in range(dim)
+            for (a, b), c in B.eval(carrier.sym(p), carrier.sym(q)).items()
+            if a == ssym)
         return FinitaryMatrix(ents, domain).as_operator()
 
     return RBOperator(name or "R[%s]" % B.name, domain, image_fn,
@@ -371,11 +320,6 @@ def rb_from_bracket(B, dim, name=None):
 # ---------------------------------------------------------------------------
 # axiom checkers
 
-def _render_sym(sym):
-    from .grammar import render_sym
-    return render_sym(sym)
-
-
 def check_anticommutativity(B, window=8):
     """<<a, b>> = -swap(<<b, a>>) on all window basis pairs."""
     params = {"window": window}
@@ -383,7 +327,7 @@ def check_anticommutativity(B, window=8):
     for a in syms:
         for b in syms:
             if B.eval(a, b) + B.eval(b, a).permute() != Tensor2():
-                ce = {"a": _render_sym(a), "b": _render_sym(b)}
+                ce = {"a": render_sym(a), "b": render_sym(b)}
                 return VerificationReport.failure("anticommutativity", B.name,
                                                   ce, params)
     return VerificationReport.success("anticommutativity", B.name, params)
@@ -395,32 +339,21 @@ def jacobi_defect(B, a, b, c):
     <<a, b(x)c>>_L = <<a,b>>(x)c,  <<a, b(x)c>>_R = swap12(b(x)<<a,c>>),
     <<a(x)b, c>>_L = move23(<<a,c>>(x)b)."""
     ev = B.eval_items
+    # one-line sums and a final prune: sparse_sum's generators cost +17% here
     J = {}
     for (b1, b2, cb) in ev(b, c):
         for (x, y, cx) in ev(a, b1):
             key = (x, y, b2)
-            v = J.get(key, 0) + cb * cx
-            if v:
-                J[key] = v
-            else:
-                J.pop(key, None)
+            J[key] = J.get(key, 0) + cb * cx
     for (x, y, cx) in ev(a, c):
         for (p, q, cp) in ev(b, y):
             key = (x, p, q)
-            v = J.get(key, 0) - cx * cp
-            if v:
-                J[key] = v
-            else:
-                J.pop(key, None)
+            J[key] = J.get(key, 0) - cx * cp
     for (x, y, cx) in ev(a, b):
         for (z1, z2, cz) in ev(x, c):
             key = (z1, y, z2)
-            v = J.get(key, 0) - cx * cz
-            if v:
-                J[key] = v
-            else:
-                J.pop(key, None)
-    return J
+            J[key] = J.get(key, 0) - cx * cz
+    return {key: v for key, v in J.items() if v}
 
 
 def check_jacobi(B, window=8):
@@ -433,32 +366,26 @@ def check_jacobi(B, window=8):
                 defect = jacobi_defect(B, a, b, c)
                 if defect:
                     key = min(defect)
-                    ce = {"a": _render_sym(a), "b": _render_sym(b),
-                          "c": _render_sym(c),
+                    ce = {"a": render_sym(a), "b": render_sym(b),
+                          "c": render_sym(c),
                           "defect_term": "%s (x) %s (x) %s -> %s" % (
-                              _render_sym(key[0]), _render_sym(key[1]),
-                              _render_sym(key[2]), defect[key])}
+                              render_sym(key[0]), render_sym(key[1]),
+                              render_sym(key[2]), defect[key])}
                     return VerificationReport.failure("jacobi", B.name, ce,
                                                       params)
     return VerificationReport.success("jacobi", B.name, params)
 
 
-def _t2_mul_left(T, sym, carrier):
-    out = Tensor2()
-    for (a, b), c in T.items():
-        prod = carrier.product(sym, a)
-        for s, d in prod.terms.items():
-            out = out + Tensor2({(s, b): c * d})
-    return out
-
-
-def _t2_mul_right(T, sym, carrier):
-    out = Tensor2()
-    for (a, b), c in T.items():
-        prod = carrier.product(b, sym)
-        for s, d in prod.terms.items():
-            out = out + Tensor2({(a, s): c * d})
-    return out
+def _t2_mul(T, sym, carrier, on_left):
+    """Terms of the outer action sym (x (x) y) = sym x (x) y (on_left) or
+    (x (x) y) sym = x (x) y sym on a tensor T."""
+    for (x, y), c in T.items():
+        if on_left:
+            for s, d in carrier.product(sym, x).terms.items():
+                yield (s, y), c * d
+        else:
+            for s, d in carrier.product(y, sym).terms.items():
+                yield (x, s), c * d
 
 
 def check_leibniz(B, window=8):
@@ -475,11 +402,12 @@ def check_leibniz(B, window=8):
             for c in syms:
                 bc = carrier.product(b, c)
                 lhs = B.eval_linear(Vec.basis(a), bc)
-                rhs = _t2_mul_right(B.eval(a, b), c, carrier) \
-                    + _t2_mul_left(B.eval(a, c), b, carrier)
+                rhs = Tensor2(sparse_sum(chain(
+                    _t2_mul(B.eval(a, b), c, carrier, False),
+                    _t2_mul(B.eval(a, c), b, carrier, True))))
                 if lhs != rhs:
-                    ce = {"a": _render_sym(a), "b": _render_sym(b),
-                          "c": _render_sym(c)}
+                    ce = {"a": render_sym(a), "b": render_sym(b),
+                          "c": render_sym(c)}
                     return VerificationReport.failure("leibniz", B.name, ce,
                                                       params)
     return VerificationReport.success("leibniz", B.name, params)
@@ -533,34 +461,21 @@ def check_basis_independence(R, window, change):
             if any(s not in idx for s in hint):
                 continue
             direct = B.eval(carrier.sym(p), carrier.sym(q))
-            recomputed = {}
+            terms = []
             for jj in range(u):
                 # f_j(u_p): rows a of units (a, b) with b = p
-                left = {}
-                for i, (a, b) in enumerate(units):
-                    if b == p and change[jj][i]:
-                        left[a] = left.get(a, 0) + change[jj][i]
+                left = sparse_sum((a, change[jj][i])
+                                  for i, (a, b) in enumerate(units) if b == p)
                 if not left:
                     continue
-                right = {}
-                for m, (a, b) in enumerate(units):
-                    if not gamma[jj][m]:
-                        continue
-                    for r, c in R.apply_image(b, a, q).items():
-                        v = right.get(r, 0) + gamma[jj][m] * c
-                        if v:
-                            right[r] = v
-                        else:
-                            right.pop(r, None)
-                for s, cl in left.items():
-                    for r, cr in right.items():
-                        key = (carrier.sym(s), carrier.sym(r))
-                        v = recomputed.get(key, 0) + cl * cr
-                        if v:
-                            recomputed[key] = v
-                        else:
-                            recomputed.pop(key, None)
-            if Tensor2(recomputed) != direct:
+                right = sparse_sum((r, gamma[jj][m] * c)
+                                   for m, (a, b) in enumerate(units)
+                                   if gamma[jj][m]
+                                   for r, c in R.apply_image(b, a, q).items())
+                terms.extend(((carrier.sym(s), carrier.sym(r)), cl * cr)
+                             for s, cl in left.items()
+                             for r, cr in right.items())
+            if Tensor2(sparse_sum(terms)) != direct:
                 ce = {"p": p, "q": q}
                 return VerificationReport.failure("basis_independence",
                                                   R.name, ce, params)
@@ -574,14 +489,13 @@ def check_homomorphism(B, B2, phi, window=8):
     syms = B.carrier.window_syms(window)
     for a in syms:
         for b in syms:
-            lhs = Tensor2()
-            for (s1, s2), c in B.eval(a, b).items():
-                for p1, c1 in phi[s1].terms.items():
-                    for p2, c2 in phi[s2].terms.items():
-                        lhs = lhs + Tensor2({(p1, p2): c * c1 * c2})
+            lhs = Tensor2(sparse_sum(((p1, p2), c * c1 * c2)
+                                     for (s1, s2), c in B.eval(a, b).items()
+                                     for p1, c1 in phi[s1].terms.items()
+                                     for p2, c2 in phi[s2].terms.items()))
             rhs = B2.eval_linear(phi[a], phi[b])
             if lhs != rhs:
-                ce = {"a": _render_sym(a), "b": _render_sym(b)}
+                ce = {"a": render_sym(a), "b": render_sym(b)}
                 return VerificationReport.failure("homomorphism",
                                                   "%s->%s" % (B.name, B2.name),
                                                   ce, params)

@@ -12,7 +12,19 @@ Exit codes: 0 all checks pass, 1 at least one check failed, 2 input error,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+
+from .brackets import CATALOG_BRACKET_NAMES, catalog_bracket
+from .dmodules import induced_module_from_ideal
+from .exact import Vec, tsym
+from .grammar import parse_poly, render_tensor2, render_vec
+from .ideals import Subspace, ideal_closure, quotient_bracket
+from .rb import CATALOG_RB_NAMES, catalog_rb
+from .report import VerificationReport
+
+# The checkers are imported where they are called, so that a wrapper set on
+# a checker's module attribute (a timer, a tracer) sees every call.
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -31,29 +43,14 @@ class BudgetError(Exception):
 # ---------------------------------------------------------------------------
 # target registries
 
-def _operator_names():
-    from .rb import CATALOG_RB_NAMES
-    return list(CATALOG_RB_NAMES)
-
-
-def _bracket_names():
-    from .brackets import CATALOG_BRACKET_NAMES
-    return list(CATALOG_BRACKET_NAMES)
-
-
 def _module_instances():
     """Catalog module instances by name; built lazily per call."""
-    from .brackets import catalog_bracket
-    from .ideals import Subspace, quotient_bracket
-    from .dmodules import induced_module_from_ideal
-
     def poly_tail(name, cut, window):
         B = catalog_bracket(name)
         I = Subspace.degree_span(B.carrier, window, cut)
         return induced_module_from_ideal(B, I, window)
 
     def bimodule_instance():
-        from .exact import Vec, tsym
         L1 = catalog_bracket("L1")
         I3 = Subspace.degree_span(L1.carrier, 10, 3)
         B3 = quotient_bracket(L1, I3, 10)
@@ -90,12 +87,11 @@ def _emit(reports, fmt, extra=None):
 # commands
 
 def _cmd_catalog_list(args):
-    records = [("operator", n) for n in _operator_names()]
-    records += [("bracket", n) for n in _bracket_names()]
+    records = [("operator", n) for n in CATALOG_RB_NAMES]
+    records += [("bracket", n) for n in CATALOG_BRACKET_NAMES]
     records += [("module", n) for n in MODULE_NAMES]
     for kind, name in records:
         if args.format == "structured":
-            import json
             print(json.dumps({"kind": kind, "name": name},
                              separators=(", ", ": ")))
         else:
@@ -104,7 +100,7 @@ def _cmd_catalog_list(args):
 
 
 def _verify_operator(name, window, cutoff):
-    from .rb import catalog_rb, check_rb_identity, check_skew_symmetry
+    from .rb import check_rb_identity, check_skew_symmetry
     R = catalog_rb(name)
     lw = min(window, 8) if name.endswith("_laurent") else window
     return [check_rb_identity(R, lw, cutoff),
@@ -119,9 +115,7 @@ _LEIBNIZ_FAILERS = ("L2", "L3", "L2_laurent", "L3_laurent")
 
 
 def _verify_bracket(name, window):
-    from .brackets import (catalog_bracket, check_anticommutativity,
-                           check_jacobi, check_leibniz)
-    from .report import VerificationReport
+    from .brackets import check_anticommutativity, check_jacobi, check_leibniz
     B = catalog_bracket(name)
     syms = B.carrier.window_syms(window)
     out = [check_anticommutativity(B, window), check_jacobi(B, window)]
@@ -149,9 +143,9 @@ def _cmd_verify(args):
     if window > cutoff:
         raise InputError("window %d exceeds cutoff %d" % (window, cutoff))
     name = args.target
-    if name in _operator_names():
+    if name in CATALOG_RB_NAMES:
         reports = _verify_operator(name, window, cutoff)
-    elif name in _bracket_names():
+    elif name in CATALOG_BRACKET_NAMES:
         reports = _verify_bracket(name, window)
     else:
         raise InputError("unknown target %r (see: catalog list)" % name)
@@ -159,8 +153,6 @@ def _cmd_verify(args):
 
 
 def _cmd_bracket_eval(args):
-    from .brackets import catalog_bracket
-    from .grammar import render_tensor2
     try:
         B = catalog_bracket(args.name)
     except ValueError as exc:
@@ -171,7 +163,6 @@ def _cmd_bracket_eval(args):
         raise InputError("basis index out of range: %s" % exc)
     value = render_tensor2(B.eval(s1, s2))
     if args.format == "structured":
-        import json
         print(json.dumps({"check": "bracket_eval", "target": args.name,
                           "n": args.n, "m": args.m, "value": value},
                          separators=(", ", ": ")))
@@ -181,7 +172,6 @@ def _cmd_bracket_eval(args):
 
 
 def _parse_seed_poly(text):
-    from .grammar import parse_poly
     try:
         return parse_poly(text)
     except ValueError as exc:
@@ -189,11 +179,7 @@ def _parse_seed_poly(text):
 
 
 def _cmd_ideal_closure(args):
-    import json
-    from .brackets import catalog_bracket
-    from .grammar import render_vec
-    from .ideals import ideal_closure
-    if args.bracket not in _bracket_names():
+    if args.bracket not in CATALOG_BRACKET_NAMES:
         raise InputError("unknown bracket %r" % args.bracket)
     B = catalog_bracket(args.bracket)
     seed = _parse_seed_poly(args.seed)
@@ -217,9 +203,8 @@ def _cmd_ideal_closure(args):
 
 
 def _cmd_simplicity(args):
-    from .brackets import catalog_bracket
     from .ideals import simplicity_probe
-    if args.bracket not in _bracket_names():
+    if args.bracket not in CATALOG_BRACKET_NAMES:
         raise InputError("unknown bracket %r" % args.bracket)
     B = catalog_bracket(args.bracket)
     rep = simplicity_probe(B, args.window, seed_count=args.seeds,
@@ -253,10 +238,10 @@ def _cmd_report_all(args):
     """Canonical battery over the whole catalog at the given window."""
     window = args.window
     reports = []
-    for name in _operator_names():
+    for name in CATALOG_RB_NAMES:
         reports.extend(_verify_operator(name, min(window, 6),
                                         2 * min(window, 6)))
-    for name in _bracket_names():
+    for name in CATALOG_BRACKET_NAMES:
         reports.extend(_verify_bracket(name, min(window, 6)))
     from .rb import remark3_suite
     reports.append(remark3_suite(window))

@@ -18,9 +18,15 @@ statements are equivalent and the checker verifies each independently.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import random
 
-from .exact import Tensor2, Vec
+from .brackets import (DoubleBracket, check_anticommutativity, check_jacobi,
+                       jacobi_defect, rb_from_bracket)
+from .exact import Tensor2, sparse_sum
+from .grammar import render_sym
+from .ideals import is_ideal, quotient_bracket
+from .matrices import Domain, FinitaryMatrix, mul_mixed
+from .rb import mutate_sign
 from .report import VerificationReport
 
 
@@ -131,7 +137,6 @@ class ExtensionCarrier:
 def trivial_extension_bracket(B_L, act, name=None):
     """Bracket on L + M: B_L on L x L, the action on mixed pairs, zero on
     M x M."""
-    from .brackets import DoubleBracket
     name = name or "%s(+)%s" % (B_L.name, act.name)
     carrier = ExtensionCarrier(act, B_L.carrier.degree, name)
     is_l = act.is_l
@@ -155,8 +160,6 @@ def check_module_axioms(act, B_L, window=None):
     triples.  Both Jacobi-type axioms are the corresponding flattened defects
     of the trivial extension, which vanish term-for-term since M x M maps to
     zero there."""
-    from .brackets import jacobi_defect
-    from .grammar import render_sym
     params = {"l_dim": len(act.l_syms), "m_dim": len(act.m_syms)}
     if window is not None:
         params["window"] = window
@@ -202,7 +205,6 @@ def check_module_axioms(act, B_L, window=None):
 def extension_double_lie_check(B_L, act, window=None):
     """Whether the trivial extension is itself a double Lie algebra on the
     joint basis (the other side of the extension equivalence)."""
-    from .brackets import check_anticommutativity, check_jacobi
     E = trivial_extension_bracket(B_L, act)
     rep = check_anticommutativity(E, window)
     if not rep.passed:
@@ -214,7 +216,6 @@ def proposition_equivalence(B_L, act, mutations=20, rng_seed=7):
     """The extension equivalence, stress-tested: for the given action and a
     family of sign-flip mutations, the module axioms pass exactly when the
     trivial extension passes anticommutativity and Jacobi."""
-    import random
     rng = random.Random(rng_seed)
     params = {"mutations": mutations, "rng_seed": rng_seed}
     instances = [("original", act)]
@@ -262,7 +263,6 @@ def induced_module_from_ideal(B, I, window):
 
     Only spans of basis symbols are supported, so membership of symbols past
     the window stays decidable by degree."""
-    from .ideals import is_ideal, quotient_bracket
     rep = is_ideal(B, I, window)
     if not rep.passed:
         raise ValueError("subspace is not an ideal on window %d: %r"
@@ -305,7 +305,6 @@ def induced_module_from_ideal(B, I, window):
 def check_submodule(act, sub_syms):
     """A span of M-symbols is a submodule when the action of every L-symbol
     on it keeps the M-side factor inside the span."""
-    from .grammar import render_sym
     params = {"sub_dim": len(sub_syms)}
     nset = set(sub_syms)
     mset = set(act.m_syms)
@@ -328,37 +327,6 @@ def check_submodule(act, sub_syms):
 # ---------------------------------------------------------------------------
 # block bimodule correspondence (finite dimension)
 
-def _dense_image(R, p, s, dim):
-    img = R.image(p, s)
-    return {(i, j): img.entry(i, j) for i in range(dim) for j in range(dim)
-            if img.entry(i, j)}
-
-
-def _mat_mul(a, b):
-    out = {}
-    for (i, j), c in a.items():
-        for (jj, k), d in b.items():
-            if j != jj:
-                continue
-            v = out.get((i, k), 0) + c * d
-            if v:
-                out[(i, k)] = v
-            else:
-                out.pop((i, k), None)
-    return out
-
-
-def _mat_add(a, b):
-    out = dict(a)
-    for k, c in b.items():
-        v = out.get(k, 0) + c
-        if v:
-            out[k] = v
-        else:
-            out.pop(k, None)
-    return out
-
-
 def rb_bimodule_split_check(B_L, act, mutate_unit=None):
     """The four equivalent statements of the block correspondence, each
     verified independently on a finite instance.
@@ -375,8 +343,6 @@ def rb_bimodule_split_check(B_L, act, mutate_unit=None):
 
     mutate_unit, if given, flips the sign of R on one matrix unit (use an
     off-diagonal unit to corrupt p alone)."""
-    from .brackets import bracket_from_rb, rb_from_bracket
-    from .rb import mutate_sign
     n, k = len(act.l_syms), len(act.m_syms)
     dim = n + k
     params = {"n": n, "k": k}
@@ -386,85 +352,48 @@ def rb_bimodule_split_check(B_L, act, mutate_unit=None):
         R = mutate_sign(R, *mutate_unit)
         params["mutated_unit"] = list(mutate_unit)
 
+    dom = Domain.finite(dim)
+
     def in_A(i, j):
         return (i < n) == (j < n)
 
     units = [(i, j) for i in range(dim) for j in range(dim)]
     a_units = [u for u in units if in_A(*u)]
     b_units = [u for u in units if not in_A(*u)]
-    dense = {u: _dense_image(R, u[0], u[1], dim) for u in units}
-    unit_mat = {u: {u: Fraction(1)} for u in units}
+    img = {u: R.image(*u).to_finitary() for u in units}
+    unit_mat = {u: FinitaryMatrix.unit(u[0], u[1], dom) for u in units}
 
-    def apply_R(mat):
-        out = {}
-        for u, c in mat.items():
-            for pos, d in dense[u].items():
-                v = out.get(pos, 0) + c * d
-                if v:
-                    out[pos] = v
-                else:
-                    out.pop(pos, None)
-        return out
+    def apply_R(x):
+        return FinitaryMatrix(sparse_sum(
+            (pos, c * d) for u, c in x.entries.items()
+            for pos, d in img[u].entries.items()), dom)
 
-    def b_part(mat):
-        return {u: c for u, c in mat.items() if not in_A(*u)}
+    def b_part(x):
+        return FinitaryMatrix({u: c for u, c in x.entries.items()
+                               if not in_A(*u)}, dom)
 
     def semi_mul(x, y):
-        full = _mat_mul(x, y)
-        dead = _mat_mul(b_part(x), b_part(y))
-        return _mat_add(full, {u: -c for u, c in dead.items()})
+        return mul_mixed(x, y) - mul_mixed(b_part(x), b_part(y))
+
+    def rb_holds(mul, xs, ys):
+        """R(x)R(y) = R(R(x)y + xR(y)) for every x in xs, y in ys."""
+        return all(mul(img[x], img[y]) == apply_R(mul(img[x], unit_mat[y])
+                                                  + mul(unit_mat[x], img[y]))
+                   for x in xs for y in ys)
 
     flags = {}
     # (a) A is invariant and carries the Rota-Baxter identity
-    ok = all(all(in_A(*pos) for pos in dense[u]) for u in a_units)
-    if ok:
-        for x in a_units:
-            for y in a_units:
-                lhs = _mat_mul(dense[x], dense[y])
-                rhs = apply_R(_mat_add(_mat_mul(dense[x], unit_mat[y]),
-                                       _mat_mul(unit_mat[x], dense[y])))
-                if lhs != rhs:
-                    ok = False
-                    break
-            if not ok:
-                break
-    flags["a_rb_on_A"] = ok
+    flags["a_rb_on_A"] = all(in_A(*pos) for u in a_units
+                             for pos in img[u].entries) \
+        and rb_holds(mul_mixed, a_units, a_units)
     # (b) B is invariant
-    flags["b_B_invariant"] = all(
-        all(not in_A(*pos) for pos in dense[u]) for u in b_units)
-    # (c) the two bimodule equalities
-    ok = True
-    for x in a_units:
-        for s in b_units:
-            Rx, ps = dense[x], dense[s]
-            lhs = _mat_mul(Rx, ps)
-            rhs = apply_R(_mat_add(_mat_mul(Rx, unit_mat[s]),
-                                   _mat_mul(unit_mat[x], ps)))
-            if lhs != rhs:
-                ok = False
-                break
-            lhs = _mat_mul(ps, Rx)
-            rhs = apply_R(_mat_add(_mat_mul(unit_mat[s], Rx),
-                                   _mat_mul(ps, unit_mat[x])))
-            if lhs != rhs:
-                ok = False
-                break
-        if not ok:
-            break
-    flags["c_bimodule_equalities"] = ok
+    flags["b_B_invariant"] = all(not in_A(*pos) for u in b_units
+                                 for pos in img[u].entries)
+    # (c) the two bimodule equalities: R(x)p(s) and p(s)R(x)
+    flags["c_bimodule_equalities"] = rb_holds(mul_mixed, a_units, b_units) \
+        and rb_holds(mul_mixed, b_units, a_units)
     # (d) Rota-Baxter identity on the semidirect product
-    ok = True
-    for x in units:
-        for y in units:
-            lhs = semi_mul(dense[x], dense[y])
-            rhs = apply_R(_mat_add(semi_mul(dense[x], unit_mat[y]),
-                                   semi_mul(unit_mat[x], dense[y])))
-            if lhs != rhs:
-                ok = False
-                break
-        if not ok:
-            break
-    flags["d_rb_on_semidirect"] = ok
+    flags["d_rb_on_semidirect"] = rb_holds(semi_mul, units, units)
     flags["equivalent"] = (flags["d_rb_on_semidirect"] ==
                            (flags["a_rb_on_A"] and flags["b_B_invariant"]
                             and flags["c_bimodule_equalities"]))

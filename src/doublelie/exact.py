@@ -1,4 +1,4 @@
-"""Exact scalars, sparse vectors and tensor squares/cubes over countable bases.
+"""Exact scalars, sparse vectors and tensor squares over countable bases.
 
 Scalars are rationals (``fractions.Fraction``), so every equality test in the
 package is exact.  Basis symbols are small tuples ``(tag, index)`` where the
@@ -14,8 +14,7 @@ mathematical equality.
 from __future__ import annotations
 
 from fractions import Fraction
-
-Scalar = Fraction
+from itertools import chain
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -66,11 +65,20 @@ def _pruned(terms):
     return {k: c for k, c in terms.items() if c}
 
 
+def sparse_sum(pairs):
+    """Sum an iterable of (key, coeff) pairs into a dict of the nonzero
+    totals: the one accumulation step behind every sparse sum."""
+    out = {}
+    get = out.get
+    for key, c in pairs:
+        out[key] = get(key, 0) + c
+    return _pruned(out)
+
+
 class _SparseMap:
-    """Shared machinery for Vec / Tensor2 / Tensor3."""
+    """Shared machinery for Vec / Tensor2."""
 
     __slots__ = ("terms",)
-    arity = None
 
     def __init__(self, terms=None):
         self.terms = _pruned(terms) if terms else {}
@@ -94,14 +102,8 @@ class _SparseMap:
     def __add__(self, other):
         if type(self) is not type(other):
             return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return type(self)(out)
+        return type(self)(sparse_sum(chain(self.terms.items(),
+                                           other.terms.items())))
 
     def __neg__(self):
         return type(self)({k: -c for k, c in self.terms.items()})
@@ -132,22 +134,14 @@ class _SparseMap:
 
 
 class Vec(_SparseMap):
-    arity = 1
-
-    @staticmethod
-    def _key_order(k):
-        return sym_sort_key(k)
+    _key_order = staticmethod(sym_sort_key)
 
     @classmethod
     def basis(cls, sym):
         return cls({sym: ONE})
 
-    def space_tags(self):
-        return {s[0] for s in self.terms}
-
 
 class Tensor2(_SparseMap):
-    arity = 2
     _key_order = staticmethod(key_sort_key)
 
     @classmethod
@@ -155,75 +149,6 @@ class Tensor2(_SparseMap):
         coeff = S(coeff)
         return cls({(a_sym, b_sym): coeff}) if coeff else cls()
 
-    def permute(self, sigma=(2, 1)):
-        return tensor_permute(self, sigma)
-
-
-class Tensor3(_SparseMap):
-    arity = 3
-    _key_order = staticmethod(key_sort_key)
-
-    @classmethod
-    def pure(cls, a_sym, b_sym, c_sym, coeff=ONE):
-        coeff = S(coeff)
-        return cls({(a_sym, b_sym, c_sym): coeff}) if coeff else cls()
-
-
-def tensor_permute(u, sigma):
-    """Permute tensor factors: the factor in slot i moves to slot sigma(i).
-
-    sigma is given one-based as a tuple, e.g. (2, 1) transposes a Tensor2 and
-    (2, 1, 3) swaps the first two slots of a Tensor3.
-    """
-    if not isinstance(u, (Tensor2, Tensor3)):
-        raise TypeError("tensor_permute expects Tensor2 or Tensor3")
-    k = u.arity
-    if sorted(sigma) != list(range(1, k + 1)):
-        raise ValueError("sigma %r is not a permutation of 1..%d" % (sigma, k))
-    out = {}
-    for key, c in u.terms.items():
-        new = [None] * k
-        for i, s in enumerate(key):
-            new[sigma[i] - 1] = s
-        out[tuple(new)] = out.get(tuple(new), 0) + c
-    return type(u)(out)
-
-
-SWAP12 = (2, 1)
-SWAP12_3 = (2, 1, 3)
-SWAP23_3 = (1, 3, 2)
-
-
-# ---------------------------------------------------------------------------
-# products across arities
-
-def outer(a, b):
-    """Tensor product: Vec x Vec -> Tensor2, Vec x Tensor2 -> Tensor3,
-    Tensor2 x Vec -> Tensor3 (slot order preserved)."""
-    if isinstance(a, Vec) and isinstance(b, Vec):
-        cls, mk = Tensor2, lambda ka, kb: (ka, kb)
-    elif isinstance(a, Vec) and isinstance(b, Tensor2):
-        cls, mk = Tensor3, lambda ka, kb: (ka,) + kb
-    elif isinstance(a, Tensor2) and isinstance(b, Vec):
-        cls, mk = Tensor3, lambda ka, kb: ka + (kb,)
-    else:
-        raise TypeError("unsupported outer product %s x %s"
-                        % (type(a).__name__, type(b).__name__))
-    out = {}
-    for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
-            out[mk(ka, kb)] = ca * cb
-    return cls(out)
-
-
-def check_same_tags(*values):
-    tags = set()
-    for v in values:
-        for key in v.terms:
-            if isinstance(key, tuple) and key and isinstance(key[0], tuple):
-                tags.update(s[0] for s in key)
-            else:
-                tags.add(key[0])
-    if len(tags) > 1:
-        raise ValueError("mixing carrier spaces %s without an explicit embedding"
-                         % sorted(tags))
+    def permute(self):
+        """The factor swap a (x) b -> b (x) a."""
+        return Tensor2({(b, a): c for (a, b), c in self.terms.items()})

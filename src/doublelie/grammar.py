@@ -17,11 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .exact import ONE, Tensor2, Vec, esym, sym_sort_key, tsym, ysym
-
-
-def render_scalar(c: Fraction) -> str:
-    return str(c)
+from .exact import ONE, Tensor2, Vec, esym, sparse_sum, tsym, ysym
 
 
 def render_sym(sym) -> str:
@@ -88,70 +84,54 @@ def _split_coeff(chunk: str):
     return ONE, chunk
 
 
-def render_tensor2(u: Tensor2) -> str:
-    if u.is_zero():
-        return "0"
+def _signed_sum(terms):
+    """Join (coeff, body) pairs as "body - 3/2*body + body": the sign goes
+    in front, and a coefficient of magnitude 1 is left out."""
     parts = []
-    for (a, b), c in u.sorted_items():
-        body = "%s(x)%s" % (render_sym(a), render_sym(b))
-        mag = abs(c)
-        head = "" if mag == 1 else "%s*" % render_scalar(mag)
-        if not parts:
-            sign = "-" if c < 0 else ""
-            parts.append("%s%s%s" % (sign, head, body))
-        else:
-            parts.append("%s %s%s" % ("-" if c < 0 else "+", head, body))
-    return " ".join(parts)
+    for c, body in terms:
+        head = "" if abs(c) == 1 else "%s*" % abs(c)
+        sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
+        parts.append(sign + head + body)
+    return " ".join(parts) or "0"
+
+
+def render_tensor2(u: Tensor2) -> str:
+    return _signed_sum((c, "%s(x)%s" % (render_sym(a), render_sym(b)))
+                       for (a, b), c in u.sorted_items())
 
 
 def parse_tensor2(text: str) -> Tensor2:
-    terms = {}
+    terms = []
     for sign, chunk in _split_terms(text):
         coeff, body = _split_coeff(chunk)
         try:
             left, right = body.split("(x)")
         except ValueError:
             raise ValueError("tensor term %r lacks the (x) separator" % chunk)
-        key = (parse_sym(left), parse_sym(right))
-        terms[key] = terms.get(key, 0) + sign * coeff
-    return Tensor2(terms)
+        terms.append(((parse_sym(left), parse_sym(right)), sign * coeff))
+    return Tensor2(sparse_sum(terms))
 
 
 def render_vec(v: Vec) -> str:
     """Generic rendering of a vector as a signed sum of symbols."""
-    if v.is_zero():
-        return "0"
-    parts = []
-    for sym, c in v.sorted_items():
-        body = render_sym(sym)
-        mag = abs(c)
-        head = "" if mag == 1 else "%s*" % render_scalar(mag)
-        if not parts:
-            parts.append("%s%s%s" % ("-" if c < 0 else "", head, body))
-        else:
-            parts.append("%s %s%s" % ("-" if c < 0 else "+", head, body))
-    return " ".join(parts)
+    return _signed_sum((c, render_sym(sym)) for sym, c in v.sorted_items())
 
 
 def render_poly(v: Vec) -> str:
     """Render a Vec over the t-basis as a polynomial, highest degree first."""
-    if v.is_zero():
-        return "0"
     items = sorted(v.terms.items(), key=lambda kv: -kv[0][1])
-    parts = []
+    terms = []
     for (tag, n), c in items:
         if tag != "t":
             raise ValueError("render_poly expects the t-basis, got tag %r" % tag)
         if n == 0:
-            body = render_scalar(abs(c))
+            body = str(abs(c))
         else:
             mono = "t" if n == 1 else "t^%d" % n
-            body = mono if abs(c) == 1 else "%s*%s" % (render_scalar(abs(c)), mono)
-        if not parts:
-            parts.append("%s%s" % ("-" if c < 0 else "", body))
-        else:
-            parts.append("%s %s" % ("-" if c < 0 else "+", body))
-    return " ".join(parts)
+            body = mono if abs(c) == 1 else "%s*%s" % (abs(c), mono)
+        # body carries the magnitude already, so pass the sign alone
+        terms.append((-1 if c < 0 else 1, body))
+    return _signed_sum(terms)
 
 
 _MONO_RE = re.compile(r"""
@@ -162,7 +142,7 @@ _MONO_RE = re.compile(r"""
 
 def parse_poly(text: str) -> Vec:
     """Parse polynomials in t such as "t^2 - 3/2*t + 1"."""
-    terms = {}
+    terms = []
     chunks = _split_terms(text.replace("- ", "- ").replace("+ ", "+ "))
     if not chunks and text.strip() not in ("", "0"):
         raise ValueError("cannot parse polynomial %r" % text)
@@ -175,10 +155,5 @@ def parse_poly(text: str) -> Vec:
             exp = int(m.group("exp")) if m.group("exp") else 1
         else:
             exp = 0
-        key = tsym(exp)
-        terms[key] = terms.get(key, 0) + sign * coeff
-    return Vec(terms)
-
-
-def sorted_syms(syms):
-    return sorted(syms, key=sym_sort_key)
+        terms.append((tsym(exp), sign * coeff))
+    return Vec(sparse_sum(terms))

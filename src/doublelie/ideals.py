@@ -20,7 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 import random
 
-from .exact import Tensor2, Vec
+from .brackets import DoubleBracket, catalog_bracket
+from .exact import Tensor2, Vec, sparse_sum, tsym
+from .grammar import render_sym, render_vec
 from .linalg import reduce_vector, rref
 from .report import VerificationReport
 
@@ -119,17 +121,10 @@ class Subspace:
 def quotient_reduce(u, I):
     """Image of a tensor in (V/I) (x) (V/I), written on echelon-complement
     representatives; zero exactly when u is in I (x) V + V (x) I."""
-    terms = {}
-    for (a, b), c in u.terms.items():
-        for sa, ca in I.project(a):
-            for sb, cb in I.project(b):
-                key = (sa, sb)
-                v = terms.get(key, 0) + c * ca * cb
-                if v:
-                    terms[key] = v
-                else:
-                    terms.pop(key, None)
-    return Tensor2(terms)
+    return Tensor2(sparse_sum(((sa, sb), c * ca * cb)
+                              for (a, b), c in u.terms.items()
+                              for sa, ca in I.project(a)
+                              for sb, cb in I.project(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +155,6 @@ def is_ideal(B, I, window):
     """Both-sided window check that bracketing the subspace stays inside
     I (x) V + V (x) I."""
     params = {"window": window, "subspace_dim": I.dim}
-    from .grammar import render_sym, render_vec
     for v, g in _window_pairs(B, I, window):
         vv = Vec.basis(v)
         for left, right, side in ((vv, g, "ambient,ideal"),
@@ -212,9 +206,7 @@ def quotient_bracket(B, I, window, name=None):
     def eval_fn(s1, s2):
         return quotient_reduce(B.eval(s1, s2), I)
 
-    return_shift = B.degree_shift
-    from .brackets import DoubleBracket
-    return DoubleBracket(name, carrier, eval_fn, degree_shift=return_shift)
+    return DoubleBracket(name, carrier, eval_fn, degree_shift=B.degree_shift)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +329,6 @@ def _bracket_nonzero(B, window):
 def random_polynomials(count, max_degree, seed, monic=True):
     """Fixed-seed family of random polynomials as Vec's over t-monomials;
     coefficients are small integers, leading coefficient 1 when monic."""
-    from .exact import tsym
     rng = random.Random(seed)
     out = []
     for _ in range(count):
@@ -375,7 +366,6 @@ def simplicity_probe(B, window, seeds=None, seed_count=50, max_degree=8,
             continue
         closures, exhausted = ideal_closure(B, [f], window, budget)
         if exhausted:
-            from .grammar import render_vec
             return VerificationReport.failure(
                 "simplicity_probe", B.name,
                 {"seed_index": k, "seed": render_vec(f),
@@ -384,7 +374,6 @@ def simplicity_probe(B, window, seeds=None, seed_count=50, max_degree=8,
             details["closures_checked"] += 1
             missing = [s for s in need if not I.contains(Vec.basis(s))]
             if missing:
-                from .grammar import render_sym, render_vec
                 ce = {"seed_index": k, "seed": render_vec(f),
                       "missing": render_sym(missing[0]),
                       "closure_dim": I.dim}
@@ -406,8 +395,6 @@ def theorem3_replay(window=20, rng_seed=2024, trials_per_degree=3):
     (b) Induction: with span{1, ..., t^{s-1}} already inside the ideal, the
     bracket of 1 with t^{2s+1} reduces to exactly the diagonal survivor
     t^s (x) t^s, which forces t^s in as well."""
-    from .brackets import catalog_bracket
-    from .exact import tsym
     params = {"window": window, "rng_seed": rng_seed}
     B = catalog_bracket("L2")
     carrier = B.carrier
@@ -426,25 +413,16 @@ def theorem3_replay(window=20, rng_seed=2024, trials_per_degree=3):
                     coeffs[j] = Fraction(c)
             f = Vec(terms)
             got = B.eval_linear(one, f)
-            expect = {}
             blocks = [(n, Fraction(1))] + sorted(coeffs.items())
-            for d, c in blocks:
-                for i in range(d):
-                    key = (tsym(i), tsym(d - 1 - i))
-                    v = expect.get(key, 0) + c
-                    if v:
-                        expect[key] = v
-                    else:
-                        expect.pop(key, None)
+            expect = sparse_sum(((tsym(i), tsym(d - 1 - i)), c)
+                                for d, c in blocks for i in range(d))
             if got != Tensor2(expect):
-                from .grammar import render_vec
                 ce = {"step": "a", "n": n, "f": render_vec(f),
                       "reason": "expansion formula mismatch"}
                 return VerificationReport.failure("theorem3_replay", "L2",
                                                   ce, params)
             If = Subspace.from_vectors(carrier, window, [f])
             if not quotient_reduce(got, If):
-                from .grammar import render_vec
                 ce = {"step": "a", "n": n, "f": render_vec(f),
                       "reason": "survivor unexpectedly vanished"}
                 return VerificationReport.failure("theorem3_replay", "L2",

@@ -18,8 +18,9 @@ and the diagonal "rays", and structural equality equals mathematical equality.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
-from .exact import ONE, S, Vec
+from .exact import ONE, S, Vec, sparse_sum
 
 _INF = float("inf")
 
@@ -185,14 +186,9 @@ class FinitaryMatrix:
 
     def __add__(self, other):
         _need_same_domain(self, other)
-        out = dict(self.entries)
-        for k, c in other.entries.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return FinitaryMatrix(out, self.domain)
+        return FinitaryMatrix(sparse_sum(chain(self.entries.items(),
+                                               other.entries.items())),
+                              self.domain)
 
     def __neg__(self):
         return FinitaryMatrix({k: -c for k, c in self.entries.items()}, self.domain)
@@ -217,14 +213,12 @@ class FinitaryMatrix:
             segs.setdefault(j - i, []).append((i, i, c))
         return LocallyFiniteOperator(segs, self.domain)
 
+    def row(self, i):
+        """Finite dict {col: coeff} of row i."""
+        return {j: c for (r, j), c in self.entries.items() if r == i}
+
     def apply(self, v, tag=None):
         return self.as_operator().apply(v, tag)
-
-    def support_rows(self):
-        return {i for i, _ in self.entries}
-
-    def support_cols(self):
-        return {j for _, j in self.entries}
 
 
 class LocallyFiniteOperator:
@@ -364,25 +358,7 @@ class LocallyFiniteOperator:
         return LocallyFiniteOperator(segs, self.domain)
 
     def apply(self, v, tag=None):
-        """Matrix-vector product on basis symbols u_q := (tag, q); the symbol
-        tag is preserved unless an explicit output tag is given."""
-        out = {}
-        for (vtag, q), c in v.terms.items():
-            otag = tag or vtag
-            for offset, ss in self.segs.items():
-                r = q - offset
-                if not self.domain.contains(r):
-                    continue
-                for seg in ss:
-                    if _seg_contains(seg, r):
-                        key = (otag, r)
-                        val = out.get(key, 0) + c * seg[2]
-                        if val:
-                            out[key] = val
-                        else:
-                            out.pop(key, None)
-                        break
-        return Vec(out)
+        return _apply(self, v, tag)
 
     def apply_index(self, q):
         """Action on the single basis vector u_q as a dict {row: coeff}."""
@@ -428,21 +404,6 @@ class LocallyFiniteOperator:
                         ents[(r, r + offset)] = c
         return FinitaryMatrix(ents, _NATURALS if self.domain.kind != "finite"
                               else self.domain)
-
-    def entries_in_window(self, lo, hi):
-        """All ((row, col), coeff) with both indices in [lo, hi]."""
-        out = []
-        for offset, ss in self.segs.items():
-            rlo = max(lo, lo - offset)
-            rhi = min(hi, hi - offset)
-            for seg in ss:
-                cut = _clip_segment(seg, (rlo, rhi))
-                if cut is None:
-                    continue
-                slo, shi, c = cut
-                for r in range(slo, shi + 1):
-                    out.append(((r, r + offset), c))
-        return sorted(out)
 
     # ---- serialization ----------------------------------------------------
 
@@ -499,52 +460,16 @@ def _need_same_domain(a, b):
         raise ValueError("index domain mismatch: %r vs %r" % (a.domain, b.domain))
 
 
+def _apply(op, v, tag=None):
+    """Matrix-vector product on basis symbols u_q := (tag, q); the symbol
+    tag is preserved unless an explicit output tag is given."""
+    return Vec(sparse_sum(((tag or vtag, r), c * d)
+                          for (vtag, q), c in v.terms.items()
+                          for r, d in op.apply_index(q).items()))
+
+
 # ---------------------------------------------------------------------------
 # products
-
-def _fin_mul_fin(a, b):
-    out = {}
-    cols = {}
-    for (k, l), c in b.entries.items():
-        cols.setdefault(k, []).append((l, c))
-    for (i, k), c in a.entries.items():
-        for l, d in cols.get(k, ()):
-            key = (i, l)
-            v = out.get(key, 0) + c * d
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return FinitaryMatrix(out, a.domain)
-
-
-def _fin_mul_op(a, b):
-    """finitary * locally-finite is finitary."""
-    out = {}
-    for (i, k), c in a.entries.items():
-        for l, d in b.row(k).items():
-            key = (i, l)
-            v = out.get(key, 0) + c * d
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return FinitaryMatrix(out, a.domain)
-
-
-def _op_mul_fin(a, b):
-    """locally-finite * finitary is finitary."""
-    out = {}
-    for (k, l), d in b.entries.items():
-        for r, c in a.col(k).items():
-            key = (r, l)
-            v = out.get(key, 0) + c * d
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return FinitaryMatrix(out, a.domain)
-
 
 def _op_mul_op(a, b):
     """Product of two diagonal-segment operators, again one of them.
@@ -569,14 +494,18 @@ def mul_mixed(a, b):
     """Matrix product; returns a FinitaryMatrix when either factor is
     finitary, otherwise a LocallyFiniteOperator."""
     _need_same_domain(a, b)
-    a_fin = isinstance(a, FinitaryMatrix)
-    b_fin = isinstance(b, FinitaryMatrix)
-    if a_fin and b_fin:
-        return _fin_mul_fin(a, b)
-    if a_fin:
-        return _fin_mul_op(a, b)
-    if b_fin:
-        return _op_mul_fin(a, b)
+    if isinstance(a, FinitaryMatrix):
+        # each entry e_{ik} of a meets row k of b
+        return FinitaryMatrix(sparse_sum(((i, l), c * d)
+                                         for (i, k), c in a.entries.items()
+                                         for l, d in b.row(k).items()),
+                              a.domain)
+    if isinstance(b, FinitaryMatrix):
+        # each entry e_{kl} of b meets column k of a
+        return FinitaryMatrix(sparse_sum(((r, l), c * d)
+                                         for (k, l), d in b.entries.items()
+                                         for r, c in a.col(k).items()),
+                              a.domain)
     out = _op_mul_op(a, b)
     return out.to_finitary() if out.is_finitary() else out
 
@@ -586,11 +515,6 @@ def trace_pair(x, y):
     and associative whenever all products stay finitary."""
     if isinstance(x, LocallyFiniteOperator):
         x = x.to_finitary()
-    if isinstance(y, FinitaryMatrix):
-        total = 0
-        for (k, l), c in x.entries.items():
-            total += c * y.entry(l, k)
-        return total
     total = 0
     for (k, l), c in x.entries.items():
         total += c * y.entry(l, k)
@@ -608,8 +532,8 @@ class StridedRayOperator:
     For step 1 this is an ordinary ray; steps >= 2 arise as preimages of the
     k-step difference maps, whose support walks a diagonal in jumps of k.
     Only the read-only protocol shared with LocallyFiniteOperator is offered
-    (entry / row / col / apply / projection); these operators never need to be
-    added or multiplied together."""
+    (entry / row / col / apply / projection), plus scaling; these operators
+    never need to be added or multiplied together."""
 
     __slots__ = ("coeff", "row0", "col0", "step", "domain")
 
@@ -663,16 +587,11 @@ class StridedRayOperator:
         return self.col(q)
 
     def apply(self, v, tag=None):
-        out = {}
-        for (vtag, q), c in v.terms.items():
-            for r, d in self.col(q).items():
-                key = (tag or vtag, r)
-                val = out.get(key, 0) + c * d
-                if val:
-                    out[key] = val
-                else:
-                    out.pop(key, None)
-        return Vec(out)
+        return _apply(self, v, tag)
+
+    def scale(self, a):
+        return StridedRayOperator(S(a) * self.coeff, self.row0, self.col0,
+                                  self.step, self.domain)
 
     def transpose(self):
         return StridedRayOperator(self.coeff, self.col0, self.row0, self.step,
@@ -687,16 +606,6 @@ class StridedRayOperator:
             r += self.step
             c += self.step
         return FinitaryMatrix(ents, _NATURALS)
-
-    def entries_in_window(self, lo, hi):
-        out = []
-        r, c = self.row0, self.col0
-        while r <= hi and c <= hi:
-            if r >= lo and c >= lo:
-                out.append(((r, c), self.coeff))
-            r += self.step
-            c += self.step
-        return out
 
 
 NATURALS = _NATURALS

@@ -2,7 +2,7 @@
 
 Structured output is deterministic: keys are emitted in a fixed order and no
 wall-clock data is included, so identical runs produce byte-identical lines.
-Timing is available separately for human-readable display only.
+No timing is recorded.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ class VerificationReport:
     def failure(cls, check, target, counterexample, params=None, details=None):
         return cls(check, target, params, False, counterexample, details)
 
-    def merge_name(self):
-        return "%s[%s]" % (self.check, self.target)
-
     def to_dict(self):
         rec = {"check": self.check, "target": self.target}
         for key in sorted(self.params):
@@ -63,19 +60,3 @@ class VerificationReport:
 
     def __repr__(self):
         return "VerificationReport(%s)" % self.to_json()
-
-
-def merge_reports(check, target, reports, params=None):
-    """Combine sub-reports: passes iff all pass; first failure is kept."""
-    reports = list(reports)
-    for rep in reports:
-        if not rep.passed:
-            return VerificationReport.failure(
-                check, target, rep.counterexample, params,
-                details="failed sub-check %s" % rep.merge_name())
-    return VerificationReport.success(check, target, params,
-                                      details="%d sub-checks" % len(reports))
-
-
-def all_pass(reports):
-    return all(r.passed for r in reports)

@@ -7,6 +7,7 @@ in the relevant layer test file; here the checks run at scale.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -242,6 +243,10 @@ def test_criterion_9_module_suite():
         assert bad.details["equivalent"]
 
 
+REPORT_ALL_W6_SHA256 = \
+    "2ce1bf3540aecfeae707240920675d97f43c1c0cf0e9bdc344008082f6775c85"
+
+
 def test_criterion_10_deterministic_report(capsys):
     code1 = cli_main(["report", "--all", "--window", "6"])
     out1 = capsys.readouterr().out
@@ -249,6 +254,9 @@ def test_criterion_10_deterministic_report(capsys):
     out2 = capsys.readouterr().out
     assert code1 == 0 and code2 == 0
     assert out1 == out2
+    # byte-identical to the recorded output; a deliberate change to the
+    # report updates this digest and says why
+    assert hashlib.sha256(out1.encode()).hexdigest() == REPORT_ALL_W6_SHA256
     recs = [json.loads(line) for line in out1.splitlines() if line]
     assert all(r["status"] == "pass" for r in recs)
     # a failing check embeds its counterexample in the structured record

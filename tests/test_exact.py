@@ -1,20 +1,14 @@
-"""Sparse exact vectors and tensors: algebra laws and permutation behavior."""
+"""Sparse exact vectors and tensors: algebra laws, the factor swap, and the
+sparse_sum accumulation primitive."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-import pytest
+from hypothesis import given, strategies as st
 
-from doublelie.exact import (S, SWAP12, SWAP12_3, SWAP23_3, Tensor2, Tensor3,
-                             Vec, check_same_tags, esym, outer, tensor_permute,
-                             tsym, ysym)
-
-
-def random_vec(rng, tag="t", size=5):
-    return Vec({(tag, rng.randrange(8)): Fraction(rng.randint(-5, 5))
-                for _ in range(size)})
+from doublelie.exact import S, Tensor2, Vec, sparse_sum, tsym, ysym
 
 
 def random_tensor2(rng, size=6):
@@ -47,46 +41,12 @@ def test_addition_group_laws_random_sweep():
         assert u.scale(3).scale(Fraction(1, 3)) == u
 
 
-def test_outer_product_shapes_and_bilinearity():
-    rng = random.Random(5)
-    a, b = random_vec(rng), random_vec(rng)
-    t = outer(a, b)
-    assert isinstance(t, Tensor2)
-    # coefficient oracle: product of the input coefficients
-    for (s1, s2), c in t.items():
-        assert c == a.terms[s1] * b.terms[s2]
-    assert outer(a + b, b) == outer(a, b) + outer(b, b)
-    t3 = outer(a, t)
-    assert isinstance(t3, Tensor3)
-    assert outer(t, a) == tensor_permute(outer(a, t), (3, 1, 2))
-
-
 def test_swap_is_an_involution():
     rng = random.Random(7)
     for _ in range(20):
         u = random_tensor2(rng)
-        assert u.permute(SWAP12).permute(SWAP12) == u
-
-
-def test_three_slot_permutations_compose():
-    u = Tensor3.pure(tsym(0), tsym(1), tsym(2), Fraction(5))
-    # moving slot contents by (2,1,3) then (1,3,2) equals the 3-cycle sending
-    # slot 1 to 3, 2 to 1, 3 to 2
-    v = tensor_permute(tensor_permute(u, SWAP12_3), SWAP23_3)
-    assert v == tensor_permute(u, (3, 1, 2))
-
-
-def test_permutation_rejects_non_permutations():
-    u = Tensor2.pure(tsym(0), tsym(1))
-    with pytest.raises(ValueError):
-        tensor_permute(u, (1, 1))
-
-
-def test_tag_mixing_is_detected():
-    mixed = Vec({tsym(0): Fraction(1), esym(1): Fraction(1)})
-    with pytest.raises(ValueError):
-        check_same_tags(mixed)
-    check_same_tags(Vec.basis(tsym(2)), Vec.basis(tsym(5)))
+        assert u.permute().permute() == u
+        assert all(u.coeff((b, a)) == c for (a, b), c in u.permute().items())
 
 
 def test_composite_symbol_ordering_is_stable():
@@ -94,3 +54,22 @@ def test_composite_symbol_ordering_is_stable():
     v = Vec({s: Fraction(1) for s in syms})
     assert [s for s, _ in v.sorted_items()] == sorted(syms,
                                                      key=lambda s: s[1])
+
+
+_PAIRS = st.lists(st.tuples(
+    st.sampled_from([tsym(n) for n in range(4)]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    | st.integers(min_value=-3, max_value=3)), max_size=12)
+
+
+@given(_PAIRS)
+def test_sparse_sum_matches_the_vec_fold(pairs):
+    naive = Vec()
+    for key, c in pairs:
+        naive = naive + Vec({key: c})
+    got = sparse_sum(pairs)
+    assert got == naive.terms
+    # independent oracle: each key's total, summed on its own
+    totals = {key: sum(c for k, c in pairs if k == key) for key, _ in pairs}
+    assert got == {key: c for key, c in totals.items() if c}
+    assert all(got.values())

@@ -9,7 +9,7 @@ import pytest
 
 from doublelie.matrices import (FinitaryMatrix, LocallyFiniteOperator,
                                 NATURALS, mul_mixed)
-from doublelie.rb import (CATALOG_RB_NAMES, build_pk, catalog_rb,
+from doublelie.rb import (CATALOG_RB_NAMES, RBOperator, build_pk, catalog_rb,
                           check_rb_identity, check_skew_symmetry,
                           conjugate_by, derivation_of, mutate_sign,
                           psi_n, remark3_suite, shift_ray, tensor_extend,
@@ -36,8 +36,11 @@ def test_laurent_variants_pass_on_integer_window():
 
 
 def test_sign_mutation_fails_with_counterexample():
-    for name, unit in (("r1", (2, 0)), ("r2", (0, 1)), ("ex1", (0, 0))):
-        bad = mutate_sign(catalog_rb(name), *unit)
+    for R, unit in ((catalog_rb("r1"), (2, 0)), (catalog_rb("r2"), (0, 1)),
+                    (catalog_rb("ex1"), (0, 0)),
+                    # strided-ray images of p_k, k >= 2
+                    (build_pk(2), (0, 0)), (build_pk(3), (1, 2))):
+        bad = mutate_sign(R, *unit)
         rep = check_rb_identity(bad, 4, 8)
         assert not rep.passed
         assert rep.counterexample is not None and "x" in rep.counterexample
@@ -141,15 +144,42 @@ def test_remark_suite_passes():
 
 
 def test_trace_functional_identities_on_finite_and_windowed():
-    for name in ("ex1", "ex2", "quiver"):
+    for name, unit in (("ex1", (0, 0)), ("ex2", (1, 0)), ("quiver", (2, 1))):
         assert verify_trace_functional_identities(catalog_rb(name)).passed
+        # a sign flip breaks skew symmetry, but the identities hold for every
+        # operator, so the adjoint path must pass too
+        R = mutate_sign(catalog_rb(name), *unit)
+        assert not check_skew_symmetry(R).passed, name
+        assert verify_trace_functional_identities(R).passed, name
     assert verify_trace_functional_identities(catalog_rb("r1"), 4).passed
+
+
+def _without_first_hint(R):
+    """R with a bracket that misses the first column index of every sum."""
+    return RBOperator(R.name, R.domain, R.image,
+                      lambda p, q: list(R.support_hint(p, q))[1:])
+
+
+@pytest.mark.parametrize("name, identity, x, y, u, rhs", [
+    ("r1", "second", "e[1,0]", "e[1,0]", 1, "1*u_1"),
+    ("r2", "first", "e[0,0]", "e[0,0]", 2, "1*u_0"),
+    ("ex1", "first", "e[0,0]", "e[0,1]", 0, "1*u_1"),
+])
+def test_trace_functional_identities_report_first_failure(name, identity, x,
+                                                          y, u, rhs):
+    rep = verify_trace_functional_identities(
+        _without_first_hint(catalog_rb(name)), 4)
+    assert not rep.passed
+    assert rep.counterexample == {"identity": identity, "x": x, "y": y,
+                                  "u": u, "lhs": "0", "rhs": rhs}
 
 
 def test_scaling_preserves_rb_weight_zero():
     R = catalog_rb("r1").scaled(Fraction(3, 2))
     assert check_rb_identity(R, 4, 8).passed
     assert check_skew_symmetry(R, 4).passed
+    # p_2 has strided-ray images
+    assert check_rb_identity(build_pk(2).scaled(-1), 4).passed
 
 
 def test_unknown_catalog_name_raises():
