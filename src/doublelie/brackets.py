@@ -139,10 +139,6 @@ class DoubleBracket:
             self._memo[key] = got
         return got
 
-    def eval_items(self, s1, s2):
-        """The bracket value as a tuple of (left_sym, right_sym, coeff)."""
-        return tuple((a, b, c) for (a, b), c in self.eval(s1, s2).items())
-
     def eval_linear(self, va, vb):
         return Tensor2(sparse_sum((key, c * c1 * c2)
                                   for s1, c1 in va.terms.items()
@@ -311,7 +307,7 @@ def rb_from_bracket(B, dim, name=None):
             ((carrier.index(b), q), c) for q in range(dim)
             for (a, b), c in B.eval(carrier.sym(p), carrier.sym(q)).items()
             if a == ssym)
-        return FinitaryMatrix(ents, domain).as_operator()
+        return FinitaryMatrix(ents, domain)
 
     return RBOperator(name or "R[%s]" % B.name, domain, image_fn,
                       lambda p, q: range(dim))
@@ -338,19 +334,19 @@ def jacobi_defect(B, a, b, c):
     term map over symbol triples, using the extension conventions
     <<a, b(x)c>>_L = <<a,b>>(x)c,  <<a, b(x)c>>_R = swap12(b(x)<<a,c>>),
     <<a(x)b, c>>_L = move23(<<a,c>>(x)b)."""
-    ev = B.eval_items
+    ev = B.eval
     # one-line sums and a final prune: sparse_sum's generators cost +17% here
     J = {}
-    for (b1, b2, cb) in ev(b, c):
-        for (x, y, cx) in ev(a, b1):
+    for (b1, b2), cb in ev(b, c).terms.items():
+        for (x, y), cx in ev(a, b1).terms.items():
             key = (x, y, b2)
             J[key] = J.get(key, 0) + cb * cx
-    for (x, y, cx) in ev(a, c):
-        for (p, q, cp) in ev(b, y):
+    for (x, y), cx in ev(a, c).terms.items():
+        for (p, q), cp in ev(b, y).terms.items():
             key = (x, p, q)
             J[key] = J.get(key, 0) - cx * cp
-    for (x, y, cx) in ev(a, b):
-        for (z1, z2, cz) in ev(x, c):
+    for (x, y), cx in ev(a, b).terms.items():
+        for (z1, z2), cz in ev(x, c).terms.items():
             key = (z1, y, z2)
             J[key] = J.get(key, 0) - cx * cz
     return {key: v for key, v in J.items() if v}

@@ -22,7 +22,7 @@ import random
 
 from .brackets import (DoubleBracket, check_anticommutativity, check_jacobi,
                        jacobi_defect, rb_from_bracket)
-from .exact import Tensor2, sparse_sum
+from .exact import Tensor2
 from .grammar import render_sym
 from .ideals import is_ideal, quotient_bracket
 from .matrices import Domain, FinitaryMatrix, mul_mixed
@@ -72,10 +72,6 @@ class DoubleAction:
     def __repr__(self):
         return "DoubleAction(%r, %d x %d)" % (self.name, len(self.l_syms),
                                               len(self.m_syms))
-
-
-def zero_action(name, l_syms, m_syms, is_l=None):
-    return DoubleAction(name, l_syms, m_syms, lambda a, b: Tensor2(), is_l)
 
 
 def mutate_action(act, pair_index, term_index=0, preserve_skew=True,
@@ -360,13 +356,8 @@ def rb_bimodule_split_check(B_L, act, mutate_unit=None):
     units = [(i, j) for i in range(dim) for j in range(dim)]
     a_units = [u for u in units if in_A(*u)]
     b_units = [u for u in units if not in_A(*u)]
-    img = {u: R.image(*u).to_finitary() for u in units}
+    img = {u: R.image(*u) for u in units}
     unit_mat = {u: FinitaryMatrix.unit(u[0], u[1], dom) for u in units}
-
-    def apply_R(x):
-        return FinitaryMatrix(sparse_sum(
-            (pos, c * d) for u, c in x.entries.items()
-            for pos, d in img[u].entries.items()), dom)
 
     def b_part(x):
         return FinitaryMatrix({u: c for u, c in x.entries.items()
@@ -377,8 +368,8 @@ def rb_bimodule_split_check(B_L, act, mutate_unit=None):
 
     def rb_holds(mul, xs, ys):
         """R(x)R(y) = R(R(x)y + xR(y)) for every x in xs, y in ys."""
-        return all(mul(img[x], img[y]) == apply_R(mul(img[x], unit_mat[y])
-                                                  + mul(unit_mat[x], img[y]))
+        return all(mul(img[x], img[y]) == R.image_of_finitary(
+                       mul(img[x], unit_mat[y]) + mul(unit_mat[x], img[y]))
                    for x in xs for y in ys)
 
     flags = {}

@@ -144,11 +144,6 @@ class Vec(_SparseMap):
 class Tensor2(_SparseMap):
     _key_order = staticmethod(key_sort_key)
 
-    @classmethod
-    def pure(cls, a_sym, b_sym, coeff=ONE):
-        coeff = S(coeff)
-        return cls({(a_sym, b_sym): coeff}) if coeff else cls()
-
     def permute(self):
         """The factor swap a (x) b -> b (x) a."""
         return Tensor2({(b, a): c for (a, b), c in self.terms.items()})

@@ -63,10 +63,3 @@ def invert_matrix(rows):
     if pivots[:n] != list(range(n)) or len(red) < n:
         return None
     return [row[n:] for row in red[:n]]
-
-
-def matrix_rank(rows):
-    if not rows:
-        return 0
-    _, pivots = rref(rows)
-    return len(pivots)

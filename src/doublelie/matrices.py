@@ -1,10 +1,8 @@
-"""Finitary infinite matrices and locally finite operators.
+"""Locally finite operators on infinite matrices, finitary matrices included.
 
-A finitary matrix has finitely many nonzero entries; these play the role of
-the two-sided ideal inside the algebra of locally finite operators.  A locally
-finite operator has finitely many nonzero entries in every row and in every
-column; all catalog operators are supported on finitely many slope-one
-diagonals, so the canonical representation used here is
+A locally finite operator has finitely many nonzero entries in every row and
+in every column; all catalog operators are supported on finitely many
+slope-one diagonals, so the canonical representation used here is
 
     {offset: sorted disjoint segments (lo, hi, coeff)}
 
@@ -13,12 +11,14 @@ for every row r with lo <= r <= hi.  lo = None means the segment extends to
 -infinity (integers domain only) and hi = None means +infinity.  Point entries
 are length-one segments, so a single normal form covers both the finitary part
 and the diagonal "rays", and structural equality equals mathematical equality.
+
+A finitary matrix (finitely many nonzero entries; these form the two-sided
+ideal inside the locally finite operators) is the case in which every segment
+is finite.  FinitaryMatrix only builds one from {(row, col): coeff}, and
+`entries` reads that dict back off any finite-support operator.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from itertools import chain
 
 from .exact import ONE, S, Vec, sparse_sum
 
@@ -140,87 +140,6 @@ def _seg_contains(seg, r):
     return (lo is None or lo <= r) and (hi is None or r <= hi)
 
 
-class FinitaryMatrix:
-    """Infinite matrix with finite support, stored as {(row, col): coeff}."""
-
-    __slots__ = ("domain", "entries")
-
-    def __init__(self, entries=None, domain=_NATURALS):
-        self.domain = domain
-        ents = {}
-        for (i, j), c in (entries or {}).items():
-            if not c:
-                continue
-            if not (domain.contains(i) and domain.contains(j)):
-                raise ValueError("entry (%d, %d) outside domain %r" % (i, j, domain))
-            ents[(i, j)] = S(c)
-        self.entries = ents
-
-    @classmethod
-    def unit(cls, i, j, domain=_NATURALS, coeff=ONE):
-        return cls({(i, j): coeff}, domain)
-
-    @classmethod
-    def zero(cls, domain=_NATURALS):
-        return cls({}, domain)
-
-    def is_zero(self):
-        return not self.entries
-
-    def __bool__(self):
-        return bool(self.entries)
-
-    def __eq__(self, other):
-        return (isinstance(other, FinitaryMatrix) and self.domain == other.domain
-                and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.domain, frozenset(self.entries.items())))
-
-    def __repr__(self):
-        items = sorted(self.entries.items())
-        return "FinitaryMatrix(%r, %r)" % (items, self.domain)
-
-    def entry(self, i, j):
-        return self.entries.get((i, j), 0)
-
-    def __add__(self, other):
-        _need_same_domain(self, other)
-        return FinitaryMatrix(sparse_sum(chain(self.entries.items(),
-                                               other.entries.items())),
-                              self.domain)
-
-    def __neg__(self):
-        return FinitaryMatrix({k: -c for k, c in self.entries.items()}, self.domain)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, a):
-        a = S(a)
-        return FinitaryMatrix({k: a * c for k, c in self.entries.items()}, self.domain)
-
-    def __rmul__(self, a):
-        return self.scale(a)
-
-    def transpose(self):
-        return FinitaryMatrix({(j, i): c for (i, j), c in self.entries.items()},
-                              self.domain)
-
-    def as_operator(self):
-        segs = {}
-        for (i, j), c in self.entries.items():
-            segs.setdefault(j - i, []).append((i, i, c))
-        return LocallyFiniteOperator(segs, self.domain)
-
-    def row(self, i):
-        """Finite dict {col: coeff} of row i."""
-        return {j: c for (r, j), c in self.entries.items() if r == i}
-
-    def apply(self, v, tag=None):
-        return self.as_operator().apply(v, tag)
-
-
 class LocallyFiniteOperator:
     """Operator supported on finitely many diagonals, finitely many segments
     per diagonal.  Every row and every column then has at most one entry per
@@ -306,17 +225,6 @@ class LocallyFiniteOperator:
                     break
         return out
 
-    def col(self, j):
-        """Finite dict {row: coeff} of column j."""
-        out = {}
-        for offset, segs in self.segs.items():
-            r = j - offset
-            for seg in segs:
-                if _seg_contains(seg, r):
-                    out[r] = seg[2]
-                    break
-        return out
-
     def __add__(self, other):
         _need_same_domain(self, other)
         segs = {}
@@ -361,98 +269,52 @@ class LocallyFiniteOperator:
         return _apply(self, v, tag)
 
     def apply_index(self, q):
-        """Action on the single basis vector u_q as a dict {row: coeff}."""
+        """Action on the single basis vector u_q, i.e. column q, as a dict
+        {row: coeff}.  Segments are clipped to the domain, so every row found
+        lies in it."""
         out = {}
         for offset, ss in self.segs.items():
             r = q - offset
-            if not self.domain.contains(r):
-                continue
             for seg in ss:
                 if _seg_contains(seg, r):
                     out[r] = seg[2]
                     break
         return out
 
-    def is_finitary(self):
-        return all(lo is not None and hi is not None
-                   for ss in self.segs.values() for lo, hi, _ in ss)
-
     def to_finitary(self):
-        if not self.is_finitary():
+        """The operator itself, once its support is known to be finite."""
+        if any(lo is None or hi is None
+               for ss in self.segs.values() for lo, hi, _ in ss):
             raise ValueError("operator has infinite rays; not finitary")
-        ents = {}
-        for offset, ss in self.segs.items():
-            for lo, hi, c in ss:
-                for r in range(lo, hi + 1):
-                    ents[(r, r + offset)] = c
-        return FinitaryMatrix(ents, self.domain)
+        return self
 
-    def project_to_block(self, n):
-        """Finitary cut keeping entries with both indices in 0..n-1."""
-        if n < 1:
-            raise ValueError("block size must be positive")
-        ents = {}
-        for offset, ss in self.segs.items():
-            bounds = Domain.finite(n).row_bounds(offset)
-            for seg in ss:
-                cut = _clip_segment(seg, bounds)
-                if cut is None:
-                    continue
-                lo, hi, c = cut
-                for r in range(lo, hi + 1):
-                    if self.domain.contains(r) and self.domain.contains(r + offset):
-                        ents[(r, r + offset)] = c
-        return FinitaryMatrix(ents, _NATURALS if self.domain.kind != "finite"
-                              else self.domain)
+    @property
+    def entries(self):
+        """The finite support as {(row, col): coeff}; raises on infinite
+        rays."""
+        return {(r, r + offset): c
+                for offset, ss in self.to_finitary().segs.items()
+                for lo, hi, c in ss for r in range(lo, hi + 1)}
 
-    # ---- serialization ----------------------------------------------------
 
-    def to_record(self):
-        entries = []
-        rays = []
-        for offset in sorted(self.segs):
-            for lo, hi, c in self.segs[offset]:
-                if lo is not None and hi is not None and lo == hi:
-                    entries.append([lo, lo + offset, str(c)])
-                elif lo is None and hi is None:
-                    rays.append([str(c), 0, offset, "biinf"])
-                elif lo is None:
-                    rays.append([str(c), hi, hi + offset, "backinf"])
-                elif hi is None:
-                    rays.append([str(c), lo, lo + offset, "inf"])
-                else:
-                    rays.append([str(c), lo, lo + offset, hi - lo + 1])
-        return {"domain": repr(self.domain), "entries": entries, "rays": rays}
+class FinitaryMatrix(LocallyFiniteOperator):
+    """A finite-support operator given as {(row, col): coeff}.  Every
+    operation on it returns a LocallyFiniteOperator, which compares and
+    hashes equal to it."""
+
+    __slots__ = ()
+
+    def __init__(self, entries=None, domain=_NATURALS):
+        segs = {}
+        for (i, j), c in (entries or {}).items():
+            if c and not (domain.contains(i) and domain.contains(j)):
+                raise ValueError("entry (%d, %d) outside domain %r" % (i, j, domain))
+            segs.setdefault(j - i, []).append((i, i, S(c)))
+        super().__init__(segs, domain)
 
     @classmethod
-    def from_record(cls, rec):
-        domain = parse_domain(rec["domain"])
-        segs = {}
-        for i, j, c in rec.get("entries", []):
-            segs.setdefault(j - i, []).append((i, i, Fraction(c)))
-        for c, r0, c0, length in rec.get("rays", []):
-            offset = c0 - r0
-            c = Fraction(c)
-            if length == "inf":
-                seg = (r0, None, c)
-            elif length == "backinf":
-                seg = (None, r0, c)
-            elif length == "biinf":
-                seg = (None, None, c)
-            else:
-                seg = (r0, r0 + int(length) - 1, c)
-            segs.setdefault(offset, []).append(seg)
-        return cls(segs, domain)
-
-
-def parse_domain(text):
-    if text == "naturals":
-        return _NATURALS
-    if text == "integers":
-        return _INTEGERS
-    if text.startswith("finite(") and text.endswith(")"):
-        return Domain.finite(int(text[len("finite("):-1]))
-    raise ValueError("unknown domain %r" % text)
+    def unit(cls, i, j, domain=_NATURALS, coeff=ONE):
+        return cls({(i, j): coeff}, domain)
 
 
 def _need_same_domain(a, b):
@@ -471,12 +333,27 @@ def _apply(op, v, tag=None):
 # ---------------------------------------------------------------------------
 # products
 
-def _op_mul_op(a, b):
-    """Product of two diagonal-segment operators, again one of them.
+def mul_mixed(a, b):
+    """Matrix product of two operators, again a LocallyFiniteOperator.
 
     A segment on offset o1 with rows [lo1, hi1] times a segment on offset o2
     with rows [lo2, hi2] contributes, on offset o1+o2, the rows
-    [lo1, hi1] intersect [lo2 - o1, hi2 - o1]."""
+    [lo1, hi1] intersect [lo2 - o1, hi2 - o1].  A strided ray has no
+    segments; it meets the other factor, which must then be finitary, entry
+    by entry."""
+    _need_same_domain(a, b)
+    if isinstance(a, StridedRayOperator):
+        # each entry e_{kl} of b meets column k of a
+        return FinitaryMatrix(sparse_sum(((r, l), c * d)
+                                         for (k, l), d in b.entries.items()
+                                         for r, c in a.apply_index(k).items()),
+                              a.domain)
+    if isinstance(b, StridedRayOperator):
+        # each entry e_{ik} of a meets row k of b
+        return FinitaryMatrix(sparse_sum(((i, l), c * d)
+                                         for (i, k), c in a.entries.items()
+                                         for l, d in b.row(k).items()),
+                              a.domain)
     segs = {}
     for o1, ss1 in a.segs.items():
         for o2, ss2 in b.segs.items():
@@ -490,39 +367,14 @@ def _op_mul_op(a, b):
     return LocallyFiniteOperator(segs, a.domain)
 
 
-def mul_mixed(a, b):
-    """Matrix product; returns a FinitaryMatrix when either factor is
-    finitary, otherwise a LocallyFiniteOperator."""
-    _need_same_domain(a, b)
-    if isinstance(a, FinitaryMatrix):
-        # each entry e_{ik} of a meets row k of b
-        return FinitaryMatrix(sparse_sum(((i, l), c * d)
-                                         for (i, k), c in a.entries.items()
-                                         for l, d in b.row(k).items()),
-                              a.domain)
-    if isinstance(b, FinitaryMatrix):
-        # each entry e_{kl} of b meets column k of a
-        return FinitaryMatrix(sparse_sum(((r, l), c * d)
-                                         for (k, l), d in b.entries.items()
-                                         for r, c in a.col(k).items()),
-                              a.domain)
-    out = _op_mul_op(a, b)
-    return out.to_finitary() if out.is_finitary() else out
-
-
 def trace_pair(x, y):
     """The trace form tr(xy) for finitary x and locally finite y; symmetric
     and associative whenever all products stay finitary."""
-    if isinstance(x, LocallyFiniteOperator):
-        x = x.to_finitary()
-    total = 0
-    for (k, l), c in x.entries.items():
-        total += c * y.entry(l, k)
-    return total
+    return sum(c * y.entry(l, k) for (k, l), c in x.entries.items())
 
 
 def commutator(a, b):
-    """ab - ba for mixed operands (at least one finitary)."""
+    """ab - ba."""
     return mul_mixed(a, b) - mul_mixed(b, a)
 
 
@@ -532,8 +384,8 @@ class StridedRayOperator:
     For step 1 this is an ordinary ray; steps >= 2 arise as preimages of the
     k-step difference maps, whose support walks a diagonal in jumps of k.
     Only the read-only protocol shared with LocallyFiniteOperator is offered
-    (entry / row / col / apply / projection), plus scaling; these operators
-    never need to be added or multiplied together."""
+    (entry / row / apply_index / apply), plus scaling and transposition;
+    mul_mixed multiplies one by a finitary factor entry by entry."""
 
     __slots__ = ("coeff", "row0", "col0", "step", "domain")
 
@@ -561,12 +413,6 @@ class StridedRayOperator:
         return "StridedRayOperator(%r, %d, %d, step=%d)" % (
             self.coeff, self.row0, self.col0, self.step)
 
-    def is_zero(self):
-        return not self.coeff
-
-    def is_finitary(self):
-        return not self.coeff
-
     def entry(self, i, j):
         if j - i == self.col0 - self.row0 and i >= self.row0 \
                 and (i - self.row0) % self.step == 0:
@@ -578,13 +424,10 @@ class StridedRayOperator:
             return {i + self.col0 - self.row0: self.coeff}
         return {}
 
-    def col(self, j):
-        if j >= self.col0 and (j - self.col0) % self.step == 0 and self.coeff:
-            return {j - self.col0 + self.row0: self.coeff}
-        return {}
-
     def apply_index(self, q):
-        return self.col(q)
+        if q >= self.col0 and (q - self.col0) % self.step == 0 and self.coeff:
+            return {q - self.col0 + self.row0: self.coeff}
+        return {}
 
     def apply(self, v, tag=None):
         return _apply(self, v, tag)
@@ -596,16 +439,6 @@ class StridedRayOperator:
     def transpose(self):
         return StridedRayOperator(self.coeff, self.col0, self.row0, self.step,
                                   self.domain)
-
-    def project_to_block(self, n):
-        ents = {}
-        r, c = self.row0, self.col0
-        while r < n and c < n:
-            if r >= 0 and c >= 0:
-                ents[(r, c)] = self.coeff
-            r += self.step
-            c += self.step
-        return FinitaryMatrix(ents, _NATURALS)
 
 
 NATURALS = _NATURALS

@@ -1,9 +1,10 @@
 """Rota-Baxter operators on finitary matrices.
 
 An operator is stored as a map from matrix units e_{ij} to locally finite
-operators, extended linearly.  The defining identity of weight w,
+operators, extended linearly.  Every operator here has weight 0, with the
+defining identity
 
-    R(x)R(y) = R(R(x)y + xR(y) + w*xy),
+    R(x)R(y) = R(R(x)y + xR(y)),
 
 is checked pointwise: both sides are applied to basis vectors u_0..u_cutoff
 and compared exactly.  Skew-symmetry is the condition <R(x),y> = -<x,R(y)>
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from .exact import sparse_sum
 from .matrices import (Domain, FinitaryMatrix, LocallyFiniteOperator,
-                       StridedRayOperator, mul_mixed)
+                       StridedRayOperator, commutator, mul_mixed)
 from .report import VerificationReport
 
 NATURALS = Domain.naturals()
@@ -34,14 +35,12 @@ class RBOperator:
     indices s for which R(e_{ps}) applied to u_q may be nonzero; it is None
     exactly when no sound finite hint exists (the Laurent variants)."""
 
-    __slots__ = ("name", "domain", "weight", "_image_fn", "support_hint",
-                 "N", "_images", "_applied")
+    __slots__ = ("name", "domain", "_image_fn", "support_hint", "N",
+                 "_images", "_applied")
 
-    def __init__(self, name, domain, image_fn, support_hint=None, N=1,
-                 weight=0):
+    def __init__(self, name, domain, image_fn, support_hint=None, N=1):
         self.name = name
         self.domain = domain
-        self.weight = weight
         self._image_fn = image_fn
         self.support_hint = support_hint
         self.N = N
@@ -83,7 +82,7 @@ class RBOperator:
         alpha = Fraction(alpha) if not isinstance(alpha, int) else alpha
         return RBOperator(name or "%s*%s" % (alpha, self.name), self.domain,
                           lambda i, j: self.image(i, j).scale(alpha),
-                          self.support_hint, self.N, self.weight)
+                          self.support_hint, self.N)
 
     def __repr__(self):
         return "RBOperator(%r, %r, N=%d)" % (self.name, self.domain, self.N)
@@ -117,7 +116,7 @@ def _apply_twice(outer, inner_vec):
 
 
 def check_rb_identity(R, window=8, cutoff=None):
-    """Exact pointwise check of R(x)R(y) = R(R(x)y + xR(y) + w*xy) on all
+    """Exact pointwise check of R(x)R(y) = R(R(x)y + xR(y)) on all
     unit pairs in the window, applied to every basis vector up to the cutoff.
 
     For operators carrying a matrix tensor factor (N > 1) the identity on
@@ -139,10 +138,8 @@ def check_rb_identity(R, window=8, cutoff=None):
             for k in idx:
                 for l in idx:
                     Ry = R.image(k, l)
-                    terms = [((r, l), c) for r, c in Rx.col(k).items()]
+                    terms = [((r, l), c) for r, c in Rx.apply_index(k).items()]
                     terms += [((i, cc), c) for cc, c in Ry.row(j).items()]
-                    if R.weight and j == k:
-                        terms.append(((i, l), R.weight))
                     operand = {key: c for key, c in sparse_sum(terms).items()
                                if R.domain.contains(key[0])
                                and R.domain.contains(key[1])}
@@ -203,12 +200,12 @@ def conjugate_by(R, psi, name=None):
     (finite domains only)."""
     if psi == "identity":
         return RBOperator(name or R.name, R.domain, R.image, R.support_hint,
-                          R.N, R.weight)
+                          R.N)
     if psi == "transpose":
         hint = _generic_hint if R.support_hint is not None else None
         return RBOperator(name or "%s^T" % R.name, R.domain,
                           lambda i, j: R.image(j, i).transpose(),
-                          hint, R.N, R.weight)
+                          hint, R.N)
     perm = list(psi)
     if R.domain.kind != "finite" or sorted(perm) != list(range(R.domain.size)):
         raise ValueError("index permutation must cover a finite domain")
@@ -217,19 +214,12 @@ def conjugate_by(R, psi, name=None):
         inv[b] = a
 
     def image_fn(i, j):
-        src = R.image(perm[i], perm[j])
-        if isinstance(src, LocallyFiniteOperator):
-            src = src.to_finitary()
-        ents = {(inv[a], inv[b]): c for (a, b), c in src.entries.items()}
-        return FinitaryMatrix(ents, R.domain).as_operator()
+        return FinitaryMatrix({(inv[a], inv[b]): c for (a, b), c in
+                               R.image(perm[i], perm[j]).entries.items()},
+                              R.domain)
 
     return RBOperator(name or "%s^(psi)" % R.name, R.domain, image_fn,
-                      R.support_hint, R.N, R.weight)
-
-
-def psi_n(n):
-    """The reversal automorphism e_{ij} -> e_{n-1-i, n-1-j} of M_n."""
-    return [n - 1 - i for i in range(n)]
+                      R.support_hint, R.N)
 
 
 def tensor_extend(R, N, name=None):
@@ -238,7 +228,7 @@ def tensor_extend(R, N, name=None):
     if N < 1:
         raise ValueError("matrix factor size must be positive")
     return RBOperator(name or "%s(x)id_%d" % (R.name, N), R.domain, R.image,
-                      R.support_hint, N, R.weight)
+                      R.support_hint, N)
 
 
 def mutate_sign(R, i, j, name=None):
@@ -249,7 +239,7 @@ def mutate_sign(R, i, j, name=None):
         return op.scale(-1) if (a, b) == (i, j) else op
 
     return RBOperator(name or "%s!flip[%d,%d]" % (R.name, i, j), R.domain,
-                      image_fn, R.support_hint, R.N, R.weight)
+                      image_fn, R.support_hint, R.N)
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +282,7 @@ def _finite_table_image(table, n):
     domain = Domain.finite(n)
 
     def image_fn(i, j):
-        ents = table.get((i, j))
-        if not ents:
-            return LocallyFiniteOperator.zero(domain)
-        return FinitaryMatrix(dict(ents), domain).as_operator()
+        return FinitaryMatrix(table.get((i, j)), domain)
 
     return image_fn
 
@@ -411,12 +398,6 @@ def derivation_of(x):
         x.domain)
 
 
-def _as_lfo(x):
-    if isinstance(x, FinitaryMatrix):
-        return x.as_operator()
-    return x
-
-
 def remark3_suite(window=12):
     """Bundle of exact checks for the derivation d(e_{ij}) = e_{i,j-1} -
     e_{i+1,j}: (a) the Leibniz rule d(xy) = d(x)y + xd(y) on unit pairs,
@@ -431,7 +412,7 @@ def remark3_suite(window=12):
             x = FinitaryMatrix.unit(i, j)
             dx = derivation_unit(i, j)
             # (b) inner form
-            inner = mul_mixed(x, A) - mul_mixed(A, x)
+            inner = commutator(x, A)
             if inner != dx:
                 ce = {"sub": "inner_form", "x": "e[%d,%d]" % (i, j),
                       "d(x)": repr(dx), "xA-Ax": repr(inner)}
@@ -462,7 +443,7 @@ def remark3_suite(window=12):
                 return VerificationReport.failure("remark3", "r2", ce, params)
             # (c) d(R2(e_{ij})) = e_{ij}, d extended to rays via x -> xA - Ax
             img = r2.image(i, j)
-            ext = _as_lfo(mul_mixed(img, A)) - _as_lfo(mul_mixed(A, img))
+            ext = commutator(img, A)
             if ext != unit_op:
                 ce = {"sub": "left_inverse", "x": "e[%d,%d]" % (i, j),
                       "d(R2(x))": repr(ext)}
@@ -476,33 +457,26 @@ def remark3_suite(window=12):
 # ---------------------------------------------------------------------------
 # trace-functional identities from the operator/bracket correspondence
 
-def adjoint_unit(R, k, l, window):
-    """R*(e_{kl}) restricted to the window, via <x, R*(y)> = <R(x), y>:
-    the (j, i) entry of R*(e_{kl}) is R(e_{ij})_{lk}."""
-    ents = {}
-    idx = unit_range(R.domain, window)
-    for i in idx:
-        for j in idx:
-            c = R.image(i, j).entry(l, k)
-            if c:
-                ents[(j, i)] = c
-    return FinitaryMatrix(ents, R.domain)
-
-
 def verify_trace_functional_identities(R, window=6):
     """The three functional identities from the correspondence between a
     skew-symmetric weight-0 operator and its double bracket: pairing the
     first two slots of each Jacobi-side term with units x = e_{ij},
     y = e_{kl} must produce R(yR(x)), R(y)R(x) and R(R*(y)x) respectively;
-    both sides are applied to u_0..u_window and compared exactly."""
+    both sides are applied to u_0..u_window and compared exactly.  Operators
+    with a matrix factor (N > 1) are rejected: their bracket lives on
+    t^n (x) e_{ij}, which these unit sweeps do not index."""
     from .brackets import bracket_from_rb
 
+    if R.N > 1:
+        raise ValueError("operator %s has a matrix factor of size N = %d; "
+                         "the trace identities are checked for N = 1 only"
+                         % (R.name, R.N))
     params = {"window": window}
     skew = check_skew_symmetry(R, window)
     B = bracket_from_rb(R)
     carrier = B.carrier
-    ev = B.eval_items
     idx = list(unit_range(R.domain, window))
+    wide = unit_range(R.domain, 2 * window + 2)
 
     def applied(mat, c):
         """R(mat) u_c for a finitary mat given as {(row, col): coeff}."""
@@ -521,13 +495,15 @@ def verify_trace_functional_identities(R, window=6):
                     Ry = R.image(k, l)
                     # y R(x) = e_{kl} R(e_{ij}): row l of R(x), placed in row k
                     yrx = {(k, c2): v for c2, v in Rx.row(l).items()}
-                    # R*(y) x: -R(y) e_{ij} when skew, else via the adjoint
+                    # R*(y) x: -R(y) e_{ij} when skew, else through the
+                    # adjoint, whose (r, i) entry is R(e_{ir})_{lk} by
+                    # <x, R*(y)> = <R(x), y>
                     if skew.passed:
-                        rsyx = {(r, j): -v for r, v in Ry.col(i).items()}
+                        rsyx = {(r, j): -v
+                                for r, v in Ry.apply_index(i).items()}
                     else:
-                        rstar = adjoint_unit(R, k, l, 2 * window + 2)
-                        rsyx = {(r, j): v for (r, ii), v in
-                                rstar.entries.items() if ii == i}
+                        rsyx = {(r, j): R.image(i, r).entry(l, k)
+                                for r in wide}
                     for c in idx:
                         sc = carrier.sym(c)
                         identities = (
@@ -535,20 +511,25 @@ def verify_trace_functional_identities(R, window=6):
                             # coefficient of <<u_i, .>> against R(yR(x))
                             ("first", ((carrier.index(b2),
                                         cb * B.eval(si, b1).coeff((sj, sl)))
-                                       for b1, b2, cb in ev(sk, sc)),
+                                       for (b1, b2), cb
+                                       in B.eval(sk, sc).terms.items()),
                              applied(yrx, c)),
                             # against R(y)R(x) u_c
                             ("second", ((carrier.index(q1), cx * cp)
-                                        for x1, y1, cx in ev(si, sc)
+                                        for (x1, y1), cx
+                                        in B.eval(si, sc).terms.items()
                                         if x1 == sj
-                                        for p1, q1, cp in ev(sk, y1)
+                                        for (p1, q1), cp
+                                        in B.eval(sk, y1).terms.items()
                                         if p1 == sl),
                              _apply_twice(Ry, Rx.apply_index(c))),
                             # against R(R*(y)x) u_c
                             ("third", ((carrier.index(z2), cx * cz)
-                                       for x1, y1, cx in ev(si, sk)
+                                       for (x1, y1), cx
+                                       in B.eval(si, sk).terms.items()
                                        if y1 == sl
-                                       for z1, z2, cz in ev(x1, sc)
+                                       for (z1, z2), cz
+                                       in B.eval(x1, sc).terms.items()
                                        if z1 == sj),
                              applied(rsyx, c)))
                         for name, lhs_terms, rhs in identities:

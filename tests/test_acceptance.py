@@ -24,11 +24,11 @@ from doublelie.dmodules import (check_module_axioms, induced_module_from_ideal,
 from doublelie.exact import Vec, esym, tsym, ysym
 from doublelie.ideals import (Subspace, is_ideal, quotient_bracket,
                               simplicity_probe, theorem3_replay)
-from doublelie.matrices import Domain, FinitaryMatrix
+from doublelie.matrices import (Domain, FinitaryMatrix, LocallyFiniteOperator,
+                                mul_mixed)
 from doublelie.rb import (RBOperator, build_pk, catalog_rb, check_rb_identity,
                           check_skew_symmetry, conjugate_by, mutate_sign,
-                          psi_n, remark3_suite,
-                          verify_trace_functional_identities)
+                          remark3_suite, verify_trace_functional_identities)
 
 
 def test_criterion_1_rb_and_skew_suite():
@@ -174,11 +174,14 @@ def test_criterion_6_simplicity_suite():
 
 
 def _projected(R, n):
+    """R cut to the block M_n: R(e_ij) becomes P_n R(e_ij) P_n with
+    P_n = e_00 + ... + e_{n-1,n-1}, read on the finite domain."""
     dom = Domain.finite(n)
+    p = LocallyFiniteOperator.ray(1, 0, 0, length=n)
 
     def image_fn(i, j):
-        cut = R.image(i, j).project_to_block(n)
-        return FinitaryMatrix(cut.entries, dom).as_operator()
+        cut = mul_mixed(mul_mixed(p, R.image(i, j)), p)
+        return FinitaryMatrix(cut.entries, dom)
 
     return RBOperator("%s|block%d" % (R.name, n), dom, image_fn,
                       lambda p, q: range(n))
@@ -192,7 +195,8 @@ def test_criterion_7_projection_suite():
         # the second operator's block is the transposed conjugate of the
         # first one's block by the index-reversal permutation
         proj2 = _projected(catalog_rb("r2"), n)
-        rel = conjugate_by(conjugate_by(proj1, psi_n(n)), "transpose")
+        reversal = [n - 1 - i for i in range(n)]
+        rel = conjugate_by(conjugate_by(proj1, reversal), "transpose")
         for i in range(n):
             for j in range(n):
                 for a in range(n):

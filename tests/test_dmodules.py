@@ -15,7 +15,7 @@ from doublelie.dmodules import (DoubleAction, check_module_axioms,
                                 induced_module_from_ideal, mutate_action,
                                 proposition_equivalence,
                                 rb_bimodule_split_check,
-                                trivial_extension_bracket, zero_action)
+                                trivial_extension_bracket)
 
 
 def tail_module(name, cut, window):
@@ -52,7 +52,8 @@ def test_degree_two_tail_is_a_module_for_the_first_bracket():
 
 def test_zero_action_passes_axioms():
     B_L = catalog_bracket("ex1")
-    act = zero_action("zero", B_L.carrier.window_syms(), [tsym(9)])
+    act = DoubleAction("zero", B_L.carrier.window_syms(), [tsym(9)],
+                       lambda a, b: Tensor2())
     assert check_module_axioms(act, B_L).passed
 
 
@@ -142,8 +143,8 @@ def test_block_bimodule_mutations_fail_coherently():
 
 def test_block_bimodule_zero_action_is_degenerate_pass():
     B_L = catalog_bracket("ex1")
-    act = zero_action("zero", B_L.carrier.window_syms(), [tsym(0)],
-                      is_l=lambda s: s[0] == "e")
+    act = DoubleAction("zero", B_L.carrier.window_syms(), [tsym(0)],
+                       lambda a, b: Tensor2(), is_l=lambda s: s[0] == "e")
     rep = rb_bimodule_split_check(B_L, act)
     assert rep.passed
 

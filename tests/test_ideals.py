@@ -39,10 +39,10 @@ def test_quotient_map_kills_exactly_the_mixed_kernel():
     carrier = catalog_bracket("L1").carrier
     I = Subspace.degree_span(carrier, 8, 2)
     # left factor in the subspace: dies
-    assert quotient_reduce(Tensor2.pure(tsym(2), tsym(0)), I).is_zero()
-    assert quotient_reduce(Tensor2.pure(tsym(0), tsym(5)), I).is_zero()
+    assert quotient_reduce(Tensor2({(tsym(2), tsym(0)): 1}), I).is_zero()
+    assert quotient_reduce(Tensor2({(tsym(0), tsym(5)): 1}), I).is_zero()
     # diagonal pure tensor with factor outside: survives
-    assert quotient_reduce(Tensor2.pure(tsym(1), tsym(1)), I)
+    assert quotient_reduce(Tensor2({(tsym(1), tsym(1)): 1}), I)
     assert quotient_reduce(Tensor2(), I).is_zero()
 
 
@@ -71,7 +71,7 @@ def test_quotient_reduce_rejects_out_of_window_support():
     carrier = catalog_bracket("L1").carrier
     I = Subspace.degree_span(carrier, 4, 2)
     with pytest.raises(ValueError):
-        quotient_reduce(Tensor2.pure(tsym(9), tsym(0)), I)
+        quotient_reduce(Tensor2({(tsym(9), tsym(0)): 1}), I)
 
 
 def test_ideal_examples():
@@ -89,7 +89,7 @@ def test_quotient_bracket_matches_two_dimensional_catalog_entry():
     I = Subspace.degree_span(L1.carrier, 10, 2)
     Q = quotient_bracket(L1, I, 10)
     assert Q.eval(tsym(1), tsym(1)) == \
-        Tensor2.pure(tsym(1), tsym(0)) - Tensor2.pure(tsym(0), tsym(1))
+        Tensor2({(tsym(1), tsym(0)): 1}) - Tensor2({(tsym(0), tsym(1)): 1})
     assert check_anticommutativity(Q).passed and check_jacobi(Q).passed
     phi = {tsym(1): Vec.basis(esym(1)), tsym(0): Vec.basis(esym(2))}
     assert check_homomorphism(Q, catalog_bracket("ex1"), phi).passed
@@ -183,4 +183,4 @@ def test_replay_of_the_simplicity_argument():
 def test_minimal_degree_expansion_base_case():
     # the bracket of 1 with t is 1 (x) 1
     L2 = catalog_bracket("L2")
-    assert L2.eval(tsym(0), tsym(1)) == Tensor2.pure(tsym(0), tsym(0))
+    assert L2.eval(tsym(0), tsym(1)) == Tensor2({(tsym(0), tsym(0)): 1})

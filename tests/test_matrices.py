@@ -1,5 +1,5 @@
-"""Finitary matrices and locally finite operators: products, rays,
-transposes, projections, and the trace pairing.
+"""Finitary matrices and locally finite operators: products, rays, strided
+rays, transposes, block cuts, and the trace pairing.
 
 Oracles: small dense multiplication over explicit windows, and the unit
 product rule e_ij e_kl = delta_jk e_il."""
@@ -15,6 +15,7 @@ from doublelie.exact import Vec, tsym
 from doublelie.matrices import (INTEGERS, NATURALS, Domain, FinitaryMatrix,
                                 LocallyFiniteOperator, StridedRayOperator,
                                 commutator, mul_mixed, trace_pair)
+from doublelie.rb import build_pk
 
 
 def dense_window(op, n):
@@ -37,6 +38,13 @@ def random_finitary(rng, n=6):
                            Fraction(rng.randint(-4, 4)) for _ in range(7)})
 
 
+def block_cut(x, n):
+    """P_n x P_n with P_n = e_00 + ... + e_{n-1,n-1}: the entries of x with
+    both indices below n."""
+    p = LocallyFiniteOperator.ray(1, 0, 0, length=n)
+    return mul_mixed(mul_mixed(p, x), p)
+
+
 def test_unit_product_rule():
     for j in range(4):
         for k in range(4):
@@ -45,6 +53,32 @@ def test_unit_product_rule():
                 assert p == FinitaryMatrix.unit(0, 2)
             else:
                 assert p.is_zero()
+
+
+def test_finitary_matrix_is_a_point_segment_operator():
+    a = FinitaryMatrix.unit(0, 2)
+    assert isinstance(a, LocallyFiniteOperator)
+    assert a == LocallyFiniteOperator.unit(0, 2)
+    assert hash(a) == hash(LocallyFiniteOperator.unit(0, 2))
+    assert a.entries == {(0, 2): 1}
+    with pytest.raises(ValueError):
+        FinitaryMatrix({(0, -1): 1})
+    with pytest.raises(ValueError):
+        LocallyFiniteOperator.ray(Fraction(1), 0, 0).entries
+
+
+def test_strided_products_match_dense_oracle():
+    # products with a strided ray go entry by entry, on either side
+    rng = random.Random(11)
+    for s in (StridedRayOperator(Fraction(2), 1, 3, 2),
+              StridedRayOperator(-1, 0, 0, 3),
+              build_pk(2).image(1, 0)):
+        ds = dense_window(s, 30)
+        for _ in range(10):
+            m = random_finitary(rng)
+            dm = dict(m.entries)
+            assert mul_mixed(s, m).entries == dense_mul(ds, dm, 30)
+            assert mul_mixed(m, s).entries == dense_mul(dm, ds, 30)
 
 
 def test_finitary_products_match_dense_oracle():
@@ -136,8 +170,8 @@ def test_commutator_antisymmetry():
 
 def test_projection_truncates_exactly():
     a = LocallyFiniteOperator.ray(Fraction(1), 0, 1)
-    p = a.project_to_block(4)
-    assert dense_window(p, 6) == {(0, 1): 1, (1, 2): 1, (2, 3): 1}
+    p = block_cut(a, 4)
+    assert p.entries == {(0, 1): 1, (1, 2): 1, (2, 3): 1}
 
 
 def test_apply_to_vector_with_tag():
@@ -152,13 +186,7 @@ def test_strided_ray_skips_intermediate_diagonentries():
     assert s.entry(0, 2) == 1 and s.entry(3, 5) == 1 and s.entry(1, 3) == 0
     assert s.apply_index(5) == {3: 1}
     assert s.transpose().entry(2, 0) == 1
-    assert dense_window(s.project_to_block(6), 6) == {(0, 2): 1, (3, 5): 1}
-
-
-def test_record_roundtrip():
-    a = LocallyFiniteOperator.ray(Fraction(-3, 2), 2, 0) \
-        + LocallyFiniteOperator.unit(0, 1)
-    assert LocallyFiniteOperator.from_record(a.to_record()) == a
+    assert block_cut(s, 6).entries == {(0, 2): 1, (3, 5): 1}
 
 
 def test_domain_membership():

@@ -12,7 +12,7 @@ from doublelie.matrices import (FinitaryMatrix, LocallyFiniteOperator,
 from doublelie.rb import (CATALOG_RB_NAMES, RBOperator, build_pk, catalog_rb,
                           check_rb_identity, check_skew_symmetry,
                           conjugate_by, derivation_of, mutate_sign,
-                          psi_n, remark3_suite, shift_ray, tensor_extend,
+                          remark3_suite, shift_ray, tensor_extend,
                           unit_range, verify_trace_functional_identities)
 
 
@@ -78,7 +78,16 @@ def test_conjugation_by_identity_and_permutation():
 
 
 def test_reversal_permutation_layout():
-    assert psi_n(4) == [3, 2, 1, 0]
+    # perm[i] is the image of i: the reversal e_{ij} -> e_{3-i, 3-j} of M_4
+    quiver = catalog_rb("quiver")
+    rev = conjugate_by(quiver, [3, 2, 1, 0])
+    for i in range(4):
+        for j in range(4):
+            for a in range(4):
+                for b in range(4):
+                    assert rev.image(i, j).entry(a, b) == \
+                        quiver.image(3 - i, 3 - j).entry(3 - a, 3 - b)
+    assert check_rb_identity(rev, 4).passed
 
 
 def test_tensor_extension_keeps_base_images():
@@ -152,6 +161,12 @@ def test_trace_functional_identities_on_finite_and_windowed():
         assert not check_skew_symmetry(R).passed, name
         assert verify_trace_functional_identities(R).passed, name
     assert verify_trace_functional_identities(catalog_rb("r1"), 4).passed
+
+
+def test_trace_functional_identities_reject_matrix_factor():
+    with pytest.raises(ValueError, match=r"kac\(2\) .* N = 2"):
+        verify_trace_functional_identities(catalog_rb("kac", N=2), 2)
+    assert verify_trace_functional_identities(catalog_rb("kac", N=1), 2).passed
 
 
 def _without_first_hint(R):
