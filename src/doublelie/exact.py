@@ -1,10 +1,13 @@
 """Exact scalars, sparse vectors and tensor squares over countable bases.
 
-Scalars are rationals (``fractions.Fraction``), so every equality test in the
-package is exact.  Basis symbols are small tuples ``(tag, index)`` where the
-tag names the carrier space ("t" for F[t] and its Laurent extension, "e" for
-abstract finite bases, "Y" for the t^n (x) e_ij basis of F[t] (x) M_N).  The
-tag keeps different carriers from being mixed silently.
+Scalars are exact rationals.  Integers stay ``int``, which is exact and
+faster; ``fractions.Fraction`` appears only where a non-integer enters (a
+parsed or scaled coefficient such as "1/2", or a division).  So every
+equality test in the package is exact.  Basis symbols are small tuples
+``(tag, index)`` where the tag names the carrier space ("t" for F[t] and its
+Laurent extension, "e" for abstract finite bases, "Y" for the t^n (x) e_ij
+basis of F[t] (x) M_N).  The tag keeps different carriers from being mixed
+silently.
 
 Vectors and tensors are finite maps from (tuples of) basis symbols to nonzero
 scalars; zero coefficients are pruned eagerly so structural equality equals
@@ -16,8 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
 def S(x):

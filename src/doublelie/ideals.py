@@ -17,6 +17,7 @@ force v itself into the ideal, which is the engine of the simplicity replay.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 import random
 
@@ -281,14 +282,14 @@ def ideal_closure(B, seeds, window, budget=5000):
     first survivor.  Returns (closures, exhausted): the inclusion-minimal
     closures found, and whether the node budget ran out first."""
     start = Subspace.from_vectors(B.carrier, window, seeds)
-    queue = [start]
+    queue = deque([start])
     seen = set()
     closures = []
     expanded = 0
     exhausted = False
     full_dim = len(start.syms)
     while queue:
-        I = queue.pop(0)
+        I = queue.popleft()
         key = I.key()
         if key in seen:
             continue

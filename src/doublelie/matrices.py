@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from .exact import ONE, S, Vec, sparse_sum
 
-_INF = float("inf")
-
 
 class Domain:
     """Index domain for matrix rows/columns: naturals, integers or finite(n)."""
@@ -89,38 +87,43 @@ _INTEGERS = Domain("integers")
 
 def _norm_segments(raw):
     """Normalize possibly-overlapping segments into a canonical tuple of
-    disjoint, sorted, maximal segments with nonzero coefficients."""
-    segs = []
+    disjoint, sorted, maximal segments with nonzero coefficients, integral
+    ones as int.
+
+    One sweep over the sorted breakpoints: a segment adds its coefficient
+    at lo and takes it back at hi + 1, a backward-infinite one starts in the
+    running total.  A breakpoint whose changes cancel is dropped, so each
+    emitted segment differs in coefficient from the next adjacent one."""
+    start = 0
+    delta = {}
+    get = delta.get
     for lo, hi, c in raw:
-        if not c:
+        if not c or (lo is not None and hi is not None and lo > hi):
             continue
-        lo = -_INF if lo is None else lo
-        hi = _INF if hi is None else hi
-        if lo <= hi:
-            segs.append((lo, hi, c))
-    if not segs:
-        return ()
-    points = set()
-    for lo, hi, _ in segs:
-        points.add(lo)
-        points.add(hi + 1 if hi != _INF else _INF)
-    pts = sorted(points)
-    out = []
-    for k, p in enumerate(pts):
-        if p == _INF:
-            break
-        q = pts[k + 1] if k + 1 < len(pts) else _INF
-        coeff = sum(c for lo, hi, c in segs if lo <= p <= hi)
-        if coeff:
-            out.append((p, q - 1 if q != _INF else _INF, coeff))
-    merged = []
-    for lo, hi, c in out:
-        if merged and merged[-1][2] == c and merged[-1][1] + 1 == lo:
-            merged[-1] = [merged[-1][0], hi, c]
+        if lo is None:
+            start += c
         else:
-            merged.append([lo, hi, c])
-    return tuple((None if lo == -_INF else lo, None if hi == _INF else hi, c)
-                 for lo, hi, c in merged)
+            delta[lo] = get(lo, 0) + c
+        if hi is not None:
+            delta[hi + 1] = get(hi + 1, 0) - c
+    out = []
+    cur, prev = start, None
+    for p in sorted(delta):
+        d = delta[p]
+        if not d:
+            continue
+        if cur:
+            out.append((prev, p - 1, _integral(cur)))
+        cur += d
+        prev = p
+    if cur:
+        out.append((prev, None, _integral(cur)))
+    return tuple(out)
+
+
+def _integral(c):
+    """c itself, or its int value when c is an integral Fraction."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def _clip_segment(seg, bounds):

@@ -8,7 +8,11 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
+from doublelie.brackets import catalog_bracket
 from doublelie.exact import S, Tensor2, Vec, sparse_sum, tsym, ysym
+from doublelie.grammar import parse_poly
+from doublelie.matrices import FinitaryMatrix, LocallyFiniteOperator
+from doublelie.rb import catalog_rb, unit_range
 
 
 def random_tensor2(rng, size=6):
@@ -73,3 +77,30 @@ def test_sparse_sum_matches_the_vec_fold(pairs):
     totals = {key: sum(c for k, c in pairs if k == key) for key, _ in pairs}
     assert got == {key: c for key, c in totals.items() if c}
     assert all(got.values())
+
+
+def _seg_coeffs(op):
+    return [c for ss in op.segs.values() for _, _, c in ss]
+
+
+def test_integer_data_stays_int():
+    """Integer data never becomes Fraction, the int fast path of S."""
+    coeffs = list(Vec.basis(tsym(3)).terms.values())
+    coeffs += list(Vec.basis(ysym(1, 1, 2)).terms.values())
+    coeffs += _seg_coeffs(LocallyFiniteOperator.unit(1, 2))
+    coeffs += _seg_coeffs(FinitaryMatrix.unit(1, 2))
+    for name in ("r1", "r1_laurent"):
+        R = catalog_rb(name)
+        idx = unit_range(R.domain, 4)
+        coeffs += [c for i in idx for j in idx
+                   for c in _seg_coeffs(R.image(i, j))]
+    for B in (catalog_bracket("dY", N=2), catalog_bracket("L1")):
+        syms = B.carrier.window_syms(3)
+        coeffs += [c for a in syms for b in syms
+                   for c in B.eval(a, b).terms.values()]
+    assert coeffs and all(type(c) is int for c in coeffs)
+    # a non-integer input still gives Fraction, and never a float
+    c, = _seg_coeffs(catalog_rb("r1").scaled("1/2").image(2, 0))
+    assert c == Fraction(-1, 2) and type(c) is Fraction
+    c, = parse_poly("1/2*t").terms.values()
+    assert c == Fraction(1, 2) and type(c) is Fraction

@@ -10,11 +10,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from doublelie.exact import Vec, tsym
 from doublelie.matrices import (INTEGERS, NATURALS, Domain, FinitaryMatrix,
                                 LocallyFiniteOperator, StridedRayOperator,
-                                commutator, mul_mixed, trace_pair)
+                                _norm_segments, commutator, mul_mixed,
+                                trace_pair)
 from doublelie.rb import build_pk
 
 
@@ -194,3 +196,42 @@ def test_domain_membership():
     assert INTEGERS.contains(-5)
     fin = Domain.finite(3)
     assert fin.contains(2) and not fin.contains(3)
+
+
+_END = st.none() | st.integers(min_value=-8, max_value=8)
+_COEFF = st.integers(min_value=-2, max_value=2) | st.fractions(
+    min_value=-2, max_value=2, max_denominator=3)
+_RAW = st.lists(st.tuples(_END, _END, _COEFF), max_size=10)
+
+
+def _covers(lo, hi, r):
+    return (lo is None or lo <= r) and (hi is None or r <= hi)
+
+
+@given(_RAW)
+def test_norm_segments_matches_dense_oracle(raw):
+    out = _norm_segments(raw)
+    # rows -10..10 reach past every finite endpoint, so they also see each
+    # infinite end
+    for r in range(-10, 11):
+        want = sum(c for lo, hi, c in raw if _covers(lo, hi, r))
+        got = [c for lo, hi, c in out if _covers(lo, hi, r)]
+        assert got == ([want] if want else []), r
+    for k, (lo, hi, c) in enumerate(out):
+        assert c and not isinstance(c, float)
+        assert type(c) is int or c.denominator != 1
+        assert lo is None or hi is None or lo <= hi
+        assert lo is not None or k == 0
+        assert hi is not None or k == len(out) - 1
+        if k:
+            _, prev_hi, prev_c = out[k - 1]
+            # sorted and disjoint; adjacent segments are maximal
+            assert lo > prev_hi
+            assert lo > prev_hi + 1 or c != prev_c
+
+
+def test_large_diagonal_builds():
+    n = 4000
+    m = FinitaryMatrix({(i, i): (i % 3) + 1 for i in range(n)})
+    assert len(m.segs[0]) == n
+    assert m.entries == {(i, i): (i % 3) + 1 for i in range(n)}

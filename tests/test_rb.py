@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+from doublelie.exact import sparse_sum
 from doublelie.matrices import (FinitaryMatrix, LocallyFiniteOperator,
                                 NATURALS, mul_mixed)
+from doublelie.report import VerificationReport
 from doublelie.rb import (CATALOG_RB_NAMES, RBOperator, build_pk, catalog_rb,
                           check_rb_identity, check_skew_symmetry,
                           conjugate_by, derivation_of, mutate_sign,
@@ -200,3 +202,94 @@ def test_scaling_preserves_rb_weight_zero():
 def test_unknown_catalog_name_raises():
     with pytest.raises(ValueError):
         catalog_rb("nosuch")
+
+
+def _rows(d):
+    return " + ".join("%s*u_%d" % (c, r) for r, c in sorted(d.items())) or "0"
+
+
+def _pointwise_rb(R, window, cutoff):
+    """Reference for check_rb_identity with no operator comparison: every
+    unit pair is decided by applying both sides to u_q, q up to the cutoff,
+    in the checker's sweep order and with its record."""
+    params = {"window": window, "cutoff": cutoff}
+    idx = unit_range(R.domain, window)
+    dom = R.domain
+    for i in idx:
+        for j in idx:
+            Rx = R.image(i, j)
+            for k in idx:
+                for l in idx:
+                    Ry = R.image(k, l)
+                    # R(x)y + xR(y) = column k of R(x) in column l, plus
+                    # row j of R(y) in row i
+                    operand = sparse_sum(
+                        [((r, l), c) for r, c in Rx.apply_index(k).items()]
+                        + [((i, cc), c) for cc, c in Ry.row(j).items()])
+                    for q in unit_range(dom, cutoff):
+                        lhs = sparse_sum(
+                            (r, c * d) for s, c in Ry.apply_index(q).items()
+                            for r, d in Rx.apply_index(s).items())
+                        rhs = sparse_sum(
+                            (r, c * d) for (a, b), c in operand.items()
+                            if dom.contains(a) and dom.contains(b)
+                            for r, d in R.image(a, b).apply_index(q).items())
+                        if lhs != rhs:
+                            return VerificationReport.failure(
+                                "rb_identity", R.name,
+                                {"x": "e[%d,%d]" % (i, j),
+                                 "y": "e[%d,%d]" % (k, l), "q": q,
+                                 "lhs": _rows(lhs), "rhs": _rows(rhs)},
+                                params)
+    details = None
+    if R.N > 1:
+        details = ("matrix factor of size %d handled by the delta "
+                   "factorization of composite units" % R.N)
+    return VerificationReport.success("rb_identity", R.name, params, details)
+
+
+def _same_record(R, window, cutoff):
+    got = check_rb_identity(R, window, cutoff).to_json()
+    assert got == _pointwise_rb(R, window, cutoff).to_json(), R.name
+    return got
+
+
+def test_rb_identity_matches_pointwise_oracle_on_catalog():
+    for name in CATALOG_RB_NAMES:
+        R = catalog_rb(name)
+        window = 2 if name.endswith("_laurent") else 3
+        assert '"status": "pass"' in _same_record(R, window, 2 * window)
+    for k in (2, 3):
+        _same_record(build_pk(k), 3, 6)
+
+
+@pytest.mark.parametrize("name, units", [
+    ("r1_laurent", ((0, 0), (1, -1), (-1, 1))),
+    ("r2", ((0, 1), (2, 0), (1, 1))),
+    ("r3", ((0, 2), (1, 2))),
+    # strided-ray images: the pointwise fallback decides every pair
+    ("p_2", ((0, 0), (1, 2), (2, 1))),
+    ("p_3", ((1, 2), (0, 3))),
+])
+def test_rb_identity_matches_pointwise_oracle_on_sign_mutants(name, units):
+    base = build_pk(int(name[2])) if name.startswith("p_") \
+        else catalog_rb(name)
+    for unit in units:
+        rec = _same_record(mutate_sign(base, *unit), 3, 6)
+        assert '"status": "fail"' in rec, (name, unit)
+
+
+def test_rb_identity_difference_beyond_cutoff():
+    # R(e_00) = e_20,20 + e_21,21 + ..., every other image 0: for x = y =
+    # e_00 the left side is R(e_00) and the right side is 0, so the two
+    # differ only on u_q with q >= 20 and every other pair agrees
+    far = RBOperator("far", NATURALS,
+                     lambda i, j: LocallyFiniteOperator.ray(1, 20, 20)
+                     if (i, j) == (0, 0) else LocallyFiniteOperator.zero())
+    assert check_rb_identity(far, 3, 19).passed
+    _same_record(far, 3, 19)
+    rep = check_rb_identity(far, 3, 24)
+    assert not rep.passed
+    assert rep.counterexample == {"x": "e[0,0]", "y": "e[0,0]", "q": 20,
+                                  "lhs": "1*u_20", "rhs": "0"}
+    _same_record(far, 3, 24)
