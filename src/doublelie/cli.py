@@ -183,6 +183,9 @@ def _cmd_ideal_closure(args):
         raise InputError("unknown bracket %r" % args.bracket)
     B = catalog_bracket(args.bracket)
     seed = _parse_seed_poly(args.seed)
+    if not set(seed.terms) <= set(B.carrier.window_syms(args.window)):
+        raise InputError("seed %r has terms outside window %d of %s"
+                         % (args.seed, args.window, args.bracket))
     closures, exhausted = ideal_closure(B, [seed], args.window, args.budget)
     record = {"check": "ideal_closure", "target": args.bracket,
               "seed": args.seed, "window": args.window,
@@ -338,6 +341,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "window", 0) < 0:
+            raise InputError("window must be nonnegative, got %d"
+                             % args.window)
         return args.func(args)
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)

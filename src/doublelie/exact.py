@@ -24,9 +24,13 @@ ONE = 1
 
 
 def S(x):
-    """Coerce strings like "3/2" to an exact scalar; ints pass through
-    unchanged since integer arithmetic is already exact (and faster)."""
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+    """Coerce strings like "3/2" to an exact scalar, an int when integral;
+    ints and Fractions pass through unchanged since their arithmetic is
+    already exact (and int arithmetic faster)."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +93,6 @@ class _SparseMap:
     @classmethod
     def zero(cls):
         return cls()
-
-    def is_zero(self):
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)

@@ -15,9 +15,8 @@ Parsing accepts exactly what rendering produces (plus optional whitespace).
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
-from .exact import ONE, Tensor2, Vec, esym, sparse_sum, tsym, ysym
+from .exact import ONE, S, Tensor2, Vec, esym, sparse_sum, tsym, ysym
 
 
 def render_sym(sym) -> str:
@@ -80,7 +79,7 @@ def _split_terms(text: str):
 def _split_coeff(chunk: str):
     if "*" in chunk:
         head, rest = chunk.split("*", 1)
-        return Fraction(head), rest
+        return S(head), rest
     return ONE, chunk
 
 
@@ -150,7 +149,7 @@ def parse_poly(text: str) -> Vec:
         m = _MONO_RE.fullmatch(chunk.strip())
         if not m or (m.group("coeff") is None and m.group("t") is None):
             raise ValueError("cannot parse monomial %r" % chunk)
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else ONE
+        coeff = S(m.group("coeff")) if m.group("coeff") else ONE
         if m.group("t"):
             exp = int(m.group("exp")) if m.group("exp") else 1
         else:

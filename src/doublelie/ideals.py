@@ -334,12 +334,12 @@ def random_polynomials(count, max_degree, seed, monic=True):
     out = []
     for _ in range(count):
         deg = rng.randint(0, max_degree)
-        terms = {tsym(deg): Fraction(1) if monic
-                 else Fraction(rng.choice([c for c in range(-4, 5) if c]))}
+        terms = {tsym(deg): 1 if monic
+                 else rng.choice([c for c in range(-4, 5) if c])}
         for j in range(deg):
             c = rng.randint(-4, 4)
             if c:
-                terms[tsym(j)] = Fraction(c)
+                terms[tsym(j)] = c
         out.append(Vec(terms))
     return out
 
@@ -405,16 +405,15 @@ def theorem3_replay(window=20, rng_seed=2024, trials_per_degree=3):
     # step (a)
     for n in range(1, window // 2 + 1):
         for _ in range(trials_per_degree):
-            terms = {tsym(n): Fraction(1)}
+            terms = {tsym(n): 1}
             coeffs = {}
             for j in range(n):
                 c = rng.randint(-4, 4)
                 if c:
-                    terms[tsym(j)] = Fraction(c)
-                    coeffs[j] = Fraction(c)
+                    terms[tsym(j)] = coeffs[j] = c
             f = Vec(terms)
             got = B.eval_linear(one, f)
-            blocks = [(n, Fraction(1))] + sorted(coeffs.items())
+            blocks = [(n, 1)] + sorted(coeffs.items())
             expect = sparse_sum(((tsym(i), tsym(d - 1 - i)), c)
                                 for d, c in blocks for i in range(d))
             if got != Tensor2(expect):
@@ -436,7 +435,7 @@ def theorem3_replay(window=20, rng_seed=2024, trials_per_degree=3):
                                    [Vec.basis(tsym(j)) for j in range(s)])
         u = B.eval_linear(one, Vec.basis(tsym(2 * s + 1)))
         surv = quotient_reduce(u, Is)
-        if surv.terms != {(tsym(s), tsym(s)): Fraction(1)}:
+        if surv.terms != {(tsym(s), tsym(s)): 1}:
             ce = {"step": "b", "s": s,
                   "reason": "survivor is not the single diagonal term"}
             return VerificationReport.failure("theorem3_replay", "L2", ce,

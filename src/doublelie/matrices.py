@@ -4,13 +4,17 @@ A locally finite operator has finitely many nonzero entries in every row and
 in every column; all catalog operators are supported on finitely many
 slope-one diagonals, so the canonical representation used here is
 
-    {offset: sorted disjoint segments (lo, hi, coeff)}
+    step, {offset: sorted disjoint segments (lo, hi, coeff)}
 
 where offset = column - row, and a segment contributes coeff * e_{r, r+offset}
-for every row r with lo <= r <= hi.  lo = None means the segment extends to
--infinity (integers domain only) and hi = None means +infinity.  Point entries
-are length-one segments, so a single normal form covers both the finitary part
-and the diagonal "rays", and structural equality equals mathematical equality.
+for every row r = lo, lo + step, ... up to hi.  lo = None means the segment
+extends to -infinity (integers domain only; its rows are then hi, hi - step,
+...) and hi = None means +infinity.  Step 1 gives point entries and the
+diagonal "rays"; a larger step gives the strided rays of the k-step
+difference preimages, whose support walks a diagonal in jumps of k.  Each
+operator takes the least step at which every diagonal is finitely many
+segments, so a single normal form covers the finitary part, the rays and the
+strided rays, and structural equality equals mathematical equality.
 
 A finitary matrix (finitely many nonzero entries; these form the two-sided
 ideal inside the locally finite operators) is the case in which every segment
@@ -19,6 +23,8 @@ is finite.  FinitaryMatrix only builds one from {(row, col): coeff}, and
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from .exact import ONE, S, Vec, sparse_sum
 
@@ -35,14 +41,6 @@ class Domain:
             raise ValueError("finite domain needs a positive size")
         self.kind = kind
         self.size = size if kind == "finite" else None
-
-    @classmethod
-    def naturals(cls):
-        return _NATURALS
-
-    @classmethod
-    def integers(cls):
-        return _INTEGERS
 
     @classmethod
     def finite(cls, n):
@@ -77,23 +75,46 @@ class Domain:
         hi = min(self.size - 1, self.size - 1 - offset)
         return (lo, hi) if lo <= hi else None
 
-    def allows_infinite(self):
-        return self.kind != "finite"
+
+NATURALS = Domain("naturals")
+INTEGERS = Domain("integers")
 
 
-_NATURALS = Domain("naturals")
-_INTEGERS = Domain("integers")
+def _norm_segments(raw, step=1):
+    """Normalize possibly-overlapping segments at the given step into a
+    canonical tuple: each residue class mod step in turn, as disjoint,
+    sorted, maximal segments with nonzero coefficients, integral ones as int.
 
+    A raw segment (lo, hi, c) covers the rows from lo to hi in the class of
+    lo (of hi when lo is None); (None, None, c) covers every row.  Above
+    step 1 each class r is normalised as a step-1 diagonal in the coordinate
+    m of its rows r + m*step, and a class covered end to end is split at r,
+    which names the class.
 
-def _norm_segments(raw):
-    """Normalize possibly-overlapping segments into a canonical tuple of
-    disjoint, sorted, maximal segments with nonzero coefficients, integral
-    ones as int.
-
-    One sweep over the sorted breakpoints: a segment adds its coefficient
-    at lo and takes it back at hi + 1, a backward-infinite one starts in the
-    running total.  A breakpoint whose changes cancel is dropped, so each
-    emitted segment differs in coefficient from the next adjacent one."""
+    At step 1, one sweep over the sorted breakpoints: a segment adds its
+    coefficient at lo and takes it back at hi + 1, a backward-infinite one
+    starts in the running total.  A breakpoint whose changes cancel is
+    dropped, so each emitted segment differs in coefficient from the next
+    adjacent one."""
+    if step > 1:
+        classes = [[] for _ in range(step)]
+        for lo, hi, c in raw:
+            if lo is None and hi is None:
+                for cls in classes:
+                    cls.append((lo, hi, c))
+                continue
+            r = (hi if lo is None else lo) % step
+            classes[r].append((None if lo is None else (lo - r) // step,
+                               None if hi is None else (hi - r) // step, c))
+        out = []
+        for r, cls in enumerate(classes):
+            for lo, hi, c in _norm_segments(cls):
+                if lo is None and hi is None:
+                    out.append((None, r - step, c))
+                    lo = 0
+                out.append((None if lo is None else r + lo * step,
+                            None if hi is None else r + hi * step, c))
+        return tuple(out)
     start = 0
     delta = {}
     get = delta.get
@@ -126,57 +147,120 @@ def _integral(c):
     return c.numerator if c.denominator == 1 else c
 
 
-def _clip_segment(seg, bounds):
-    if bounds is None:
+def _meet(lo1, hi1, lo2, hi2, s1, s2, step):
+    """Ends (lo, hi) of the rows common to the progressions lo1, lo1 + s1,
+    ... up to hi1 and lo2, lo2 + s2, ... up to hi2, aligned at step (the lcm
+    of s1 and s2), or None when there are none.  None stands for the
+    corresponding infinity; a progression without lo is anchored at its hi,
+    and one without either has step 1."""
+    lo = lo2 if lo1 is None else (lo1 if lo2 is None or lo2 < lo1 else lo2)
+    hi = hi2 if hi1 is None else (hi1 if hi2 is None or hi1 < hi2 else hi2)
+    if step > 1:
+        a1 = hi1 if lo1 is None else lo1
+        a2 = hi2 if lo2 is None else lo2
+        # a row in both classes: the chinese remainder, by search
+        x = a2 if s1 == 1 else next(
+            (x for x in range(a1, a1 + step, s1)
+             if s2 == 1 or (x - a2) % s2 == 0), None)
+        if x is None:
+            return None
+        if lo is not None:
+            lo += (x - lo) % step
+        if hi is not None:
+            hi -= (hi - x) % step
+    if lo is not None and hi is not None and lo > hi:
         return None
-    lo, hi, c = seg
-    blo, bhi = bounds
-    nlo = lo if blo is None else (blo if lo is None else max(lo, blo))
-    nhi = hi if bhi is None else (bhi if hi is None else min(hi, bhi))
-    if nlo is not None and nhi is not None and nlo > nhi:
-        return None
-    return (nlo, nhi, c)
+    return lo, hi
 
 
-def _seg_contains(seg, r):
+def _seg_contains(seg, r, step):
     lo, hi, _ = seg
-    return (lo is None or lo <= r) and (hi is None or r <= hi)
+    return ((lo is None or lo <= r) and (hi is None or r <= hi)
+            and (step == 1 or (r - (hi if lo is None else lo)) % step == 0))
+
+
+def _least_step(segs, step):
+    """The least divisor of step at which every diagonal of the canonical
+    step-`step` segments is finitely many segments: the least period of the
+    tail coefficients over the row classes, 1 when there are no tails."""
+    tails = {(o, hi is None, (hi if lo is None else lo) % step): c
+             for o, ss in segs.items() for lo, hi, c in ss
+             if lo is None or hi is None}
+    for p in range(1, step):
+        if not step % p and all(tails.get((o, fwd, (r + p) % step)) == c
+                                for (o, fwd, r), c in tails.items()):
+            return p
+    return step
+
+
+def _refine(ss, step, p):
+    """The canonical step-`step` segments ss as raw segments at step p, a
+    divisor of step at which their tails repeat: the tails beyond every tail
+    start and end become tails at step p, every other covered row a point."""
+    fwd = {lo % step: c for lo, hi, c in ss if hi is None}
+    back = {hi % step: c for lo, hi, c in ss if lo is None}
+    top = max((lo for lo, hi, _ in ss if hi is None), default=0)
+    bot = min((hi for lo, hi, _ in ss if lo is None), default=0)
+    raw = []
+    for lo, hi, c in ss:
+        a = hi if lo is None else lo
+        first = lo if lo is not None else bot + 1 + (a - bot - 1) % step
+        last = hi if hi is not None else top - 1 - (top - 1 - a) % step
+        raw += [(x, x, c) for x in range(first, last + 1, step)]
+    for r in range(p):
+        x = top + (r - top) % p
+        y = bot - (bot - r) % p
+        raw += [(x, None, fwd.get(x % step, 0)),
+                (None, y, back.get(y % step, 0))]
+    return raw
 
 
 class LocallyFiniteOperator:
     """Operator supported on finitely many diagonals, finitely many segments
     per diagonal.  Every row and every column then has at most one entry per
-    diagonal, so local finiteness is structural."""
+    diagonal, so local finiteness is structural.
 
-    __slots__ = ("domain", "segs")
+    A segment (lo, hi, c) covers the rows lo, lo + step, ... up to hi, a
+    backward-infinite one the rows hi, hi - step, ...; step is the same for
+    every segment and is lowered at construction to the least one at which
+    every diagonal is finitely many segments, so structural equality equals
+    mathematical equality."""
 
-    def __init__(self, segs=None, domain=_NATURALS):
+    __slots__ = ("domain", "segs", "step")
+
+    def __init__(self, segs=None, domain=NATURALS, step=1):
         self.domain = domain
         norm = {}
+        finite = domain.kind == "finite"
         for offset, raw in (segs or {}).items():
+            if finite and any(lo is None or hi is None for lo, hi, _ in raw):
+                raise ValueError("infinite ray in finite domain")
             bounds = domain.row_bounds(offset)
-            clipped = []
-            for seg in raw:
-                if (seg[0] is None or seg[1] is None) and not domain.allows_infinite():
-                    raise ValueError("infinite ray in finite domain")
-                cut = _clip_segment(seg, bounds)
+            if bounds is None:
+                continue
+            blo, bhi = bounds
+            canon = []
+            for lo, hi, c in _norm_segments(raw, step):
+                # the segment's rows within the domain's rows
+                cut = _meet(lo, hi, blo, bhi, step, 1, step)
                 if cut is not None:
-                    clipped.append(cut)
-            canon = _norm_segments(clipped)
+                    canon.append((cut[0], cut[1], c))
             if canon:
-                for lo, hi, _ in canon:
-                    if lo is None and domain.kind != "integers":
-                        raise ValueError(
-                            "backward-infinite ray requires the integers domain")
-                norm[offset] = canon
+                norm[offset] = tuple(canon)
+        if step > 1 and (least := _least_step(norm, step)) < step:
+            norm = {o: canon for o, ss in norm.items()
+                    if (canon := _norm_segments(_refine(ss, step, least),
+                                                least))}
+            step = least
         self.segs = norm
+        self.step = step
 
     @classmethod
-    def zero(cls, domain=_NATURALS):
+    def zero(cls, domain=NATURALS):
         return cls({}, domain)
 
     @classmethod
-    def ray(cls, coeff, row0, col0, length=None, domain=_NATURALS, back=False):
+    def ray(cls, coeff, row0, col0, length=None, domain=NATURALS, back=False):
         """coeff * (e_{row0,col0} + e_{row0+1,col0+1} + ...); length None means
         a forward-infinite ray, or with back=True a backward-infinite one
         ending at (row0, col0)."""
@@ -192,29 +276,28 @@ class LocallyFiniteOperator:
         return cls({offset: [seg]}, domain)
 
     @classmethod
-    def unit(cls, i, j, domain=_NATURALS, coeff=ONE):
+    def unit(cls, i, j, domain=NATURALS, coeff=ONE):
         return cls({j - i: [(i, i, coeff)]}, domain)
-
-    def is_zero(self):
-        return not self.segs
 
     def __bool__(self):
         return bool(self.segs)
 
     def __eq__(self, other):
         return (isinstance(other, LocallyFiniteOperator)
-                and self.domain == other.domain and self.segs == other.segs)
+                and self.domain == other.domain and self.step == other.step
+                and self.segs == other.segs)
 
     def __hash__(self):
-        return hash((self.domain, tuple(sorted(self.segs.items()))))
+        return hash((self.domain, self.step, tuple(sorted(self.segs.items()))))
 
     def __repr__(self):
-        return "LocallyFiniteOperator(%r, %r)" % (
-            dict(sorted(self.segs.items())), self.domain)
+        return "LocallyFiniteOperator(%r, %r%s)" % (
+            dict(sorted(self.segs.items())), self.domain,
+            ", step=%d" % self.step if self.step > 1 else "")
 
     def entry(self, i, j):
         for seg in self.segs.get(j - i, ()):
-            if _seg_contains(seg, i):
+            if _seg_contains(seg, i, self.step):
                 return seg[2]
         return 0
 
@@ -223,34 +306,24 @@ class LocallyFiniteOperator:
         out = {}
         for offset, segs in self.segs.items():
             for seg in segs:
-                if _seg_contains(seg, i):
+                if _seg_contains(seg, i, self.step):
                     out[i + offset] = seg[2]
                     break
         return out
 
     def __add__(self, other):
         _need_same_domain(self, other)
-        segs = {}
-        for src in (self.segs, other.segs):
-            for offset, ss in src.items():
-                segs.setdefault(offset, []).extend(ss)
-        return LocallyFiniteOperator(segs, self.domain)
+        return operator_sum(((1, self), (1, other)), self.domain)
 
     def __neg__(self):
-        return LocallyFiniteOperator(
-            {o: [(lo, hi, -c) for lo, hi, c in ss] for o, ss in self.segs.items()},
-            self.domain)
+        return self.scale(-1)
 
     def __sub__(self, other):
-        return self + (-other)
+        _need_same_domain(self, other)
+        return operator_sum(((1, self), (-1, other)), self.domain)
 
     def scale(self, a):
-        a = S(a)
-        if not a:
-            return LocallyFiniteOperator.zero(self.domain)
-        return LocallyFiniteOperator(
-            {o: [(lo, hi, a * c) for lo, hi, c in ss] for o, ss in self.segs.items()},
-            self.domain)
+        return operator_sum(((S(a), self),), self.domain)
 
     def __rmul__(self, a):
         return self.scale(a)
@@ -266,10 +339,14 @@ class LocallyFiniteOperator:
                 moved.append((None if lo is None else lo + offset,
                               None if hi is None else hi + offset, c))
             segs[-offset] = moved
-        return LocallyFiniteOperator(segs, self.domain)
+        return LocallyFiniteOperator(segs, self.domain, self.step)
 
     def apply(self, v, tag=None):
-        return _apply(self, v, tag)
+        """Matrix-vector product on basis symbols u_q := (tag, q); the
+        symbol tag is preserved unless an explicit output tag is given."""
+        return Vec(sparse_sum(((tag or vtag, r), c * d)
+                              for (vtag, q), c in v.terms.items()
+                              for r, d in self.apply_index(q).items()))
 
     def apply_index(self, q):
         """Action on the single basis vector u_q, i.e. column q, as a dict
@@ -279,13 +356,14 @@ class LocallyFiniteOperator:
         for offset, ss in self.segs.items():
             r = q - offset
             for seg in ss:
-                if _seg_contains(seg, r):
+                if _seg_contains(seg, r, self.step):
                     out[r] = seg[2]
                     break
         return out
 
     def to_finitary(self):
-        """The operator itself, once its support is known to be finite."""
+        """The operator itself, once its support is known to be finite (and
+        so its step is 1)."""
         if any(lo is None or hi is None
                for ss in self.segs.values() for lo, hi, _ in ss):
             raise ValueError("operator has infinite rays; not finitary")
@@ -307,7 +385,7 @@ class FinitaryMatrix(LocallyFiniteOperator):
 
     __slots__ = ()
 
-    def __init__(self, entries=None, domain=_NATURALS):
+    def __init__(self, entries=None, domain=NATURALS):
         segs = {}
         for (i, j), c in (entries or {}).items():
             if c and not (domain.contains(i) and domain.contains(j)):
@@ -316,8 +394,27 @@ class FinitaryMatrix(LocallyFiniteOperator):
         super().__init__(segs, domain)
 
     @classmethod
-    def unit(cls, i, j, domain=_NATURALS, coeff=ONE):
+    def unit(cls, i, j, domain=NATURALS, coeff=ONE):
         return cls({(i, j): coeff}, domain)
+
+
+class StridedRayOperator(LocallyFiniteOperator):
+    """coeff * sum of e_{row0+m*step, col0+m*step} over m >= 0: one ray
+    segment at the given step.  Steps >= 2 arise as preimages of the k-step
+    difference maps, whose support walks a diagonal in jumps of k; step 1 is
+    the ordinary ray.  Every operation on it returns a LocallyFiniteOperator,
+    which compares and hashes equal to it."""
+
+    __slots__ = ()
+
+    def __init__(self, coeff, row0, col0, step, domain=NATURALS):
+        if step < 1:
+            raise ValueError("stride must be positive")
+        super().__init__({col0 - row0: [(row0, None, S(coeff))]}, domain, step)
+
+    # bench/tracing.py counts calls by patching apply_index in this class's
+    # own namespace
+    apply_index = LocallyFiniteOperator.apply_index
 
 
 def _need_same_domain(a, b):
@@ -325,12 +422,32 @@ def _need_same_domain(a, b):
         raise ValueError("index domain mismatch: %r vs %r" % (a.domain, b.domain))
 
 
-def _apply(op, v, tag=None):
-    """Matrix-vector product on basis symbols u_q := (tag, q); the symbol
-    tag is preserved unless an explicit output tag is given."""
-    return Vec(sparse_sum(((tag or vtag, r), c * d)
-                          for (vtag, q), c in v.terms.items()
-                          for r, d in op.apply_index(q).items()))
+def operator_sum(terms, domain):
+    """The sum of c * op over (c, op) in terms, all segments normalised
+    together at the lcm of the operators' steps; a segment at a smaller step
+    s enters as one segment per class of that lcm inside its class mod s."""
+    terms = list(terms)
+    step = 1
+    for _, op in terms:
+        if op.step != step:
+            step = lcm(step, op.step)
+    segs = {}
+    for c, op in terms:
+        s = op.step
+        for offset, ss in op.segs.items():
+            out = segs.setdefault(offset, [])
+            if s == step:
+                out.extend(ss if c == 1 else [(lo, hi, c * d)
+                                              for lo, hi, d in ss])
+                continue
+            for lo, hi, d in ss:
+                if lo is None and hi is None:
+                    out.append((lo, hi, c * d))
+                else:
+                    out.extend((lo + m, hi, c * d) if lo is not None
+                               else (None, hi - m, c * d)
+                               for m in range(0, step, s))
+    return LocallyFiniteOperator(segs, domain, step)
 
 
 # ---------------------------------------------------------------------------
@@ -339,35 +456,25 @@ def _apply(op, v, tag=None):
 def mul_mixed(a, b):
     """Matrix product of two operators, again a LocallyFiniteOperator.
 
-    A segment on offset o1 with rows [lo1, hi1] times a segment on offset o2
-    with rows [lo2, hi2] contributes, on offset o1+o2, the rows
-    [lo1, hi1] intersect [lo2 - o1, hi2 - o1].  A strided ray has no
-    segments; it meets the other factor, which must then be finitary, entry
-    by entry."""
+    A segment on offset o1 over rows lo1, lo1 + s1, ... up to hi1 times a
+    segment on offset o2 over rows lo2, lo2 + s2, ... up to hi2 contributes,
+    on offset o1+o2, the rows of the first progression whose shift by o1
+    lies in the second, a progression at the lcm of the two steps."""
     _need_same_domain(a, b)
-    if isinstance(a, StridedRayOperator):
-        # each entry e_{kl} of b meets column k of a
-        return FinitaryMatrix(sparse_sum(((r, l), c * d)
-                                         for (k, l), d in b.entries.items()
-                                         for r, c in a.apply_index(k).items()),
-                              a.domain)
-    if isinstance(b, StridedRayOperator):
-        # each entry e_{ik} of a meets row k of b
-        return FinitaryMatrix(sparse_sum(((i, l), c * d)
-                                         for (i, k), c in a.entries.items()
-                                         for l, d in b.row(k).items()),
-                              a.domain)
+    s1, s2 = a.step, b.step
+    step = lcm(s1, s2)
     segs = {}
     for o1, ss1 in a.segs.items():
         for o2, ss2 in b.segs.items():
             for lo1, hi1, c1 in ss1:
                 for lo2, hi2, c2 in ss2:
-                    slo = None if lo2 is None else lo2 - o1
-                    shi = None if hi2 is None else hi2 - o1
-                    cut = _clip_segment((slo, shi, c1 * c2), (lo1, hi1))
+                    cut = _meet(lo1, hi1, None if lo2 is None else lo2 - o1,
+                                None if hi2 is None else hi2 - o1, s1, s2,
+                                step)
                     if cut is not None:
-                        segs.setdefault(o1 + o2, []).append(cut)
-    return LocallyFiniteOperator(segs, a.domain)
+                        segs.setdefault(o1 + o2, []).append(
+                            (cut[0], cut[1], c1 * c2))
+    return LocallyFiniteOperator(segs, a.domain, step)
 
 
 def trace_pair(x, y):
@@ -380,69 +487,3 @@ def commutator(a, b):
     """ab - ba."""
     return mul_mixed(a, b) - mul_mixed(b, a)
 
-
-class StridedRayOperator:
-    """coeff * sum of e_{row0+m*step, col0+m*step} over m >= 0.
-
-    For step 1 this is an ordinary ray; steps >= 2 arise as preimages of the
-    k-step difference maps, whose support walks a diagonal in jumps of k.
-    Only the read-only protocol shared with LocallyFiniteOperator is offered
-    (entry / row / apply_index / apply), plus scaling and transposition;
-    mul_mixed multiplies one by a finitary factor entry by entry."""
-
-    __slots__ = ("coeff", "row0", "col0", "step", "domain")
-
-    def __init__(self, coeff, row0, col0, step, domain=_NATURALS):
-        if step < 1:
-            raise ValueError("stride must be positive")
-        if domain.kind == "finite":
-            raise ValueError("infinite strided ray in finite domain")
-        self.coeff = S(coeff)
-        self.row0 = row0
-        self.col0 = col0
-        self.step = step
-        self.domain = domain
-
-    def __eq__(self, other):
-        if isinstance(other, StridedRayOperator):
-            return (self.coeff, self.row0, self.col0, self.step, self.domain) == \
-                   (other.coeff, other.row0, other.col0, other.step, other.domain)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.coeff, self.row0, self.col0, self.step, self.domain))
-
-    def __repr__(self):
-        return "StridedRayOperator(%r, %d, %d, step=%d)" % (
-            self.coeff, self.row0, self.col0, self.step)
-
-    def entry(self, i, j):
-        if j - i == self.col0 - self.row0 and i >= self.row0 \
-                and (i - self.row0) % self.step == 0:
-            return self.coeff
-        return 0
-
-    def row(self, i):
-        if i >= self.row0 and (i - self.row0) % self.step == 0 and self.coeff:
-            return {i + self.col0 - self.row0: self.coeff}
-        return {}
-
-    def apply_index(self, q):
-        if q >= self.col0 and (q - self.col0) % self.step == 0 and self.coeff:
-            return {q - self.col0 + self.row0: self.coeff}
-        return {}
-
-    def apply(self, v, tag=None):
-        return _apply(self, v, tag)
-
-    def scale(self, a):
-        return StridedRayOperator(S(a) * self.coeff, self.row0, self.col0,
-                                  self.step, self.domain)
-
-    def transpose(self):
-        return StridedRayOperator(self.coeff, self.col0, self.row0, self.step,
-                                  self.domain)
-
-
-NATURALS = _NATURALS
-INTEGERS = _INTEGERS

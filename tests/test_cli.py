@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from doublelie.cli import main
 
 
@@ -73,6 +75,27 @@ def test_unknown_target_is_input_error(capsys):
 def test_malformed_seed_is_input_error(capsys):
     code, _, err = run(capsys, "ideal", "closure", "L2", "--seed", "t^^2")
     assert code == 2 and "malformed polynomial" in err
+
+
+@pytest.mark.parametrize("seed", ["t^9", "t^-1"])
+def test_seed_outside_window_is_input_error(capsys, seed):
+    code, out, err = run(capsys, "ideal", "closure", "L1", "--seed", seed,
+                         "--window", "4")
+    assert code == 2 and not out
+    assert "input error" in err and repr(seed) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "r1", "--window", "-1", "--cutoff", "0"),
+    ("verify", "L1", "--window", "-1"),
+    ("ideal", "closure", "L1", "--seed", "1", "--window", "-1"),
+    ("simplicity", "L2", "--window", "-2", "--seeds", "1"),
+    ("module", "check", "block-bimodule", "--window", "-3"),
+    ("report", "--all", "--window", "-1"),
+])
+def test_negative_window_is_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out and "window must be nonnegative" in err
 
 
 def test_window_beyond_cutoff_is_input_error(capsys):

@@ -39,11 +39,11 @@ def test_quotient_map_kills_exactly_the_mixed_kernel():
     carrier = catalog_bracket("L1").carrier
     I = Subspace.degree_span(carrier, 8, 2)
     # left factor in the subspace: dies
-    assert quotient_reduce(Tensor2({(tsym(2), tsym(0)): 1}), I).is_zero()
-    assert quotient_reduce(Tensor2({(tsym(0), tsym(5)): 1}), I).is_zero()
+    assert not quotient_reduce(Tensor2({(tsym(2), tsym(0)): 1}), I)
+    assert not quotient_reduce(Tensor2({(tsym(0), tsym(5)): 1}), I)
     # diagonal pure tensor with factor outside: survives
     assert quotient_reduce(Tensor2({(tsym(1), tsym(1)): 1}), I)
-    assert quotient_reduce(Tensor2(), I).is_zero()
+    assert not quotient_reduce(Tensor2(), I)
 
 
 def test_quotient_map_kernel_on_random_combinations():
@@ -56,9 +56,9 @@ def test_quotient_map_kernel_on_random_combinations():
     for _ in range(20):
         v = inside[rng.randrange(2)].scale(rng.randint(1, 5))
         w = outside[rng.randrange(3)].scale(rng.randint(1, 5))
-        assert quotient_reduce(_pure_product(v, w), I).is_zero()
-        assert quotient_reduce(_pure_product(w, v), I).is_zero()
-        assert not quotient_reduce(_pure_product(w, w), I).is_zero()
+        assert not quotient_reduce(_pure_product(v, w), I)
+        assert not quotient_reduce(_pure_product(w, v), I)
+        assert quotient_reduce(_pure_product(w, w), I)
 
 
 def _pure_product(v, w):

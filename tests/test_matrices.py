@@ -1,5 +1,6 @@
 """Finitary matrices and locally finite operators: products, rays, strided
-rays, transposes, block cuts, and the trace pairing.
+rays and the step normal form, transposes, block cuts, and the trace
+pairing.
 
 Oracles: small dense multiplication over explicit windows, and the unit
 product rule e_ij e_kl = delta_jk e_il."""
@@ -54,7 +55,7 @@ def test_unit_product_rule():
             if j == k:
                 assert p == FinitaryMatrix.unit(0, 2)
             else:
-                assert p.is_zero()
+                assert not p
 
 
 def test_finitary_matrix_is_a_point_segment_operator():
@@ -70,17 +71,30 @@ def test_finitary_matrix_is_a_point_segment_operator():
 
 
 def test_strided_products_match_dense_oracle():
-    # products with a strided ray go entry by entry, on either side
+    # a strided ray on either side of a finitary factor gives a finitary
+    # product
     rng = random.Random(11)
-    for s in (StridedRayOperator(Fraction(2), 1, 3, 2),
-              StridedRayOperator(-1, 0, 0, 3),
-              build_pk(2).image(1, 0)):
+    strided = (StridedRayOperator(Fraction(2), 1, 3, 2),
+               StridedRayOperator(-1, 0, 0, 3), build_pk(2).image(1, 0))
+    for s in strided:
         ds = dense_window(s, 30)
         for _ in range(10):
             m = random_finitary(rng)
             dm = dict(m.entries)
             assert mul_mixed(s, m).entries == dense_mul(ds, dm, 30)
             assert mul_mixed(m, s).entries == dense_mul(dm, ds, 30)
+    # strided times strided, and strided times an infinite ray: every
+    # factor only moves column indices down or keeps them, so entries with
+    # both indices below 20 are exact on the 40 x 40 window
+    rays = strided + (StridedRayOperator(1, 2, 0, 4),
+                      LocallyFiniteOperator.ray(Fraction(-1), 0, 0),
+                      LocallyFiniteOperator.ray(3, 2, 1),
+                      build_pk(3).image(2, 1))
+    for a in rays:
+        for b in rays:
+            got = dense_window(mul_mixed(a, b), 20)
+            want = dense_mul(dense_window(a, 40), dense_window(b, 40), 40)
+            assert got == {k: v for k, v in want.items() if max(k) < 20}
 
 
 def test_finitary_products_match_dense_oracle():
@@ -201,33 +215,88 @@ def test_domain_membership():
 _END = st.none() | st.integers(min_value=-8, max_value=8)
 _COEFF = st.integers(min_value=-2, max_value=2) | st.fractions(
     min_value=-2, max_value=2, max_denominator=3)
-_RAW = st.lists(st.tuples(_END, _END, _COEFF), max_size=10)
+_STEP = st.integers(min_value=1, max_value=4)
 
 
-def _covers(lo, hi, r):
-    return (lo is None or lo <= r) and (hi is None or r <= hi)
+@st.composite
+def _raw_at_step(draw):
+    """A step and raw segments at it, each with a finite lo above step 1."""
+    step = draw(_STEP)
+    lo = _END if step == 1 else st.integers(min_value=-8, max_value=8)
+    return step, draw(st.lists(st.tuples(lo, _END, _COEFF), max_size=10))
 
 
-@given(_RAW)
-def test_norm_segments_matches_dense_oracle(raw):
-    out = _norm_segments(raw)
-    # rows -10..10 reach past every finite endpoint, so they also see each
+def _covers(lo, hi, r, step=1):
+    return ((lo is None or lo <= r) and (hi is None or r <= hi)
+            and (step == 1 or (r - (hi if lo is None else lo)) % step == 0))
+
+
+@given(_raw_at_step())
+def test_norm_segments_matches_dense_oracle(drawn):
+    step, raw = drawn
+    out = _norm_segments(raw, step)
+    # rows -40..40 reach past every finite endpoint, so they also see each
     # infinite end
-    for r in range(-10, 11):
-        want = sum(c for lo, hi, c in raw if _covers(lo, hi, r))
-        got = [c for lo, hi, c in out if _covers(lo, hi, r)]
+    for r in range(-40, 41):
+        want = sum(c for lo, hi, c in raw if _covers(lo, hi, r, step))
+        got = [c for lo, hi, c in out if _covers(lo, hi, r, step)]
         assert got == ([want] if want else []), r
+    # residue classes come in increasing order
+    classes = [(hi if lo is None else lo) % step if step > 1 else 0
+               for lo, hi, _ in out]
+    assert classes == sorted(classes)
     for k, (lo, hi, c) in enumerate(out):
         assert c and not isinstance(c, float)
         assert type(c) is int or c.denominator != 1
-        assert lo is None or hi is None or lo <= hi
-        assert lo is not None or k == 0
-        assert hi is not None or k == len(out) - 1
-        if k:
+        assert lo is None or hi is None or (lo <= hi and (hi - lo) % step == 0)
+        first = k == 0 or classes[k - 1] != classes[k]
+        assert lo is not None or first
+        assert (hi is not None or k == len(out) - 1
+                or classes[k + 1] != classes[k])
+        if not first:
             _, prev_hi, prev_c = out[k - 1]
-            # sorted and disjoint; adjacent segments are maximal
+            # sorted and disjoint within the class; adjacent segments are
+            # maximal
             assert lo > prev_hi
-            assert lo > prev_hi + 1 or c != prev_c
+            assert lo > prev_hi + step or c != prev_c
+
+
+@st.composite
+def _operators(draw, domain):
+    """An operator at a drawn step; a raw segment without lo is anchored at
+    its hi, one without either covers its whole diagonal."""
+    step = draw(_STEP)
+    segs = draw(st.dictionaries(st.integers(min_value=-3, max_value=3),
+                                st.lists(st.tuples(_END, _END, _COEFF),
+                                         max_size=3),
+                                max_size=3))
+    return LocallyFiniteOperator(segs, domain, step)
+
+
+@given(st.sampled_from((NATURALS, INTEGERS)).flatmap(
+    lambda d: st.tuples(_operators(d), _operators(d))))
+def test_operator_sums_are_canonical_across_steps(ops):
+    a, b = ops
+    back = a + b - b
+    assert back == a and hash(back) == hash(a)
+    assert back.step == a.step
+    for i in range(-30, 30):
+        for o in range(-3, 4):
+            assert (a + b).entry(i, i + o) == a.entry(i, i + o) \
+                + b.entry(i, i + o)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_residue_shifted_strided_rays_sum_to_the_ray(k):
+    total = LocallyFiniteOperator.zero()
+    for r in range(k):
+        total = total + StridedRayOperator(3, r, r + 1, k)
+    ray = LocallyFiniteOperator.ray(3, 0, 1)
+    assert total == ray and hash(total) == hash(ray) and total.step == 1
+    # k - 1 of them stay at step k; a step-1 strided ray is the ray
+    part = total - StridedRayOperator(3, 0, 1, k)
+    assert part.step == k and bool(part) == (k > 1)
+    assert StridedRayOperator(3, 0, 1, 1) == ray
 
 
 def test_large_diagonal_builds():

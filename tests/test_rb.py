@@ -267,7 +267,7 @@ def test_rb_identity_matches_pointwise_oracle_on_catalog():
     ("r1_laurent", ((0, 0), (1, -1), (-1, 1))),
     ("r2", ((0, 1), (2, 0), (1, 1))),
     ("r3", ((0, 2), (1, 2))),
-    # strided-ray images: the pointwise fallback decides every pair
+    # strided-ray images: their products and sums are step-form operators
     ("p_2", ((0, 0), (1, 2), (2, 1))),
     ("p_3", ((1, 2), (0, 3))),
 ])
