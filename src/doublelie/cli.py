@@ -209,6 +209,11 @@ def _cmd_simplicity(args):
     from .ideals import simplicity_probe
     if args.bracket not in CATALOG_BRACKET_NAMES:
         raise InputError("unknown bracket %r" % args.bracket)
+    if args.seeds < 1:
+        raise InputError("--seeds must be at least 1, got %d" % args.seeds)
+    if not 0 <= args.max_degree <= args.window:
+        raise InputError("--max-degree must lie in 0..%d (the window), got %d"
+                         % (args.window, args.max_degree))
     B = catalog_bracket(args.bracket)
     rep = simplicity_probe(B, args.window, seed_count=args.seeds,
                            max_degree=args.max_degree,
@@ -344,6 +349,9 @@ def main(argv=None):
         if getattr(args, "window", 0) < 0:
             raise InputError("window must be nonnegative, got %d"
                              % args.window)
+        if getattr(args, "budget", 1) < 1:
+            raise InputError("budget must be at least 1, got %d"
+                             % args.budget)
         return args.func(args)
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)

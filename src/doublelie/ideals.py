@@ -18,7 +18,6 @@ force v itself into the ideal, which is the engine of the simplicity replay.
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 import random
 
 from .brackets import DoubleBracket, catalog_bracket
@@ -70,11 +69,11 @@ class Subspace:
         return tuple(tuple(r) for r in self.rows)
 
     def coords(self, vec):
-        out = [Fraction(0)] * len(self.syms)
+        out = [0] * len(self.syms)
         for s, c in vec.terms.items():
             if s not in self.pos:
                 raise ValueError("symbol %r outside the ambient window" % (s,))
-            out[self.pos[s]] = Fraction(c)
+            out[self.pos[s]] = c
         return out
 
     def vec_of(self, coords):
@@ -91,9 +90,6 @@ class Subspace:
 
     def contains(self, vec):
         return not self.reduce(vec)
-
-    def contains_subspace(self, other):
-        return all(self.contains(v) for v in other.basis_vecs())
 
     def extended(self, vectors):
         rows = [list(r) for r in self.rows]
@@ -152,20 +148,27 @@ def _window_pairs(B, I, window):
             yield v, g
 
 
-def is_ideal(B, I, window):
-    """Both-sided window check that bracketing the subspace stays inside
-    I (x) V + V (x) I."""
-    params = {"window": window, "subspace_dim": I.dim}
+def _survivors(B, I, window):
+    """The bracket values of window symbols v with generators g of I, both
+    ways round, that survive the quotient map, in a fixed sweep order: the
+    tuples (v, g, side, surviving tensor)."""
     for v, g in _window_pairs(B, I, window):
         vv = Vec.basis(v)
         for left, right, side in ((vv, g, "ambient,ideal"),
                                   (g, vv, "ideal,ambient")):
             surv = quotient_reduce(B.eval_linear(left, right), I)
             if surv:
-                ce = {"ambient": render_sym(v), "generator": render_vec(g),
-                      "order": side}
-                return VerificationReport.failure("is_ideal", B.name, ce,
-                                                  params)
+                yield v, g, side, surv
+
+
+def is_ideal(B, I, window):
+    """Both-sided window check that bracketing the subspace stays inside
+    I (x) V + V (x) I."""
+    params = {"window": window, "subspace_dim": I.dim}
+    for v, g, side, _surv in _survivors(B, I, window):
+        ce = {"ambient": render_sym(v), "generator": render_vec(g),
+              "order": side}
+        return VerificationReport.failure("is_ideal", B.name, ce, params)
     return VerificationReport.success("is_ideal", B.name, params)
 
 
@@ -213,47 +216,24 @@ def quotient_bracket(B, I, window, name=None):
 # ---------------------------------------------------------------------------
 # closure search
 
-def _survivor_matrix(T, I):
-    """A surviving quotient tensor as {(left_sym, right_sym): coeff} plus the
-    ordered lists of symbols appearing on each side."""
-    lefts = sorted({a for (a, _b) in T.terms}, key=repr)
-    rights = sorted({b for (_a, b) in T.terms}, key=repr)
-    mat = [[T.terms.get((a, b), Fraction(0)) for b in rights] for a in lefts]
-    return lefts, rights, mat
-
-
-def _branches_for(T, I):
+def _branches_for(T):
     """Ways to enlarge the ideal so that a surviving tensor dies: adjoin all
     left factors, all right factors, or a mixed split from the echelon rank
     decomposition.  Returned as lists of Vec, deterministically ordered."""
-    lefts, rights, mat = _survivor_matrix(T, I)
-    # column space: left vectors l_b = sum_a M[a][b] x_a
-    cols = []
-    for j in range(len(rights)):
-        v = Vec({lefts[i]: mat[i][j] for i in range(len(lefts))
-                 if mat[i][j]})
-        if v:
-            cols.append(v)
-    # row space: right vectors r_a = sum_b M[a][b] y_b
-    rws = []
-    for i in range(len(lefts)):
-        v = Vec({rights[j]: mat[i][j] for j in range(len(rights))
-                 if mat[i][j]})
-        if v:
-            rws.append(v)
-    branches = [cols, rws]
+    lefts = sorted({a for (a, _b) in T.terms}, key=repr)
+    rights = sorted({b for (_a, b) in T.terms}, key=repr)
+    mat = [[T.terms.get((a, b), 0) for b in rights] for a in lefts]
+    # column space: left vectors l_b = sum_a M[a][b] x_a; row space: right
+    # vectors r_a = sum_b M[a][b] y_b (none is zero, as T's terms are nonzero)
+    cols = [Vec(dict(zip(lefts, col))) for col in zip(*mat)]
+    branches = [cols, [Vec(dict(zip(rights, row))) for row in mat]]
     # mixed splits from M = sum_k c_k (x) e_k with e_k the echelon rows of M:
     # push some factors left and the rest right.
     red, pivots = rref(mat)
     rank = len(pivots)
     if 2 <= rank <= 3:
-        comps = []
-        for k in range(rank):
-            lvec = Vec({lefts[i]: mat[i][pivots[k]]
-                        for i in range(len(lefts)) if mat[i][pivots[k]]})
-            rvec = Vec({rights[j]: red[k][j]
-                        for j in range(len(rights)) if red[k][j]})
-            comps.append((lvec, rvec))
+        comps = [(cols[p], Vec(dict(zip(rights, row))))
+                 for p, row in zip(pivots, red)]
         for mask in range(1, 2 ** rank - 1):
             pick = [comps[k][0] if (mask >> k) & 1 else comps[k][1]
                     for k in range(rank)]
@@ -261,17 +241,19 @@ def _branches_for(T, I):
     return branches
 
 
-def _first_violation(B, I, window):
-    """The first (in deterministic sweep order) bracket value that survives
-    the quotient map, or None when the candidate is an ideal."""
-    for v, g in _window_pairs(B, I, window):
-        surv = quotient_reduce(B.eval_linear(Vec.basis(v), g), I)
-        if surv:
-            return surv
-        surv = quotient_reduce(B.eval_linear(g, Vec.basis(v)), I)
-        if surv:
-            return surv
-    return None
+def _inclusion_minimal(spaces):
+    """The spaces, in order, that properly contain none of the others (the
+    test of ideal_closure's docstring); the spaces are pairwise distinct."""
+    pivots = [frozenset(I.pivots) for I in spaces]
+
+    def properly_contains(I, P, J, Q):
+        return (J.dim < I.dim and Q <= P
+                and not any(any(reduce_vector(row, I.rows, I.pivots))
+                            for row in J.rows))
+
+    return [I for I, P in zip(spaces, pivots)
+            if not any(properly_contains(I, P, J, Q)
+                       for J, Q in zip(spaces, pivots))]
 
 
 def ideal_closure(B, seeds, window, budget=5000):
@@ -280,7 +262,15 @@ def ideal_closure(B, seeds, window, budget=5000):
     Breadth-first branch-and-bound; each node either has no surviving
     bracket (a closure) or branches over the enlargements that kill its
     first survivor.  Returns (closures, exhausted): the inclusion-minimal
-    closures found, and whether the node budget ran out first."""
+    closures found, in the order found, and whether the node budget ran out
+    first.
+
+    A closure I is dropped when it properly contains another closure J,
+    that is when J.dim < I.dim and every echelon row of J reduces to zero
+    against I.  The reductions run only for pairs that also pass a cheap
+    necessary test: J's pivots are a subset of I's, because in reduced
+    echelon form the pivots are the leading coordinates of the space's
+    vectors.  No node is expanded twice, so the closures are distinct."""
     start = Subspace.from_vectors(B.carrier, window, seeds)
     queue = deque([start])
     seen = set()
@@ -301,22 +291,15 @@ def ideal_closure(B, seeds, window, budget=5000):
         if I.dim == full_dim:
             closures.append(I)
             continue
-        surv = _first_violation(B, I, window)
+        # the first bracket value that survives, if any, decides the node
+        surv = next((t for *_, t in _survivors(B, I, window)), None)
         if surv is None:
             closures.append(I)
             continue
-        for vectors in _branches_for(surv, I):
+        for vectors in _branches_for(surv):
             if vectors:
                 queue.append(I.extended(vectors))
-    minimal = []
-    for I in closures:
-        if any(I.contains_subspace(J) and I.key() != J.key()
-               for J in closures):
-            continue
-        if any(J.key() == I.key() for J in minimal):
-            continue
-        minimal.append(I)
-    return minimal, exhausted
+    return _inclusion_minimal(closures), exhausted
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,8 @@ def rref(rows):
             for rr in range(len(mat)):
                 if rr != r and mat[rr][lead]:
                     f = mat[rr][lead]
-                    mat[rr] = [a - f * b for a, b in zip(mat[rr], mat[r])]
+                    mat[rr] = [a - f * b if b else a
+                               for a, b in zip(mat[rr], mat[r])]
             pivots.append(lead)
             lead += 1
             break
@@ -48,9 +49,9 @@ def reduce_vector(vec, basis_rows, pivots):
     positions.  vec is in the span iff the result is the zero vector."""
     v = list(vec)
     for row, p in zip(basis_rows, pivots):
-        if v[p]:
-            f = v[p]
-            v = [a - f * b for a, b in zip(v, row)]
+        f = v[p]
+        if f:
+            v = [a - f * b if b else a for a, b in zip(v, row)]
     return v
 
 

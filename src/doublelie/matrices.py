@@ -255,12 +255,14 @@ class LocallyFiniteOperator:
         self.segs = norm
         self.step = step
 
-    @classmethod
-    def zero(cls, domain=NATURALS):
-        return cls({}, domain)
+    # zero, ray and unit build a LocallyFiniteOperator on the subclasses as
+    # well, whose constructors take other arguments
+    @staticmethod
+    def zero(domain=NATURALS):
+        return LocallyFiniteOperator({}, domain)
 
-    @classmethod
-    def ray(cls, coeff, row0, col0, length=None, domain=NATURALS, back=False):
+    @staticmethod
+    def ray(coeff, row0, col0, length=None, domain=NATURALS, back=False):
         """coeff * (e_{row0,col0} + e_{row0+1,col0+1} + ...); length None means
         a forward-infinite ray, or with back=True a backward-infinite one
         ending at (row0, col0)."""
@@ -271,13 +273,13 @@ class LocallyFiniteOperator:
             if length < 0:
                 raise ValueError("ray length must be nonnegative")
             if length == 0:
-                return cls({}, domain)
+                return LocallyFiniteOperator({}, domain)
             seg = (row0, row0 + length - 1, coeff)
-        return cls({offset: [seg]}, domain)
+        return LocallyFiniteOperator({offset: [seg]}, domain)
 
-    @classmethod
-    def unit(cls, i, j, domain=NATURALS, coeff=ONE):
-        return cls({j - i: [(i, i, coeff)]}, domain)
+    @staticmethod
+    def unit(i, j, domain=NATURALS, coeff=ONE):
+        return LocallyFiniteOperator({j - i: [(i, i, coeff)]}, domain)
 
     def __bool__(self):
         return bool(self.segs)

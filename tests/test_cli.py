@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -98,6 +99,32 @@ def test_negative_window_is_input_error(capsys, argv):
     assert code == 2 and not out and "window must be nonnegative" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("simplicity", "L2", "--window", "3", "--seeds", "0"), "--seeds"),
+    (("simplicity", "L2", "--window", "3", "--seeds", "-2"), "--seeds"),
+    (("simplicity", "L2", "--window", "3", "--max-degree", "2",
+      "--budget", "-1"), "budget"),
+    (("ideal", "closure", "L1", "--seed", "1", "--budget", "-1"), "budget"),
+    (("ideal", "closure", "L1", "--seed", "1", "--budget", "0"), "budget"),
+    # the default --max-degree 8 exceeds window 3
+    (("simplicity", "L2", "--window", "3"), "--max-degree"),
+    (("simplicity", "L2", "--window", "3", "--max-degree", "4"),
+     "--max-degree"),
+    (("simplicity", "L2", "--window", "3", "--max-degree", "-1"),
+     "--max-degree"),
+])
+def test_out_of_range_search_options_are_input_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert "input error" in err and message in err
+
+
+def test_simplicity_accepts_max_degree_equal_to_window(capsys):
+    code, out, _ = run(capsys, "simplicity", "L2", "--window", "3",
+                       "--max-degree", "3", "--seeds", "4")
+    assert code == 0 and records(out)[0]["details"]["seeds"] == 4
+
+
 def test_window_beyond_cutoff_is_input_error(capsys):
     code, _, err = run(capsys, "verify", "r1", "--window", "9",
                        "--cutoff", "4")
@@ -135,6 +162,16 @@ def test_closure_success_lists_bases(capsys):
     assert rec["status"] == "pass"
     # the pure tail closure is among the minimal ones found
     assert ["t^%d" % k for k in range(2, 8)] in rec["closures"]
+
+
+def test_dense_quadratic_closure_record_is_pinned(capsys):
+    # 96 minimal closures; the digest is that of the pairwise-containment
+    # minimality filter, which the pivot-filtered test must reproduce
+    code, out, _ = run(capsys, "ideal", "closure", "L1", "--seed",
+                       "t^2 + 4*t - 1", "--window", "9")
+    assert code == 0 and len(records(out)[0]["closures"]) == 96
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "38ddd133ef67aa3c73bbbaa286ed31898f3d49f2f7c0b882283f8ca72b9af5e1")
 
 
 def test_module_check_instances(capsys):

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from doublelie.brackets import catalog_bracket
 from doublelie.exact import S, Tensor2, Vec, sparse_sum, tsym, ysym
 from doublelie.grammar import parse_poly
-from doublelie.ideals import random_polynomials
+from doublelie.ideals import Subspace, random_polynomials
 from doublelie.matrices import FinitaryMatrix, LocallyFiniteOperator
 from doublelie.rb import catalog_rb, unit_range
 
@@ -103,9 +103,13 @@ def test_integer_data_stays_int():
     coeffs += list(parse_poly("2*t + 3 - 4/2*t^2").terms.values())
     coeffs += [c for f in random_polynomials(6, 4, seed=1, monic=False)
                for c in f.terms.values()]
+    # subspace coordinates, zeros included
+    L1 = catalog_bracket("L1").carrier
+    coeffs += Subspace(L1, 4).coords(parse_poly("2*t + 3 - 4/2*t^2"))
     assert coeffs and all(type(c) is int for c in coeffs)
     # a non-integer input still gives Fraction, and never a float
     c, = _seg_coeffs(catalog_rb("r1").scaled("1/2").image(2, 0))
     assert c == Fraction(-1, 2) and type(c) is Fraction
     c, = parse_poly("1/2*t").terms.values()
     assert c == Fraction(1, 2) and type(c) is Fraction
+    assert Subspace(L1, 2).coords(parse_poly("1/2*t")) == [0, c, 0]

@@ -7,12 +7,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doublelie.brackets import (catalog_bracket, check_anticommutativity,
                                 check_homomorphism, check_jacobi)
 from doublelie.exact import Tensor2, Vec, esym, tsym
-from doublelie.ideals import (Subspace, ideal_closure, is_ideal,
-                              quotient_bracket, quotient_reduce,
+from doublelie.ideals import (Subspace, _inclusion_minimal, ideal_closure,
+                              is_ideal, quotient_bracket, quotient_reduce,
                               random_polynomials, simplicity_probe,
                               theorem3_replay)
 
@@ -146,6 +147,64 @@ def test_closure_minimality_audit_small_instance():
     reclosed, exhausted = ideal_closure(L2, [Vec.basis(tsym(0))], 10)
     assert not exhausted
     assert {J.key() for J in reclosed} == {I.key()}
+
+
+def reference_minimal(closures):
+    """The pairwise containment filter, as a reference: drop a closure that
+    contains another one with a different key, then any repeated key."""
+    def contains(I, J):
+        return all(I.contains(v) for v in J.basis_vecs())
+
+    minimal = []
+    for I in closures:
+        if any(contains(I, J) and I.key() != J.key() for J in closures):
+            continue
+        if any(J.key() == I.key() for J in minimal):
+            continue
+        minimal.append(I)
+    return minimal
+
+
+_DIM = 5
+_ROW = st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, Fraction(1, 2))),
+                min_size=_DIM, max_size=_DIM)
+
+
+@st.composite
+def _subspace_families(draw):
+    """Distinct subspaces of a 5-dimensional window: spans of subsets of a
+    few generators (so many pairs are nested), plus copies of some of them
+    with one echelon entry changed (same dimension and pivot set, another
+    space)."""
+    carrier = catalog_bracket("L1").carrier
+    gens = draw(st.lists(_ROW, min_size=1, max_size=6))
+    masks = draw(st.lists(st.integers(0, 2 ** len(gens) - 1), min_size=1,
+                          max_size=12))
+    family = [Subspace(carrier, _DIM - 1,
+                       [g for k, g in enumerate(gens) if mask >> k & 1])
+              for mask in masks]
+    for I in draw(st.lists(st.sampled_from(family), max_size=4)):
+        # entries right of a row's pivot, outside the pivot columns
+        free = [(r, c) for r, p in enumerate(I.pivots)
+                for c in range(p + 1, _DIM) if c not in I.pivots]
+        if not free:
+            continue
+        r, c = draw(st.sampled_from(free))
+        rows = [list(row) for row in I.rows]
+        rows[r][c] += draw(st.sampled_from((1, -2, Fraction(1, 3))))
+        family.append(Subspace(carrier, _DIM - 1, rows))
+    distinct = {}
+    for I in draw(st.permutations(family)):
+        distinct.setdefault(I.key(), I)
+    return list(distinct.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_subspace_families())
+def test_pivot_filtered_minimality_matches_pairwise_containment(family):
+    got = _inclusion_minimal(family)
+    assert [I.key() for I in got] == \
+        [I.key() for I in reference_minimal(family)]
 
 
 def test_budget_exhaustion_is_flagged():

@@ -5,6 +5,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import sympy
+from hypothesis import given, strategies as st
+
 from doublelie.linalg import invert_matrix, reduce_vector, rref
 
 
@@ -48,6 +51,52 @@ def test_reduce_vector_detects_membership():
     v = random_matrix(rng, 1, 6)[0]
     out = reduce_vector(v, red, pivots)
     assert all(out[p] == 0 for p in pivots)
+
+
+# mostly zeros, so that eliminations meet zero entries in the pivot row
+_ENTRY = st.sampled_from((0, 0, 0, 0, 1, -1, 3, Fraction(0), Fraction(1, 2),
+                          Fraction(-2, 3)))
+
+
+@st.composite
+def _sparse_systems(draw):
+    """A sparse matrix and a vector with as many entries as it has columns;
+    half of the vectors are combinations of the rows."""
+    cols = draw(st.integers(1, 6))
+    row = st.lists(_ENTRY, min_size=cols, max_size=cols)
+    mat = draw(st.lists(row, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        vec = draw(row)
+    else:
+        coeffs = draw(st.lists(_ENTRY, min_size=len(mat), max_size=len(mat)))
+        vec = [sum(c * r[j] for c, r in zip(coeffs, mat)) for j in range(cols)]
+    return mat, vec
+
+
+def _sympy(rows):
+    return sympy.Matrix([[sympy.Rational(c.numerator, c.denominator)
+                          for c in r] for r in rows])
+
+
+def _fractions(m):
+    return [[Fraction(int(c.p), int(c.q)) for c in m.row(i)]
+            for i in range(m.rows)]
+
+
+@given(_sparse_systems())
+def test_rref_and_reduce_vector_match_sympy(system):
+    mat, vec = system
+    red, pivots = rref(mat)
+    expect, expect_pivots = _sympy(mat).rref()
+    assert pivots == list(expect_pivots)
+    assert red == _fractions(expect)[:len(pivots)]
+    out = reduce_vector(vec, red, pivots)
+    assert len(out) == len(vec) and all(out[p] == 0 for p in pivots)
+    # vec - out lies in the row space, and out is zero exactly for members
+    rank = len(pivots)
+    diff = [a - b for a, b in zip(vec, out)]
+    assert _sympy(mat + [diff]).rank() == rank
+    assert (not any(out)) == (_sympy(mat + [vec]).rank() == rank)
 
 
 def test_inverse_multiplies_to_identity():

@@ -48,6 +48,19 @@ def block_cut(x, n):
     return mul_mixed(mul_mixed(p, x), p)
 
 
+@pytest.mark.parametrize("cls", [FinitaryMatrix, StridedRayOperator])
+def test_inherited_constructors_match_the_base_class(cls):
+    base = LocallyFiniteOperator
+    assert cls.zero() == base.zero() and not cls.zero()
+    assert cls.zero(INTEGERS) == base.zero(INTEGERS)
+    for args, kwargs in (((1, 0, 0, 3), {}), ((2, 1, 3), {}),
+                         ((1, 0, 0, 0), {}),
+                         ((-1, 2, 0), {"domain": INTEGERS, "back": True})):
+        assert cls.ray(*args, **kwargs) == base.ray(*args, **kwargs)
+    assert cls.unit(1, 2) == base.unit(1, 2)
+    assert cls.unit(-1, 2, INTEGERS, 3) == base.unit(-1, 2, INTEGERS, 3)
+
+
 def test_unit_product_rule():
     for j in range(4):
         for k in range(4):
