@@ -151,12 +151,18 @@ def _window_pairs(B, I, window):
 def _survivors(B, I, window):
     """The bracket values of window symbols v with generators g of I, both
     ways round, that survive the quotient map, in a fixed sweep order: the
-    tuples (v, g, side, surviving tensor)."""
+    tuples (v, g, side, surviving tensor).  A value with a term outside the
+    window is skipped, like the pairs that _window_pairs bounds out: the
+    degree bound is only an upper one, and Laurent values can fall below
+    degree -window."""
     for v, g in _window_pairs(B, I, window):
         vv = Vec.basis(v)
         for left, right, side in ((vv, g, "ambient,ideal"),
                                   (g, vv, "ideal,ambient")):
-            surv = quotient_reduce(B.eval_linear(left, right), I)
+            value = B.eval_linear(left, right)
+            if not all(a in I.pos and b in I.pos for a, b in value.terms):
+                continue
+            surv = quotient_reduce(value, I)
             if surv:
                 yield v, g, side, surv
 

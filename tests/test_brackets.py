@@ -7,14 +7,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from doublelie.brackets import (CATALOG_BRACKET_NAMES, bracket_from_rb,
-                                catalog_bracket, check_anticommutativity,
+from doublelie import brackets
+from doublelie.brackets import (CATALOG_BRACKET_NAMES, DoubleBracket,
+                                bracket_from_rb, catalog_bracket,
+                                check_anticommutativity,
                                 check_basis_independence,
                                 check_bracket_relations, check_homomorphism,
                                 check_jacobi, check_leibniz,
                                 divided_difference, rb_from_bracket)
-from doublelie.exact import Tensor2, Vec, esym, tsym
+from doublelie.exact import Tensor2, Vec, esym, tsym, ysym
 from doublelie.rb import catalog_rb
 
 
@@ -100,7 +103,6 @@ def test_fourth_bracket_leibniz_is_for_the_shifted_product():
         sym = plain.sym
         index = plain.index
 
-    from doublelie.brackets import DoubleBracket
     B_plain = DoubleBracket("fourth-plain", Plain(), B._eval_fn,
                             degree_shift=1)
     assert not check_leibniz(B_plain, 4).passed
@@ -146,7 +148,6 @@ def test_finite_catalog_brackets_match_their_operators():
 
 
 def test_matrix_polynomial_bracket_matches_extended_operator():
-    from doublelie.exact import ysym
     for N in (2, 3):
         table = catalog_bracket("dY", N=N)
         from_op = bracket_from_rb(catalog_rb("kac", N=N))
@@ -194,3 +195,69 @@ def test_catalog_names_are_buildable():
         catalog_bracket(name)
     with pytest.raises(ValueError):
         catalog_bracket("nosuch")
+
+
+# ---------------------------------------------------------------------------
+# kernel brackets: Jacobi and Leibniz on one label lift per degree triple
+
+def full_sweep(B):
+    """The same bracket without its kernel, so every checker sweeps all
+    window triples."""
+    return DoubleBracket(B.name, B.carrier, B.eval, B.degree_shift)
+
+
+def assert_sweeps_agree(B, window):
+    oracle = full_sweep(B)
+    assert B.kernel is not None and oracle.kernel is None
+    for check in (check_jacobi, check_leibniz):
+        assert check(B, window).to_json() == \
+            check(oracle, window).to_json(), check.__name__
+
+
+_DEGREE = st.integers(0, 3)
+_KERNEL_TABLES = st.dictionaries(
+    st.tuples(_DEGREE, _DEGREE),
+    st.dictionaries(st.tuples(_DEGREE, _DEGREE),
+                    st.integers(-2, 2).filter(bool), min_size=1, max_size=2),
+    max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_KERNEL_TABLES, st.integers(1, 3), st.integers(1, 3))
+def test_random_kernels_match_the_full_sweep(table, N, window):
+    B = DoubleBracket.from_kernel("K", N, lambda m, n: table.get((m, n), {}))
+    assert_sweeps_agree(B, window)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), _DEGREE, _DEGREE,
+       st.integers(0, 5))
+def test_flipped_dy_kernels_match_the_full_sweep(N, window, m0, n0, pick):
+    dY = catalog_bracket("dY", N=N).kernel
+
+    def kernel(m, n):
+        value = dict(dY(m, n))
+        if (m, n) == (m0, n0) and value:
+            key = sorted(value)[pick % len(value)]
+            value[key] = -value[key]
+        return value
+
+    assert_sweeps_agree(DoubleBracket.from_kernel("dY!flip", N, kernel,
+                                                  degree_shift=-1), window)
+
+
+def test_kac_bracket_takes_the_kernel_path(monkeypatch):
+    calls = []
+    defect = brackets.jacobi_defect
+    monkeypatch.setattr(brackets, "jacobi_defect",
+                        lambda *args: calls.append(args) or defect(*args))
+    window = 3
+    for N in (2, 3):
+        B = bracket_from_rb(catalog_rb("kac", N=N))
+        assert B.kernel is not None
+        del calls[:]
+        assert check_jacobi(B, window).passed
+        assert check_leibniz(B, window).passed
+        # one label lift per degree triple, and no window triple of B itself
+        assert len(calls) == (window + 1) ** 3
+        assert not B._memo

@@ -125,6 +125,32 @@ def test_simplicity_accepts_max_degree_equal_to_window(capsys):
     assert code == 0 and records(out)[0]["details"]["seeds"] == 4
 
 
+@pytest.mark.parametrize("name", ["ex1", "ex2", "quiver", "dY"])
+def test_simplicity_without_a_t_basis_is_input_error(capsys, name):
+    # the probe's seeds are t-polynomials, which these carriers do not have
+    code, out, err = run(capsys, "simplicity", name, "--window", "2",
+                         "--max-degree", "1", "--seeds", "1")
+    assert code == 2 and not out
+    assert "input error" in err and "of %s" % name in err
+
+
+def test_laurent_closure_skips_values_below_the_window(capsys):
+    # the node span{t^-3, 1, t} meets <<t^-3, t^-3>>, which has a t^-6 term
+    code, out, _ = run(capsys, "ideal", "closure", "L1_laurent", "--seed",
+                       "t + 1", "--window", "3")
+    assert code == 0 and records(out)[0]["status"] == "pass"
+
+
+def test_laurent_closure_record_is_pinned(capsys):
+    code, out, _ = run(capsys, "ideal", "closure", "L2_laurent", "--seed",
+                       "t", "--window", "3")
+    assert code == 0
+    assert out == (
+        '{"check": "ideal_closure", "target": "L2_laurent", "seed": "t", '
+        '"window": 3, "budget": 5000, "status": "pass", "closures": '
+        '[["t^-3", "t^-2", "t^-1", "t^0", "t^1"]]}\n')
+
+
 def test_window_beyond_cutoff_is_input_error(capsys):
     code, _, err = run(capsys, "verify", "r1", "--window", "9",
                        "--cutoff", "4")
