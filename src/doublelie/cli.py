@@ -178,18 +178,14 @@ def _parse_seed_poly(text):
         raise InputError("malformed polynomial %r: %s" % (text, exc))
 
 
-def _require_seed_in_window(B, seed, text, args):
-    if not set(seed.terms) <= set(B.carrier.window_syms(args.window)):
-        raise InputError("seed %r has terms outside window %d of %s"
-                         % (text, args.window, args.bracket))
-
-
 def _cmd_ideal_closure(args):
     if args.bracket not in CATALOG_BRACKET_NAMES:
         raise InputError("unknown bracket %r" % args.bracket)
     B = catalog_bracket(args.bracket)
     seed = _parse_seed_poly(args.seed)
-    _require_seed_in_window(B, seed, args.seed, args)
+    if not set(seed.terms) <= set(B.carrier.window_syms(args.window)):
+        raise InputError("seed %r has terms outside window %d of %s"
+                         % (args.seed, args.window, args.bracket))
     closures, exhausted = ideal_closure(B, [seed], args.window, args.budget)
     record = {"check": "ideal_closure", "target": args.bracket,
               "seed": args.seed, "window": args.window,
@@ -210,7 +206,7 @@ def _cmd_ideal_closure(args):
 
 
 def _cmd_simplicity(args):
-    from .ideals import random_polynomials, simplicity_probe
+    from .ideals import simplicity_probe
     if args.bracket not in CATALOG_BRACKET_NAMES:
         raise InputError("unknown bracket %r" % args.bracket)
     if args.seeds < 1:
@@ -219,11 +215,11 @@ def _cmd_simplicity(args):
         raise InputError("--max-degree must lie in 0..%d (the window), got %d"
                          % (args.window, args.max_degree))
     B = catalog_bracket(args.bracket)
-    # the seeds are t-polynomials, so a carrier without a t-basis has none
-    seeds = random_polynomials(args.seeds, args.max_degree, args.rng_seed)
-    for f in seeds:
-        _require_seed_in_window(B, f, render_vec(f), args)
-    rep = simplicity_probe(B, args.window, seeds=seeds,
+    if tsym(0) not in B.carrier.window_syms(0):
+        raise InputError("simplicity draws t-polynomial seeds; %s has no "
+                         "t-basis" % args.bracket)
+    rep = simplicity_probe(B, args.window, seed_count=args.seeds,
+                           max_degree=args.max_degree,
                            rng_seed=args.rng_seed, budget=args.budget)
     if not rep.passed and rep.counterexample and \
             rep.counterexample.get("reason") == "budget exhausted":

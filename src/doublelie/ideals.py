@@ -151,16 +151,18 @@ def _window_pairs(B, I, window):
 def _survivors(B, I, window):
     """The bracket values of window symbols v with generators g of I, both
     ways round, that survive the quotient map, in a fixed sweep order: the
-    tuples (v, g, side, surviving tensor).  A value with a term outside the
-    window is skipped, like the pairs that _window_pairs bounds out: the
-    degree bound is only an upper one, and Laurent values can fall below
-    degree -window."""
+    tuples (v, g, side, surviving tensor).  On a Laurent carrier a value
+    with a term outside the window is skipped, like the pairs that
+    _window_pairs bounds out: the degree bound is only an upper one, and
+    Laurent values can fall below degree -window."""
+    laurent = getattr(B.carrier, "laurent", False)
     for v, g in _window_pairs(B, I, window):
         vv = Vec.basis(v)
         for left, right, side in ((vv, g, "ambient,ideal"),
                                   (g, vv, "ideal,ambient")):
             value = B.eval_linear(left, right)
-            if not all(a in I.pos and b in I.pos for a, b in value.terms):
+            if laurent and not all(a in I.pos and b in I.pos
+                                   for a, b in value.terms):
                 continue
             surv = quotient_reduce(value, I)
             if surv:

@@ -198,7 +198,7 @@ def test_catalog_names_are_buildable():
 
 
 # ---------------------------------------------------------------------------
-# kernel brackets: Jacobi and Leibniz on one label lift per degree triple
+# kernel brackets: Jacobi and Leibniz swept on the label-(1,1) symbols
 
 def full_sweep(B):
     """The same bracket without its kernel, so every checker sweeps all
@@ -258,6 +258,6 @@ def test_kac_bracket_takes_the_kernel_path(monkeypatch):
         del calls[:]
         assert check_jacobi(B, window).passed
         assert check_leibniz(B, window).passed
-        # one label lift per degree triple, and no window triple of B itself
+        # one triple per degree triple, all on label (1,1)
         assert len(calls) == (window + 1) ** 3
-        assert not B._memo
+        assert {s[1][1:] for abc in calls for s in abc[1:]} == {(1, 1)}
