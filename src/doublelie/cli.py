@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .brackets import CATALOG_BRACKET_NAMES, catalog_bracket
@@ -70,17 +71,30 @@ MODULE_NAMES = ("tpoly-under-third", "t2poly-under-first", "block-bimodule")
 # ---------------------------------------------------------------------------
 # emission
 
-def _emit(reports, fmt, extra=None):
-    failed = False
+def _output(args, lines, code=EXIT_PASS):
+    """Print the lines and return the exit code, which is kept on args
+    first: main returns it also when the reader closes stdout early.  The
+    flush makes a closed reader show here, not at the interpreter's final
+    flush."""
+    args.exit_code = code
+    for line in lines:
+        print(line)
+    sys.stdout.flush()
+    return code
+
+
+def _emit(args, reports, extra=None, code=None):
+    """Print one line per report; the exit code is code, or else whether
+    every report passed."""
+    lines = []
     for rep in reports:
         if extra:
             rep.params.update(extra)
-        if fmt == "structured":
-            print(rep.to_json())
-        else:
-            print(rep.summary_line())
-        failed = failed or not rep.passed
-    return EXIT_FAIL if failed else EXIT_PASS
+        lines.append(rep.to_json() if args.format == "structured"
+                     else rep.summary_line())
+    if code is None:
+        code = EXIT_PASS if all(rep.passed for rep in reports) else EXIT_FAIL
+    return _output(args, lines, code)
 
 
 # ---------------------------------------------------------------------------
@@ -90,13 +104,13 @@ def _cmd_catalog_list(args):
     records = [("operator", n) for n in CATALOG_RB_NAMES]
     records += [("bracket", n) for n in CATALOG_BRACKET_NAMES]
     records += [("module", n) for n in MODULE_NAMES]
-    for kind, name in records:
-        if args.format == "structured":
-            print(json.dumps({"kind": kind, "name": name},
-                             separators=(", ", ": ")))
-        else:
-            print("%-8s %s" % (kind, name))
-    return EXIT_PASS
+    if args.format == "structured":
+        lines = [json.dumps({"kind": kind, "name": name},
+                            separators=(", ", ": "))
+                 for kind, name in records]
+    else:
+        lines = ["%-8s %s" % (kind, name) for kind, name in records]
+    return _output(args, lines)
 
 
 def _verify_operator(name, window, cutoff):
@@ -149,7 +163,7 @@ def _cmd_verify(args):
         reports = _verify_bracket(name, window)
     else:
         raise InputError("unknown target %r (see: catalog list)" % name)
-    return _emit(reports, args.format)
+    return _emit(args, reports)
 
 
 def _cmd_bracket_eval(args):
@@ -163,12 +177,10 @@ def _cmd_bracket_eval(args):
         raise InputError("basis index out of range: %s" % exc)
     value = render_tensor2(B.eval(s1, s2))
     if args.format == "structured":
-        print(json.dumps({"check": "bracket_eval", "target": args.name,
-                          "n": args.n, "m": args.m, "value": value},
-                         separators=(", ", ": ")))
-    else:
-        print(value)
-    return EXIT_PASS
+        value = json.dumps({"check": "bracket_eval", "target": args.name,
+                            "n": args.n, "m": args.m, "value": value},
+                           separators=(", ", ": "))
+    return _output(args, [value])
 
 
 def _parse_seed_poly(text):
@@ -194,12 +206,13 @@ def _cmd_ideal_closure(args):
               "closures": [[render_vec(v) for v in I.basis_vecs()]
                            for I in closures]}
     if args.format == "structured":
-        print(json.dumps(record, separators=(", ", ": ")))
+        lines = [json.dumps(record, separators=(", ", ": "))]
     else:
-        print("closures: %d%s" % (len(closures),
-                                  "  (budget exhausted)" if exhausted else ""))
-        for basis in record["closures"]:
-            print("  span{%s}" % ", ".join(basis))
+        lines = ["closures: %d%s" % (len(closures), "  (budget exhausted)"
+                                     if exhausted else "")]
+        lines += ["  span{%s}" % ", ".join(basis)
+                  for basis in record["closures"]]
+    _output(args, lines, EXIT_BUDGET if exhausted else EXIT_PASS)
     if exhausted:
         raise BudgetError("closure budget exhausted")
     return EXIT_PASS
@@ -221,11 +234,12 @@ def _cmd_simplicity(args):
     rep = simplicity_probe(B, args.window, seed_count=args.seeds,
                            max_degree=args.max_degree,
                            rng_seed=args.rng_seed, budget=args.budget)
-    if not rep.passed and rep.counterexample and \
-            rep.counterexample.get("reason") == "budget exhausted":
-        _emit([rep], args.format)
+    exhausted = not rep.passed and rep.counterexample and \
+        rep.counterexample.get("reason") == "budget exhausted"
+    code = _emit(args, [rep], code=EXIT_BUDGET if exhausted else None)
+    if exhausted:
         raise BudgetError("closure budget exhausted")
-    return _emit([rep], args.format)
+    return code
 
 
 def _cmd_module_check(args):
@@ -242,7 +256,7 @@ def _cmd_module_check(args):
     elif any(act.eval(l, m) for l in act.l_syms for m in act.m_syms):
         reports.append(proposition_equivalence(B_L, act, mutations=5,
                                                rng_seed=args.rng_seed))
-    return _emit(reports, args.format)
+    return _emit(args, reports)
 
 
 def _cmd_report_all(args):
@@ -267,7 +281,7 @@ def _cmd_report_all(args):
         reports.append(check_module_axioms(act, B_L))
         if name == "block-bimodule":
             reports.append(rb_bimodule_split_check(B_L, act))
-    return _emit(reports, args.format, extra={"rng_seed": args.rng_seed})
+    return _emit(args, reports, extra={"rng_seed": args.rng_seed})
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +376,14 @@ def main(argv=None):
     except BudgetError as exc:
         print("budget exhausted: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at devnull, so that the
+        # interpreter's final flush of what is still buffered cannot raise
+        # again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return args.exit_code
 
 
 if __name__ == "__main__":

@@ -10,7 +10,13 @@ is checked per pair of units x, y in a window on the segment normal form:
 both sides are built as locally finite operators and compared exactly, which
 settles every basis vector at once.  Only a pair whose sides differ is read
 column by column, for the first basis vector up to the cutoff at which they
-differ.
+differ.  On the integers the pairs are first settled one per shift orbit:
+when R(e_{i+s,j+s}) is R(e_ij) moved s rows and s columns at every unit
+read, a pair and its moved copy get the same verdict, so the pairs whose
+least index is 0 in [0, 2 * window] decide the window.  Equivariance is
+checked on the window's units before that sweep and on every unit the
+window pairs read after it; if either check fails, or the sides of an
+orbit's pair differ, the full sweep gives the record.
 Skew-symmetry is the condition <R(x),y> = -<x,R(y)> for the trace pairing
 <x,y> = tr(xy).
 
@@ -101,6 +107,80 @@ def _render_vec_dict(d):
     return " + ".join("%s*u_%d" % (c, r) for r, c in sorted(d.items())) or "0"
 
 
+def _pair_sides(R, idx, orbit=False):
+    """Both sides of the identity at the unit pairs x = e_{ij}, y = e_{kl}
+    with i, j, k, l in idx, in sweep order, as (i, j, k, l, operand, lhs,
+    rhs): operand is R(x)y + xR(y) as {unit: coeff} on the domain, lhs is
+    R(x)R(y) and rhs is R(operand).  With orbit, only the tuples holding an
+    index 0 are swept."""
+    dom = R.domain
+    for i in idx:
+        for j in idx:
+            Rx = R.image(i, j)
+            for k in idx:
+                for l in (idx if not orbit or 0 in (i, j, k) else (0,)):
+                    Ry = R.image(k, l)
+                    terms = [((r, l), c) for r, c in Rx.apply_index(k).items()]
+                    terms += [((i, cc), c) for cc, c in Ry.row(j).items()]
+                    operand = {key: c for key, c in sparse_sum(terms).items()
+                               if dom.contains(key[0])
+                               and dom.contains(key[1])}
+                    yield (i, j, k, l, operand, mul_mixed(Rx, Ry),
+                           R._image_sum(operand.items()))
+
+
+def _is_shift(op, ref, s):
+    """Whether op is ref moved s rows down and s columns right."""
+    segs = {o: tuple((None if lo is None else lo + s,
+                      None if hi is None else hi + s, c) for lo, hi, c in ss)
+            for o, ss in ref.segs.items()}
+    if ref.step > 1:
+        # a class covered end to end is split at its least nonnegative row,
+        # which does not move with the shift
+        return op == LocallyFiniteOperator(segs, ref.domain, ref.step)
+    return op.step == 1 and op.domain == ref.domain and op.segs == segs
+
+
+def _shift_equivariant(R, spans):
+    """Whether R(e_{a,a+d}) is R(e_{lo,lo+d}) moved a - lo rows and columns
+    for every diagonal d and lo <= a <= hi, spans being {d: (lo, hi)}."""
+    for d, (lo, hi) in spans.items():
+        ref = R.image(lo, lo + d)
+        for a in range(lo + 1, hi + 1):
+            if not _is_shift(R.image(a, a + d), ref, a - lo):
+                return False
+    return True
+
+
+def _orbits_agree(R, window):
+    """Whether the shift orbits settle every unit pair of the window: R is
+    shift-equivariant on the window's units, both sides agree at the pair of
+    each orbit whose least index is 0, and R is shift-equivariant on every
+    unit that the window pairs of those orbits read."""
+    w = window
+    inside = {}
+    for d in range(-2 * w, 2 * w + 1):
+        lo = max(-w, -w - d)
+        # the corner diagonals, d = +-2w, hold one window unit each, which
+        # is compared with the next unit along its diagonal
+        inside[d] = (lo, max(min(w, w - d), lo + 1))
+    if not _shift_equivariant(R, inside):
+        return False
+    read = set()
+    for i, j, k, l, operand, lhs, rhs in _pair_sides(R, range(2 * w + 1),
+                                                     orbit=True):
+        if lhs != rhs:
+            return False
+        read.update(((i, j), (k, l)), operand)
+    spans = {}
+    for a, b in read:
+        lo, hi = spans.get(b - a, (a, a))
+        spans[b - a] = (min(lo, a), max(hi, a))
+    # the window pairs of an orbit are its pair moved by s in [-w, w]
+    return _shift_equivariant(R, {d: (lo - w, hi + w)
+                                  for d, (lo, hi) in spans.items()})
+
+
 def check_rb_identity(R, window=8, cutoff=None):
     """Exact check of R(x)R(y) = R(R(x)y + xR(y)) on all unit pairs in the
     window, on every basis vector up to the cutoff.
@@ -113,6 +193,29 @@ def check_rb_identity(R, window=8, cutoff=None):
     sides differ only beyond the cutoff therefore passes, as the
     window-relative verdict says.
 
+    On the integers, where the window is -window..window, the pairs are
+    first settled by shift orbits.  Moving every index by s is conjugation
+    by a permutation matrix, which commutes with products and sums; so when
+    R(e_{a+s,b+s}) is R(e_{ab}) moved by s at every unit a pair reads, both
+    sides at the moved pair are the sides at the pair, moved.  Every window
+    pair is then a pair with least index 0 in [0, 2 * window], moved by some
+    s in [-window, window].  Three checks make up this path:
+
+    1. R(e_{a,a+d}) is a reference image inside the window, moved, at every
+       unit of the window, and on the corner diagonals d = +-2 * window,
+       which hold one window unit each, at the next unit along them;
+    2. both sides are equal operators at every pair with least index 0 in
+       [0, 2 * window], recording every unit read: x, y and the support of
+       R(x)y + xR(y);
+    3. on each diagonal d met, the images R(e_{a,a+d}) are one image moved,
+       for every a from the least recorded a minus the window to the
+       largest plus it, which covers every unit that the full sweep reads.
+
+    Then both sides are equal operators at every window pair, which is
+    stronger than agreeing up to the cutoff, and the success record is the
+    full sweep's.  When any check fails, the full sweep below runs and gives
+    the record, pass or fail.
+
     For operators carrying a matrix tensor factor (N > 1) the identity on
     composite units e_{ij} (x) e_{ab} reduces, through the Kronecker delta of
     the matrix factor, to the identity on the base units scaled by delta_{bc};
@@ -120,36 +223,26 @@ def check_rb_identity(R, window=8, cutoff=None):
     if cutoff is None:
         cutoff = 2 * window
     params = {"window": window, "cutoff": cutoff}
-    idx = unit_range(R.domain, window)
-    qs = list(unit_range(R.domain, cutoff))
     details = None
     if R.N > 1:
         details = ("matrix factor of size %d handled by the delta "
                    "factorization of composite units" % R.N)
-    for i in idx:
-        for j in idx:
-            Rx = R.image(i, j)
-            for k in idx:
-                for l in idx:
-                    Ry = R.image(k, l)
-                    terms = [((r, l), c) for r, c in Rx.apply_index(k).items()]
-                    terms += [((i, cc), c) for cc, c in Ry.row(j).items()]
-                    operand = {key: c for key, c in sparse_sum(terms).items()
-                               if R.domain.contains(key[0])
-                               and R.domain.contains(key[1])}
-                    lhs = mul_mixed(Rx, Ry)
-                    rhs = R._image_sum(operand.items())
-                    if lhs == rhs:
-                        continue
-                    for q in qs:
-                        lhs_q, rhs_q = lhs.apply_index(q), rhs.apply_index(q)
-                        if lhs_q != rhs_q:
-                            ce = {"x": "e[%d,%d]" % (i, j),
-                                  "y": "e[%d,%d]" % (k, l), "q": q,
-                                  "lhs": _render_vec_dict(lhs_q),
-                                  "rhs": _render_vec_dict(rhs_q)}
-                            return VerificationReport.failure(
-                                "rb_identity", R.name, ce, params)
+    if R.domain.kind == "integers" and _orbits_agree(R, window):
+        return VerificationReport.success("rb_identity", R.name, params,
+                                          details)
+    qs = list(unit_range(R.domain, cutoff))
+    for i, j, k, l, _, lhs, rhs in _pair_sides(R, unit_range(R.domain,
+                                                             window)):
+        if lhs == rhs:
+            continue
+        for q in qs:
+            lhs_q, rhs_q = lhs.apply_index(q), rhs.apply_index(q)
+            if lhs_q != rhs_q:
+                ce = {"x": "e[%d,%d]" % (i, j), "y": "e[%d,%d]" % (k, l),
+                      "q": q, "lhs": _render_vec_dict(lhs_q),
+                      "rhs": _render_vec_dict(rhs_q)}
+                return VerificationReport.failure("rb_identity", R.name, ce,
+                                                  params)
     return VerificationReport.success("rb_identity", R.name, params, details)
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import sys
 
 import pytest
 
@@ -222,3 +224,23 @@ def test_report_all_is_deterministic_and_green(capsys):
     assert len(recs) > 30
     assert all(r["status"] == "pass" for r in recs)
     assert all(r["rng_seed"] == 2024 for r in recs)
+
+
+@pytest.mark.parametrize("argv, expect", [
+    (("catalog", "list"), 0),
+    # the exit code computed before the output was cut still holds
+    (("ideal", "closure", "L2", "--seed", "1", "--window", "12",
+      "--budget", "1"), 3),
+])
+def test_closed_stdout_exits_quietly(capsys, monkeypatch, argv, expect):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    # line buffered, so that every print writes to the pipe, and raises
+    # BrokenPipeError since nothing reads it
+    with open(write_end, "w", buffering=1) as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(list(argv)) == expect
+        # stdout now points at devnull
+        print("more")
+        monkeypatch.undo()
+    assert capsys.readouterr().err == ""

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from doublelie.exact import Vec, tsym
 from doublelie.matrices import (INTEGERS, NATURALS, Domain, FinitaryMatrix,
@@ -286,6 +286,7 @@ def _operators(draw, domain):
     return LocallyFiniteOperator(segs, domain, step)
 
 
+@settings(deadline=None)
 @given(st.sampled_from((NATURALS, INTEGERS)).flatmap(
     lambda d: st.tuples(_operators(d), _operators(d))))
 def test_operator_sums_are_canonical_across_steps(ops):

@@ -6,10 +6,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from doublelie import rb
 from doublelie.exact import sparse_sum
-from doublelie.matrices import (FinitaryMatrix, LocallyFiniteOperator,
-                                NATURALS, mul_mixed)
+from doublelie.matrices import (INTEGERS, FinitaryMatrix,
+                                LocallyFiniteOperator, NATURALS,
+                                StridedRayOperator, mul_mixed)
 from doublelie.report import VerificationReport
 from doublelie.rb import (CATALOG_RB_NAMES, RBOperator, build_pk, catalog_rb,
                           check_rb_identity, check_skew_symmetry,
@@ -293,3 +296,124 @@ def test_rb_identity_difference_beyond_cutoff():
     assert rep.counterexample == {"x": "e[0,0]", "y": "e[0,0]", "q": 20,
                                   "lhs": "1*u_20", "rhs": "0"}
     _same_record(far, 3, 24)
+
+
+# ---------------------------------------------------------------------------
+# the shift-orbit path on the integers, against the pointwise oracle
+
+_LAURENT = st.sampled_from(("r1_laurent", "r2_laurent"))
+
+
+def _scaled_laurent(name, alpha, transpose):
+    R = catalog_rb(name).scaled(alpha)
+    return conjugate_by(R, "transpose") if transpose else R
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.one_of(
+    st.builds(_scaled_laurent, _LAURENT,
+              st.fractions(min_value=-3, max_value=3,
+                           max_denominator=4).filter(bool), st.booleans()),
+    st.builds(lambda: catalog_rb("zero", domain=INTEGERS))),
+    st.integers(min_value=1, max_value=3))
+def test_orbit_path_matches_oracle_on_passing_operators(R, window):
+    assert '"status": "pass"' in _same_record(R, window, 2 * window)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_LAURENT, st.integers(min_value=1, max_value=3), st.data())
+def test_orbit_path_matches_oracle_on_laurent_sign_mutants(name, window,
+                                                           data):
+    unit = data.draw(st.tuples(st.integers(-window, window),
+                               st.integers(-window, window)))
+    rec = _same_record(mutate_sign(catalog_rb(name), *unit), window,
+                       2 * window)
+    assert '"status": "fail"' in rec
+
+
+@pytest.mark.parametrize("name, unit", [("r1_laurent", (-7, -2)),
+                                        ("r2_laurent", (-2, -4))])
+def test_orbit_path_reads_units_outside_the_window(name, unit):
+    # at window 2 the unit is read only in the support of R(x)y + xR(y), at
+    # window pairs that are no orbit's pair with least index 0: the operator
+    # is shift-equivariant on the window and on every unit the orbit pairs
+    # read, and fails only through that unit
+    assert '"status": "fail"' in _same_record(
+        mutate_sign(catalog_rb(name), *unit), 2, 4)
+
+
+def test_orbit_path_difference_beyond_cutoff():
+    # R(e_aa) = e_{a+22,a+22}, every other image 0, is shift-equivariant;
+    # for x = y = e_aa the left side is R(e_aa) and the right side is 0, so
+    # at window 2 the two differ only on u_q with q >= 20
+    far = RBOperator("far", INTEGERS,
+                     lambda i, j: LocallyFiniteOperator.unit(
+                         i + 22, i + 22, INTEGERS) if i == j
+                     else LocallyFiniteOperator.zero(INTEGERS))
+    assert check_rb_identity(far, 2, 19).passed
+    _same_record(far, 2, 19)
+    rep = check_rb_identity(far, 2, 24)
+    assert rep.counterexample == {"x": "e[-2,-2]", "y": "e[-2,-2]", "q": 20,
+                                  "lhs": "1*u_20", "rhs": "0"}
+    _same_record(far, 2, 24)
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_orbit_path_covers_the_widest_orbits(window):
+    # R(e_{a,a+w}) = e_aa, every other image 0: the identity fails only at
+    # x = e_{a,a+w}, y = e_{a+w,a+2w}, whose indices spread over 2w
+    collapse = RBOperator("collapse", INTEGERS,
+                          lambda i, j: LocallyFiniteOperator.unit(
+                              i, i, INTEGERS) if j - i == window
+                          else LocallyFiniteOperator.zero(INTEGERS))
+    rec = _same_record(collapse, window, 2 * window)
+    assert '"x": "e[%d,0]", "y": "e[0,%d]"' % (-window, window) in rec
+
+
+def _class_diagonal(i, j):
+    """Every e_{i+2m,j+2m}, m in Z: a step-2 class covered end to end."""
+    return LocallyFiniteOperator({j - i: [(None, i, 1), (i + 2, None, 1)]},
+                                 INTEGERS, 2)
+
+
+def test_shift_of_a_split_class():
+    # the normal form splits such a class at its least nonnegative row, so
+    # moving it by the step changes its segments but not the operator
+    a, b = _class_diagonal(0, 1), _class_diagonal(2, 3)
+    assert a.segs == b.segs != _class_diagonal(1, 2).segs
+    assert rb._is_shift(b, a, 2) and rb._is_shift(_class_diagonal(1, 2), a, 1)
+    assert not rb._is_shift(b, a, 1)
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+@pytest.mark.parametrize("name, image_fn", [
+    ("strided", lambda i, j: StridedRayOperator(1, i, j + 2, 2, INTEGERS)),
+    ("classes", _class_diagonal),
+])
+def test_orbit_path_on_strided_images(name, image_fn, window):
+    _same_record(RBOperator(name, INTEGERS, image_fn), window, 2 * window)
+
+
+def test_orbit_path_products(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return mul_mixed(a, b)
+
+    monkeypatch.setattr(rb, "mul_mixed", counted)
+    assert check_rb_identity(catalog_rb("r1_laurent"), 6).passed
+    # one pair per orbit: the tuples in [0, 12]^4 that hold a 0
+    assert len(calls) == 13 ** 4 - 12 ** 4 == 7825
+    # a corrupted window unit fails the window precheck, so only the full
+    # sweep runs, up to its first failing pair; (-3, 3) and (3, -3) are the
+    # one window unit on their diagonals
+    for unit in ((1, -1), (-3, 3), (3, -3)):
+        calls.clear()
+        rep = check_rb_identity(mutate_sign(catalog_rb("r2_laurent"), *unit),
+                                3)
+        pos = 0
+        for x in (rep.counterexample["x"], rep.counterexample["y"]):
+            for v in x[2:-1].split(","):
+                pos = 7 * pos + int(v) + 3
+        assert len(calls) == pos + 1, unit
