@@ -152,12 +152,13 @@ def _verify_bracket(name, window):
 
 def _cmd_verify(args):
     window, cutoff = args.window, args.cutoff
-    if cutoff is None:
-        cutoff = 2 * window
-    if window > cutoff:
-        raise InputError("window %d exceeds cutoff %d" % (window, cutoff))
     name = args.target
     if name in CATALOG_RB_NAMES:
+        # the cutoff bounds the RB sweep's rows; brackets have none
+        if cutoff is None:
+            cutoff = 2 * window
+        if window > cutoff:
+            raise InputError("window %d exceeds cutoff %d" % (window, cutoff))
         reports = _verify_operator(name, window, cutoff)
     elif name in CATALOG_BRACKET_NAMES:
         reports = _verify_bracket(name, window)

@@ -11,14 +11,17 @@ from hypothesis import given, settings, strategies as st
 
 from doublelie import brackets
 from doublelie.brackets import (CATALOG_BRACKET_NAMES, DoubleBracket,
-                                bracket_from_rb, catalog_bracket,
+                                FiniteCarrier, PolyCarrier, bracket_from_rb,
+                                catalog_bracket,
                                 check_anticommutativity,
                                 check_basis_independence,
                                 check_bracket_relations, check_homomorphism,
                                 check_jacobi, check_leibniz,
                                 divided_difference, rb_from_bracket)
-from doublelie.exact import Tensor2, Vec, esym, tsym, ysym
+from doublelie.exact import Tensor2, Vec, esym, sparse_sum, tsym, ysym
+from doublelie.grammar import render_sym
 from doublelie.rb import catalog_rb
+from doublelie.report import VerificationReport
 
 
 def oracle_first(n, m):
@@ -198,18 +201,223 @@ def test_catalog_names_are_buildable():
 
 
 # ---------------------------------------------------------------------------
-# kernel brackets: Jacobi and Leibniz swept on the label-(1,1) symbols
+# the axiom checkers against full sweeps
+
+def _failure(check, B, ce, window):
+    return VerificationReport.failure(check, B.name, ce, {"window": window})
+
+
+def oracle_anticommutativity(B, window):
+    """Every ordered window pair, every label."""
+    syms = B.carrier.window_syms(window)
+    for a in syms:
+        for b in syms:
+            if B.eval(a, b) + B.eval(b, a).permute() != Tensor2():
+                return _failure("anticommutativity", B,
+                                {"a": render_sym(a), "b": render_sym(b)},
+                                window)
+    return VerificationReport.success("anticommutativity", B.name,
+                                      {"window": window})
+
+
+def oracle_jacobi(B, window):
+    """Every ordered window triple, every label."""
+    syms = B.carrier.window_syms(window)
+    for a in syms:
+        for b in syms:
+            for c in syms:
+                defect = brackets.jacobi_defect(B, a, b, c)
+                if defect:
+                    key = min(defect)
+                    ce = {"a": render_sym(a), "b": render_sym(b),
+                          "c": render_sym(c),
+                          "defect_term": "%s (x) %s (x) %s -> %s" % (
+                              render_sym(key[0]), render_sym(key[1]),
+                              render_sym(key[2]), defect[key])}
+                    return _failure("jacobi", B, ce, window)
+    return VerificationReport.success("jacobi", B.name, {"window": window})
+
+
+def oracle_leibniz(B, window):
+    """<<a, bc>> against <<a,b>>c + b<<a,c>> on every window triple."""
+    carrier = B.carrier
+    syms = carrier.window_syms(window)
+    for a in syms:
+        for b in syms:
+            for c in syms:
+                lhs = B.eval_linear(Vec.basis(a), carrier.product(b, c))
+                rhs = Tensor2()
+                for (x, y), k in B.eval(a, b).items():
+                    rhs += Tensor2({(x, z): k * d for z, d in
+                                    carrier.product(y, c).items()})
+                for (x, y), k in B.eval(a, c).items():
+                    rhs += Tensor2({(z, y): k * d for z, d in
+                                    carrier.product(b, x).items()})
+                if lhs != rhs:
+                    return _failure("leibniz", B, {"a": render_sym(a),
+                                                   "b": render_sym(b),
+                                                   "c": render_sym(c)},
+                                    window)
+    return VerificationReport.success("leibniz", B.name, {"window": window})
+
+
+ORACLES = ((check_anticommutativity, oracle_anticommutativity),
+           (check_jacobi, oracle_jacobi), (check_leibniz, oracle_leibniz))
+
+
+def assert_records_agree(B, window):
+    """Each checker's record equals its full sweep's; Leibniz only where the
+    carrier has a product."""
+    sym = B.carrier.window_syms(window)[0]
+    for check, oracle in ORACLES[:2 + (B.carrier.product(sym, sym)
+                                       is not None)]:
+        assert check(B, window).to_json() == oracle(B, window).to_json(), \
+            check.__name__
+
+
+def table_bracket(carrier, table, antisymmetrise, base=None):
+    """The bracket <<u_i, u_j>> = sum c u_r (x) u_s over table[(i, j)], plus
+    base's value, indices read through carrier.index; antisymmetrised, it
+    also subtracts the swap of table[(j, i)]."""
+    def part(i, j, swap):
+        return (((carrier.sym(s), carrier.sym(r)) if swap else
+                 (carrier.sym(r), carrier.sym(s)), -c if swap else c)
+                for (r, s), c in table.get((i, j), {}).items())
+
+    def eval_fn(s1, s2):
+        i, j = carrier.index(s1), carrier.index(s2)
+        terms = list(part(i, j, False))
+        if antisymmetrise:
+            terms.extend(part(j, i, True))
+        if base is not None:
+            terms.extend(base.eval(s1, s2).items())
+        return Tensor2(sparse_sum(terms))
+
+    return DoubleBracket("T", carrier, eval_fn)
+
+
+def _tables(lo, hi, max_size):
+    index = st.integers(lo, hi)
+    return st.dictionaries(
+        st.tuples(index, index),
+        st.dictionaries(st.tuples(index, index),
+                        st.integers(-2, 2).filter(bool), min_size=1,
+                        max_size=2),
+        max_size=max_size)
+
+
+_CARRIERS = st.sampled_from([
+    (PolyCarrier(), 0, 5), (PolyCarrier(product_shift=1), 0, 5),
+    (PolyCarrier(laurent=True), -4, 4),
+    (PolyCarrier(laurent=True, product_shift=1), -4, 4),
+    (FiniteCarrier(3), 0, 2)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CARRIERS, st.data(), st.booleans(), st.integers(0, 2))
+def test_random_brackets_match_the_full_sweeps(carrier, data, antisym,
+                                               window):
+    carrier, lo, hi = carrier
+    B = table_bracket(carrier, data.draw(_tables(lo, hi, 5)), antisym)
+    assert_records_agree(B, window)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["L1", "L4", "L1_laurent", "L4_laurent", "L2",
+                        "L2_laurent"]),
+       st.data(), st.booleans(), st.integers(0, 2))
+def test_perturbed_catalog_brackets_match_the_full_sweeps(name, data,
+                                                          antisym, window):
+    """A sparse perturbation of a catalog bracket, often outside the window,
+    where only a certificate reads it."""
+    base = catalog_bracket(name)
+    lo = -2 * window - 3 if base.carrier.laurent else 0
+    table = data.draw(_tables(lo, 2 * window + 3, 2))
+    assert_records_agree(table_bracket(base.carrier, table, antisym, base),
+                         window)
+
+
+@pytest.mark.parametrize("base, table, window", [
+    # values at pairs outside the window, which the certificates read
+    ("L1", {(0, 4): {(0, 0): 1}, (3, 0): {(0, 0): 1}}, 2),
+    ("L1_laurent", {(0, -1): {(0, 0): 1}}, 1),
+] + [
+    # a failing certificate, and the Leibniz base column and top relation
+    (PolyCarrier(product_shift=shift), table, window)
+    for shift in (0, 1) for table, window in (
+        ({(1, 0): {(0, 1): 1}}, 1), ({(0, 0): {(0, 0): 1}}, 0),
+        ({(0, 1): {(0, 0): 1}}, 1))])
+def test_pinned_brackets_match_the_full_sweeps(base, table, window):
+    base = catalog_bracket(base) if isinstance(base, str) else \
+        catalog_bracket("zero", carrier=base)
+    assert_records_agree(table_bracket(base.carrier, table, False, base),
+                         window)
+
+
+def flipped(B, pair):
+    def eval_fn(s1, s2):
+        value = B.eval(s1, s2)
+        return value.scale(-1) if (s1, s2) == pair else value
+    return DoubleBracket("%s!flip" % B.name, B.carrier, eval_fn,
+                         B.degree_shift)
+
+
+def _flip_pairs(B, window):
+    """The pairs with a nonzero value among symbols up to 2 window + 1, so
+    that flips reach pairs only a certificate reads."""
+    syms = B.carrier.window_syms(2 * window + 1)
+    return [(a, b) for a in syms for b in syms if B.eval(a, b)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(CATALOG_BRACKET_NAMES), st.integers(0, 3),
+       st.integers(0, 10 ** 6))
+def test_flipped_catalog_brackets_match_the_full_sweeps(name, window, pick):
+    B = catalog_bracket(name)
+    if name == "dY":
+        window = min(window, 1)
+    pairs = _flip_pairs(B, window)
+    assert_records_agree(flipped(B, pairs[pick % len(pairs)]), window)
+
+
+def test_catalog_records_match_the_full_sweeps():
+    for name in CATALOG_BRACKET_NAMES:
+        for window in range(4 if name != "dY" else 2):
+            assert_records_agree(catalog_bracket(name), window)
+
+
+def count_defects(monkeypatch):
+    calls = []
+    defect = brackets.jacobi_defect
+    monkeypatch.setattr(brackets, "jacobi_defect",
+                        lambda *args: calls.append(args) or defect(*args))
+    return calls
+
+
+def test_jacobi_computes_one_triple_per_rotation_class(monkeypatch):
+    calls = count_defects(monkeypatch)
+    assert check_jacobi(catalog_bracket("L1_laurent"), 6).passed
+    # (n^3 + 2n) / 3 with n = 13 window symbols, against n^3 = 2197
+    assert len(calls) == 741
+    degrees = {(a[1], b[1], c[1]) for _B, a, b, c in calls}
+    assert len(degrees) == 741
+    assert all(abc == min(abc, abc[1:] + abc[:1], abc[2:] + abc[:2])
+               for abc in degrees)
+
+
+# ---------------------------------------------------------------------------
+# kernel brackets: the checkers sweep the label-(1,1) symbols
 
 def full_sweep(B):
     """The same bracket without its kernel, so every checker sweeps all
-    window triples."""
+    window symbols; the tests above hold that path to the full sweeps."""
     return DoubleBracket(B.name, B.carrier, B.eval, B.degree_shift)
 
 
 def assert_sweeps_agree(B, window):
     oracle = full_sweep(B)
     assert B.kernel is not None and oracle.kernel is None
-    for check in (check_jacobi, check_leibniz):
+    for check in (check_anticommutativity, check_jacobi, check_leibniz):
         assert check(B, window).to_json() == \
             check(oracle, window).to_json(), check.__name__
 
@@ -247,10 +455,7 @@ def test_flipped_dy_kernels_match_the_full_sweep(N, window, m0, n0, pick):
 
 
 def test_kac_bracket_takes_the_kernel_path(monkeypatch):
-    calls = []
-    defect = brackets.jacobi_defect
-    monkeypatch.setattr(brackets, "jacobi_defect",
-                        lambda *args: calls.append(args) or defect(*args))
+    calls = count_defects(monkeypatch)
     window = 3
     for N in (2, 3):
         B = bracket_from_rb(catalog_rb("kac", N=N))
@@ -258,6 +463,7 @@ def test_kac_bracket_takes_the_kernel_path(monkeypatch):
         del calls[:]
         assert check_jacobi(B, window).passed
         assert check_leibniz(B, window).passed
-        # one triple per degree triple, all on label (1,1)
-        assert len(calls) == (window + 1) ** 3
+        # one triple per rotation class of degree triples, all on label
+        # (1,1): (n^3 + 2n) / 3 with n = window + 1
+        assert len(calls) == 24
         assert {s[1][1:] for abc in calls for s in abc[1:]} == {(1, 1)}

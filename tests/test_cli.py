@@ -159,6 +159,16 @@ def test_window_beyond_cutoff_is_input_error(capsys):
     assert code == 2
 
 
+def test_cutoff_is_ignored_for_brackets(capsys):
+    plain = run(capsys, "verify", "L1", "--window", "4")
+    code, out, err = run(capsys, "verify", "L1", "--window", "4",
+                         "--cutoff", "2")
+    assert (code, out, err) == plain and code == 0 and out
+    code, out, err = run(capsys, "verify", "r1", "--window", "4",
+                         "--cutoff", "2")
+    assert code == 2 and not out and "window 4 exceeds cutoff 2" in err
+
+
 def test_simplicity_failure_embeds_counterexample(capsys):
     code, out, _ = run(capsys, "simplicity", "L1", "--window", "8",
                        "--seeds", "3")
