@@ -21,7 +21,7 @@ from .grammar import parse_poly, render_tensor2, render_vec
 from .ideals import (Subspace, ideal_closure, is_ideal, quotient_bracket,
                      quotient_reduce, simplicity_probe, theorem3_replay)
 from .matrices import (Domain, FinitaryMatrix, LocallyFiniteOperator,
-                       StridedRayOperator, commutator, mul_mixed, trace_pair)
+                       StridedRayOperator, commutator, mul_mixed)
 from .rb import (CATALOG_RB_NAMES, RBOperator, build_pk, catalog_rb,
                  check_rb_identity, check_skew_symmetry, conjugate_by,
                  remark3_suite, tensor_extend,
@@ -44,6 +44,6 @@ __all__ = [
     "quotient_reduce",
     "rb_bimodule_split_check", "rb_from_bracket",
     "remark3_suite", "simplicity_probe", "tensor_extend",
-    "theorem3_replay", "trace_pair", "trivial_extension_bracket",
+    "theorem3_replay", "trivial_extension_bracket",
     "verify_trace_functional_identities",
 ]

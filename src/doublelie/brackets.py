@@ -64,29 +64,42 @@ class PolyCarrier:
         return sym[1]
 
 
-class FiniteCarrier:
-    """Abstract basis e_1..e_n; no associative product."""
+class BasisCarrier:
+    """An explicit finite basis: the symbols syms in order, each with a
+    degree (0 unless a degree function is given), and no associative
+    product.  It carries the finite catalog brackets, quotients and trivial
+    extensions."""
 
-    def __init__(self, n, name=None):
-        self.n = n
-        self.name = name or "finite(%d)" % n
+    def __init__(self, name, syms, degree=None):
+        self.name = name
+        self.syms = list(syms)
+        self._index = {s: q for q, s in enumerate(self.syms)}
+        self._degree = degree
+
+    @classmethod
+    def finite(cls, n, name=None):
+        """The abstract basis e_1..e_n."""
+        return cls(name or "finite(%d)" % n, [esym(q + 1) for q in range(n)])
 
     def sym(self, q):
-        if not 0 <= q < self.n:
+        if not 0 <= q < len(self.syms):
             raise ValueError("basis index %d out of range" % q)
-        return esym(q + 1)
+        return self.syms[q]
 
     def index(self, sym):
-        return sym[1] - 1
+        return self._index[sym]
 
     def window_syms(self, window=None):
-        return [esym(i + 1) for i in range(self.n)]
+        """The symbols of degree at most window, all of them for None."""
+        if window is None:
+            return list(self.syms)
+        return [s for s in self.syms if self.degree(s) <= window]
 
     def product(self, s1, s2):
         return None
 
     def degree(self, sym):
-        return 0
+        return 0 if self._degree is None else self._degree(sym)
 
 
 class MatrixPolyCarrier:
@@ -209,6 +222,9 @@ def _dd_numerator(variant, n, m):
         return sparse_sum((((n, m), -1), ((m, n), 1)))
     if variant == "L3":
         return sparse_sum((((n + 1, m + 1), 1), ((m + 1, n + 1), -1)))
+    if variant == "L4":
+        return sparse_sum((((n + 1, m + 1), 1), ((m + 1, n + 1), 1),
+                           ((n + m + 2, 0), -1), ((0, n + m + 2), -1)))
     raise ValueError("unknown divided-difference variant %r" % variant)
 
 
@@ -216,10 +232,6 @@ def divided_difference(variant, n, m):
     """The bracket <<t^n, t^m>> for the four polynomial catalog brackets,
     obtained by an honest bivariate division by x - y (x = t (x) 1,
     y = 1 (x) t).  Negative exponents give the Laurent extension."""
-    if variant not in _DD_VARIANTS:
-        raise ValueError("unknown divided-difference variant %r" % variant)
-    if variant == "L4":
-        return divided_difference("L1", n + 1, m + 1).scale(-1)
     quot = _divide_by_x_minus_y(_dd_numerator(variant, n, m))
     return Tensor2({(tsym(a), tsym(b)): c for (a, b), c in quot.items()})
 
@@ -250,7 +262,7 @@ def catalog_bracket(name, **params):
         return DoubleBracket(name, carrier, eval_fn, degree_shift=shift)
     if name in _FINITE_TABLES:
         n, table = _FINITE_TABLES[name]
-        carrier = FiniteCarrier(n, name)
+        carrier = BasisCarrier.finite(n, name)
 
         def eval_fn(s1, s2):
             ents = table.get((s1[1] - 1, s2[1] - 1), ())
@@ -282,12 +294,6 @@ CATALOG_BRACKET_NAMES = ("L1", "L2", "L3", "L4", "L1_laurent", "L2_laurent",
 # ---------------------------------------------------------------------------
 # operator <-> bracket correspondence
 
-def _correspondence_carrier(R):
-    if R.domain.kind == "finite":
-        return FiniteCarrier(R.domain.size)
-    return PolyCarrier(laurent=(R.domain.kind == "integers"))
-
-
 def bracket_from_rb(R, name=None, degree_shift=None):
     """The double bracket of an operator:
     <<u_p, u_q>> = sum_s u_s (x) R(e_{ps}) u_q.
@@ -298,20 +304,22 @@ def bracket_from_rb(R, name=None, degree_shift=None):
         raise ValueError("operator %s has no finite support hint; its "
                          "correspondence sum does not terminate" % R.name)
     name = name or "<<%s>>" % R.name
-    if R.N > 1:
-        def kernel(m, n):
-            return sparse_sum(((p, r), c) for p in R.support_hint(m, n)
-                              for r, c in R.apply_image(m, p, n).items())
 
+    def kernel(p, q):
+        return sparse_sum(((s, r), c) for s in R.support_hint(p, q)
+                          for r, c in R.apply_image(p, s, q).items())
+
+    if R.N > 1:
         return DoubleBracket.from_kernel(name, R.N, kernel, degree_shift)
-    carrier = _correspondence_carrier(R)
+    if R.domain.kind == "finite":
+        carrier = BasisCarrier.finite(R.domain.size)
+    else:
+        carrier = PolyCarrier(laurent=(R.domain.kind == "integers"))
 
     def eval_fn(s1, s2):
-        p, q = carrier.index(s1), carrier.index(s2)
-        return Tensor2(sparse_sum(
-            ((carrier.sym(s), carrier.sym(r)), c)
-            for s in R.support_hint(p, q)
-            for r, c in R.apply_image(p, s, q).items()))
+        return Tensor2({(carrier.sym(s), carrier.sym(r)): c for (s, r), c
+                        in kernel(carrier.index(s1),
+                                  carrier.index(s2)).items()})
 
     return DoubleBracket(name, carrier, eval_fn, degree_shift)
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import random
 
-from .brackets import (DoubleBracket, check_anticommutativity, check_jacobi,
-                       jacobi_defect, rb_from_bracket)
+from .brackets import (BasisCarrier, DoubleBracket, check_anticommutativity,
+                       check_jacobi, jacobi_defect, rb_from_bracket)
 from .exact import Tensor2
 from .grammar import render_sym
 from .ideals import is_ideal, quotient_bracket
@@ -103,38 +103,12 @@ def mutate_action(act, pair_index, term_index=0, preserve_skew=True,
 # ---------------------------------------------------------------------------
 # trivial extension
 
-class ExtensionCarrier:
-    """Carrier of L + M: the L symbols first, then the M symbols."""
-
-    def __init__(self, act, base_degree, name):
-        self.syms = list(act.l_syms) + list(act.m_syms)
-        self._index = {s: i for i, s in enumerate(self.syms)}
-        self._degree = base_degree
-        self.name = name
-
-    def sym(self, q):
-        return self.syms[q]
-
-    def index(self, sym):
-        return self._index[sym]
-
-    def window_syms(self, window=None):
-        if window is None:
-            return list(self.syms)
-        return [s for s in self.syms if self._degree(s) <= window]
-
-    def product(self, s1, s2):
-        return None
-
-    def degree(self, sym):
-        return self._degree(sym)
-
-
 def trivial_extension_bracket(B_L, act, name=None):
     """Bracket on L + M: B_L on L x L, the action on mixed pairs, zero on
     M x M."""
     name = name or "%s(+)%s" % (B_L.name, act.name)
-    carrier = ExtensionCarrier(act, B_L.carrier.degree, name)
+    carrier = BasisCarrier(name, act.l_syms + act.m_syms,
+                           B_L.carrier.degree)
     is_l = act.is_l
 
     def eval_fn(s1, s2):

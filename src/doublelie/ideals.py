@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 import random
 
-from .brackets import DoubleBracket, catalog_bracket
+from .brackets import BasisCarrier, DoubleBracket, catalog_bracket
 from .exact import Tensor2, Vec, sparse_sum, tsym
 from .grammar import render_sym, render_vec
 from .linalg import reduce_vector, rref
@@ -180,31 +180,6 @@ def is_ideal(B, I, window):
     return VerificationReport.success("is_ideal", B.name, params)
 
 
-class QuotientCarrier:
-    """Carrier of V/I on echelon-complement representatives."""
-
-    def __init__(self, I, name):
-        self.base = I.carrier
-        self.syms = I.complement_syms()
-        self._index = {s: i for i, s in enumerate(self.syms)}
-        self.name = name
-
-    def sym(self, q):
-        return self.syms[q]
-
-    def index(self, sym):
-        return self._index[sym]
-
-    def window_syms(self, window=None):
-        return list(self.syms)
-
-    def product(self, s1, s2):
-        return None
-
-    def degree(self, sym):
-        return self.base.degree(sym)
-
-
 def quotient_bracket(B, I, window, name=None):
     """The induced bracket on V/I (echelon-complement representatives);
     requires is_ideal to pass on the window."""
@@ -213,7 +188,7 @@ def quotient_bracket(B, I, window, name=None):
         raise ValueError("subspace is not an ideal on window %d: %r"
                          % (window, rep.counterexample))
     name = name or "%s/(dim %d)" % (B.name, I.dim)
-    carrier = QuotientCarrier(I, name)
+    carrier = BasisCarrier(name, I.complement_syms(), I.carrier.degree)
 
     def eval_fn(s1, s2):
         return quotient_reduce(B.eval(s1, s2), I)

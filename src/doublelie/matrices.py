@@ -479,12 +479,6 @@ def mul_mixed(a, b):
     return LocallyFiniteOperator(segs, a.domain, step)
 
 
-def trace_pair(x, y):
-    """The trace form tr(xy) for finitary x and locally finite y; symmetric
-    and associative whenever all products stay finitary."""
-    return sum(c * y.entry(l, k) for (k, l), c in x.entries.items())
-
-
 def commutator(a, b):
     """ab - ba."""
     return mul_mixed(a, b) - mul_mixed(b, a)

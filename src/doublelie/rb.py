@@ -20,10 +20,13 @@ orbit's pair differ, the full sweep gives the record.
 Skew-symmetry is the condition <R(x),y> = -<x,R(y)> for the trace pairing
 <x,y> = tr(xy).
 
-The catalog covers the two divided-difference operators and their transpose
-conjugates, three finite-dimensional examples, the tensor extension by a
-matrix factor, the Laurent (two-sided index) variants, and the k-step
-difference preimage family p_k.
+The catalog covers the two divided-difference operators r1, r2 and their
+transpose conjugates, three finite-dimensional examples, the tensor extension
+by a matrix factor, and the k-step difference preimage family p_k.  r1 and r2
+are written once each, as one segment per chamber (i > j or i <= j) on the
+integers: r1_laurent and r2_laurent are those images, and the domain clip
+cuts them to the polynomial r1 and r2 on the naturals.  The finite examples
+are read from one table of images.
 """
 
 from __future__ import annotations
@@ -327,51 +330,27 @@ def mutate_sign(R, i, j, name=None):
 # ---------------------------------------------------------------------------
 # catalog
 
-def _r1_image(i, j):
-    offset = j - i + 1
-    if i > j:
-        return LocallyFiniteOperator.ray(-1, i, i + offset, None)
-    if i == 0:
-        return LocallyFiniteOperator.zero()
-    return LocallyFiniteOperator.ray(1, 0, offset, i)
-
-
-def _r2_image(i, j):
-    offset = j - i + 1
-    if i > j:
-        return LocallyFiniteOperator.ray(-1, i - 1 - j, 0, j + 1)
-    return LocallyFiniteOperator.ray(1, i, j + 1, None)
-
-
-def _r1_laurent_image(i, j):
-    offset = j - i + 1
-    if i > j:
-        return LocallyFiniteOperator.ray(-1, i, i + offset, None,
-                                         domain=INTEGERS)
-    return LocallyFiniteOperator.ray(1, i - 1, i - 1 + offset, None,
-                                     domain=INTEGERS, back=True)
-
-
-def _r2_laurent_image(i, j):
-    offset = j - i + 1
-    if i > j:
-        return LocallyFiniteOperator.ray(-1, i - 1, i - 1 + offset, None,
-                                         domain=INTEGERS, back=True)
-    return LocallyFiniteOperator.ray(1, i, j + 1, None, domain=INTEGERS)
-
-
-def _finite_table_image(table, n):
-    domain = Domain.finite(n)
-
+def _ray_image(name, domain):
+    """R(e_ij) for R = r1 or r2: one segment (lo, hi, coeff) on the diagonal
+    j - i + 1, None marking an infinite end.  These are the images on the
+    integers; on the naturals the domain clip cuts them to the polynomial
+    ones (for r1 at i = 0 <= j, to nothing)."""
     def image_fn(i, j):
-        return FinitaryMatrix(table.get((i, j)), domain)
+        if i > j:
+            seg = (i, None, -1) if name == "r1" else (None, i - 1, -1)
+        else:
+            seg = (None, i - 1, 1) if name == "r1" else (i, None, 1)
+        return LocallyFiniteOperator({j - i + 1: [seg]}, domain)
 
     return image_fn
 
 
-_EX1_TABLE = {(0, 0): {(1, 0): 1}, (0, 1): {(0, 0): -1}}
-_EX2_TABLE = {(0, 0): {(0, 1): 1}, (1, 0): {(0, 0): -1}}
-_QUIVER_TABLE = {(2, 1): {(0, 3): 1}, (3, 0): {(1, 2): -1}}
+# the finite catalog: name -> (n, {(i, j): R(e_ij) as {(row, col): coeff}})
+_FINITE_IMAGES = {
+    "ex1": (2, {(0, 0): {(1, 0): 1}, (0, 1): {(0, 0): -1}}),
+    "ex2": (2, {(0, 0): {(0, 1): 1}, (1, 0): {(0, 0): -1}}),
+    "quiver": (4, {(2, 1): {(0, 3): 1}, (3, 0): {(1, 2): -1}}),
+}
 
 
 def _pk_image(k):
@@ -410,34 +389,26 @@ def build_pk(k, window=None):
 def catalog_rb(name, **params):
     """Named operators: r1, r2, r3, r4, ex1, ex2, quiver, kac (N=...),
     r1_laurent, r2_laurent, p_k (k=...), zero."""
-    if name == "r1":
-        return RBOperator("r1", NATURALS, _r1_image, _generic_hint)
-    if name == "r2":
-        return RBOperator("r2", NATURALS, _r2_image, _generic_hint)
+    if name in ("r1", "r2", "r1_laurent", "r2_laurent"):
+        if name.endswith("_laurent"):
+            return RBOperator(name, INTEGERS, _ray_image(name[:2], INTEGERS))
+        return RBOperator(name, NATURALS, _ray_image(name, NATURALS),
+                          _generic_hint)
     if name == "r3":
         return conjugate_by(catalog_rb("r1"), "transpose", name="r3")
     if name == "r4":
         return conjugate_by(catalog_rb("r2"), "transpose", name="r4")
-    if name == "ex1":
-        return RBOperator("ex1", Domain.finite(2),
-                          _finite_table_image(_EX1_TABLE, 2),
-                          lambda p, q: range(2))
-    if name == "ex2":
-        return RBOperator("ex2", Domain.finite(2),
-                          _finite_table_image(_EX2_TABLE, 2),
-                          lambda p, q: range(2))
-    if name == "quiver":
-        return RBOperator("quiver", Domain.finite(4),
-                          _finite_table_image(_QUIVER_TABLE, 4),
-                          lambda p, q: range(4))
+    if name in _FINITE_IMAGES:
+        n, table = _FINITE_IMAGES[name]
+        domain = Domain.finite(n)
+        return RBOperator(name, domain,
+                          lambda i, j: FinitaryMatrix(table.get((i, j)),
+                                                      domain),
+                          lambda p, q: range(n))
     if name == "kac":
         N = params.get("N", 2)
         base = catalog_rb("r1").scaled(-1, name="-r1")
         return tensor_extend(base, N, name="kac(%d)" % N)
-    if name == "r1_laurent":
-        return RBOperator("r1_laurent", INTEGERS, _r1_laurent_image, None)
-    if name == "r2_laurent":
-        return RBOperator("r2_laurent", INTEGERS, _r2_laurent_image, None)
     if name in ("p_k", "pk"):
         k = params.get("k", 1)
         return build_pk(k)

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from doublelie import brackets
-from doublelie.brackets import (CATALOG_BRACKET_NAMES, DoubleBracket,
-                                FiniteCarrier, PolyCarrier, bracket_from_rb,
+from doublelie.brackets import (CATALOG_BRACKET_NAMES, BasisCarrier,
+                                DoubleBracket, PolyCarrier, bracket_from_rb,
                                 catalog_bracket,
                                 check_anticommutativity,
                                 check_basis_independence,
@@ -63,6 +63,37 @@ def test_second_bracket_matches_factoring_oracle():
 
 def test_catalog_cross_relations():
     assert check_bracket_relations(8).passed
+
+
+def test_bracket_relations_catch_a_wrong_fourth_bracket(monkeypatch):
+    numerator = brackets._dd_numerator
+
+    def flipped(variant, n, m):
+        num = numerator(variant, n, m)
+        return {k: -c for k, c in num.items()} if variant == "L4" else num
+
+    monkeypatch.setattr(brackets, "_dd_numerator", flipped)
+    rep = check_bracket_relations(3)
+    assert not rep.passed
+    assert rep.counterexample["relation"] == "fourth vs first"
+
+
+def test_basis_carrier_indexes_and_windows_its_symbols():
+    syms = [tsym(2), tsym(0), tsym(5)]
+    C = BasisCarrier("c", syms, lambda s: s[1])
+    for q in range(3):
+        assert C.index(C.sym(q)) == q
+    for q in (-1, 3):
+        with pytest.raises(ValueError):
+            C.sym(q)
+    assert C.window_syms() == syms and C.window_syms(None) == syms
+    assert C.window_syms(4) == [tsym(2), tsym(0)]
+    assert C.window_syms(-1) == []
+    assert C.product(tsym(0), tsym(0)) is None
+    F = BasisCarrier.finite(3)
+    assert F.name == "finite(3)" and F.syms == [esym(1), esym(2), esym(3)]
+    assert F.window_syms(0) == F.syms and F.degree(esym(2)) == 0
+    assert BasisCarrier.finite(2, "ex1").name == "ex1"
 
 
 def test_degree_shape_of_second_bracket():
@@ -143,7 +174,7 @@ def test_finite_catalog_brackets_match_their_operators():
     for name in ("ex1", "ex2", "quiver"):
         B = catalog_bracket(name)
         from_op = bracket_from_rb(catalog_rb(name))
-        n = B.carrier.n
+        n = len(B.carrier.syms)
         for p in range(n):
             for q in range(n):
                 assert B.eval(esym(p + 1), esym(q + 1)) == \
@@ -310,7 +341,7 @@ _CARRIERS = st.sampled_from([
     (PolyCarrier(), 0, 5), (PolyCarrier(product_shift=1), 0, 5),
     (PolyCarrier(laurent=True), -4, 4),
     (PolyCarrier(laurent=True, product_shift=1), -4, 4),
-    (FiniteCarrier(3), 0, 2)])
+    (BasisCarrier.finite(3), 0, 2)])
 
 
 @settings(max_examples=150, deadline=None)

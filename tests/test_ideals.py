@@ -108,6 +108,18 @@ def test_quotient_by_zero_and_by_everything():
     assert Qf.carrier.window_syms() == []
 
 
+def test_quotient_keeps_every_symbol_from_its_window_up():
+    L1 = catalog_bracket("L1")
+    for w in (2, 5):
+        for I in (Subspace(L1.carrier, w),
+                  Subspace.degree_span(L1.carrier, w, 2)):
+            carrier = quotient_bracket(L1, I, w).carrier
+            syms = carrier.window_syms()
+            assert syms == I.complement_syms()
+            for window in range(w, w + 4):
+                assert carrier.window_syms(window) == syms
+
+
 def test_non_ideal_quotient_is_rejected():
     L2 = catalog_bracket("L2")
     with pytest.raises(ValueError):

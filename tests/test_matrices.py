@@ -1,6 +1,5 @@
 """Finitary matrices and locally finite operators: products, rays, strided
-rays and the step normal form, transposes, block cuts, and the trace
-pairing.
+rays and the step normal form, transposes and block cuts.
 
 Oracles: small dense multiplication over explicit windows, and the unit
 product rule e_ij e_kl = delta_jk e_il."""
@@ -16,8 +15,7 @@ from hypothesis import given, settings, strategies as st
 from doublelie.exact import Vec, tsym
 from doublelie.matrices import (INTEGERS, NATURALS, Domain, FinitaryMatrix,
                                 LocallyFiniteOperator, StridedRayOperator,
-                                _norm_segments, commutator, mul_mixed,
-                                trace_pair)
+                                _norm_segments, commutator, mul_mixed)
 from doublelie.rb import build_pk
 
 
@@ -174,21 +172,6 @@ def test_product_transpose_identity():
     for i in range(10):
         for j in range(10):
             assert left.entry(i, j) == right.entry(i, j)
-
-
-def test_trace_pairing_symmetry_and_units():
-    # <e_ij, e_kl> = delta_jk delta_il
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                for l in range(3):
-                    v = trace_pair(FinitaryMatrix.unit(i, j),
-                                   FinitaryMatrix.unit(k, l))
-                    assert v == (1 if j == k and i == l else 0)
-    rng = random.Random(17)
-    for _ in range(10):
-        x, y = random_finitary(rng), random_finitary(rng)
-        assert trace_pair(x, y) == trace_pair(y, x)
 
 
 def test_commutator_antisymmetry():

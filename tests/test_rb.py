@@ -64,6 +64,44 @@ def test_transpose_pairs_are_entrywise_transposes():
                         assert img.entry(a, b) == ref.entry(b, a)
 
 
+# R(e_ij) for R = r1, r2 on the integers, by chamber: the sign and the rows
+# r of its entries e_{r, r+j-i+1}; e.g. r1(e_ij) = -sum_{r >= i} e_{r,r+j-i+1}
+# for i > j.  On the naturals the entries with a negative index are dropped.
+_RAYS = {("r1", True): (-1, lambda r, i: r >= i),
+         ("r1", False): (1, lambda r, i: r < i),
+         ("r2", True): (-1, lambda r, i: r < i),
+         ("r2", False): (1, lambda r, i: r >= i)}
+
+
+@pytest.mark.parametrize("name", ["r1", "r2", "r1_laurent", "r2_laurent"])
+def test_ray_images_match_their_rays_entrywise(name):
+    R = catalog_rb(name)
+    laurent = name.endswith("_laurent")
+    for i in unit_range(R.domain, 5):
+        for j in unit_range(R.domain, 5):
+            img = R.image(i, j)
+            sign, rows = _RAYS[(name[:2], i > j)]
+            for a in range(-12, 13):
+                for b in range(-12, 13):
+                    on = b - a == j - i + 1 and rows(a, i) and \
+                        (laurent or min(a, b) >= 0)
+                    assert img.entry(a, b) == (sign if on else 0), \
+                        (i, j, a, b)
+
+
+@pytest.mark.parametrize("name", ["r1", "r2"])
+def test_polynomial_ray_images_are_the_laurent_ones_cut(name):
+    R, L = catalog_rb(name), catalog_rb(name + "_laurent")
+    for i in range(7):
+        for j in range(7):
+            img, full = R.image(i, j), L.image(i, j)
+            for a in range(-3, 16):
+                for b in range(-3, 16):
+                    want = full.entry(a, b) if min(a, b) >= 0 else 0
+                    assert img.entry(a, b) == want, (i, j, a, b)
+    assert not catalog_rb("r1").image(0, 3)
+
+
 def test_unit_range_shapes():
     assert list(unit_range(NATURALS, 3)) == [0, 1, 2, 3]
     assert list(unit_range(catalog_rb("ex1").domain, 9)) == [0, 1]
