@@ -2,10 +2,13 @@
 ideal verification, minimal-closure search, and a scripted simplicity replay.
 
 A subspace of a windowed carrier is stored as a reduced-echelon basis over
-the window's coordinate list, so membership, equality and quotient
-representatives are all canonical.  The quotient map sends a tensor to its
-image in (V/I) (x) (V/I) using echelon-complement coordinates: a tensor maps
-to zero exactly when it lies in I (x) V + V (x) I.
+the window's coordinate list, in primitive integer rows (``linalg.echelon``),
+so membership, equality and quotient representatives are all canonical.  The
+quotient map sends a tensor to its image in (V/I) (x) (V/I) using
+echelon-complement coordinates: a tensor maps to zero exactly when it lies
+in I (x) V + V (x) I.  Coordinates come from one integer table, D times the
+true ones with D the lcm of the pivots: the closure search never divides,
+and the exact monic values divide once, at the end.
 
 The closure search looks for the smallest ideals containing a seed: whenever
 some bracket value survives the quotient map, the surviving tensor is written
@@ -18,40 +21,53 @@ force v itself into the ideal, which is the engine of the simplicity replay.
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
+from math import inf, lcm
 import random
 
 from .brackets import BasisCarrier, DoubleBracket, catalog_bracket
 from .exact import Tensor2, Vec, sparse_sum, tsym
 from .grammar import render_sym, render_vec
-from .linalg import reduce_vector, rref
+from .linalg import echelon
 from .report import VerificationReport
 
 
 # ---------------------------------------------------------------------------
 # subspaces of a windowed carrier
 
+class _Window(dict):
+    """A map on the window's symbols that rejects every other symbol."""
+
+    def __missing__(self, sym):
+        raise ValueError("symbol %r outside the ambient window" % (sym,))
+
+
+def _over(c, d):
+    """c / d exactly, an int when d divides c."""
+    q = Fraction(c, d) if d != 1 else c
+    return q.numerator if q.denominator == 1 else q
+
+
 class Subspace:
-    """Reduced-echelon subspace of the span of carrier.window_syms(window)."""
+    """Reduced-echelon subspace of the span of carrier.window_syms(window),
+    in primitive integer rows with positive pivots."""
 
     __slots__ = ("carrier", "window", "syms", "pos", "rows", "pivots",
-                 "_proj_memo")
+                 "_table")
 
-    def __init__(self, carrier, window, rows=None):
+    def __init__(self, carrier, window, rows=()):
         self.carrier = carrier
         self.window = window
         self.syms = list(carrier.window_syms(window))
-        self.pos = {s: i for i, s in enumerate(self.syms)}
-        if rows:
-            self.rows, self.pivots = rref(rows)
-        else:
-            self.rows, self.pivots = [], []
-        self._proj_memo = {}
+        self.pos = _Window((s, i) for i, s in enumerate(self.syms))
+        self.rows, self.pivots = echelon(rows)
+        self._table = None
 
     @classmethod
     def from_vectors(cls, carrier, window, vectors):
         out = cls(carrier, window)
-        rows = [out.coords(v) for v in vectors]
-        return cls(carrier, window, rows)
+        out.rows, out.pivots = echelon(map(out.coords, vectors))
+        return out
 
     @classmethod
     def degree_span(cls, carrier, window, min_degree):
@@ -66,13 +82,11 @@ class Subspace:
         return len(self.rows)
 
     def key(self):
-        return tuple(tuple(r) for r in self.rows)
+        return tuple(self.rows)
 
     def coords(self, vec):
         out = [0] * len(self.syms)
         for s, c in vec.terms.items():
-            if s not in self.pos:
-                raise ValueError("symbol %r outside the ambient window" % (s,))
             out[self.pos[s]] = c
         return out
 
@@ -80,102 +94,122 @@ class Subspace:
         return Vec({s: c for s, c in zip(self.syms, coords) if c})
 
     def basis_vecs(self):
-        return [self.vec_of(r) for r in self.rows]
+        """The echelon rows as vectors, monic at their pivots."""
+        return [self.vec_of([_over(c, row[p]) for c in row])
+                for row, p in zip(self.rows, self.pivots)]
 
-    def reduce(self, vec):
-        """Canonical representative of vec modulo this subspace (zeros in
-        every pivot coordinate)."""
-        red = reduce_vector(self.coords(vec), self.rows, self.pivots)
-        return self.vec_of(red)
-
-    def contains(self, vec):
-        return not self.reduce(vec)
-
-    def extended(self, vectors):
-        rows = [list(r) for r in self.rows]
-        rows += [self.coords(v) for v in vectors]
-        return Subspace(self.carrier, self.window, rows)
-
-    def complement_syms(self):
-        pivset = set(self.pivots)
-        return [s for i, s in enumerate(self.syms) if i not in pivset]
+    def _projections(self):
+        """(D, table): D the lcm of the pivots, and table[sym] D times the
+        quotient coordinates of a window symbol, as integer
+        (complement_sym, coeff) pairs."""
+        if self._table is None:
+            D = lcm(*(row[p] for row, p in zip(self.rows, self.pivots)))
+            table = _Window((s, ((s, D),)) for s in self.syms)
+            for row, p in zip(self.rows, self.pivots):
+                table[self.syms[p]] = tuple(
+                    (self.syms[i], -D // row[p] * c)
+                    for i, c in enumerate(row) if c and i != p)
+            self._table = D, table
+        return self._table
 
     def project(self, sym):
         """Quotient coordinates of a basis symbol: its reduction, read off on
         the complement positions, as a tuple of (complement_sym, coeff)."""
-        got = self._proj_memo.get(sym)
-        if got is None:
-            red = self.reduce(Vec.basis(sym))
-            got = tuple(red.terms.items())
-            self._proj_memo[sym] = got
-        return got
+        D, table = self._projections()
+        return tuple((s, _over(c, D)) for s, c in table[sym])
+
+    def _numerators(self, vec):
+        """D times the reduction of vec, as a dict."""
+        table = self._projections()[1]
+        return sparse_sum((s, c * a) for t, a in vec.terms.items()
+                          for s, c in table[t])
+
+    def reduce(self, vec):
+        """Canonical representative of vec modulo this subspace (zeros in
+        every pivot coordinate)."""
+        D = self._projections()[0]
+        return Vec({s: _over(c, D) for s, c in self._numerators(vec).items()})
+
+    def contains(self, vec):
+        return not self._numerators(vec)
+
+    def extended(self, vectors):
+        """The span of this subspace and the vectors, which are inserted into
+        the echelon rows (the ambient coordinates are shared)."""
+        out = Subspace.__new__(Subspace)
+        out.carrier, out.window, out.syms, out.pos, out._table = \
+            self.carrier, self.window, self.syms, self.pos, None
+        out.rows, out.pivots = echelon(map(self.coords, vectors), self.rows,
+                                       self.pivots)
+        return out
+
+    def complement_syms(self):
+        pivset = set(self.pivots)
+        return [s for i, s in enumerate(self.syms) if i not in pivset]
 
     def __repr__(self):
         return "Subspace(dim %d in %s window %d)" % (
             self.dim, self.carrier.name, self.window)
 
 
+def _quotient_numerators(u, I):
+    """D^2 times quotient_reduce(u, I), as a dict; integer when u is."""
+    table = I._projections()[1]
+    return sparse_sum(((sa, sb), c * ca * cb)
+                      for (a, b), c in u.terms.items()
+                      for sa, ca in table[a] for sb, cb in table[b])
+
+
 def quotient_reduce(u, I):
     """Image of a tensor in (V/I) (x) (V/I), written on echelon-complement
     representatives; zero exactly when u is in I (x) V + V (x) I."""
-    return Tensor2(sparse_sum(((sa, sb), c * ca * cb)
-                              for (a, b), c in u.terms.items()
-                              for sa, ca in I.project(a)
-                              for sb, cb in I.project(b)))
+    D2 = I._projections()[0] ** 2
+    return Tensor2({k: _over(c, D2)
+                    for k, c in _quotient_numerators(u, I).items()})
 
 
 # ---------------------------------------------------------------------------
 # ideal verification and quotient brackets
 
-def _max_degree(vec, carrier):
-    return max(carrier.degree(s) for s in vec.terms)
-
-
-def _window_pairs(B, I, window):
-    """Basis-symbol / generator pairs whose bracket output provably stays in
-    the window (no truncation artifacts)."""
-    carrier = B.carrier
-    shift = max(B.degree_shift, 0) if B.degree_shift is not None else 0
-    gens = I.basis_vecs()
-    for v in carrier.window_syms(window):
-        dv = carrier.degree(v)
-        for g in gens:
-            if not g:
-                continue
-            if B.degree_shift is not None and \
-                    dv + _max_degree(g, carrier) + shift > window:
-                continue
-            yield v, g
-
-
 def _survivors(B, I, window):
-    """The bracket values of window symbols v with generators g of I, both
-    ways round, that survive the quotient map, in a fixed sweep order: the
-    tuples (v, g, side, surviving tensor).  On a Laurent carrier a value
-    with a term outside the window is skipped, like the pairs that
-    _window_pairs bounds out: the degree bound is only an upper one, and
-    Laurent values can fall below degree -window."""
-    laurent = getattr(B.carrier, "laurent", False)
-    for v, g in _window_pairs(B, I, window):
-        vv = Vec.basis(v)
-        for left, right, side in ((vv, g, "ambient,ideal"),
-                                  (g, vv, "ideal,ambient")):
-            value = B.eval_linear(left, right)
-            if laurent and not all(a in I.pos and b in I.pos
-                                   for a, b in value.terms):
+    """The bracket values of window symbols v with the integer echelon rows
+    of I, both ways round, that survive the quotient map, in a fixed sweep
+    order: the tuples (v, k, side, terms of the surviving tensor times D^2
+    and the k-th row's pivot).  Only pairs whose bracket output provably
+    stays in the window are swept (no truncation artifacts).  Laurent values
+    can also fall below degree -window; those are skipped too."""
+    carrier, shift = B.carrier, B.degree_shift
+    laurent = getattr(carrier, "laurent", False)
+    gens = []
+    for k, row in enumerate(I.rows):
+        g = I.vec_of(row)
+        # the largest degree of a symbol whose bracket with g stays inside
+        room = inf if shift is None else window - max(shift, 0) - max(
+            carrier.degree(s) for s in g.terms)
+        gens.append((k, g, room))
+    for v in carrier.window_syms(window):
+        vv, dv = Vec.basis(v), carrier.degree(v)
+        for k, g, room in gens:
+            if dv > room:
                 continue
-            surv = quotient_reduce(value, I)
-            if surv:
-                yield v, g, side, surv
+            for left, right, side in ((vv, g, "ambient,ideal"),
+                                      (g, vv, "ideal,ambient")):
+                value = B.eval_linear(left, right)
+                if laurent and not all(a in I.pos and b in I.pos
+                                       for a, b in value.terms):
+                    continue
+                surv = _quotient_numerators(value, I)
+                if surv:
+                    yield v, k, side, surv
 
 
 def is_ideal(B, I, window):
     """Both-sided window check that bracketing the subspace stays inside
     I (x) V + V (x) I."""
     params = {"window": window, "subspace_dim": I.dim}
-    for v, g, side, _surv in _survivors(B, I, window):
-        ce = {"ambient": render_sym(v), "generator": render_vec(g),
-              "order": side}
+    for v, k, side, _surv in _survivors(B, I, window):
+        ce = {"ambient": render_sym(v),
+              "generator": render_vec(I.basis_vecs()[k]), "order": side}
         return VerificationReport.failure("is_ideal", B.name, ce, params)
     return VerificationReport.success("is_ideal", B.name, params)
 
@@ -200,19 +234,21 @@ def quotient_bracket(B, I, window, name=None):
 # closure search
 
 def _branches_for(T):
-    """Ways to enlarge the ideal so that a surviving tensor dies: adjoin all
-    left factors, all right factors, or a mixed split from the echelon rank
-    decomposition.  Returned as lists of Vec, deterministically ordered."""
-    lefts = sorted({a for (a, _b) in T.terms}, key=repr)
-    rights = sorted({b for (_a, b) in T.terms}, key=repr)
-    mat = [[T.terms.get((a, b), 0) for b in rights] for a in lefts]
+    """Ways to enlarge the ideal so that a surviving tensor, given by its
+    terms, dies: adjoin all left factors, all right factors, or a mixed
+    split from the echelon rank decomposition.  Returned as lists of Vec,
+    deterministically ordered; a positive multiple of T gives the same
+    spans."""
+    lefts = sorted({a for (a, _b) in T}, key=repr)
+    rights = sorted({b for (_a, b) in T}, key=repr)
+    mat = [[T.get((a, b), 0) for b in rights] for a in lefts]
     # column space: left vectors l_b = sum_a M[a][b] x_a; row space: right
     # vectors r_a = sum_b M[a][b] y_b (none is zero, as T's terms are nonzero)
     cols = [Vec(dict(zip(lefts, col))) for col in zip(*mat)]
     branches = [cols, [Vec(dict(zip(rights, row))) for row in mat]]
     # mixed splits from M = sum_k c_k (x) e_k with e_k the echelon rows of M:
     # push some factors left and the rest right.
-    red, pivots = rref(mat)
+    red, pivots = echelon(mat)
     rank = len(pivots)
     if 2 <= rank <= 3:
         comps = [(cols[p], Vec(dict(zip(rights, row))))
@@ -225,14 +261,17 @@ def _branches_for(T):
 
 
 def _inclusion_minimal(spaces):
-    """The spaces, in order, that properly contain none of the others (the
-    test of ideal_closure's docstring); the spaces are pairwise distinct."""
+    """The spaces, in order, that properly contain none of the others; the
+    spaces are pairwise distinct.  I properly contains J when J.dim < I.dim
+    and every echelon row of J lies in I.  The membership tests run only for
+    pairs that also pass a cheap necessary test: J's pivots are a subset of
+    I's, because in reduced echelon form the pivots are the leading
+    coordinates of the space's vectors."""
     pivots = [frozenset(I.pivots) for I in spaces]
 
     def properly_contains(I, P, J, Q):
         return (J.dim < I.dim and Q <= P
-                and not any(any(reduce_vector(row, I.rows, I.pivots))
-                            for row in J.rows))
+                and all(I.contains(J.vec_of(row)) for row in J.rows))
 
     return [I for I, P in zip(spaces, pivots)
             if not any(properly_contains(I, P, J, Q)
@@ -245,15 +284,9 @@ def ideal_closure(B, seeds, window, budget=5000):
     Breadth-first branch-and-bound; each node either has no surviving
     bracket (a closure) or branches over the enlargements that kill its
     first survivor.  Returns (closures, exhausted): the inclusion-minimal
-    closures found, in the order found, and whether the node budget ran out
-    first.
-
-    A closure I is dropped when it properly contains another closure J,
-    that is when J.dim < I.dim and every echelon row of J reduces to zero
-    against I.  The reductions run only for pairs that also pass a cheap
-    necessary test: J's pivots are a subset of I's, because in reduced
-    echelon form the pivots are the leading coordinates of the space's
-    vectors.  No node is expanded twice, so the closures are distinct."""
+    closures found (_inclusion_minimal), in the order found, and whether the
+    node budget ran out first.  No node is expanded twice, so the closures
+    are distinct."""
     start = Subspace.from_vectors(B.carrier, window, seeds)
     queue = deque([start])
     seen = set()
@@ -288,26 +321,22 @@ def ideal_closure(B, seeds, window, budget=5000):
 # ---------------------------------------------------------------------------
 # simplicity
 
-def _bracket_nonzero(B, window):
-    syms = B.carrier.window_syms(window)
-    return any(B.eval(a, b) for a in syms for b in syms)
+def _random_poly(rng, degree, lead):
+    terms = {tsym(degree): lead}
+    for j in range(degree):
+        c = rng.randint(-4, 4)
+        if c:
+            terms[tsym(j)] = c
+    return Vec(terms)
 
 
 def random_polynomials(count, max_degree, seed, monic=True):
     """Fixed-seed family of random polynomials as Vec's over t-monomials;
     coefficients are small integers, leading coefficient 1 when monic."""
     rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        deg = rng.randint(0, max_degree)
-        terms = {tsym(deg): 1 if monic
-                 else rng.choice([c for c in range(-4, 5) if c])}
-        for j in range(deg):
-            c = rng.randint(-4, 4)
-            if c:
-                terms[tsym(j)] = c
-        out.append(Vec(terms))
-    return out
+    return [_random_poly(rng, rng.randint(0, max_degree), 1 if monic else
+                         rng.choice([c for c in range(-4, 5) if c]))
+            for _ in range(count)]
 
 
 def simplicity_probe(B, window, seeds=None, seed_count=50, max_degree=8,
@@ -317,35 +346,33 @@ def simplicity_probe(B, window, seeds=None, seed_count=50, max_degree=8,
     V_{<= floor((window-1)/2)}.  Never a proof, and says so in its params."""
     params = {"window": window, "rng_seed": rng_seed,
               "guaranteed_degree": (window - 1) // 2}
-    if not _bracket_nonzero(B, window):
-        return VerificationReport.failure(
-            "simplicity_probe", B.name,
-            {"reason": "bracket vanishes on the window"}, params)
+
+    def fail(**ce):
+        return VerificationReport.failure("simplicity_probe", B.name, ce,
+                                          params)
+
+    carrier = B.carrier
+    syms = carrier.window_syms(window)
+    if not any(B.eval(a, b) for a in syms for b in syms):
+        return fail(reason="bracket vanishes on the window")
     if seeds is None:
         seeds = random_polynomials(seed_count, max_degree, rng_seed)
-    carrier = B.carrier
-    bound = (window - 1) // 2
-    need = [s for s in carrier.window_syms(window)
-            if carrier.degree(s) <= bound]
+    need = [s for s in syms if carrier.degree(s) <= (window - 1) // 2]
     details = {"seeds": len(seeds), "closures_checked": 0}
     for k, f in enumerate(seeds):
         if not f:
             continue
         closures, exhausted = ideal_closure(B, [f], window, budget)
         if exhausted:
-            return VerificationReport.failure(
-                "simplicity_probe", B.name,
-                {"seed_index": k, "seed": render_vec(f),
-                 "reason": "budget exhausted"}, params)
+            return fail(seed_index=k, seed=render_vec(f),
+                        reason="budget exhausted")
         for I in closures:
             details["closures_checked"] += 1
             missing = [s for s in need if not I.contains(Vec.basis(s))]
             if missing:
-                ce = {"seed_index": k, "seed": render_vec(f),
-                      "missing": render_sym(missing[0]),
-                      "closure_dim": I.dim}
-                return VerificationReport.failure("simplicity_probe", B.name,
-                                                  ce, params)
+                return fail(seed_index=k, seed=render_vec(f),
+                            missing=render_sym(missing[0]),
+                            closure_dim=I.dim)
     return VerificationReport.success("simplicity_probe", B.name, params,
                                       details)
 
@@ -364,49 +391,37 @@ def theorem3_replay(window=20, rng_seed=2024, trials_per_degree=3):
     t^s (x) t^s, which forces t^s in as well."""
     params = {"window": window, "rng_seed": rng_seed}
     B = catalog_bracket("L2")
-    carrier = B.carrier
     rng = random.Random(rng_seed)
     one = Vec.basis(tsym(0))
+
+    def fail(**ce):
+        return VerificationReport.failure("theorem3_replay", "L2", ce, params)
 
     # step (a)
     for n in range(1, window // 2 + 1):
         for _ in range(trials_per_degree):
-            terms = {tsym(n): 1}
-            coeffs = {}
-            for j in range(n):
-                c = rng.randint(-4, 4)
-                if c:
-                    terms[tsym(j)] = coeffs[j] = c
-            f = Vec(terms)
+            f = _random_poly(rng, n, 1)
             got = B.eval_linear(one, f)
-            blocks = [(n, 1)] + sorted(coeffs.items())
             expect = sparse_sum(((tsym(i), tsym(d - 1 - i)), c)
-                                for d, c in blocks for i in range(d))
+                                for (_t, d), c in f.terms.items()
+                                for i in range(d))
             if got != Tensor2(expect):
-                ce = {"step": "a", "n": n, "f": render_vec(f),
-                      "reason": "expansion formula mismatch"}
-                return VerificationReport.failure("theorem3_replay", "L2",
-                                                  ce, params)
-            If = Subspace.from_vectors(carrier, window, [f])
-            if not quotient_reduce(got, If):
-                ce = {"step": "a", "n": n, "f": render_vec(f),
-                      "reason": "survivor unexpectedly vanished"}
-                return VerificationReport.failure("theorem3_replay", "L2",
-                                                  ce, params)
+                return fail(step="a", n=n, f=render_vec(f),
+                            reason="expansion formula mismatch")
+            if not quotient_reduce(got, Subspace.from_vectors(
+                    B.carrier, window, [f])):
+                return fail(step="a", n=n, f=render_vec(f),
+                            reason="survivor unexpectedly vanished")
 
     # step (b)
-    forced = 0
-    for s in range((window - 1) // 2 + 1):
-        Is = Subspace.from_vectors(carrier, window,
+    forced = (window - 1) // 2 + 1
+    for s in range(forced):
+        Is = Subspace.from_vectors(B.carrier, window,
                                    [Vec.basis(tsym(j)) for j in range(s)])
         u = B.eval_linear(one, Vec.basis(tsym(2 * s + 1)))
-        surv = quotient_reduce(u, Is)
-        if surv.terms != {(tsym(s), tsym(s)): 1}:
-            ce = {"step": "b", "s": s,
-                  "reason": "survivor is not the single diagonal term"}
-            return VerificationReport.failure("theorem3_replay", "L2", ce,
-                                              params)
-        forced += 1
+        if quotient_reduce(u, Is).terms != {(tsym(s), tsym(s)): 1}:
+            return fail(step="b", s=s,
+                        reason="survivor is not the single diagonal term")
     details = {"degrees_checked": window // 2,
                "forced_memberships": forced}
     return VerificationReport.success("theorem3_replay", "L2", params,

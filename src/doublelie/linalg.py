@@ -2,12 +2,15 @@
 
 Rows are lists of Fractions (or ints); everything is done by Gaussian
 elimination with exact arithmetic, so ranks, memberships and inverses carry
-no numerical caveats.
+no numerical caveats.  ``echelon`` is the fraction-free counterpart of
+``rref`` (Bareiss, Math. Comp. 1968): it keeps primitive integer rows.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def rref(rows):
@@ -15,33 +18,21 @@ def rref(rows):
     zero rows are dropped."""
     mat = [list(r) for r in rows]
     pivots = []
-    lead = 0
-    ncols = len(mat[0]) if mat else 0
-    for r in range(len(mat)):
-        while lead < ncols:
-            pivot_row = None
-            for rr in range(r, len(mat)):
-                if mat[rr][lead]:
-                    pivot_row = rr
-                    break
-            if pivot_row is None:
-                lead += 1
-                continue
-            mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-            inv = Fraction(1, 1) / mat[r][lead]
-            mat[r] = [c * inv for c in mat[r]]
-            for rr in range(len(mat)):
-                if rr != r and mat[rr][lead]:
-                    f = mat[rr][lead]
-                    mat[rr] = [a - f * b if b else a
-                               for a, b in zip(mat[rr], mat[r])]
-            pivots.append(lead)
-            lead += 1
-            break
-        else:
-            break
-    keep = [row for row in mat if any(row)]
-    return keep, pivots
+    for lead in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        found = next((k for k in range(r, len(mat)) if mat[k][lead]), None)
+        if found is None:
+            continue
+        mat[r], mat[found] = mat[found], mat[r]
+        inv = Fraction(1, 1) / mat[r][lead]
+        mat[r] = [c * inv for c in mat[r]]
+        for k in range(len(mat)):
+            f = mat[k][lead]
+            if k != r and f:
+                mat[k] = [a - f * b if b else a
+                          for a, b in zip(mat[k], mat[r])]
+        pivots.append(lead)
+    return mat[:len(pivots)], pivots
 
 
 def reduce_vector(vec, basis_rows, pivots):
@@ -61,6 +52,48 @@ def invert_matrix(rows):
     aug = [list(r) + [Fraction(int(i == j)) for j in range(n)]
            for i, r in enumerate(rows)]
     red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)) or len(red) < n:
+    if pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in red[:n]]
+
+
+def _primitive_row(row):
+    """The primitive integer multiple of a rational row whose first nonzero
+    entry is positive, as a tuple; None for the zero row."""
+    den = lcm(*(c.denominator for c in row))
+    ints = [c.numerator * (den // c.denominator) for c in row]
+    g = gcd(*ints)
+    if not g:
+        return None
+    if next(c for c in ints if c) < 0:
+        g = -g
+    return tuple(ints) if g == 1 else tuple(c // g for c in ints)
+
+
+def echelon(new, rows=(), pivots=()):
+    """The reduced echelon form of the span of rows and new, fraction-free:
+    (rows, pivots), the rows primitive integer tuples with positive pivots in
+    pivot order, each a positive multiple of the matching row of ``rref``.
+    (rows, pivots) must already be such a form; the new rational rows are
+    inserted one at a time.  A new row v loses its entry f at each row r's
+    pivot a by v <- (a v - f r) / gcd(a, f); then each row r loses its entry
+    f at v's pivot b by r <- b r - f v.  Each result is made primitive."""
+    rows, pivots = list(rows), list(pivots)
+    for v in map(_primitive_row, new):
+        for r, p in zip(rows, pivots):
+            if v and v[p]:
+                g = gcd(r[p], v[p])
+                a, f = r[p] // g, v[p] // g
+                v = _primitive_row([a * x - f * y for x, y in zip(v, r)])
+        if not v:
+            continue
+        q = next(i for i, c in enumerate(v) if c)
+        b = v[q]
+        for k, r in enumerate(rows):
+            f = r[q]
+            if f:
+                rows[k] = _primitive_row([b * x - f * y for x, y in zip(r, v)])
+        k = bisect(pivots, q)
+        rows.insert(k, v)
+        pivots.insert(k, q)
+    return rows, pivots

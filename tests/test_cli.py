@@ -212,6 +212,23 @@ def test_dense_quadratic_closure_record_is_pinned(capsys):
         "38ddd133ef67aa3c73bbbaa286ed31898f3d49f2f7c0b882283f8ca72b9af5e1")
 
 
+@pytest.mark.parametrize("target, seed, window, count, digest", [
+    # not monic at its pivot, so the closures carry fractional coefficients
+    ("L1", "2*t^2 + 3*t - 1", "7", 24,
+     "f2b1463c0107777a710028bccdb9f32e7dc5bbcac7e6efacccc5b3670affc4cd"),
+    ("L1_laurent", "t + 1", "3", 2,
+     "215c9668f5d7ef70e4db3ff8b8ef5f18f534c038ae137614d023aa64b63fdfcd"),
+    ("L1_laurent", "2*t^-1 + 3*t", "3", 1,
+     "aeea876ae8241d8cbfa1265bc415d8d410e8ce70f20f9bcf9ff4528e05e4abe4"),
+])
+def test_closure_records_are_pinned(capsys, target, seed, window, count,
+                                    digest):
+    code, out, _ = run(capsys, "ideal", "closure", target, "--seed", seed,
+                       "--window", window)
+    assert code == 0 and len(records(out)[0]["closures"]) == count
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_module_check_instances(capsys):
     for name in ("tpoly-under-third", "t2poly-under-first",
                  "block-bimodule"):

@@ -3,6 +3,8 @@ simplicity replay."""
 
 from __future__ import annotations
 
+import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -12,10 +14,12 @@ from hypothesis import given, settings, strategies as st
 from doublelie.brackets import (catalog_bracket, check_anticommutativity,
                                 check_homomorphism, check_jacobi)
 from doublelie.exact import Tensor2, Vec, esym, tsym
-from doublelie.ideals import (Subspace, _inclusion_minimal, ideal_closure,
-                              is_ideal, quotient_bracket, quotient_reduce,
-                              random_polynomials, simplicity_probe,
-                              theorem3_replay)
+from doublelie.grammar import parse_poly, render_vec
+from doublelie.ideals import (Subspace, _inclusion_minimal, _survivors,
+                              ideal_closure, is_ideal, quotient_bracket,
+                              quotient_reduce, random_polynomials,
+                              simplicity_probe, theorem3_replay)
+from doublelie.linalg import reduce_vector, rref
 
 
 def span(carrier, window, *vecs):
@@ -217,6 +221,111 @@ def test_pivot_filtered_minimality_matches_pairwise_containment(family):
     got = _inclusion_minimal(family)
     assert [I.key() for I in got] == \
         [I.key() for I in reference_minimal(family)]
+
+
+def _tensors(dim):
+    return st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1),
+                              st.sampled_from((1, -3, Fraction(2, 5)))),
+                    max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ROW, max_size=6), st.lists(_ROW, max_size=3), _ROW,
+       _tensors(_DIM))
+def test_integer_subspace_matches_the_fraction_rref(gens, more, probe, terms):
+    carrier = catalog_bracket("L1").carrier
+    I = Subspace(carrier, _DIM - 1, gens)
+    red, pivots = rref(gens)
+    assert I.pivots == pivots
+    for row, ref, p in zip(I.rows, red, pivots):
+        assert all(type(c) is int for c in row)
+        assert math.gcd(*row) == 1 and row[p] > 0
+        assert [Fraction(c, row[p]) for c in row] == ref
+    assert I.basis_vecs() == [I.vec_of(ref) for ref in red]
+    # extended inserts into the echelon form: the same as a fresh build
+    J = I.extended([I.vec_of(row) for row in more])
+    assert J.key() == Subspace(carrier, _DIM - 1, gens + more).key()
+    # reduce, contains, project and quotient_reduce agree with the monic
+    # Fraction echelon rows
+    ref = reduce_vector(probe, red, pivots)
+    assert I.reduce(I.vec_of(probe)) == I.vec_of(ref)
+    assert I.contains(I.vec_of(probe)) == (not any(ref))
+    proj = {}
+    for k, s in enumerate(I.syms):
+        unit = reduce_vector([int(i == k) for i in range(_DIM)], red, pivots)
+        proj[s] = tuple((I.syms[i], c) for i, c in enumerate(unit) if c)
+        assert I.project(s) == proj[s]
+    u = Tensor2()
+    for a, b, c in terms:
+        u += Tensor2({(I.syms[a], I.syms[b]): c})
+    expect = Tensor2()
+    for (a, b), c in u.items():
+        for sa, ca in proj[a]:
+            for sb, cb in proj[b]:
+                expect += Tensor2({(sa, sb): c * ca * cb})
+    assert quotient_reduce(u, I) == expect
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_ROW, min_size=1, max_size=3), st.sampled_from(("L1", "L2")))
+def test_survivors_are_positive_multiples_of_the_quotient(gens, name):
+    B = catalog_bracket(name)
+    I = Subspace(B.carrier, _DIM - 1, gens)
+    swept = 0
+    for v, k, side, surv in _survivors(B, I, _DIM - 1):
+        g, vv = I.basis_vecs()[k], Vec.basis(v)
+        value = B.eval_linear(*((vv, g) if side == "ambient,ideal"
+                                else (g, vv)))
+        exact = quotient_reduce(value, I).terms
+        assert surv.keys() == exact.keys()
+        ratios = {surv[key] / Fraction(c) for key, c in exact.items()}
+        assert len(ratios) == 1 and ratios.pop() > 0
+        swept += 1
+    assert (swept == 0) == is_ideal(B, I, _DIM - 1).passed
+
+
+def test_is_ideal_renders_the_monic_generator():
+    L2 = catalog_bracket("L2")
+    rep = is_ideal(L2, span(L2.carrier, 6, parse_poly("2 + t")), 6)
+    assert rep.to_json() == (
+        '{"check": "is_ideal", "target": "L2", "subspace_dim": 1, '
+        '"window": 6, "status": "fail", "counterexample": {"ambient": "t^0", '
+        '"generator": "t^0 + 1/2*t^1", "order": "ambient,ideal"}}')
+
+
+def _digest(spaces):
+    text = "\n".join("|".join(render_vec(v) for v in I.basis_vecs())
+                     for I in spaces)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, seed, window, nodes, tree, closures", [
+    ("L1", "2*t^2 + 3*t - 1", 7, 76, "14dafd016f677c16", "8b25159bd5297077"),
+    ("L1", "t^2 + 4*t - 1", 9, 356, "dd683c1819f89eb9", "d51b0d70449ae0f5"),
+    ("L1", "1/2*t^3 - t + 3", 7, 32, "3eee7391b0f1f604", "144423b78f18a2bb"),
+    ("L2", "2*t^2 + 3*t - 1", 7, 6, "aa93759cc1a8b298", "621d02e0d6b65722"),
+    ("L2", "t + 2", 8, 6, "dd1140d2f839d838", "621d02e0d6b65722"),
+    ("L1_laurent", "t + 1", 3, 16, "c6027dc4926a3e1d", "3f26aff3c2baeab8"),
+    ("L2_laurent", "2*t^-1 + 3*t", 3, 2, "f4017488904ff574",
+     "a2730efa988b6f70"),
+])
+def test_closure_search_tree_is_pinned(monkeypatch, name, seed, window,
+                                       nodes, tree, closures):
+    # every node the search builds, in order, and the closures it returns;
+    # the digests are of their monic echelon bases
+    built = []
+    extended = Subspace.extended
+
+    def record(self, vectors):
+        built.append(extended(self, vectors))
+        return built[-1]
+
+    monkeypatch.setattr(Subspace, "extended", record)
+    got, exhausted = ideal_closure(catalog_bracket(name), [parse_poly(seed)],
+                                   window)
+    assert not exhausted and len(built) == nodes
+    assert _digest(built).startswith(tree)
+    assert _digest(got).startswith(closures)
 
 
 def test_budget_exhaustion_is_flagged():

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from doublelie.linalg import invert_matrix, reduce_vector, rref
+from doublelie.linalg import echelon, invert_matrix, reduce_vector, rref
 
 
 def random_matrix(rng, rows, cols):
@@ -97,6 +98,22 @@ def test_rref_and_reduce_vector_match_sympy(system):
     diff = [a - b for a, b in zip(vec, out)]
     assert _sympy(mat + [diff]).rank() == rank
     assert (not any(out)) == (_sympy(mat + [vec]).rank() == rank)
+
+
+@settings(deadline=None)
+@given(_sparse_systems(), _sparse_systems())
+def test_echelon_rows_are_primitive_multiples_of_the_rref_rows(system, more):
+    mat, vec = system
+    rows, pivots = echelon(mat)
+    red, expect_pivots = rref(mat)
+    assert pivots == expect_pivots
+    for row, ref, p in zip(rows, red, pivots):
+        assert all(type(c) is int for c in row)
+        assert math.gcd(*row) == 1 and row[p] > 0
+        assert [Fraction(c, row[p]) for c in row] == ref
+    # inserting rows into an echelon form gives the from-scratch form
+    extra = [r[:len(vec)] + [0] * (len(vec) - len(r)) for r in more[0]]
+    assert echelon(extra + [vec], rows, pivots) == echelon(mat + extra + [vec])
 
 
 def test_inverse_multiplies_to_identity():
