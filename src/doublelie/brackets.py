@@ -11,7 +11,8 @@ over a window of basis elements.
 
 The polynomial catalog comes from divided-difference closed forms: rational
 expressions in x = t (x) 1 and y = 1 (x) t whose numerators are divisible by
-x - y; the quotient, expanded, is the bracket value as a finite tensor.
+x - y; the quotient, expanded, is the bracket value as a finite tensor.  The
+finite catalog brackets are the brackets of the finite catalog operators.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .exact import Tensor2, Vec, esym, sparse_sum, tsym, ysym
 from .grammar import render_sym
 from .linalg import invert_matrix
 from .matrices import Domain, FinitaryMatrix
-from .rb import RBOperator, unit_range
+from .rb import _FINITE_IMAGES, RBOperator, catalog_rb, unit_range
 from .report import VerificationReport
 
 
@@ -67,8 +68,8 @@ class PolyCarrier:
 class BasisCarrier:
     """An explicit finite basis: the symbols syms in order, each with a
     degree (0 unless a degree function is given), and no associative
-    product.  It carries the finite catalog brackets, quotients and trivial
-    extensions."""
+    product.  It carries the brackets of finite operators, quotients and
+    trivial extensions."""
 
     def __init__(self, name, syms, degree=None):
         self.name = name
@@ -77,9 +78,9 @@ class BasisCarrier:
         self._degree = degree
 
     @classmethod
-    def finite(cls, n, name=None):
+    def finite(cls, n):
         """The abstract basis e_1..e_n."""
-        return cls(name or "finite(%d)" % n, [esym(q + 1) for q in range(n)])
+        return cls("finite(%d)" % n, [esym(q + 1) for q in range(n)])
 
     def sym(self, q):
         if not 0 <= q < len(self.syms):
@@ -111,8 +112,9 @@ class MatrixPolyCarrier:
         self.N = N
         self.name = "poly(x)M_%d" % N
 
-    def sym(self, n, i=1, j=1):
-        return ysym(n, i, j)
+    def sym(self, n):
+        """t^n (x) e_11, the symbol a bare degree names."""
+        return ysym(n, 1, 1)
 
     def window_syms(self, window):
         return [ysym(n, i, j) for n in range(window + 1)
@@ -239,16 +241,10 @@ def divided_difference(variant, n, m):
 # ---------------------------------------------------------------------------
 # catalog
 
-_FINITE_TABLES = {
-    "ex1": (2, {(0, 0): {((0, 1), 1), ((1, 0), -1)}}),
-    "ex2": (2, {(0, 1): {((0, 0), 1)}, (1, 0): {((0, 0), -1)}}),
-    "quiver": (4, {(2, 3): {((1, 0), 1)}, (3, 2): {((0, 1), -1)}}),
-}
-
-
 def catalog_bracket(name, **params):
     """Named brackets: L1..L4 (polynomial), their _laurent variants, ex1,
-    ex2, quiver (finite), dY (N=...), zero."""
+    ex2, quiver (the brackets of the finite catalog operators), dY (N=...),
+    zero."""
     laurent = name.endswith("_laurent")
     base = name[:-len("_laurent")] if laurent else name
     if base in _DD_VARIANTS:
@@ -260,16 +256,8 @@ def catalog_bracket(name, **params):
             return divided_difference(base, s1[1], s2[1])
 
         return DoubleBracket(name, carrier, eval_fn, degree_shift=shift)
-    if name in _FINITE_TABLES:
-        n, table = _FINITE_TABLES[name]
-        carrier = BasisCarrier.finite(n, name)
-
-        def eval_fn(s1, s2):
-            ents = table.get((s1[1] - 1, s2[1] - 1), ())
-            return Tensor2({(esym(a + 1), esym(b + 1)): c
-                            for (a, b), c in ents})
-
-        return DoubleBracket(name, carrier, eval_fn)
+    if name in _FINITE_IMAGES:
+        return bracket_from_rb(catalog_rb(name), name)
     if name == "dY":
         N = params.get("N", 2)
 
@@ -294,15 +282,16 @@ CATALOG_BRACKET_NAMES = ("L1", "L2", "L3", "L4", "L1_laurent", "L2_laurent",
 # ---------------------------------------------------------------------------
 # operator <-> bracket correspondence
 
-def bracket_from_rb(R, name=None, degree_shift=None):
+def bracket_from_rb(R, name=None):
     """The double bracket of an operator:
     <<u_p, u_q>> = sum_s u_s (x) R(e_{ps}) u_q.
 
-    Needs a sound finite support hint for s; the Laurent operators have
-    none (the sum over s is genuinely infinite), so they are rejected."""
+    Needs a sound finite support hint for s.  The Laurent operators have
+    none (the sum over s is genuinely infinite), nor has a transpose whose
+    hint conjugate_by cannot vouch for; both are rejected."""
     if R.support_hint is None:
         raise ValueError("operator %s has no finite support hint; its "
-                         "correspondence sum does not terminate" % R.name)
+                         "correspondence sum is not bounded" % R.name)
     name = name or "<<%s>>" % R.name
 
     def kernel(p, q):
@@ -310,7 +299,7 @@ def bracket_from_rb(R, name=None, degree_shift=None):
                           for r, c in R.apply_image(p, s, q).items())
 
     if R.N > 1:
-        return DoubleBracket.from_kernel(name, R.N, kernel, degree_shift)
+        return DoubleBracket.from_kernel(name, R.N, kernel)
     if R.domain.kind == "finite":
         carrier = BasisCarrier.finite(R.domain.size)
     else:
@@ -321,10 +310,10 @@ def bracket_from_rb(R, name=None, degree_shift=None):
                         in kernel(carrier.index(s1),
                                   carrier.index(s2)).items()})
 
-    return DoubleBracket(name, carrier, eval_fn, degree_shift)
+    return DoubleBracket(name, carrier, eval_fn)
 
 
-def rb_from_bracket(B, dim, name=None):
+def rb_from_bracket(B, dim):
     """Read the operator back off a finite-dimensional bracket: the
     coefficient of u_s (x) u_r in <<u_p, u_q>> is the (r, q) entry of
     R(e_{ps}).  Inverse of bracket_from_rb on finite carriers."""
@@ -339,7 +328,7 @@ def rb_from_bracket(B, dim, name=None):
             if a == ssym)
         return FinitaryMatrix(ents, domain)
 
-    return RBOperator(name or "R[%s]" % B.name, domain, image_fn,
+    return RBOperator("R[%s]" % B.name, domain, image_fn,
                       lambda p, q: range(dim))
 
 

@@ -42,14 +42,11 @@ class DoubleAction:
 
     __slots__ = ("name", "l_syms", "m_syms", "_eval_fn", "is_l", "_memo")
 
-    def __init__(self, name, l_syms, m_syms, eval_fn, is_l=None):
+    def __init__(self, name, l_syms, m_syms, eval_fn, is_l):
         self.name = name
         self.l_syms = list(l_syms)
         self.m_syms = list(m_syms)
         self._eval_fn = eval_fn
-        if is_l is None:
-            lset = set(self.l_syms)
-            is_l = lambda s: s in lset
         self.is_l = is_l
         self._memo = {}
 
@@ -74,8 +71,7 @@ class DoubleAction:
                                               len(self.m_syms))
 
 
-def mutate_action(act, pair_index, term_index=0, preserve_skew=True,
-                  name=None):
+def mutate_action(act, pair_index, term_index=0, preserve_skew=True):
     """Flip the sign of one output term of the action; with preserve_skew the
     mirrored term of the opposite-order pair is flipped too, so the mutation
     survives the skew axiom and must be caught by the Jacobi-type axioms."""
@@ -96,17 +92,17 @@ def mutate_action(act, pair_index, term_index=0, preserve_skew=True,
             return T + Tensor2({mirror: -2 * T.terms[mirror]})
         return T
 
-    return DoubleAction(name or act.name + "~mut", act.l_syms, act.m_syms,
-                        eval_fn, act.is_l)
+    return DoubleAction(act.name + "~mut", act.l_syms, act.m_syms, eval_fn,
+                        act.is_l)
 
 
 # ---------------------------------------------------------------------------
 # trivial extension
 
-def trivial_extension_bracket(B_L, act, name=None):
+def trivial_extension_bracket(B_L, act):
     """Bracket on L + M: B_L on L x L, the action on mixed pairs, zero on
     M x M."""
-    name = name or "%s(+)%s" % (B_L.name, act.name)
+    name = "%s(+)%s" % (B_L.name, act.name)
     carrier = BasisCarrier(name, act.l_syms + act.m_syms,
                            B_L.carrier.degree)
     is_l = act.is_l
@@ -172,14 +168,14 @@ def check_module_axioms(act, B_L, window=None):
     return VerificationReport.success("module_axioms", act.name, params)
 
 
-def extension_double_lie_check(B_L, act, window=None):
+def extension_double_lie_check(B_L, act):
     """Whether the trivial extension is itself a double Lie algebra on the
     joint basis (the other side of the extension equivalence)."""
     E = trivial_extension_bracket(B_L, act)
-    rep = check_anticommutativity(E, window)
+    rep = check_anticommutativity(E, None)
     if not rep.passed:
         return rep
-    return check_jacobi(E, window)
+    return check_jacobi(E, None)
 
 
 def proposition_equivalence(B_L, act, mutations=20, rng_seed=7):

@@ -36,9 +36,9 @@ def S(x):
 # ---------------------------------------------------------------------------
 # basis symbols
 
-def tsym(n, tag="t"):
+def tsym(n):
     """Monomial t^n (n may be negative for the Laurent extension)."""
-    return (tag, n)
+    return ("t", n)
 
 
 def esym(i, tag="e"):
@@ -46,11 +46,11 @@ def esym(i, tag="e"):
     return (tag, i)
 
 
-def ysym(n, i, j, tag="Y"):
+def ysym(n, i, j):
     """Basis element t^n (x) e_ij of F[t] (x) M_N(F)."""
     if n < 0 or i < 1 or j < 1:
         raise ValueError("ysym indices out of range: %r" % ((n, i, j),))
-    return (tag, (n, i, j))
+    return ("Y", (n, i, j))
 
 
 def sym_sort_key(sym):

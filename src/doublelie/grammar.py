@@ -49,31 +49,23 @@ def parse_sym(text: str):
     return esym(int(m.group("eidx")), tag=m.group("etag"))
 
 
+# a sign between terms follows a letter, digit or closing bracket, so the
+# sign of an exponent (t^-1) or of an index (A[-1,2]) is not one
+_TERM_SIGN = re.compile(r"(?<=[\w\])])\s*([+-])\s*")
+
+
 def _split_terms(text: str):
-    """Split "a - b + c" into signed chunks, respecting leading sign."""
+    """Split "a - b + c" into (sign, chunk) pairs, respecting a leading
+    sign; a chunk may be empty ("a -"), which its parser rejects."""
     text = text.strip()
     if not text or text == "0":
         return []
-    out = []
-    sign = 1
-    buf = []
-    i = 0
+    sign = "+"
     if text[0] in "+-":
-        sign = -1 if text[0] == "-" else 1
-        i = 1
-    while i < len(text):
-        ch = text[i]
-        if ch in "+-" and buf and buf[-1] == " ":
-            out.append((sign, "".join(buf).strip()))
-            sign = -1 if ch == "-" else 1
-            buf = []
-            i += 2  # skip the space after the sign
-            continue
-        buf.append(ch)
-        i += 1
-    if "".join(buf).strip():
-        out.append((sign, "".join(buf).strip()))
-    return out
+        sign, text = text[0], text[1:]
+    parts = _TERM_SIGN.split(text)
+    return [(-1 if s == "-" else 1, chunk.strip())
+            for s, chunk in zip([sign] + parts[1::2], parts[0::2])]
 
 
 def _split_coeff(chunk: str):
@@ -134,7 +126,7 @@ def render_poly(v: Vec) -> str:
 
 
 _MONO_RE = re.compile(r"""
-    (?P<coeff>-?\d+(?:/\d+)?)?
+    (?P<coeff>\d+(?:/\d+)?)?
     (?:\*?(?P<t>t(?:\^(?P<exp>-?\d+))?))?
 """, re.VERBOSE)
 
@@ -142,11 +134,8 @@ _MONO_RE = re.compile(r"""
 def parse_poly(text: str) -> Vec:
     """Parse polynomials in t such as "t^2 - 3/2*t + 1"."""
     terms = []
-    chunks = _split_terms(text.replace("- ", "- ").replace("+ ", "+ "))
-    if not chunks and text.strip() not in ("", "0"):
-        raise ValueError("cannot parse polynomial %r" % text)
-    for sign, chunk in chunks:
-        m = _MONO_RE.fullmatch(chunk.strip())
+    for sign, chunk in _split_terms(text):
+        m = _MONO_RE.fullmatch(chunk)
         if not m or (m.group("coeff") is None and m.group("t") is None):
             raise ValueError("cannot parse monomial %r" % chunk)
         coeff = S(m.group("coeff")) if m.group("coeff") else ONE

@@ -112,26 +112,11 @@ class Subspace:
             self._table = D, table
         return self._table
 
-    def project(self, sym):
-        """Quotient coordinates of a basis symbol: its reduction, read off on
-        the complement positions, as a tuple of (complement_sym, coeff)."""
-        D, table = self._projections()
-        return tuple((s, _over(c, D)) for s, c in table[sym])
-
-    def _numerators(self, vec):
-        """D times the reduction of vec, as a dict."""
-        table = self._projections()[1]
-        return sparse_sum((s, c * a) for t, a in vec.terms.items()
-                          for s, c in table[t])
-
-    def reduce(self, vec):
-        """Canonical representative of vec modulo this subspace (zeros in
-        every pivot coordinate)."""
-        D = self._projections()[0]
-        return Vec({s: _over(c, D) for s, c in self._numerators(vec).items()})
-
     def contains(self, vec):
-        return not self._numerators(vec)
+        """Whether vec reduces to zero modulo this subspace."""
+        table = self._projections()[1]
+        return not sparse_sum((s, c * a) for t, a in vec.terms.items()
+                              for s, c in table[t])
 
     def extended(self, vectors):
         """The span of this subspace and the vectors, which are inserted into
@@ -148,7 +133,7 @@ class Subspace:
         return [s for i, s in enumerate(self.syms) if i not in pivset]
 
     def __repr__(self):
-        return "Subspace(dim %d in %s window %d)" % (
+        return "Subspace(dim %d in %s window %s)" % (
             self.dim, self.carrier.name, self.window)
 
 
@@ -214,14 +199,14 @@ def is_ideal(B, I, window):
     return VerificationReport.success("is_ideal", B.name, params)
 
 
-def quotient_bracket(B, I, window, name=None):
+def quotient_bracket(B, I, window):
     """The induced bracket on V/I (echelon-complement representatives);
     requires is_ideal to pass on the window."""
     rep = is_ideal(B, I, window)
     if not rep.passed:
         raise ValueError("subspace is not an ideal on window %d: %r"
                          % (window, rep.counterexample))
-    name = name or "%s/(dim %d)" % (B.name, I.dim)
+    name = "%s/(dim %d)" % (B.name, I.dim)
     carrier = BasisCarrier(name, I.complement_syms(), I.carrier.degree)
 
     def eval_fn(s1, s2):
@@ -321,8 +306,8 @@ def ideal_closure(B, seeds, window, budget=5000):
 # ---------------------------------------------------------------------------
 # simplicity
 
-def _random_poly(rng, degree, lead):
-    terms = {tsym(degree): lead}
+def _random_poly(rng, degree):
+    terms = {tsym(degree): 1}
     for j in range(degree):
         c = rng.randint(-4, 4)
         if c:
@@ -330,12 +315,11 @@ def _random_poly(rng, degree, lead):
     return Vec(terms)
 
 
-def random_polynomials(count, max_degree, seed, monic=True):
-    """Fixed-seed family of random polynomials as Vec's over t-monomials;
-    coefficients are small integers, leading coefficient 1 when monic."""
+def random_polynomials(count, max_degree, seed):
+    """Fixed-seed family of random monic polynomials as Vec's over
+    t-monomials; the other coefficients are small integers."""
     rng = random.Random(seed)
-    return [_random_poly(rng, rng.randint(0, max_degree), 1 if monic else
-                         rng.choice([c for c in range(-4, 5) if c]))
+    return [_random_poly(rng, rng.randint(0, max_degree))
             for _ in range(count)]
 
 
@@ -377,14 +361,15 @@ def simplicity_probe(B, window, seeds=None, seed_count=50, max_degree=8,
                                       details)
 
 
-def theorem3_replay(window=20, rng_seed=2024, trials_per_degree=3):
+def theorem3_replay(window=20, rng_seed=2024):
     """Scripted replay of the simplicity argument for the second polynomial
     catalog bracket, in two exact steps.
 
-    (a) Minimal-degree contradiction: for random monic f of degree n the
-    bracket of 1 with f expands to sum_{i<n} t^i (x) t^{n-1-i} plus lower
-    blocks, and its reduction modulo span{f} is nonzero, so an ideal that
-    contains a polynomial of minimal degree n >= 1 is impossible.
+    (a) Minimal-degree contradiction: for three random monic f of each
+    degree n the bracket of 1 with f expands to sum_{i<n} t^i (x) t^{n-1-i}
+    plus lower blocks, and its reduction modulo span{f} is nonzero, so an
+    ideal that contains a polynomial of minimal degree n >= 1 is
+    impossible.
 
     (b) Induction: with span{1, ..., t^{s-1}} already inside the ideal, the
     bracket of 1 with t^{2s+1} reduces to exactly the diagonal survivor
@@ -399,8 +384,8 @@ def theorem3_replay(window=20, rng_seed=2024, trials_per_degree=3):
 
     # step (a)
     for n in range(1, window // 2 + 1):
-        for _ in range(trials_per_degree):
-            f = _random_poly(rng, n, 1)
+        for _ in range(3):
+            f = _random_poly(rng, n)
             got = B.eval_linear(one, f)
             expect = sparse_sum(((tsym(i), tsym(d - 1 - i)), c)
                                 for (_t, d), c in f.terms.items()

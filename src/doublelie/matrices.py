@@ -262,24 +262,14 @@ class LocallyFiniteOperator:
         return LocallyFiniteOperator({}, domain)
 
     @staticmethod
-    def ray(coeff, row0, col0, length=None, domain=NATURALS, back=False):
-        """coeff * (e_{row0,col0} + e_{row0+1,col0+1} + ...); length None means
-        a forward-infinite ray, or with back=True a backward-infinite one
-        ending at (row0, col0)."""
-        offset = col0 - row0
-        if length is None:
-            seg = (None, row0, coeff) if back else (row0, None, coeff)
-        else:
-            if length < 0:
-                raise ValueError("ray length must be nonnegative")
-            if length == 0:
-                return LocallyFiniteOperator({}, domain)
-            seg = (row0, row0 + length - 1, coeff)
-        return LocallyFiniteOperator({offset: [seg]}, domain)
+    def ray(coeff, row0, col0):
+        """coeff * (e_{row0,col0} + e_{row0+1,col0+1} + ...) on the
+        naturals."""
+        return LocallyFiniteOperator({col0 - row0: [(row0, None, coeff)]})
 
     @staticmethod
-    def unit(i, j, domain=NATURALS, coeff=ONE):
-        return LocallyFiniteOperator({j - i: [(i, i, coeff)]}, domain)
+    def unit(i, j, domain=NATURALS):
+        return LocallyFiniteOperator({j - i: [(i, i, ONE)]}, domain)
 
     def __bool__(self):
         return bool(self.segs)
@@ -343,10 +333,10 @@ class LocallyFiniteOperator:
             segs[-offset] = moved
         return LocallyFiniteOperator(segs, self.domain, self.step)
 
-    def apply(self, v, tag=None):
+    def apply(self, v):
         """Matrix-vector product on basis symbols u_q := (tag, q); the
-        symbol tag is preserved unless an explicit output tag is given."""
-        return Vec(sparse_sum(((tag or vtag, r), c * d)
+        output keeps the symbol tag."""
+        return Vec(sparse_sum(((vtag, r), c * d)
                               for (vtag, q), c in v.terms.items()
                               for r, d in self.apply_index(q).items()))
 
@@ -396,8 +386,8 @@ class FinitaryMatrix(LocallyFiniteOperator):
         super().__init__(segs, domain)
 
     @classmethod
-    def unit(cls, i, j, domain=NATURALS, coeff=ONE):
-        return cls({(i, j): coeff}, domain)
+    def unit(cls, i, j, domain=NATURALS):
+        return cls({(i, j): ONE}, domain)
 
 
 class StridedRayOperator(LocallyFiniteOperator):

@@ -42,7 +42,8 @@ class RBOperator:
     """Basis-indexed linear map from matrix units into locally finite
     operators.  support_hint(p, q) returns a finite iterable of column
     indices s for which R(e_{ps}) applied to u_q may be nonzero; it is None
-    exactly when no sound finite hint exists (the Laurent variants)."""
+    when no sound finite hint is known (the Laurent variants, and the
+    transposes that conjugate_by cannot give one)."""
 
     __slots__ = ("name", "domain", "_image_fn", "support_hint", "N",
                  "_images", "_applied")
@@ -282,12 +283,17 @@ def conjugate_by(R, psi, name=None):
 
     psi is "identity", "transpose", or a sequence perm with perm[i] giving the
     image index of i under the automorphism e_{ij} -> e_{perm[i],perm[j]}
-    (finite domains only)."""
+    (finite domains only).
+
+    The transpose keeps a support hint only when R has the generic one,
+    s < p + q + 2, which holds for the catalog transposes r3 and r4 of r1
+    and r2; any other hint says nothing about the transpose, so it is
+    dropped and bracket_from_rb refuses the result."""
     if psi == "identity":
         return RBOperator(name or R.name, R.domain, R.image, R.support_hint,
                           R.N)
     if psi == "transpose":
-        hint = _generic_hint if R.support_hint is not None else None
+        hint = _generic_hint if R.support_hint is _generic_hint else None
         return RBOperator(name or "%s^T" % R.name, R.domain,
                           lambda i, j: R.image(j, i).transpose(),
                           hint, R.N)
@@ -316,15 +322,15 @@ def tensor_extend(R, N, name=None):
                       R.support_hint, N)
 
 
-def mutate_sign(R, i, j, name=None):
+def mutate_sign(R, i, j):
     """Flip the sign of the single image R(e_{ij}); breaks the RB identity
     for every catalog operator and is used by the mutation tests."""
     def image_fn(a, b):
         op = R.image(a, b)
         return op.scale(-1) if (a, b) == (i, j) else op
 
-    return RBOperator(name or "%s!flip[%d,%d]" % (R.name, i, j), R.domain,
-                      image_fn, R.support_hint, R.N)
+    return RBOperator("%s!flip[%d,%d]" % (R.name, i, j), R.domain, image_fn,
+                      R.support_hint, R.N)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +376,7 @@ def _pk_image(k):
     return image_fn
 
 
-def build_pk(k, window=None):
+def build_pk(k):
     """The preimage operator of the k-step difference map d_k(x) = xA^k - A^kx
     with A = e_{10} + e_{21} + ...: P_k(e_{ij}) is the minimal-support
     solution X of the entrywise recurrence X_{a,b+k} - X_{a-k,b} =
@@ -409,9 +415,8 @@ def catalog_rb(name, **params):
         N = params.get("N", 2)
         base = catalog_rb("r1").scaled(-1, name="-r1")
         return tensor_extend(base, N, name="kac(%d)" % N)
-    if name in ("p_k", "pk"):
-        k = params.get("k", 1)
-        return build_pk(k)
+    if name == "p_k":
+        return build_pk(params.get("k", 1))
     if name == "zero":
         domain = params.get("domain", NATURALS)
         return RBOperator("zero", domain,
@@ -427,9 +432,9 @@ CATALOG_RB_NAMES = ("r1", "r2", "r3", "r4", "ex1", "ex2", "quiver", "kac",
 # ---------------------------------------------------------------------------
 # the derivation d(x) = xA - Ax and its k-step analogues
 
-def shift_ray(domain=NATURALS):
+def shift_ray():
     """A = e_{10} + e_{21} + ... (the lower shift), as an operator."""
-    return LocallyFiniteOperator.ray(1, 1, 0, None, domain=domain)
+    return LocallyFiniteOperator.ray(1, 1, 0)
 
 
 def derivation_unit(i, j, domain=NATURALS):

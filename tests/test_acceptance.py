@@ -24,8 +24,7 @@ from doublelie.dmodules import (check_module_axioms, induced_module_from_ideal,
 from doublelie.exact import Vec, esym, tsym, ysym
 from doublelie.ideals import (Subspace, is_ideal, quotient_bracket,
                               simplicity_probe, theorem3_replay)
-from doublelie.matrices import (Domain, FinitaryMatrix, LocallyFiniteOperator,
-                                mul_mixed)
+from doublelie.matrices import Domain, FinitaryMatrix, mul_mixed
 from doublelie.rb import (RBOperator, build_pk, catalog_rb, check_rb_identity,
                           check_skew_symmetry, conjugate_by, mutate_sign,
                           remark3_suite, verify_trace_functional_identities)
@@ -177,7 +176,7 @@ def _projected(R, n):
     """R cut to the block M_n: R(e_ij) becomes P_n R(e_ij) P_n with
     P_n = e_00 + ... + e_{n-1,n-1}, read on the finite domain."""
     dom = Domain.finite(n)
-    p = LocallyFiniteOperator.ray(1, 0, 0, length=n)
+    p = FinitaryMatrix({(k, k): 1 for k in range(n)})
 
     def image_fn(i, j):
         cut = mul_mixed(mul_mixed(p, R.image(i, j)), p)

@@ -20,7 +20,8 @@ from doublelie.brackets import (CATALOG_BRACKET_NAMES, BasisCarrier,
                                 divided_difference, rb_from_bracket)
 from doublelie.exact import Tensor2, Vec, esym, sparse_sum, tsym, ysym
 from doublelie.grammar import render_sym
-from doublelie.rb import catalog_rb
+from doublelie.rb import (build_pk, catalog_rb, check_rb_identity,
+                          check_skew_symmetry, conjugate_by)
 from doublelie.report import VerificationReport
 
 
@@ -93,7 +94,6 @@ def test_basis_carrier_indexes_and_windows_its_symbols():
     F = BasisCarrier.finite(3)
     assert F.name == "finite(3)" and F.syms == [esym(1), esym(2), esym(3)]
     assert F.window_syms(0) == F.syms and F.degree(esym(2)) == 0
-    assert BasisCarrier.finite(2, "ex1").name == "ex1"
 
 
 def test_degree_shape_of_second_bracket():
@@ -157,6 +157,20 @@ def test_laurent_operators_have_no_correspondence_sum():
         bracket_from_rb(catalog_rb("r1_laurent"))
 
 
+def test_transpose_keeps_only_the_generic_hint():
+    # p_2's hint does not bound the transpose's sum: with it, the bracket
+    # of p_2^T, an RB and skew operator, failed anticommutativity at
+    # (t^0, t^0); without a hint the correspondence refuses it
+    pT = conjugate_by(build_pk(2), "transpose")
+    assert check_rb_identity(pT, 4).passed
+    assert check_skew_symmetry(pT, 4).passed
+    assert pT.support_hint is None
+    with pytest.raises(ValueError):
+        bracket_from_rb(pT)
+    for name in ("r3", "r4"):
+        assert catalog_rb(name).support_hint is catalog_rb("r1").support_hint
+
+
 def test_operator_recovery_inverts_correspondence_on_finite_catalog():
     for name in ("ex1", "ex2", "quiver"):
         R = catalog_rb(name)
@@ -170,15 +184,26 @@ def test_operator_recovery_inverts_correspondence_on_finite_catalog():
                         assert a.entry(p, q) == b.entry(p, q)
 
 
+# The finite catalog brackets written out by hand, as name -> (n, table):
+# <<e_(p+1), e_(q+1)>> = sum of c e_(a+1) (x) e_(b+1) over table[(p, q)],
+# each entry ((a, b), c).
+FINITE_TABLES = {
+    "ex1": (2, {(0, 0): {((0, 1), 1), ((1, 0), -1)}}),
+    "ex2": (2, {(0, 1): {((0, 0), 1)}, (1, 0): {((0, 0), -1)}}),
+    "quiver": (4, {(2, 3): {((1, 0), 1)}, (3, 2): {((0, 1), -1)}}),
+}
+
+
 def test_finite_catalog_brackets_match_their_operators():
-    for name in ("ex1", "ex2", "quiver"):
+    for name, (n, table) in FINITE_TABLES.items():
         B = catalog_bracket(name)
-        from_op = bracket_from_rb(catalog_rb(name))
-        n = len(B.carrier.syms)
+        assert B.name == name
+        assert B.carrier.syms == [esym(k + 1) for k in range(n)]
         for p in range(n):
             for q in range(n):
-                assert B.eval(esym(p + 1), esym(q + 1)) == \
-                    from_op.eval(esym(p + 1), esym(q + 1))
+                want = Tensor2({(esym(a + 1), esym(b + 1)): c for (a, b), c
+                                in table.get((p, q), ())})
+                assert B.eval(esym(p + 1), esym(q + 1)) == want, (name, p, q)
 
 
 def test_matrix_polynomial_bracket_matches_extended_operator():

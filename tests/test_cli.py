@@ -80,6 +80,27 @@ def test_malformed_seed_is_input_error(capsys):
     assert code == 2 and "malformed polynomial" in err
 
 
+@pytest.mark.parametrize("seed", ["t^2 -", "t^2 - -13*t", "1/0", "t +"])
+def test_unreadable_seed_is_input_error(capsys, seed):
+    code, out, err = run(capsys, "ideal", "closure", "L1", "--seed", seed,
+                         "--window", "4")
+    assert code == 2 and not out and "malformed polynomial" in err
+
+
+def test_seed_sign_without_space_keeps_its_digits(capsys):
+    # "t^2 -13*t" is t^2 - 13t: the closures match those of the spaced seed
+    got = {}
+    for seed in ("t^2 -13*t", "t^2 - 13*t"):
+        code, out, _ = run(capsys, "ideal", "closure", "L1", "--seed", seed,
+                           "--window", "5")
+        assert code == 0
+        got[seed] = records(out)[0]["closures"]
+    assert got["t^2 -13*t"] == got["t^2 - 13*t"]
+    _, out, _ = run(capsys, "ideal", "closure", "L1", "--seed", "t^2 - 3*t",
+                    "--window", "5")
+    assert records(out)[0]["closures"] != got["t^2 - 13*t"]
+
+
 @pytest.mark.parametrize("seed", ["t^9", "t^-1"])
 def test_seed_outside_window_is_input_error(capsys, seed):
     code, out, err = run(capsys, "ideal", "closure", "L1", "--seed", seed,

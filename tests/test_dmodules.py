@@ -53,7 +53,7 @@ def test_degree_two_tail_is_a_module_for_the_first_bracket():
 def test_zero_action_passes_axioms():
     B_L = catalog_bracket("ex1")
     act = DoubleAction("zero", B_L.carrier.window_syms(), [tsym(9)],
-                       lambda a, b: Tensor2())
+                       lambda a, b: Tensor2(), lambda s: s[0] == "e")
     assert check_module_axioms(act, B_L).passed
 
 

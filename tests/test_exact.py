@@ -101,8 +101,8 @@ def test_integer_data_stays_int():
                    for c in B.eval(a, b).terms.values()]
     # integer polynomials from the parser and from the seeded generator
     coeffs += list(parse_poly("2*t + 3 - 4/2*t^2").terms.values())
-    coeffs += [c for f in random_polynomials(6, 4, seed=1, monic=False)
-               for c in f.terms.values()]
+    coeffs += [c for f in random_polynomials(6, 4, seed=1)
+               for c in f.scale(-3).terms.values()]
     # subspace coordinates, zeros included
     L1 = catalog_bracket("L1").carrier
     coeffs += Subspace(L1, 4).coords(parse_poly("2*t + 3 - 4/2*t^2"))

@@ -73,6 +73,39 @@ def test_poly_parse_explicit_forms():
         parse_poly("t + cow")
 
 
+@pytest.mark.parametrize("text, terms", [
+    # a sign without a space after it starts the next term and keeps all of
+    # its digits
+    ("t^2 -3", {2: 1, 0: -3}),
+    ("t^2 -13*t", {2: 1, 1: -13}),
+    ("t^2-3", {2: 1, 0: -3}),
+    ("t^2 +3/2*t", {2: 1, 1: Fraction(3, 2)}),
+    # the sign of an exponent is not a term sign
+    ("2*t^-1 -t^-2", {-1: 2, -2: -1}),
+    ("- t^-1 + 1", {-1: -1, 0: 1}),
+])
+def test_poly_parse_signs_without_spaces(text, terms):
+    assert parse_poly(text) == Vec({tsym(n): c for n, c in terms.items()})
+
+
+@pytest.mark.parametrize("text", ["t^2 -", "t +", "+", "- -3", "t - -3",
+                                  "t^2 - 3 t", "t^ -1", "t^+1", "t -- 1"])
+def test_poly_parse_rejects_what_it_cannot_read(text):
+    with pytest.raises(ValueError):
+        parse_poly(text)
+
+
+def test_tensor_parse_splits_terms_like_poly_parse():
+    assert parse_tensor2("t^1(x)t^0 -2*t^-1(x)t^2") == Tensor2(
+        {(tsym(1), tsym(0)): 1, (tsym(-1), tsym(2)): -2})
+    # an index sign inside brackets stays with its symbol
+    assert parse_tensor2("A[-1,2](x)e1 - e2(x)e1") == Tensor2(
+        {(("A", (-1, 2)), esym(1)): 1, (esym(2), esym(1)): -1})
+    for text in ("t^1(x)t^0 -", "t^1(x)t^0 + t^1"):
+        with pytest.raises(ValueError):
+            parse_tensor2(text)
+
+
 def test_vec_rendering_uses_symbol_grammar():
     v = Vec({esym(2): Fraction(-1), esym(1): Fraction(2)})
     assert render_vec(v) == "2*e1 - e2"

@@ -35,9 +35,15 @@ def test_echelon_membership_and_canonical_reduction():
     assert not I.contains(Vec.basis(tsym(1)))
     combo = (Vec.basis(tsym(2)) + Vec.basis(tsym(1)).scale(2)).scale(5)
     assert I.contains(combo)
-    # reduction is idempotent
-    v = Vec.basis(tsym(2)) + Vec.basis(tsym(0))
-    assert I.reduce(I.reduce(v)) == I.reduce(v)
+
+
+def test_subspace_repr_names_its_window():
+    L1, ex1 = catalog_bracket("L1"), catalog_bracket("ex1")
+    assert repr(span(L1.carrier, 6, Vec.basis(tsym(2)))) == \
+        "Subspace(dim 1 in poly window 6)"
+    # finite carriers have no window
+    assert repr(span(ex1.carrier, None, Vec.basis(esym(2)))) == \
+        "Subspace(dim 1 in finite(2) window None)"
 
 
 def test_quotient_map_kills_exactly_the_mixed_kernel():
@@ -245,16 +251,14 @@ def test_integer_subspace_matches_the_fraction_rref(gens, more, probe, terms):
     # extended inserts into the echelon form: the same as a fresh build
     J = I.extended([I.vec_of(row) for row in more])
     assert J.key() == Subspace(carrier, _DIM - 1, gens + more).key()
-    # reduce, contains, project and quotient_reduce agree with the monic
-    # Fraction echelon rows
+    # contains and quotient_reduce agree with the monic Fraction echelon
+    # rows
     ref = reduce_vector(probe, red, pivots)
-    assert I.reduce(I.vec_of(probe)) == I.vec_of(ref)
     assert I.contains(I.vec_of(probe)) == (not any(ref))
     proj = {}
     for k, s in enumerate(I.syms):
         unit = reduce_vector([int(i == k) for i in range(_DIM)], red, pivots)
         proj[s] = tuple((I.syms[i], c) for i, c in enumerate(unit) if c)
-        assert I.project(s) == proj[s]
     u = Tensor2()
     for a, b, c in terms:
         u += Tensor2({(I.syms[a], I.syms[b]): c})

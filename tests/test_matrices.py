@@ -42,7 +42,7 @@ def random_finitary(rng, n=6):
 def block_cut(x, n):
     """P_n x P_n with P_n = e_00 + ... + e_{n-1,n-1}: the entries of x with
     both indices below n."""
-    p = LocallyFiniteOperator.ray(1, 0, 0, length=n)
+    p = FinitaryMatrix({(k, k): 1 for k in range(n)})
     return mul_mixed(mul_mixed(p, x), p)
 
 
@@ -51,12 +51,10 @@ def test_inherited_constructors_match_the_base_class(cls):
     base = LocallyFiniteOperator
     assert cls.zero() == base.zero() and not cls.zero()
     assert cls.zero(INTEGERS) == base.zero(INTEGERS)
-    for args, kwargs in (((1, 0, 0, 3), {}), ((2, 1, 3), {}),
-                         ((1, 0, 0, 0), {}),
-                         ((-1, 2, 0), {"domain": INTEGERS, "back": True})):
-        assert cls.ray(*args, **kwargs) == base.ray(*args, **kwargs)
+    for args in ((1, 0, 0), (2, 1, 3), (-1, 2, 0)):
+        assert cls.ray(*args) == base.ray(*args)
     assert cls.unit(1, 2) == base.unit(1, 2)
-    assert cls.unit(-1, 2, INTEGERS, 3) == base.unit(-1, 2, INTEGERS, 3)
+    assert cls.unit(-1, 2, INTEGERS) == base.unit(-1, 2, INTEGERS)
 
 
 def test_unit_product_rule():
@@ -119,7 +117,7 @@ def test_finitary_products_match_dense_oracle():
 
 def test_ray_entries_and_apply():
     # finite ray starting at (2, 0), three steps down the diagonal
-    r = LocallyFiniteOperator.ray(Fraction(1), 2, 0, length=3)
+    r = LocallyFiniteOperator({-2: [(2, 4, Fraction(1))]})
     assert dense_window(r, 6) == {(2, 0): 1, (3, 1): 1, (4, 2): 1}
     assert r.apply_index(1) == {3: 1}
     assert r.apply_index(5) == {}
@@ -131,10 +129,9 @@ def test_ray_entries_and_apply():
 
 def test_backward_ray_clips_to_domain():
     # over the naturals only the endpoint with nonnegative column survives
-    r = LocallyFiniteOperator.ray(Fraction(1), 3, 0, back=True)
+    r = LocallyFiniteOperator({-3: [(None, 3, Fraction(1))]})
     assert dense_window(r, 6) == {(3, 0): 1}
-    r = LocallyFiniteOperator.ray(Fraction(1), 3, 0, back=True,
-                                  domain=INTEGERS)
+    r = LocallyFiniteOperator({-3: [(None, 3, Fraction(1))]}, INTEGERS)
     assert r.entry(3, 0) == 1 and r.entry(-5, -8) == 1 and r.entry(4, 1) == 0
 
 
@@ -142,7 +139,7 @@ def test_operator_product_matches_dense_oracle_on_window():
     # both operators only move column indices downward, so the window product
     # is exact for the upper-left block
     a = LocallyFiniteOperator.ray(Fraction(1), 0, 0) \
-        + LocallyFiniteOperator.ray(Fraction(2), 3, 1, length=4)
+        + LocallyFiniteOperator({-2: [(3, 6, Fraction(2))]})
     b = LocallyFiniteOperator.ray(Fraction(-1), 2, 0)
     got = mul_mixed(a, b)
     da, db = dense_window(a, 20), dense_window(b, 20)
@@ -187,9 +184,9 @@ def test_projection_truncates_exactly():
 
 
 def test_apply_to_vector_with_tag():
-    a = LocallyFiniteOperator.ray(Fraction(2), 1, 0, length=2)
+    a = LocallyFiniteOperator({-1: [(1, 2, Fraction(2))]})
     v = Vec({tsym(0): Fraction(1), tsym(1): Fraction(3)})
-    out = a.apply(v, tag="t")
+    out = a.apply(v)
     assert out == Vec({tsym(1): Fraction(2), tsym(2): Fraction(6)})
 
 
