@@ -187,7 +187,7 @@ def _cmd_bracket_eval(args):
 def _parse_seed_poly(text):
     try:
         return parse_poly(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise InputError("malformed polynomial %r: %s" % (text, exc))
 
 

@@ -25,7 +25,7 @@ from .brackets import (BasisCarrier, DoubleBracket, check_anticommutativity,
 from .exact import Tensor2
 from .grammar import render_sym
 from .ideals import is_ideal, quotient_bracket
-from .matrices import Domain, FinitaryMatrix, mul_mixed
+from .matrices import Domain, FinitaryMatrix, mul_mixed, operator_sum
 from .rb import mutate_sign
 from .report import VerificationReport
 
@@ -334,7 +334,7 @@ def rb_bimodule_split_check(B_L, act, mutate_unit=None):
                                if not in_A(*u)}, dom)
 
     def semi_mul(x, y):
-        return mul_mixed(x, y) - mul_mixed(b_part(x), b_part(y))
+        return operator_sum((), dom, ((1, x, y), (-1, b_part(x), b_part(y))))
 
     def rb_holds(mul, xs, ys):
         """R(x)R(y) = R(R(x)y + xR(y)) for every x in xs, y in ys."""

@@ -68,11 +68,9 @@ def _split_terms(text: str):
             for s, chunk in zip([sign] + parts[1::2], parts[0::2])]
 
 
-def _split_coeff(chunk: str):
-    if "*" in chunk:
-        head, rest = chunk.split("*", 1)
-        return S(head), rest
-    return ONE, chunk
+# an unsigned coefficient "3*" or "3/2*" (no zero denominator) before a body
+_SCALAR = r"\d+(?:/0*[1-9]\d*)?"
+_COEFF_RE = re.compile(r"(?:\s*(%s)\s*\*)?(.*)" % _SCALAR, re.DOTALL)
 
 
 def _signed_sum(terms):
@@ -94,7 +92,8 @@ def render_tensor2(u: Tensor2) -> str:
 def parse_tensor2(text: str) -> Tensor2:
     terms = []
     for sign, chunk in _split_terms(text):
-        coeff, body = _split_coeff(chunk)
+        head, body = _COEFF_RE.fullmatch(chunk).groups()
+        coeff = S(head) if head else ONE
         try:
             left, right = body.split("(x)")
         except ValueError:
@@ -126,9 +125,9 @@ def render_poly(v: Vec) -> str:
 
 
 _MONO_RE = re.compile(r"""
-    (?P<coeff>\d+(?:/\d+)?)?
+    (?P<coeff>%s)?
     (?:\*?(?P<t>t(?:\^(?P<exp>-?\d+))?))?
-""", re.VERBOSE)
+""" % _SCALAR, re.VERBOSE)
 
 
 def parse_poly(text: str) -> Vec:

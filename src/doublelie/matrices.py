@@ -235,12 +235,13 @@ class LocallyFiniteOperator:
         for offset, raw in (segs or {}).items():
             if finite and any(lo is None or hi is None for lo, hi, _ in raw):
                 raise ValueError("infinite ray in finite domain")
-            bounds = domain.row_bounds(offset)
-            if bounds is None:
+            ss = _norm_segments(raw, step)
+            bounds = ss and domain.row_bounds(offset)
+            if not bounds:
                 continue
             blo, bhi = bounds
             canon = []
-            for lo, hi, c in _norm_segments(raw, step):
+            for lo, hi, c in ss:
                 # the segment's rows within the domain's rows
                 cut = _meet(lo, hi, blo, bhi, step, 1, step)
                 if cut is not None:
@@ -414,62 +415,65 @@ def _need_same_domain(a, b):
         raise ValueError("index domain mismatch: %r vs %r" % (a.domain, b.domain))
 
 
-def operator_sum(terms, domain):
-    """The sum of c * op over (c, op) in terms, all segments normalised
-    together at the lcm of the operators' steps; a segment at a smaller step
-    s enters as one segment per class of that lcm inside its class mod s."""
+def _spread(out, lo, hi, c, s, step):
+    """Append c on the rows lo, lo + s, ... to hi (hi, hi - s, ... if lo is
+    None) to out at step, a multiple of s: one segment per class of step."""
+    if s == step or (lo is None and hi is None):
+        out.append((lo, hi, c))
+    else:
+        out += [(None, hi - m, c) if lo is None else (lo + m, hi, c)
+                for m in range(0, step, s)]
+
+
+def operator_sum(terms, domain, products=()):
+    """The sum of c * op over (c, op) in terms and of the matrix products
+    c * ab over (c, a, b) in products, normalised once from all their raw
+    segments at the lcm of the steps.  A segment on offset o1 over rows lo1,
+    lo1 + s1, ... to hi1 times one on offset o2 over rows lo2, lo2 + s2, ...
+    to hi2 gives, on offset o1 + o2, the rows of the first whose shift by o1
+    lies in the second: a progression at lcm(s1, s2)."""
     terms = list(terms)
     step = 1
     for _, op in terms:
         if op.step != step:
             step = lcm(step, op.step)
+    for _, a, b in products:
+        if a.step != step or b.step != step:
+            step = lcm(step, a.step, b.step)
     segs = {}
     for c, op in terms:
-        s = op.step
         for offset, ss in op.segs.items():
             out = segs.setdefault(offset, [])
-            if s == step:
-                out.extend(ss if c == 1 else [(lo, hi, c * d)
-                                              for lo, hi, d in ss])
+            if op.step == step:
+                out += ss if c == 1 else [(lo, hi, c * d) for lo, hi, d in ss]
                 continue
             for lo, hi, d in ss:
-                if lo is None and hi is None:
-                    out.append((lo, hi, c * d))
-                else:
-                    out.extend((lo + m, hi, c * d) if lo is not None
-                               else (None, hi - m, c * d)
-                               for m in range(0, step, s))
+                _spread(out, lo, hi, c * d, op.step, step)
+    for c, a, b in products:
+        s1, s2 = a.step, b.step
+        s = lcm(s1, s2)
+        for o1, ss1 in a.segs.items():
+            for o2, ss2 in b.segs.items():
+                for lo1, hi1, c1 in ss1:
+                    for lo2, hi2, c2 in ss2:
+                        cut = _meet(lo1, hi1,
+                                    None if lo2 is None else lo2 - o1,
+                                    None if hi2 is None else hi2 - o1,
+                                    s1, s2, s)
+                        if cut is not None:
+                            _spread(segs.setdefault(o1 + o2, []), *cut,
+                                    c * c1 * c2, s, step)
     return LocallyFiniteOperator(segs, domain, step)
 
 
-# ---------------------------------------------------------------------------
-# products
-
 def mul_mixed(a, b):
-    """Matrix product of two operators, again a LocallyFiniteOperator.
-
-    A segment on offset o1 over rows lo1, lo1 + s1, ... up to hi1 times a
-    segment on offset o2 over rows lo2, lo2 + s2, ... up to hi2 contributes,
-    on offset o1+o2, the rows of the first progression whose shift by o1
-    lies in the second, a progression at the lcm of the two steps."""
+    """Matrix product of two operators, again a LocallyFiniteOperator."""
     _need_same_domain(a, b)
-    s1, s2 = a.step, b.step
-    step = lcm(s1, s2)
-    segs = {}
-    for o1, ss1 in a.segs.items():
-        for o2, ss2 in b.segs.items():
-            for lo1, hi1, c1 in ss1:
-                for lo2, hi2, c2 in ss2:
-                    cut = _meet(lo1, hi1, None if lo2 is None else lo2 - o1,
-                                None if hi2 is None else hi2 - o1, s1, s2,
-                                step)
-                    if cut is not None:
-                        segs.setdefault(o1 + o2, []).append(
-                            (cut[0], cut[1], c1 * c2))
-    return LocallyFiniteOperator(segs, a.domain, step)
+    return operator_sum((), a.domain, ((1, a, b),))
 
 
 def commutator(a, b):
     """ab - ba."""
-    return mul_mixed(a, b) - mul_mixed(b, a)
+    _need_same_domain(a, b)
+    return operator_sum((), a.domain, ((1, a, b), (-1, b, a)))
 

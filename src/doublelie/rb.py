@@ -6,17 +6,12 @@ defining identity
 
     R(x)R(y) = R(R(x)y + xR(y))
 
-is checked per pair of units x, y in a window on the segment normal form:
-both sides are built as locally finite operators and compared exactly, which
-settles every basis vector at once.  Only a pair whose sides differ is read
-column by column, for the first basis vector up to the cutoff at which they
-differ.  On the integers the pairs are first settled one per shift orbit:
-when R(e_{i+s,j+s}) is R(e_ij) moved s rows and s columns at every unit
-read, a pair and its moved copy get the same verdict, so the pairs whose
-least index is 0 in [0, 2 * window] decide the window.  Equivariance is
-checked on the window's units before that sweep and on every unit the
-window pairs read after it; if either check fails, or the sides of an
-orbit's pair differ, the full sweep gives the record.
+is checked per pair of units x, y in a window on the segment normal form, as
+one defect D = R(x)R(y) - R(R(x)y + xR(y)) normalised from the raw segments
+of the product and of the scaled images: the pair holds on every basis
+vector iff D is empty.  The two sides are built apart only to render a
+counterexample.  On the integers the pairs are first settled one per shift
+orbit (see check_rb_identity).
 Skew-symmetry is the condition <R(x),y> = -<x,R(y)> for the trace pairing
 <x,y> = tr(xy).
 
@@ -111,26 +106,23 @@ def _render_vec_dict(d):
     return " + ".join("%s*u_%d" % (c, r) for r, c in sorted(d.items())) or "0"
 
 
-def _pair_sides(R, idx, orbit=False):
-    """Both sides of the identity at the unit pairs x = e_{ij}, y = e_{kl}
-    with i, j, k, l in idx, in sweep order, as (i, j, k, l, operand, lhs,
-    rhs): operand is R(x)y + xR(y) as {unit: coeff} on the domain, lhs is
-    R(x)R(y) and rhs is R(operand).  With orbit, only the tuples holding an
-    index 0 are swept."""
-    dom = R.domain
+def _pair_defects(R, idx, orbit=False):
+    """(i, j, k, l, terms, defect) at the unit pairs x = e_{ij}, y = e_{kl},
+    i, j, k, l in idx, in sweep order (with orbit, the tuples holding a 0):
+    terms is R(x)y + xR(y) as (unit, coeff), column k of R(x) put in column
+    l and row j of R(y) in row i, and defect is R(x)R(y) - R(terms)."""
     for i in idx:
         for j in idx:
             Rx = R.image(i, j)
             for k in idx:
+                col = Rx.apply_index(k).items()
                 for l in (idx if not orbit or 0 in (i, j, k) else (0,)):
                     Ry = R.image(k, l)
-                    terms = [((r, l), c) for r, c in Rx.apply_index(k).items()]
+                    terms = [((r, l), c) for r, c in col]
                     terms += [((i, cc), c) for cc, c in Ry.row(j).items()]
-                    operand = {key: c for key, c in sparse_sum(terms).items()
-                               if dom.contains(key[0])
-                               and dom.contains(key[1])}
-                    yield (i, j, k, l, operand, mul_mixed(Rx, Ry),
-                           R._image_sum(operand.items()))
+                    yield i, j, k, l, terms, operator_sum(
+                        [(-c, R.image(a, b)) for (a, b), c in terms],
+                        R.domain, ((1, Rx, Ry),))
 
 
 def _is_shift(op, ref, s):
@@ -171,11 +163,11 @@ def _orbits_agree(R, window):
     if not _shift_equivariant(R, inside):
         return False
     read = set()
-    for i, j, k, l, operand, lhs, rhs in _pair_sides(R, range(2 * w + 1),
-                                                     orbit=True):
-        if lhs != rhs:
+    for i, j, k, l, terms, defect in _pair_defects(R, range(2 * w + 1),
+                                                   orbit=True):
+        if defect:
             return False
-        read.update(((i, j), (k, l)), operand)
+        read.update(((i, j), (k, l)), (unit for unit, _ in terms))
     spans = {}
     for a, b in read:
         lo, hi = spans.get(b - a, (a, a))
@@ -189,11 +181,12 @@ def check_rb_identity(R, window=8, cutoff=None):
     """Exact check of R(x)R(y) = R(R(x)y + xR(y)) on all unit pairs in the
     window, on every basis vector up to the cutoff.
 
-    Each pair is compared on the segment normal form: R(x)R(y) by mul_mixed
-    against the normalised sum of the scaled images making up the right
-    side.  Equal operators agree on every basis vector, so the pair passes.
-    When they differ, the first q up to the cutoff at which their columns
-    differ is the counterexample, read off the two operators.  A pair whose
+    Each pair is decided on its defect D = R(x)R(y) - sum of c * R(e_u)
+    over the terms (u, c) of R(x)y + xR(y): operator_sum normalises the
+    product's and the images' raw segments together, and an empty D settles
+    every basis vector.  For a nonempty D the first q up to the cutoff with
+    a nonzero column is the counterexample; only then are the two sides
+    built, by mul_mixed and _image_sum, to render that column.  A pair whose
     sides differ only beyond the cutoff therefore passes, as the
     window-relative verdict says.
 
@@ -208,9 +201,9 @@ def check_rb_identity(R, window=8, cutoff=None):
     1. R(e_{a,a+d}) is a reference image inside the window, moved, at every
        unit of the window, and on the corner diagonals d = +-2 * window,
        which hold one window unit each, at the next unit along them;
-    2. both sides are equal operators at every pair with least index 0 in
-       [0, 2 * window], recording every unit read: x, y and the support of
-       R(x)y + xR(y);
+    2. the defect is empty at every pair with least index 0 in
+       [0, 2 * window], recording every unit read: x, y and the units of
+       the terms of R(x)y + xR(y), two that cancel included;
     3. on each diagonal d met, the images R(e_{a,a+d}) are one image moved,
        for every a from the least recorded a minus the window to the
        largest plus it, which covers every unit that the full sweep reads.
@@ -227,24 +220,21 @@ def check_rb_identity(R, window=8, cutoff=None):
     if cutoff is None:
         cutoff = 2 * window
     params = {"window": window, "cutoff": cutoff}
-    details = None
-    if R.N > 1:
-        details = ("matrix factor of size %d handled by the delta "
-                   "factorization of composite units" % R.N)
+    details = ("matrix factor of size %d handled by the delta factorization "
+               "of composite units" % R.N if R.N > 1 else None)
     if R.domain.kind == "integers" and _orbits_agree(R, window):
         return VerificationReport.success("rb_identity", R.name, params,
                                           details)
     qs = list(unit_range(R.domain, cutoff))
-    for i, j, k, l, _, lhs, rhs in _pair_sides(R, unit_range(R.domain,
-                                                             window)):
-        if lhs == rhs:
-            continue
-        for q in qs:
-            lhs_q, rhs_q = lhs.apply_index(q), rhs.apply_index(q)
-            if lhs_q != rhs_q:
+    for i, j, k, l, terms, defect in _pair_defects(
+            R, unit_range(R.domain, window)):
+        for q in qs if defect else ():
+            if defect.apply_index(q):
+                lhs = mul_mixed(R.image(i, j), R.image(k, l)).apply_index(q)
+                rhs = R._image_sum(terms).apply_index(q)
                 ce = {"x": "e[%d,%d]" % (i, j), "y": "e[%d,%d]" % (k, l),
-                      "q": q, "lhs": _render_vec_dict(lhs_q),
-                      "rhs": _render_vec_dict(rhs_q)}
+                      "q": q, "lhs": _render_vec_dict(lhs),
+                      "rhs": _render_vec_dict(rhs)}
                 return VerificationReport.failure("rb_identity", R.name, ce,
                                                   params)
     return VerificationReport.success("rb_identity", R.name, params, details)
@@ -285,15 +275,17 @@ def conjugate_by(R, psi, name=None):
     image index of i under the automorphism e_{ij} -> e_{perm[i],perm[j]}
     (finite domains only).
 
-    The transpose keeps a support hint only when R has the generic one,
-    s < p + q + 2, which holds for the catalog transposes r3 and r4 of r1
-    and r2; any other hint says nothing about the transpose, so it is
-    dropped and bracket_from_rb refuses the result."""
+    The transpose keeps a support hint when R has the generic one, s < p +
+    q + 2 (the catalog transposes r3, r4 of r1, r2), and on a finite domain,
+    which is a hint itself; any other hint says nothing about the
+    transpose, so it is dropped and bracket_from_rb refuses the result."""
     if psi == "identity":
         return RBOperator(name or R.name, R.domain, R.image, R.support_hint,
                           R.N)
     if psi == "transpose":
-        hint = _generic_hint if R.support_hint is _generic_hint else None
+        n = R.domain.size
+        hint = (_generic_hint if R.support_hint is _generic_hint
+                else (lambda p, q: range(n)) if n else None)
         return RBOperator(name or "%s^T" % R.name, R.domain,
                           lambda i, j: R.image(j, i).transpose(),
                           hint, R.N)
@@ -463,8 +455,13 @@ def remark3_suite(window=12):
     image."""
     params = {"window": window}
     A = shift_ray()
-    for i in range(window + 1):
-        for j in range(window + 1):
+    units = [(i, j) for i in range(window + 1) for j in range(window + 1)]
+    # x -> xA - Ax is a derivation and e_ij e_kl = delta_jk e_il: if d, both
+    # ways, is that map on the window's units and 0, (a) and (b) hold there
+    if not (all(derivation_unit(i, j) == derivation_of(x) == commutator(x, A)
+                for i, j in units for x in [FinitaryMatrix.unit(i, j)])
+            and not derivation_of(FinitaryMatrix())):
+        for i, j in units:
             x = FinitaryMatrix.unit(i, j)
             dx = derivation_unit(i, j)
             # (b) inner form
@@ -474,36 +471,32 @@ def remark3_suite(window=12):
                       "d(x)": repr(dx), "xA-Ax": repr(inner)}
                 return VerificationReport.failure("remark3", "d", ce, params)
             # (a) derivation property on unit pairs
-            for k in range(window + 1):
-                for l in range(window + 1):
-                    y = FinitaryMatrix.unit(k, l)
-                    dy = derivation_unit(k, l)
-                    xy = mul_mixed(x, y)
-                    lhs = derivation_of(xy)
-                    rhs = mul_mixed(dx, y) + mul_mixed(x, dy)
-                    if lhs != rhs:
-                        ce = {"sub": "derivation", "x": "e[%d,%d]" % (i, j),
-                              "y": "e[%d,%d]" % (k, l),
-                              "d(xy)": repr(lhs), "d(x)y+xd(y)": repr(rhs)}
-                        return VerificationReport.failure(
-                            "remark3", "d", ce, params)
+            for k, l in units:
+                y = FinitaryMatrix.unit(k, l)
+                dy = derivation_unit(k, l)
+                lhs = derivation_of(mul_mixed(x, y))
+                rhs = mul_mixed(dx, y) + mul_mixed(x, dy)
+                if lhs != rhs:
+                    ce = {"sub": "derivation", "x": "e[%d,%d]" % (i, j),
+                          "y": "e[%d,%d]" % (k, l),
+                          "d(xy)": repr(lhs), "d(x)y+xd(y)": repr(rhs)}
+                    return VerificationReport.failure(
+                        "remark3", "d", ce, params)
     r2 = catalog_rb("r2")
-    for i in range(window + 1):
-        for j in range(window + 1):
-            unit_op = LocallyFiniteOperator.unit(i, j)
-            # (c) R2(d(e_{ij})) = e_{ij}
-            got = r2.image_of_finitary(derivation_unit(i, j))
-            if got != unit_op:
-                ce = {"sub": "right_inverse", "x": "e[%d,%d]" % (i, j),
-                      "R2(d(x))": repr(got)}
-                return VerificationReport.failure("remark3", "r2", ce, params)
-            # (c) d(R2(e_{ij})) = e_{ij}, d extended to rays via x -> xA - Ax
-            img = r2.image(i, j)
-            ext = commutator(img, A)
-            if ext != unit_op:
-                ce = {"sub": "left_inverse", "x": "e[%d,%d]" % (i, j),
-                      "d(R2(x))": repr(ext)}
-                return VerificationReport.failure("remark3", "r2", ce, params)
+    for i, j in units:
+        unit_op = LocallyFiniteOperator.unit(i, j)
+        # (c) R2(d(e_{ij})) = e_{ij}
+        got = r2.image_of_finitary(derivation_unit(i, j))
+        if got != unit_op:
+            ce = {"sub": "right_inverse", "x": "e[%d,%d]" % (i, j),
+                  "R2(d(x))": repr(got)}
+            return VerificationReport.failure("remark3", "r2", ce, params)
+        # (c) d(R2(e_{ij})) = e_{ij}, d extended to rays via x -> xA - Ax
+        ext = commutator(r2.image(i, j), A)
+        if ext != unit_op:
+            ce = {"sub": "left_inverse", "x": "e[%d,%d]" % (i, j),
+                  "d(R2(x))": repr(ext)}
+            return VerificationReport.failure("remark3", "r2", ce, params)
     return VerificationReport.success(
         "remark3", "d,r2", params,
         details="every unit e_{ij} in the window is d(R2(e_{ij})), so the "

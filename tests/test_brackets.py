@@ -206,6 +206,25 @@ def test_finite_catalog_brackets_match_their_operators():
                 assert B.eval(esym(p + 1), esym(q + 1)) == want, (name, p, q)
 
 
+def test_transposed_finite_operators_keep_their_brackets():
+    # on a finite domain the whole domain is a sound hint, so the transpose
+    # keeps it; the coefficient of u_s (x) u_r in <<u_p, u_q>> of R^T is
+    # R(e_sp)_{qr}, the coefficient of u_p (x) u_q in <<u_s, u_r>> of R
+    for name, (n, table) in FINITE_TABLES.items():
+        B = bracket_from_rb(conjugate_by(catalog_rb(name), "transpose"))
+        assert check_anticommutativity(B, n).passed, name
+        assert check_jacobi(B, n).passed, name
+        transposed = {}
+        for (s, r), entries in table.items():
+            for (p, q), c in entries:
+                transposed.setdefault((p, q), set()).add(((s, r), c))
+        for p in range(n):
+            for q in range(n):
+                want = Tensor2({(esym(a + 1), esym(b + 1)): c for (a, b), c
+                                in transposed.get((p, q), ())})
+                assert B.eval(esym(p + 1), esym(q + 1)) == want, (name, p, q)
+
+
 def test_matrix_polynomial_bracket_matches_extended_operator():
     for N in (2, 3):
         table = catalog_bracket("dY", N=N)

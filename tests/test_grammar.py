@@ -89,7 +89,10 @@ def test_poly_parse_signs_without_spaces(text, terms):
 
 
 @pytest.mark.parametrize("text", ["t^2 -", "t +", "+", "- -3", "t - -3",
-                                  "t^2 - 3 t", "t^ -1", "t^+1", "t -- 1"])
+                                  "t^2 - 3 t", "t^ -1", "t^+1", "t -- 1",
+                                  # a zero denominator is unreadable, not a
+                                  # division
+                                  "1/0", "1/00*t", "t^2 + 3/0*t"])
 def test_poly_parse_rejects_what_it_cannot_read(text):
     with pytest.raises(ValueError):
         parse_poly(text)
@@ -104,6 +107,26 @@ def test_tensor_parse_splits_terms_like_poly_parse():
     for text in ("t^1(x)t^0 -", "t^1(x)t^0 + t^1"):
         with pytest.raises(ValueError):
             parse_tensor2(text)
+
+
+@pytest.mark.parametrize("text", [
+    # the coefficient takes no sign of its own, as in parse_poly("t - -3")
+    "t^1(x)t^1 - -3*t^2(x)t^0", "- -3*t^2(x)t^0", "t^1(x)t^1 + +3*t^2(x)t^0",
+    "t^1(x)t^1 - - 3*t^2(x)t^0",
+    # nor a zero denominator
+    "1/0*t^1(x)t^1", "t^1(x)t^1 + 2/00*t^2(x)t^0"])
+def test_tensor_parse_rejects_signed_or_undefined_coefficients(text):
+    with pytest.raises(ValueError):
+        parse_tensor2(text)
+
+
+def test_tensor_parse_reads_unsigned_coefficients():
+    assert parse_tensor2("3/2*t^1(x)t^1 - 3*t^2(x)t^0 + 3 * e1(x)e2") == \
+        Tensor2({(tsym(1), tsym(1)): Fraction(3, 2),
+                 (tsym(2), tsym(0)): -3, (esym(1), esym(2)): 3})
+    # a leading sign is the first term's
+    assert parse_tensor2("-3/04*t^0(x)t^0") == Tensor2(
+        {(tsym(0), tsym(0)): Fraction(-3, 4)})
 
 
 def test_vec_rendering_uses_symbol_grammar():

@@ -12,7 +12,7 @@ from doublelie import rb
 from doublelie.exact import sparse_sum
 from doublelie.matrices import (INTEGERS, FinitaryMatrix,
                                 LocallyFiniteOperator, NATURALS,
-                                StridedRayOperator, mul_mixed)
+                                StridedRayOperator, commutator, mul_mixed)
 from doublelie.report import VerificationReport
 from doublelie.rb import (CATALOG_RB_NAMES, RBOperator, build_pk, catalog_rb,
                           check_rb_identity, check_skew_symmetry,
@@ -433,25 +433,217 @@ def test_orbit_path_on_strided_images(name, image_fn, window):
 
 
 def test_orbit_path_products(monkeypatch):
-    calls = []
+    defects, products = [], []
+    pair_defects = rb._pair_defects
 
-    def counted(a, b):
-        calls.append(None)
+    def counted(*args, **kwargs):
+        for item in pair_defects(*args, **kwargs):
+            defects.append(None)
+            yield item
+
+    def product(a, b):
+        products.append(None)
         return mul_mixed(a, b)
 
-    monkeypatch.setattr(rb, "mul_mixed", counted)
+    monkeypatch.setattr(rb, "_pair_defects", counted)
+    monkeypatch.setattr(rb, "mul_mixed", product)
     assert check_rb_identity(catalog_rb("r1_laurent"), 6).passed
     # one pair per orbit: the tuples in [0, 12]^4 that hold a 0
-    assert len(calls) == 13 ** 4 - 12 ** 4 == 7825
+    assert len(defects) == 13 ** 4 - 12 ** 4 == 7825
+    # a passing sweep decides every pair on its defect and builds no side,
+    # on the orbit path and on the full one
+    assert check_rb_identity(catalog_rb("r1"), 3).passed
+    assert len(defects) == 7825 + 4 ** 4 and not products
     # a corrupted window unit fails the window precheck, so only the full
     # sweep runs, up to its first failing pair; (-3, 3) and (3, -3) are the
     # one window unit on their diagonals
     for unit in ((1, -1), (-3, 3), (3, -3)):
-        calls.clear()
+        defects.clear()
+        products.clear()
         rep = check_rb_identity(mutate_sign(catalog_rb("r2_laurent"), *unit),
                                 3)
         pos = 0
         for x in (rep.counterexample["x"], rep.counterexample["y"]):
             for v in x[2:-1].split(","):
                 pos = 7 * pos + int(v) + 3
-        assert len(calls) == pos + 1, unit
+        assert len(defects) == pos + 1, unit
+        # the left side is built once, to render the counterexample
+        assert len(products) == 1, unit
+
+
+# ---------------------------------------------------------------------------
+# the defect sweep against the two-sided sweep it replaced
+
+def _two_sided_rb(R, window, cutoff):
+    """Reference for check_rb_identity's full sweep: at every unit pair both
+    sides are built as operators, R(x)R(y) by mul_mixed and R(R(x)y +
+    xR(y)) by _image_sum, compared, and where they differ read column by
+    column up to the cutoff; no shift orbits, no defect."""
+    params = {"window": window, "cutoff": cutoff}
+    idx = unit_range(R.domain, window)
+    for i in idx:
+        for j in idx:
+            Rx = R.image(i, j)
+            for k in idx:
+                for l in idx:
+                    Ry = R.image(k, l)
+                    operand = sparse_sum(
+                        [((r, l), c) for r, c in Rx.apply_index(k).items()]
+                        + [((i, cc), c) for cc, c in Ry.row(j).items()])
+                    lhs = mul_mixed(Rx, Ry)
+                    rhs = R._image_sum(operand.items())
+                    if lhs == rhs:
+                        continue
+                    for q in unit_range(R.domain, cutoff):
+                        lhs_q, rhs_q = lhs.apply_index(q), rhs.apply_index(q)
+                        if lhs_q != rhs_q:
+                            return VerificationReport.failure(
+                                "rb_identity", R.name,
+                                {"x": "e[%d,%d]" % (i, j),
+                                 "y": "e[%d,%d]" % (k, l), "q": q,
+                                 "lhs": _rows(lhs_q), "rhs": _rows(rhs_q)},
+                                params)
+    return VerificationReport.success("rb_identity", R.name, params)
+
+
+def _catalog_or_pk(name):
+    return build_pk(int(name[2])) if name.startswith("p_") \
+        else catalog_rb(name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("r1", "r2", "r3", "r4", "r1_laurent", "r2_laurent",
+                        "p_1", "p_2", "p_3", "ex1", "ex2", "quiver")),
+       st.integers(min_value=1, max_value=3),
+       st.sampled_from(("mutate", "scale", "both")), st.data())
+def test_defect_sweep_matches_the_two_sided_sweep(name, window, how, data):
+    R = _catalog_or_pk(name)
+    if R.domain.kind == "integers":
+        window = min(window, 2)
+    if how != "mutate":
+        R = R.scaled(data.draw(st.fractions(min_value=-3, max_value=3,
+                                            max_denominator=3).filter(bool)))
+    if how != "scale":
+        units = list(unit_range(R.domain, window))
+        R = mutate_sign(R, data.draw(st.sampled_from(units)),
+                        data.draw(st.sampled_from(units)))
+    got = check_rb_identity(R, window, 2 * window)
+    want = _two_sided_rb(R, window, 2 * window)
+    # same verdict, first failing pair and counterexample
+    assert got.to_json() == want.to_json(), R.name
+    if how == "scale":
+        assert got.passed, R.name
+
+
+# ---------------------------------------------------------------------------
+# remark 3 on its failure paths, against the interleaved sweep
+
+def _remark3_interleaved(window):
+    """Reference for remark3_suite: (b) at each window unit x, then (a) at
+    every pair (x, y), then (c), with no unit precheck; it reads d through
+    the rb module, so a patched d is seen here too."""
+    params = {"window": window}
+    A = shift_ray()
+    idx = range(window + 1)
+    for i in idx:
+        for j in idx:
+            x = FinitaryMatrix.unit(i, j)
+            dx = rb.derivation_unit(i, j)
+            inner = commutator(x, A)
+            if inner != dx:
+                return VerificationReport.failure(
+                    "remark3", "d", {"sub": "inner_form",
+                                     "x": "e[%d,%d]" % (i, j),
+                                     "d(x)": repr(dx), "xA-Ax": repr(inner)},
+                    params)
+            for k in idx:
+                for l in idx:
+                    y = FinitaryMatrix.unit(k, l)
+                    lhs = rb.derivation_of(mul_mixed(x, y))
+                    rhs = mul_mixed(dx, y) + mul_mixed(
+                        x, rb.derivation_unit(k, l))
+                    if lhs != rhs:
+                        return VerificationReport.failure(
+                            "remark3", "d",
+                            {"sub": "derivation", "x": "e[%d,%d]" % (i, j),
+                             "y": "e[%d,%d]" % (k, l), "d(xy)": repr(lhs),
+                             "d(x)y+xd(y)": repr(rhs)}, params)
+    r2 = catalog_rb("r2")
+    for i in idx:
+        for j in idx:
+            unit_op = LocallyFiniteOperator.unit(i, j)
+            got = r2.image_of_finitary(rb.derivation_unit(i, j))
+            if got != unit_op:
+                return VerificationReport.failure(
+                    "remark3", "r2", {"sub": "right_inverse",
+                                      "x": "e[%d,%d]" % (i, j),
+                                      "R2(d(x))": repr(got)}, params)
+            ext = commutator(r2.image(i, j), A)
+            if ext != unit_op:
+                return VerificationReport.failure(
+                    "remark3", "r2", {"sub": "left_inverse",
+                                      "x": "e[%d,%d]" % (i, j),
+                                      "d(R2(x))": repr(ext)}, params)
+    return VerificationReport.success(
+        "remark3", "d,r2", params,
+        details="every unit e_{ij} in the window is d(R2(e_{ij})), so the "
+                "finitary ideal lies in the image of r2")
+
+
+def test_remark3_passing_suite_sweeps_no_pair(monkeypatch):
+    products = []
+
+    def product(a, b):
+        products.append(None)
+        return mul_mixed(a, b)
+
+    monkeypatch.setattr(rb, "mul_mixed", product)
+    got = remark3_suite(5).to_json()
+    assert not products
+    assert got == _remark3_interleaved(5).to_json()
+
+
+_REMARK3_UNITS = [(0, 0), (0, 3), (2, 1), (4, 4), (4, 0)]
+
+
+@pytest.mark.parametrize("unit", _REMARK3_UNITS)
+def test_remark3_flipped_unit_formula(monkeypatch, unit):
+    unit_formula = rb.derivation_unit
+
+    def flipped(i, j, domain=NATURALS):
+        d = unit_formula(i, j, domain)
+        return d.scale(-1) if (i, j) == unit else d
+
+    monkeypatch.setattr(rb, "derivation_unit", flipped)
+    got = remark3_suite(4)
+    assert not got.passed
+    assert got.to_json() == _remark3_interleaved(4).to_json()
+
+
+@pytest.mark.parametrize("unit", _REMARK3_UNITS)
+def test_remark3_flipped_linear_extension(monkeypatch, unit):
+    extension = rb.derivation_of
+
+    def flipped(x):
+        d = extension(x)
+        return d.scale(-1) if x.entries == {unit: 1} else d
+
+    monkeypatch.setattr(rb, "derivation_of", flipped)
+    got = remark3_suite(4)
+    assert not got.passed and got.counterexample["sub"] == "derivation"
+    assert got.to_json() == _remark3_interleaved(4).to_json()
+
+
+def test_remark3_extension_that_moves_zero(monkeypatch):
+    # d(0) != 0 passes every unit check; only the pair sweep, at a pair
+    # whose product is 0, sees it
+    extension = rb.derivation_of
+
+    def shifted(x):
+        d = extension(x)
+        return d if x.entries else FinitaryMatrix.unit(0, 0)
+
+    monkeypatch.setattr(rb, "derivation_of", shifted)
+    got = remark3_suite(3)
+    assert not got.passed
+    assert got.to_json() == _remark3_interleaved(3).to_json()
