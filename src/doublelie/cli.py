@@ -134,8 +134,11 @@ def _verify_bracket(name, window):
     syms = B.carrier.window_syms(window)
     out = [check_anticommutativity(B, window), check_jacobi(B, window)]
     if syms and B.carrier.product(syms[0], syms[0]) is not None:
-        rep = check_leibniz(B, min(window, 8))
-        if name in _LEIBNIZ_FAILERS:
+        if name not in _LEIBNIZ_FAILERS:
+            rep = check_leibniz(B, min(window, 8))
+        else:
+            # the counterexample first shows at window 1
+            rep = check_leibniz(B, max(1, min(window, 8)))
             exhibited = (not rep.passed) and rep.counterexample is not None
             if exhibited:
                 rep = VerificationReport.success(
@@ -225,6 +228,8 @@ def _cmd_simplicity(args):
         raise InputError("unknown bracket %r" % args.bracket)
     if args.seeds < 1:
         raise InputError("--seeds must be at least 1, got %d" % args.seeds)
+    if args.max_degree is None:  # the default: 8, within the window
+        args.max_degree = min(8, args.window)
     if not 0 <= args.max_degree <= args.window:
         raise InputError("--max-degree must lie in 0..%d (the window), got %d"
                          % (args.window, args.max_degree))
@@ -274,7 +279,7 @@ def _cmd_report_all(args):
     from .brackets import check_bracket_relations
     reports.append(check_bracket_relations(window))
     from .ideals import theorem3_replay
-    reports.append(theorem3_replay(max(window, 6), rng_seed=args.rng_seed))
+    reports.append(theorem3_replay(max(window, 6)))
     instances = _module_instances()
     from .dmodules import check_module_axioms, rb_bimodule_split_check
     for name in MODULE_NAMES:
@@ -336,7 +341,7 @@ def build_parser():
     p.add_argument("bracket")
     p.add_argument("--window", type=int, default=8)
     p.add_argument("--seeds", type=int, default=50)
-    p.add_argument("--max-degree", type=int, default=8)
+    p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--rng-seed", type=int, default=2024)
     p.add_argument("--budget", type=int, default=5000)
     p.set_defaults(func=_cmd_simplicity)

@@ -24,7 +24,7 @@ from .brackets import (BasisCarrier, DoubleBracket, check_anticommutativity,
                        check_jacobi, jacobi_defect, rb_from_bracket)
 from .exact import Tensor2
 from .grammar import render_sym
-from .ideals import is_ideal, quotient_bracket
+from .ideals import quotient_bracket
 from .matrices import Domain, FinitaryMatrix, mul_mixed, operator_sum
 from .rb import mutate_sign
 from .report import VerificationReport
@@ -148,23 +148,18 @@ def check_module_axioms(act, B_L, window=None):
                       "axiom": "action skew symmetry"}
                 return VerificationReport.failure("module_axioms", act.name,
                                                   ce, params)
-    for m1 in ms:
-        for m2 in ms:
-            for l in ls:
-                if jacobi_defect(E, m1, m2, l):
-                    ce = {"m1": render_sym(m1), "m2": render_sym(m2),
-                          "l": render_sym(l),
-                          "axiom": "module compatibility"}
-                    return VerificationReport.failure("module_axioms",
-                                                      act.name, ce, params)
-    for l1 in ls:
-        for l2 in ls:
-            for m in ms:
-                if jacobi_defect(E, l1, l2, m):
-                    ce = {"l1": render_sym(l1), "l2": render_sym(l2),
-                          "m": render_sym(m), "axiom": "mixed Jacobi"}
-                    return VerificationReport.failure("module_axioms",
-                                                      act.name, ce, params)
+    for (xs, ys, zs), keys, axiom in (
+            ((ms, ms, ls), ("m1", "m2", "l"), "module compatibility"),
+            ((ls, ls, ms), ("l1", "l2", "m"), "mixed Jacobi")):
+        for x in xs:
+            for y in ys:
+                for z in zs:
+                    if jacobi_defect(E, x, y, z):
+                        ce = {key: render_sym(s)
+                              for key, s in zip(keys, (x, y, z))}
+                        ce["axiom"] = axiom
+                        return VerificationReport.failure(
+                            "module_axioms", act.name, ce, params)
     return VerificationReport.success("module_axioms", act.name, params)
 
 
@@ -225,14 +220,12 @@ def induced_module_from_ideal(B, I, window):
     the echelon-complement symbols with the quotient bracket, M is the ideal,
     and the action keeps exactly the mixed components of the ambient bracket
     (the both-in-M component is discarded; a both-in-L component cannot occur
-    once the ideal check passes).  Returns (action, quotient_bracket).
+    once the ideal check passes).  Returns (action, quotient_bracket);
+    quotient_bracket makes that check and raises ValueError when it fails.
 
     Only spans of basis symbols are supported, so membership of symbols past
     the window stays decidable by degree."""
-    rep = is_ideal(B, I, window)
-    if not rep.passed:
-        raise ValueError("subspace is not an ideal on window %d: %r"
-                         % (window, rep.counterexample))
+    quot = quotient_bracket(B, I, window)
     msy = _monomial_syms(I)
     if msy is None:
         raise ValueError("induced modules need an ideal spanned by basis "
@@ -264,7 +257,6 @@ def induced_module_from_ideal(B, I, window):
 
     act = DoubleAction("%s-on-dim%d" % (B.name, I.dim), lsyms, msy, eval_fn,
                        is_l)
-    quot = quotient_bracket(B, I, window)
     return act, quot
 
 

@@ -17,19 +17,20 @@ Skew-symmetry is the condition <R(x),y> = -<x,R(y)> for the trace pairing
 
 The catalog covers the two divided-difference operators r1, r2 and their
 transpose conjugates, three finite-dimensional examples, the tensor extension
-by a matrix factor, and the k-step difference preimage family p_k.  r1 and r2
-are written once each, as one segment per chamber (i > j or i <= j) on the
-integers: r1_laurent and r2_laurent are those images, and the domain clip
-cuts them to the polynomial r1 and r2 on the naturals.  The finite examples
-are read from one table of images.
+by a matrix factor, and the k-step difference preimage family p_k.  r1, r2
+and p_k are written through one helper, as one segment per chamber: r1 and
+r2 split on i > j, p_k on i // k > j // k, and r2 is p_1.  r1_laurent and
+r2_laurent are the images on the integers, and the domain clip cuts them to
+the polynomial r1 and r2 on the naturals.  The finite examples are read from
+one table of images.
 """
 
 from __future__ import annotations
 
 from .exact import S, sparse_sum
 from .matrices import (INTEGERS, NATURALS, Domain, FinitaryMatrix,
-                       LocallyFiniteOperator, StridedRayOperator, commutator,
-                       mul_mixed, operator_sum)
+                       LocallyFiniteOperator, commutator, mul_mixed,
+                       operator_sum)
 from .report import VerificationReport
 
 
@@ -271,17 +272,14 @@ def _generic_hint(p, q):
 def conjugate_by(R, psi, name=None):
     """Conjugation psi^{-1} R psi by an (anti)automorphism.
 
-    psi is "identity", "transpose", or a sequence perm with perm[i] giving the
-    image index of i under the automorphism e_{ij} -> e_{perm[i],perm[j]}
-    (finite domains only).
+    psi is "transpose", or a sequence perm with perm[i] giving the image
+    index of i under the automorphism e_{ij} -> e_{perm[i],perm[j]} (finite
+    domains only).
 
     The transpose keeps a support hint when R has the generic one, s < p +
     q + 2 (the catalog transposes r3, r4 of r1, r2), and on a finite domain,
     which is a hint itself; any other hint says nothing about the
     transpose, so it is dropped and bracket_from_rb refuses the result."""
-    if psi == "identity":
-        return RBOperator(name or R.name, R.domain, R.image, R.support_hint,
-                          R.N)
     if psi == "transpose":
         n = R.domain.size
         hint = (_generic_hint if R.support_hint is _generic_hint
@@ -328,19 +326,22 @@ def mutate_sign(R, i, j):
 # ---------------------------------------------------------------------------
 # catalog
 
-def _ray_image(name, domain):
-    """R(e_ij) for R = r1 or r2: one segment (lo, hi, coeff) on the diagonal
-    j - i + 1, None marking an infinite end.  These are the images on the
-    integers; on the naturals the domain clip cuts them to the polynomial
-    ones (for r1 at i = 0 <= j, to nothing)."""
-    def image_fn(i, j):
-        if i > j:
-            seg = (i, None, -1) if name == "r1" else (None, i - 1, -1)
-        else:
-            seg = (None, i - 1, 1) if name == "r1" else (i, None, 1)
-        return LocallyFiniteOperator({j - i + 1: [seg]}, domain)
+def _r1_chamber(i, j, k):
+    return (i, None, -1) if i > j else (None, i - 1, 1)
 
-    return image_fn
+
+def _pk_chamber(i, j, k):
+    # the back-walk out through a free column head, which the naturals clip
+    # at row i - (j // k + 1) * k, or else the forward ray
+    return (None, i - k, -1) if i // k > j // k else (i, None, 1)
+
+
+def _chamber_image(chamber, domain, k=1):
+    """R(e_ij) as the one segment chamber(i, j, k) = (lo, hi, coeff) on the
+    diagonal j - i + k at step k, None marking an infinite end, clipped to
+    the domain."""
+    return lambda i, j: LocallyFiniteOperator({j - i + k: [chamber(i, j, k)]},
+                                              domain, k)
 
 
 # the finite catalog: name -> (n, {(i, j): R(e_ij) as {(row, col): coeff}})
@@ -351,46 +352,31 @@ _FINITE_IMAGES = {
 }
 
 
-def _pk_image(k):
-    domain = NATURALS
-
-    def image_fn(i, j):
-        m_row = -(i // k)
-        m_col = -(j // k)
-        if m_row < m_col:
-            # the difference chain has a free head: the unique finitely
-            # supported preimage, with -1 on the back-walk positions
-            segs = {j + k - i: [(i + m * k, i + m * k, -1)
-                                for m in range(m_col - 1, 0)]}
-            return LocallyFiniteOperator(segs, domain)
-        return StridedRayOperator(1, i, j + k, k, domain)
-
-    return image_fn
-
-
 def build_pk(k):
     """The preimage operator of the k-step difference map d_k(x) = xA^k - A^kx
     with A = e_{10} + e_{21} + ...: P_k(e_{ij}) is the minimal-support
     solution X of the entrywise recurrence X_{a,b+k} - X_{a-k,b} =
-    delta_{ai} delta_{bj} (finitely supported when the back-walk exits
-    through a free column head, otherwise a single forward ray in steps of
-    k).  P_1 coincides with the second divided-difference operator."""
+    delta_{ai} delta_{bj}, one segment at step k (_pk_chamber).  P_1 is r2.
+    The hint s < max(p + k, q + 1) is p_k's own: conjugate_by drops it."""
     if k < 1:
         raise ValueError("p_k needs k >= 1")
 
     def hint(p, q):
         return range(0, max(p + k, q + 1))
 
-    return RBOperator("p_%d" % k, NATURALS, _pk_image(k), hint)
+    return RBOperator("p_%d" % k, NATURALS,
+                      _chamber_image(_pk_chamber, NATURALS, k), hint)
 
 
 def catalog_rb(name, **params):
     """Named operators: r1, r2, r3, r4, ex1, ex2, quiver, kac (N=...),
     r1_laurent, r2_laurent, p_k (k=...), zero."""
     if name in ("r1", "r2", "r1_laurent", "r2_laurent"):
+        chamber = _r1_chamber if name[:2] == "r1" else _pk_chamber
         if name.endswith("_laurent"):
-            return RBOperator(name, INTEGERS, _ray_image(name[:2], INTEGERS))
-        return RBOperator(name, NATURALS, _ray_image(name, NATURALS),
+            return RBOperator(name, INTEGERS,
+                              _chamber_image(chamber, INTEGERS))
+        return RBOperator(name, NATURALS, _chamber_image(chamber, NATURALS),
                           _generic_hint)
     if name == "r3":
         return conjugate_by(catalog_rb("r1"), "transpose", name="r3")
@@ -508,12 +494,13 @@ def remark3_suite(window=12):
 
 def verify_trace_functional_identities(R, window=6):
     """The three functional identities from the correspondence between a
-    skew-symmetric weight-0 operator and its double bracket: pairing the
-    first two slots of each Jacobi-side term with units x = e_{ij},
-    y = e_{kl} must produce R(yR(x)), R(y)R(x) and R(R*(y)x) respectively;
-    both sides are applied to u_0..u_window and compared exactly.  Operators
-    with a matrix factor (N > 1) are rejected: their bracket lives on
-    t^n (x) e_{ij}, which these unit sweeps do not index."""
+    weight-0 operator and its double bracket: pairing the first two slots of
+    each Jacobi-side term with units x = e_{ij}, y = e_{kl} must produce
+    R(yR(x)), R(y)R(x) and R(R*(y)x) respectively, R* the trace adjoint
+    (-R when R is skew), read off R for every R; both sides are applied to
+    u_0..u_window and compared exactly.  Operators with a matrix factor
+    (N > 1) are rejected: their bracket lives on t^n (x) e_{ij}, which these
+    unit sweeps do not index."""
     from .brackets import bracket_from_rb
 
     if R.N > 1:
@@ -521,7 +508,6 @@ def verify_trace_functional_identities(R, window=6):
                          "the trace identities are checked for N = 1 only"
                          % (R.name, R.N))
     params = {"window": window}
-    skew = check_skew_symmetry(R, window)
     B = bracket_from_rb(R)
     carrier = B.carrier
     idx = list(unit_range(R.domain, window))
@@ -541,15 +527,10 @@ def verify_trace_functional_identities(R, window=6):
                     # y R(x) = e_{kl} R(e_{ij}): row l of R(x), placed in row k
                     r_yrx = R._image_sum(((k, c2), v)
                                          for c2, v in Rx.row(l).items())
-                    # R*(y) x: -R(y) e_{ij} when skew, else through the
-                    # adjoint, whose (r, i) entry is R(e_{ir})_{lk} by
-                    # <x, R*(y)> = <R(x), y>
-                    if skew.passed:
-                        r_rsyx = R._image_sum(((r, j), -v) for r, v
-                                              in Ry.apply_index(i).items())
-                    else:
-                        r_rsyx = R._image_sum(
-                            ((r, j), R.image(i, r).entry(l, k)) for r in wide)
+                    # R*(y) x through the adjoint, whose (r, i) entry is
+                    # R(e_{ir})_{lk} by <x, R*(y)> = <R(x), y>
+                    r_rsyx = R._image_sum(
+                        ((r, j), R.image(i, r).entry(l, k)) for r in wide)
                     for c in idx:
                         sc = carrier.sym(c)
                         identities = (

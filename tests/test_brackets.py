@@ -20,8 +20,9 @@ from doublelie.brackets import (CATALOG_BRACKET_NAMES, BasisCarrier,
                                 divided_difference, rb_from_bracket)
 from doublelie.exact import Tensor2, Vec, esym, sparse_sum, tsym, ysym
 from doublelie.grammar import render_sym
-from doublelie.rb import (build_pk, catalog_rb, check_rb_identity,
-                          check_skew_symmetry, conjugate_by)
+from doublelie.rb import (RBOperator, build_pk, catalog_rb,
+                          check_rb_identity, check_skew_symmetry,
+                          conjugate_by)
 from doublelie.report import VerificationReport
 
 
@@ -66,17 +67,28 @@ def test_catalog_cross_relations():
     assert check_bracket_relations(8).passed
 
 
-def test_bracket_relations_catch_a_wrong_fourth_bracket(monkeypatch):
+def _relations_with_flipped(monkeypatch, variant):
+    """check_bracket_relations with the closed form of variant negated."""
     numerator = brackets._dd_numerator
 
-    def flipped(variant, n, m):
-        num = numerator(variant, n, m)
-        return {k: -c for k, c in num.items()} if variant == "L4" else num
+    def flipped(name, n, m):
+        num = numerator(name, n, m)
+        return {k: -c for k, c in num.items()} if name == variant else num
 
     monkeypatch.setattr(brackets, "_dd_numerator", flipped)
     rep = check_bracket_relations(3)
     assert not rep.passed
-    assert rep.counterexample["relation"] == "fourth vs first"
+    return rep.counterexample
+
+
+def test_bracket_relations_catch_a_wrong_fourth_bracket(monkeypatch):
+    ce = _relations_with_flipped(monkeypatch, "L4")
+    assert ce["relation"] == "fourth vs first"
+
+
+def test_bracket_relations_catch_a_wrong_third_bracket(monkeypatch):
+    ce = _relations_with_flipped(monkeypatch, "L3")
+    assert ce == {"relation": "third vs second", "n": 0, "m": 1}
 
 
 def test_basis_carrier_indexes_and_windows_its_symbols():
@@ -257,6 +269,32 @@ def test_bracket_is_independent_of_dual_basis_choice():
         for _ in range(3):
             change = random_unimodular(rng, u)
             assert check_basis_independence(R, 3, change).passed, name
+
+
+def _identity_change(u):
+    return [[Fraction(int(i == j)) for j in range(u)] for i in range(u)]
+
+
+@pytest.mark.parametrize("name, ce", [("r1", {"p": 1, "q": 1}),
+                                      ("r2", {"p": 0, "q": 1})])
+def test_basis_independence_catches_a_short_hint(name, ce):
+    # the direct bracket sums only over the hint, which here misses its
+    # first column index; the change-of-basis side reads every window unit
+    R = catalog_rb(name)
+    short = RBOperator(name, R.domain, R.image,
+                       lambda p, q: list(R.support_hint(p, q))[1:])
+    rep = check_basis_independence(short, 3, _identity_change(16))
+    assert not rep.passed and rep.counterexample == ce
+
+
+def test_basis_independence_rejects_a_bad_change_matrix():
+    R = catalog_rb("r1")
+    singular = _identity_change(16)
+    singular[3] = singular[2]
+    with pytest.raises(ValueError, match="singular change matrix"):
+        check_basis_independence(R, 3, singular)
+    with pytest.raises(ValueError, match="size 9 does not match 16 window"):
+        check_basis_independence(R, 3, _identity_change(9))
 
 
 def test_homomorphism_checker_detects_mismatch():

@@ -70,6 +70,28 @@ def test_bracket_eval_text_mode(capsys):
     assert out.strip() == "-t^0(x)t^1 + t^1(x)t^0"
 
 
+def test_bracket_eval_matrix_polynomial_basis(capsys):
+    # basis index 3 of dY is t^3 e_11 and index 1 is t^0 e_12 at N = 2
+    code, out, _ = run(capsys, "bracket", "eval", "dY", "3", "1")
+    assert code == 0
+    assert records(out)[0]["value"] == \
+        "Y[0,1,1](x)Y[3,1,1] - Y[3,1,1](x)Y[0,1,1]"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("bracket", "eval", "nosuch", "0", "0"), "unknown bracket 'nosuch'"),
+    (("bracket", "eval", "ex1", "7", "0"), "basis index out of range"),
+    (("bracket", "eval", "L2", "0", "-1"), "basis index out of range"),
+    (("ideal", "closure", "nosuch", "--seed", "1"),
+     "unknown bracket 'nosuch'"),
+    (("simplicity", "nosuch"), "unknown bracket 'nosuch'"),
+])
+def test_unknown_bracket_or_index_is_input_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert "input error" in err and message in err
+
+
 def test_unknown_target_is_input_error(capsys):
     code, _, err = run(capsys, "verify", "nosuch")
     assert code == 2 and "unknown target" in err
@@ -129,8 +151,8 @@ def test_negative_window_is_input_error(capsys, argv):
       "--budget", "-1"), "budget"),
     (("ideal", "closure", "L1", "--seed", "1", "--budget", "-1"), "budget"),
     (("ideal", "closure", "L1", "--seed", "1", "--budget", "0"), "budget"),
-    # the default --max-degree 8 exceeds window 3
-    (("simplicity", "L2", "--window", "3"), "--max-degree"),
+    (("simplicity", "L2", "--window", "3", "--max-degree", "8"),
+     "--max-degree"),
     (("simplicity", "L2", "--window", "3", "--max-degree", "4"),
      "--max-degree"),
     (("simplicity", "L2", "--window", "3", "--max-degree", "-1"),
@@ -140,6 +162,23 @@ def test_out_of_range_search_options_are_input_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and not out
     assert "input error" in err and message in err
+
+
+@pytest.mark.parametrize("window", ["1", "3", "6"])
+def test_simplicity_default_max_degree_fits_the_window(capsys, window):
+    # the default is 8, cut to the window; it used to be 8 at every window
+    code, out, err = run(capsys, "simplicity", "L2", "--window", window,
+                         "--seeds", "3")
+    assert code == 0 and not err and records(out)[0]["status"] == "pass"
+
+
+def test_simplicity_budget_exhaustion_exit_code(capsys):
+    code, out, err = run(capsys, "simplicity", "L2", "--window", "6",
+                         "--seeds", "3", "--max-degree", "6", "--budget", "1")
+    assert code == 3 and "budget exhausted" in err
+    rec = records(out)[0]
+    assert rec["status"] == "fail"
+    assert rec["counterexample"]["reason"] == "budget exhausted"
 
 
 def test_simplicity_accepts_max_degree_equal_to_window(capsys):
@@ -272,6 +311,22 @@ def test_report_all_is_deterministic_and_green(capsys):
     assert len(recs) > 30
     assert all(r["status"] == "pass" for r in recs)
     assert all(r["rng_seed"] == 2024 for r in recs)
+
+
+@pytest.mark.parametrize("window", ["0", "1", "2", "3"])
+def test_report_all_is_green_at_small_windows(capsys, window):
+    # the expected Leibniz counterexamples of L2, L3 and their Laurent
+    # variants are swept from window 1 even when the window is 0
+    code, out, _ = run(capsys, "report", "--all", "--window", window)
+    assert code == 0
+    assert all(r["status"] == "pass" for r in records(out))
+
+
+@pytest.mark.parametrize("name", ["L2", "L3", "L2_laurent", "L3_laurent"])
+def test_verify_leibniz_failers_at_window_zero(capsys, name):
+    code, out, _ = run(capsys, "verify", name, "--window", "0")
+    assert code == 0
+    assert records(out)[-1]["check"] == "leibniz_counterexample"
 
 
 @pytest.mark.parametrize("argv, expect", [

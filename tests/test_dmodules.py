@@ -3,12 +3,13 @@ from ideals, and the block bimodule correspondence."""
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from doublelie.brackets import catalog_bracket
-from doublelie.exact import Tensor2, Vec, tsym
+from doublelie.exact import Tensor2, Vec, esym, tsym
 from doublelie.ideals import Subspace, is_ideal, quotient_bracket
 from doublelie.dmodules import (DoubleAction, check_module_axioms,
                                 check_submodule, extension_double_lie_check,
@@ -66,6 +67,46 @@ def test_corrupted_action_fails_with_counterexample():
     rep2 = check_module_axioms(skewed, B_L)
     assert not rep2.passed
     assert rep2.counterexample["axiom"] != "action skew symmetry"
+
+
+def _is_e(sym):
+    return sym[0] == "e"
+
+
+def _tensor_action(s1, s2):
+    """l (x) m on (l, m) and -(m (x) l) on (m, l): mixed and skew, but not
+    compatible with M x M mapping to zero."""
+    return Tensor2({(s1, s2): 1 if _is_e(s1) else -1})
+
+
+def _escaping_action(s1, s2):
+    """<<e2, t>> = e1 (x) e2, both factors in L; zero elsewhere."""
+    if (s1, s2) == (esym(2), tsym(1)):
+        return Tensor2({(esym(1), esym(2)): 1})
+    return Tensor2()
+
+
+@pytest.mark.parametrize("eval_fn, ce", [
+    (_escaping_action, '{"pair": "e2, t^1", "term": "e1 (x) e2", '
+                       '"axiom": "mixed-output constraint"}'),
+    (_tensor_action, '{"m1": "t^1", "m2": "t^1", "l": "e1", '
+                     '"axiom": "module compatibility"}'),
+])
+def test_module_axiom_failure_records(eval_fn, ce):
+    B_L = catalog_bracket("ex1")
+    act = DoubleAction("a", B_L.carrier.window_syms(), [tsym(1)], eval_fn,
+                       _is_e)
+    rep = check_module_axioms(act, B_L)
+    assert rep.to_json() == ('{"check": "module_axioms", "target": "a", '
+                             '"l_dim": 2, "m_dim": 1, "status": "fail", '
+                             '"counterexample": %s}' % ce)
+
+
+def test_mixed_jacobi_failure_record():
+    act, B_L = tail_module("L1", 2, 10)
+    rep = check_module_axioms(mutate_action(act, 0, preserve_skew=True), B_L)
+    assert json.dumps(rep.counterexample) == (
+        '{"l1": "t^1", "l2": "t^1", "m": "t^2", "axiom": "mixed Jacobi"}')
 
 
 def test_extension_equivalence_on_original_and_mutations():

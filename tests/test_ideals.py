@@ -11,9 +11,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from doublelie.brackets import (catalog_bracket, check_anticommutativity,
-                                check_homomorphism, check_jacobi)
-from doublelie.exact import Tensor2, Vec, esym, tsym
+from doublelie import ideals
+from doublelie.brackets import (DoubleBracket, catalog_bracket,
+                                check_anticommutativity, check_homomorphism,
+                                check_jacobi)
+from doublelie.exact import Tensor2, Vec, esym, sparse_sum, tsym
 from doublelie.grammar import parse_poly, render_vec
 from doublelie.ideals import (Subspace, _inclusion_minimal, _survivors,
                               ideal_closure, is_ideal, quotient_bracket,
@@ -362,6 +364,55 @@ def test_replay_of_the_simplicity_argument():
     rep = theorem3_replay(12)
     assert rep.passed
     assert rep.details["forced_memberships"] == (12 - 1) // 2 + 1
+
+
+def test_replay_samples_nothing():
+    rep = theorem3_replay(6)
+    assert rep.params == {"window": 6}
+    assert rep.details == {"degrees_checked": 3, "forced_memberships": 3}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-4, 4), min_size=1, max_size=6))
+def test_minimal_degree_step_on_sampled_polynomials(lower):
+    # step (a) of the replay on f = t^n + lower terms, as it was once
+    # sampled: <<1, f>> is the sum of <<1, t^d>> over the terms of f, and it
+    # survives the quotient by span{f}
+    n = len(lower)
+    f = Vec({tsym(j): c for j, c in enumerate(lower + [1]) if c})
+    L2 = catalog_bracket("L2")
+    got = L2.eval_linear(Vec.basis(tsym(0)), f)
+    assert got == Tensor2(sparse_sum(((tsym(i), tsym(d - 1 - i)), c)
+                                     for (_t, d), c in f.terms.items()
+                                     for i in range(d)))
+    assert quotient_reduce(got, span(L2.carrier, n, f))
+
+
+def _replay_with_flip(monkeypatch, n):
+    """theorem3_replay on L2 with the sign of <<1, t^n>> flipped."""
+    L2 = catalog_bracket("L2")
+
+    def eval_fn(s1, s2):
+        value = L2.eval(s1, s2)
+        return value.scale(-1) if (s1, s2) == (tsym(0), tsym(n)) else value
+
+    flipped = DoubleBracket("L2", L2.carrier, eval_fn, L2.degree_shift)
+    monkeypatch.setattr(ideals, "catalog_bracket", lambda name: flipped)
+    return theorem3_replay(6)
+
+
+@pytest.mark.parametrize("n, ce", [
+    (1, {"step": "a", "n": 1, "f": "t^1",
+         "reason": "expansion formula mismatch"}),
+    (3, {"step": "a", "n": 3, "f": "t^3",
+         "reason": "expansion formula mismatch"}),
+    # step (a) reads degrees up to 3 at window 6, step (b) t^1, t^3 and t^5
+    (5, {"step": "b", "s": 2,
+         "reason": "survivor is not the single diagonal term"}),
+])
+def test_replay_catches_a_flipped_value(monkeypatch, n, ce):
+    rep = _replay_with_flip(monkeypatch, n)
+    assert not rep.passed and rep.counterexample == ce
 
 
 def test_minimal_degree_expansion_base_case():
