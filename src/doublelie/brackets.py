@@ -328,8 +328,7 @@ def rb_from_bracket(B, dim):
             if a == ssym)
         return FinitaryMatrix(ents, domain)
 
-    return RBOperator("R[%s]" % B.name, domain, image_fn,
-                      lambda p, q: range(dim))
+    return RBOperator("R[%s]" % B.name, domain, image_fn)
 
 
 # ---------------------------------------------------------------------------

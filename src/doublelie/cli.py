@@ -228,6 +228,8 @@ def _cmd_simplicity(args):
         raise InputError("unknown bracket %r" % args.bracket)
     if args.seeds < 1:
         raise InputError("--seeds must be at least 1, got %d" % args.seeds)
+    if args.window < 1:  # <<1, 1>> = 0 leaves nothing to decide at window 0
+        raise InputError("simplicity needs --window of at least 1, got 0")
     if args.max_degree is None:  # the default: 8, within the window
         args.max_degree = min(8, args.window)
     if not 0 <= args.max_degree <= args.window:
@@ -255,7 +257,10 @@ def _cmd_module_check(args):
     if args.name not in instances:
         raise InputError("unknown module instance %r (have: %s)"
                          % (args.name, ", ".join(MODULE_NAMES)))
-    act, B_L = instances[args.name](args.window)
+    try:
+        act, B_L = instances[args.name](args.window)
+    except ValueError as exc:
+        raise InputError("%s at window %d: %s" % (args.name, args.window, exc))
     reports = [check_module_axioms(act, B_L, args.window)]
     if args.name == "block-bimodule":
         reports.append(rb_bimodule_split_check(B_L, act))

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import random
 
-from .brackets import (BasisCarrier, DoubleBracket, check_anticommutativity,
-                       check_jacobi, jacobi_defect, rb_from_bracket)
+from .brackets import (BasisCarrier, DoubleBracket, _antisymmetric,
+                       check_anticommutativity, check_jacobi, jacobi_defect,
+                       rb_from_bracket)
 from .exact import Tensor2
 from .grammar import render_sym
 from .ideals import quotient_bracket
@@ -143,7 +144,7 @@ def check_module_axioms(act, B_L, window=None):
                           "axiom": "mixed-output constraint"}
                     return VerificationReport.failure("module_axioms",
                                                       act.name, ce, params)
-            if act.eval(l, m) + act.eval(m, l).permute() != Tensor2():
+            if not _antisymmetric(act, l, m):
                 ce = {"l": render_sym(l), "m": render_sym(m),
                       "axiom": "action skew symmetry"}
                 return VerificationReport.failure("module_axioms", act.name,
@@ -223,26 +224,26 @@ def induced_module_from_ideal(B, I, window):
     once the ideal check passes).  Returns (action, quotient_bracket);
     quotient_bracket makes that check and raises ValueError when it fails.
 
-    Only spans of basis symbols are supported, so membership of symbols past
-    the window stays decidable by degree."""
+    Only nonzero head or tail spans of basis symbols are supported, so
+    membership of symbols past the window stays decidable by degree; any
+    other ideal, the zero ideal included, raises ValueError."""
     quot = quotient_bracket(B, I, window)
     msy = _monomial_syms(I)
-    if msy is None:
-        raise ValueError("induced modules need an ideal spanned by basis "
-                         "symbols")
+    if not msy:
+        raise ValueError("induced modules need a nonzero ideal spanned by "
+                         "basis symbols in the window")
     carrier = B.carrier
-    mset = set(msy)
-    lsyms = I.complement_syms()
-    degs = sorted(carrier.degree(s) for s in mset) if mset else []
+    degs = sorted(carrier.degree(s) for s in msy)
     all_degs = sorted(carrier.degree(s) for s in I.syms)
-    if mset and degs == [d for d in all_degs if d >= degs[0]]:
+    if degs == [d for d in all_degs if d >= degs[0]]:
         cut = degs[0]
         is_l = lambda s: carrier.degree(s) < cut  # tail span: high degrees are M
-    elif mset and degs == [d for d in all_degs if d <= degs[-1]]:
+    elif degs == [d for d in all_degs if d <= degs[-1]]:
         top = degs[-1]
         is_l = lambda s: carrier.degree(s) > top  # head span: low degrees are M
     else:
-        is_l = lambda s: s not in mset
+        raise ValueError("induced modules need a head or tail span of the "
+                         "window")
 
     def eval_fn(s1, s2):
         out = {}
@@ -255,8 +256,8 @@ def induced_module_from_ideal(B, I, window):
                 out[(a, b)] = c
         return Tensor2(out)
 
-    act = DoubleAction("%s-on-dim%d" % (B.name, I.dim), lsyms, msy, eval_fn,
-                       is_l)
+    act = DoubleAction("%s-on-dim%d" % (B.name, I.dim), I.complement_syms(),
+                       msy, eval_fn, is_l)
     return act, quot
 
 

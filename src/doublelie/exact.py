@@ -117,12 +117,7 @@ class _SparseMap:
 
     def scale(self, a):
         a = S(a)
-        if not a:
-            return type(self)()
         return type(self)({k: a * c for k, c in self.terms.items()})
-
-    def __rmul__(self, a):
-        return self.scale(a)
 
     def items(self):
         return self.terms.items()

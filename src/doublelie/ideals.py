@@ -55,12 +55,12 @@ class Subspace:
     __slots__ = ("carrier", "window", "syms", "pos", "rows", "pivots",
                  "_table")
 
-    def __init__(self, carrier, window, rows=()):
+    def __init__(self, carrier, window):
         self.carrier = carrier
         self.window = window
         self.syms = list(carrier.window_syms(window))
         self.pos = _Window((s, i) for i, s in enumerate(self.syms))
-        self.rows, self.pivots = echelon(rows)
+        self.rows, self.pivots = [], []
         self._table = None
 
     @classmethod

@@ -308,18 +308,12 @@ class LocallyFiniteOperator:
         _need_same_domain(self, other)
         return operator_sum(((1, self), (1, other)), self.domain)
 
-    def __neg__(self):
-        return self.scale(-1)
-
     def __sub__(self, other):
         _need_same_domain(self, other)
         return operator_sum(((1, self), (-1, other)), self.domain)
 
     def scale(self, a):
         return operator_sum(((S(a), self),), self.domain)
-
-    def __rmul__(self, a):
-        return self.scale(a)
 
     def transpose(self):
         """Mirror across the main diagonal: the entry at (i, j) moves to
@@ -385,10 +379,6 @@ class FinitaryMatrix(LocallyFiniteOperator):
                 raise ValueError("entry (%d, %d) outside domain %r" % (i, j, domain))
             segs.setdefault(j - i, []).append((i, i, S(c)))
         super().__init__(segs, domain)
-
-    @classmethod
-    def unit(cls, i, j, domain=NATURALS):
-        return cls({(i, j): ONE}, domain)
 
 
 class StridedRayOperator(LocallyFiniteOperator):

@@ -37,9 +37,10 @@ from .report import VerificationReport
 class RBOperator:
     """Basis-indexed linear map from matrix units into locally finite
     operators.  support_hint(p, q) returns a finite iterable of column
-    indices s for which R(e_{ps}) applied to u_q may be nonzero; it is None
-    when no sound finite hint is known (the Laurent variants, and the
-    transposes that conjugate_by cannot give one)."""
+    indices s for which R(e_{ps}) applied to u_q may be nonzero; on a finite
+    domain it defaults to the whole domain, and it is None when no sound
+    finite hint is known (the Laurent variants, and the transposes that
+    conjugate_by cannot give one)."""
 
     __slots__ = ("name", "domain", "_image_fn", "support_hint", "N",
                  "_images", "_applied")
@@ -48,6 +49,9 @@ class RBOperator:
         self.name = name
         self.domain = domain
         self._image_fn = image_fn
+        if support_hint is None and domain.kind == "finite":
+            cols = range(domain.size)
+            support_hint = lambda p, q: cols
         self.support_hint = support_hint
         self.N = N
         self._images = {}
@@ -277,13 +281,11 @@ def conjugate_by(R, psi, name=None):
     domains only).
 
     The transpose keeps a support hint when R has the generic one, s < p +
-    q + 2 (the catalog transposes r3, r4 of r1, r2), and on a finite domain,
-    which is a hint itself; any other hint says nothing about the
-    transpose, so it is dropped and bracket_from_rb refuses the result."""
+    q + 2 (the catalog transposes r3, r4 of r1, r2); on a finite domain the
+    domain is the hint.  Any other hint says nothing about the transpose,
+    so it is dropped and bracket_from_rb refuses the result."""
     if psi == "transpose":
-        n = R.domain.size
-        hint = (_generic_hint if R.support_hint is _generic_hint
-                else (lambda p, q: range(n)) if n else None)
+        hint = _generic_hint if R.support_hint is _generic_hint else None
         return RBOperator(name or "%s^T" % R.name, R.domain,
                           lambda i, j: R.image(j, i).transpose(),
                           hint, R.N)
@@ -387,8 +389,7 @@ def catalog_rb(name, **params):
         domain = Domain.finite(n)
         return RBOperator(name, domain,
                           lambda i, j: FinitaryMatrix(table.get((i, j)),
-                                                      domain),
-                          lambda p, q: range(n))
+                                                      domain))
     if name == "kac":
         N = params.get("N", 2)
         base = catalog_rb("r1").scaled(-1, name="-r1")
@@ -415,21 +416,17 @@ def shift_ray():
     return LocallyFiniteOperator.ray(1, 1, 0)
 
 
-def derivation_unit(i, j, domain=NATURALS):
-    """d(e_{ij}) = e_{i,j-1} - e_{i+1,j}; units with a negative index drop."""
-    ents = {}
-    if domain.contains(j - 1):
-        ents[(i, j - 1)] = 1
-    if domain.contains(i + 1):
-        ents[(i + 1, j)] = -1
-    return FinitaryMatrix(ents, domain)
+def derivation_unit(i, j):
+    """d(e_{ij}) = e_{i,j-1} - e_{i+1,j} on the naturals; e_{i,-1} drops."""
+    ents = {(i, j - 1): 1} if j else {}
+    ents[(i + 1, j)] = -1
+    return FinitaryMatrix(ents)
 
 
 def derivation_of(x):
     return FinitaryMatrix(sparse_sum(
         (key, c * d) for (i, j), c in x.entries.items()
-        for key, d in derivation_unit(i, j, x.domain).entries.items()),
-        x.domain)
+        for key, d in derivation_unit(i, j).entries.items()))
 
 
 def remark3_suite(window=12):
@@ -445,10 +442,10 @@ def remark3_suite(window=12):
     # x -> xA - Ax is a derivation and e_ij e_kl = delta_jk e_il: if d, both
     # ways, is that map on the window's units and 0, (a) and (b) hold there
     if not (all(derivation_unit(i, j) == derivation_of(x) == commutator(x, A)
-                for i, j in units for x in [FinitaryMatrix.unit(i, j)])
+                for i, j in units for x in [LocallyFiniteOperator.unit(i, j)])
             and not derivation_of(FinitaryMatrix())):
         for i, j in units:
-            x = FinitaryMatrix.unit(i, j)
+            x = LocallyFiniteOperator.unit(i, j)
             dx = derivation_unit(i, j)
             # (b) inner form
             inner = commutator(x, A)
@@ -458,7 +455,7 @@ def remark3_suite(window=12):
                 return VerificationReport.failure("remark3", "d", ce, params)
             # (a) derivation property on unit pairs
             for k, l in units:
-                y = FinitaryMatrix.unit(k, l)
+                y = LocallyFiniteOperator.unit(k, l)
                 dy = derivation_unit(k, l)
                 lhs = derivation_of(mul_mixed(x, y))
                 rhs = mul_mixed(dx, y) + mul_mixed(x, dy)

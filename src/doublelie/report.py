@@ -25,9 +25,6 @@ class VerificationReport:
         self.counterexample = counterexample
         self.details = details
 
-    def __bool__(self):
-        return self.passed
-
     @classmethod
     def success(cls, check, target, params=None, details=None):
         return cls(check, target, params, True, None, details)

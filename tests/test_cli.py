@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from doublelie import cli
 from doublelie.cli import main
 
 
@@ -295,6 +296,72 @@ def test_module_check_instances(capsys):
         code, out, _ = run(capsys, "module", "check", name)
         assert code == 0, name
         assert all(r["status"] == "pass" for r in records(out)), name
+
+
+@pytest.mark.parametrize("name, window, code", [
+    ("tpoly-under-third", "0", 2),
+    ("tpoly-under-third", "1", 0),
+    ("t2poly-under-first", "1", 2),
+    ("t2poly-under-first", "2", 0),
+])
+def test_module_check_below_the_ideal_degree_is_input_error(capsys, name,
+                                                           window, code):
+    # below its degree the tail ideal is empty, and M = 0 would pass every
+    # axiom vacuously
+    got, out, err = run(capsys, "module", "check", name, "--window", window)
+    assert got == code
+    if code:
+        assert not out and "input error: %s at window %s" % (name, window) \
+            in err
+    else:
+        assert not err and all(r["status"] == "pass" for r in records(out))
+
+
+def test_simplicity_at_window_zero_is_input_error(capsys):
+    # only t^0 is swept there, and <<1, 1>> = 0
+    code, out, err = run(capsys, "simplicity", "L2", "--window", "0",
+                         "--seeds", "3")
+    assert code == 2 and not out and "--window of at least 1" in err
+
+
+def test_simplicity_failure_text_mode(capsys):
+    code, out, _ = run(capsys, "simplicity", "L1", "--window", "8",
+                       "--seeds", "3", "--format", "text")
+    assert code == 1
+    assert out.startswith("FAIL simplicity_probe L1  counterexample: {")
+    assert "'closure_dim': 1" in out
+
+
+def test_catalog_list_text_mode(capsys):
+    code, out, _ = run(capsys, "catalog", "list", "--format", "text")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "operator r1" and "bracket  L2" in lines
+    assert lines[-1] == "module   block-bimodule"
+
+
+def test_closure_text_mode(capsys):
+    code, out, _ = run(capsys, "ideal", "closure", "L1", "--seed", "t^2",
+                       "--window", "5", "--format", "text")
+    assert code == 0
+    assert out.splitlines() == ["closures: 3", "  span{t^0, t^2, t^3}",
+                                "  span{t^2, t^3, t^4}",
+                                "  span{t^0, t^1, t^2}"]
+    code, out, err = run(capsys, "ideal", "closure", "L2", "--seed", "1",
+                         "--window", "12", "--budget", "1", "--format", "text")
+    assert code == 3 and "budget exhausted" in err
+    assert out == "closures: 0  (budget exhausted)\n"
+
+
+def test_missing_leibniz_counterexample_fails(capsys, monkeypatch):
+    # L1 obeys the Leibniz rule, so listing it as a failer must fail
+    monkeypatch.setattr(cli, "_LEIBNIZ_FAILERS", ("L1",))
+    code, out, _ = run(capsys, "verify", "L1", "--window", "3")
+    assert code == 1
+    rec = records(out)[-1]
+    assert rec["check"] == "leibniz_counterexample"
+    assert rec["status"] == "fail"
+    assert "rule held on the window" in rec["counterexample"]["reason"]
 
 
 def test_unknown_module_instance(capsys):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from doublelie import dmodules
 from doublelie.brackets import catalog_bracket
 from doublelie.exact import Tensor2, Vec, esym, tsym
 from doublelie.ideals import Subspace, is_ideal, quotient_bracket
@@ -17,6 +18,7 @@ from doublelie.dmodules import (DoubleAction, check_module_axioms,
                                 proposition_equivalence,
                                 rb_bimodule_split_check,
                                 trivial_extension_bracket)
+from doublelie.report import VerificationReport
 
 
 def tail_module(name, cut, window):
@@ -142,6 +144,52 @@ def test_induced_module_requires_an_ideal():
     I = Subspace.from_vectors(L2.carrier, 8, [Vec.basis(tsym(0))])
     with pytest.raises(ValueError):
         induced_module_from_ideal(L2, I, 8)
+
+
+@pytest.mark.parametrize("name, make", [
+    # every subspace is an ideal of the zero bracket; this one has no basis
+    # of symbols
+    ("zero", lambda B: Subspace.from_vectors(
+        B.carrier, 3, [Vec.basis(tsym(0)) + Vec.basis(tsym(1))])),
+    # the tail t F[t] of tpoly-under-third has no element at window 0
+    ("L3", lambda B: Subspace.degree_span(B.carrier, 0, 1)),
+], ids=["non-monomial", "empty"])
+def test_induced_module_needs_a_nonzero_monomial_span(name, make):
+    B = catalog_bracket(name)
+    I = make(B)
+    with pytest.raises(ValueError, match="nonzero ideal spanned by basis"):
+        induced_module_from_ideal(B, I, I.window)
+
+
+def test_induced_module_needs_a_head_or_tail_span():
+    # span{t^0, t^2} is an ideal of the zero bracket, but the degree split
+    # of the symbols past the window cannot tell its members
+    B = catalog_bracket("zero")
+    I = Subspace.from_vectors(B.carrier, 3, [Vec.basis(tsym(0)),
+                                             Vec.basis(tsym(2))])
+    with pytest.raises(ValueError, match="head or tail span"):
+        induced_module_from_ideal(B, I, 3)
+
+
+def test_mutating_a_zero_action_is_an_error():
+    act, _B_L = tail_module("L3", 1, 10)
+    with pytest.raises(ValueError, match="no nonzero pairs"):
+        mutate_action(act, 0)
+
+
+def test_extension_equivalence_failure_record(monkeypatch):
+    # an extension check that disagrees with the module axioms on the
+    # original action is reported at that instance
+    act, B_L = tail_module("L1", 2, 8)
+    monkeypatch.setattr(
+        dmodules, "extension_double_lie_check",
+        lambda B, inst: VerificationReport.failure("jacobi", B.name, {}))
+    rep = proposition_equivalence(B_L, act, mutations=3)
+    assert rep.to_dict() == {
+        "check": "extension_equivalence", "target": act.name, "mutations": 3,
+        "rng_seed": 7, "status": "fail",
+        "counterexample": {"instance": "original", "axioms": True,
+                           "extension": False}}
 
 
 def test_trivial_extension_layout():

@@ -194,6 +194,13 @@ _ROW = st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, Fraction(1, 2))),
                 min_size=_DIM, max_size=_DIM)
 
 
+def _row_span(carrier, rows):
+    """The span of coordinate rows over the first _DIM window symbols."""
+    syms = carrier.window_syms(_DIM - 1)
+    return span(carrier, _DIM - 1, *(Vec(dict(zip(syms, row)))
+                                     for row in rows))
+
+
 @st.composite
 def _subspace_families(draw):
     """Distinct subspaces of a 5-dimensional window: spans of subsets of a
@@ -204,8 +211,8 @@ def _subspace_families(draw):
     gens = draw(st.lists(_ROW, min_size=1, max_size=6))
     masks = draw(st.lists(st.integers(0, 2 ** len(gens) - 1), min_size=1,
                           max_size=12))
-    family = [Subspace(carrier, _DIM - 1,
-                       [g for k, g in enumerate(gens) if mask >> k & 1])
+    family = [_row_span(carrier,
+                        [g for k, g in enumerate(gens) if mask >> k & 1])
               for mask in masks]
     for I in draw(st.lists(st.sampled_from(family), max_size=4)):
         # entries right of a row's pivot, outside the pivot columns
@@ -216,7 +223,7 @@ def _subspace_families(draw):
         r, c = draw(st.sampled_from(free))
         rows = [list(row) for row in I.rows]
         rows[r][c] += draw(st.sampled_from((1, -2, Fraction(1, 3))))
-        family.append(Subspace(carrier, _DIM - 1, rows))
+        family.append(_row_span(carrier, rows))
     distinct = {}
     for I in draw(st.permutations(family)):
         distinct.setdefault(I.key(), I)
@@ -242,7 +249,7 @@ def _tensors(dim):
        _tensors(_DIM))
 def test_integer_subspace_matches_the_fraction_rref(gens, more, probe, terms):
     carrier = catalog_bracket("L1").carrier
-    I = Subspace(carrier, _DIM - 1, gens)
+    I = _row_span(carrier, gens)
     red, pivots = rref(gens)
     assert I.pivots == pivots
     for row, ref, p in zip(I.rows, red, pivots):
@@ -252,7 +259,7 @@ def test_integer_subspace_matches_the_fraction_rref(gens, more, probe, terms):
     assert I.basis_vecs() == [I.vec_of(ref) for ref in red]
     # extended inserts into the echelon form: the same as a fresh build
     J = I.extended([I.vec_of(row) for row in more])
-    assert J.key() == Subspace(carrier, _DIM - 1, gens + more).key()
+    assert J.key() == _row_span(carrier, gens + more).key()
     # contains and quotient_reduce agree with the monic Fraction echelon
     # rows
     ref = reduce_vector(probe, red, pivots)
@@ -276,7 +283,7 @@ def test_integer_subspace_matches_the_fraction_rref(gens, more, probe, terms):
 @given(st.lists(_ROW, min_size=1, max_size=3), st.sampled_from(("L1", "L2")))
 def test_survivors_are_positive_multiples_of_the_quotient(gens, name):
     B = catalog_bracket(name)
-    I = Subspace(B.carrier, _DIM - 1, gens)
+    I = _row_span(B.carrier, gens)
     swept = 0
     for v, k, side, surv in _survivors(B, I, _DIM - 1):
         g, vv = I.basis_vecs()[k], Vec.basis(v)

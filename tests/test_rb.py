@@ -140,6 +140,51 @@ def test_tensor_extension_keeps_base_images():
     assert check_skew_symmetry(ext, 5).passed
 
 
+def _kron_id(R, N):
+    """R (x) id_N as an operator on the naturals, the composite index (i, a)
+    flattened to i*N + a: the image of e_{(i,a),(j,b)} is R(e_ij) (x) e_ab,
+    each segment of R(e_ij) on diagonal o over rows lo..hi at step s moved
+    to diagonal o*N + b - a over rows lo*N + a..hi*N + a at step N*s."""
+    def image_fn(u, v):
+        (i, a), (j, b) = divmod(u, N), divmod(v, N)
+        op = R.image(i, j)
+        return LocallyFiniteOperator(
+            {o * N + b - a: [(None if lo is None else lo * N + a,
+                              None if hi is None else hi * N + a, c)
+                             for lo, hi, c in ss]
+             for o, ss in op.segs.items()}, NATURALS, N * op.step)
+
+    return RBOperator("%s(x)id_%d" % (R.name, N), NATURALS, image_fn)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_delta_factorisation_matches_the_composite_operator(N):
+    # check_rb_identity sweeps kac(N) = -r1 (x) id_N on base units only; the
+    # composite operator, swept on its own units, gives the same verdicts
+    base = catalog_rb("r1").scaled(-1)
+    K = _kron_id(base, N)
+    for i, j, a, b in ((0, 0, 0, 0), (2, 1, 1, 0), (1, 3, N - 1, 1)):
+        for q in range(3 * N):
+            col = base.apply_image(i, j, q // N) if q % N == b else {}
+            assert K.apply_image(i * N + a, j * N + b, q) == \
+                {r * N + a: c for r, c in col.items()}
+    for R in (base, mutate_sign(base, 1, 0)):
+        verdict = check_rb_identity(tensor_extend(R, N), 7).passed
+        assert check_rb_identity(_kron_id(R, N), 7).passed == verdict
+        assert verdict == (R is base)
+
+
+def test_finite_domain_is_the_default_support_hint():
+    ex1 = catalog_rb("ex1")
+    assert list(ex1.support_hint(1, 0)) == [0, 1]
+    # an explicit hint wins
+    zero = catalog_rb("zero", domain=ex1.domain)
+    assert list(zero.support_hint(1, 0)) == []
+    blank = RBOperator("blank", NATURALS,
+                       lambda i, j: LocallyFiniteOperator.zero())
+    assert blank.support_hint is None
+
+
 def test_shift_preimage_matches_second_operator_for_step_one():
     p1 = build_pk(1)
     r2 = catalog_rb("r2")
@@ -654,8 +699,8 @@ _REMARK3_UNITS = [(0, 0), (0, 3), (2, 1), (4, 4), (4, 0)]
 def test_remark3_flipped_unit_formula(monkeypatch, unit):
     unit_formula = rb.derivation_unit
 
-    def flipped(i, j, domain=NATURALS):
-        d = unit_formula(i, j, domain)
+    def flipped(i, j):
+        d = unit_formula(i, j)
         return d.scale(-1) if (i, j) == unit else d
 
     monkeypatch.setattr(rb, "derivation_unit", flipped)
