@@ -90,10 +90,6 @@ class _SparseMap:
     def __init__(self, terms=None):
         self.terms = _pruned(terms) if terms else {}
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -142,7 +138,3 @@ class Vec(_SparseMap):
 
 class Tensor2(_SparseMap):
     _key_order = staticmethod(key_sort_key)
-
-    def permute(self):
-        """The factor swap a (x) b -> b (x) a."""
-        return Tensor2({(b, a): c for (a, b), c in self.terms.items()})

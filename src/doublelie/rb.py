@@ -10,8 +10,11 @@ is checked per pair of units x, y in a window on the segment normal form, as
 one defect D = R(x)R(y) - R(R(x)y + xR(y)) normalised from the raw segments
 of the product and of the scaled images: the pair holds on every basis
 vector iff D is empty.  The two sides are built apart only to render a
-counterexample.  On the integers the pairs are first settled one per shift
-orbit (see check_rb_identity).
+counterexample.  Off finite domains an empty defect, and only an empty one,
+settles the pairs to its right for as long as the images it reads move one
+column right with y.  On the integers the pairs are first settled one per
+shift orbit, each taken with min(i, j, k) = 0 so that those runs are long
+(see check_rb_identity).
 Skew-symmetry is the condition <R(x),y> = -<x,R(y)> for the trace pairing
 <x,y> = tr(xy).
 
@@ -26,6 +29,8 @@ one table of images.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 from .exact import S, sparse_sum
 from .matrices import (INTEGERS, NATURALS, Domain, FinitaryMatrix,
@@ -111,23 +116,85 @@ def _render_vec_dict(d):
     return " + ".join("%s*u_%d" % (c, r) for r, c in sorted(d.items())) or "0"
 
 
-def _pair_defects(R, idx, orbit=False):
+class _ColumnMoves(dict):
+    """(a, b) -> whether R(e_{a,b+1}) is R(e_ab) moved one column right,
+    compared once, on the first lookup; reaches keeps how far along its row
+    each unit is known to move."""
+
+    def __init__(self, R):
+        super().__init__()
+        self.R = R
+        self.reaches = {}
+
+    def __missing__(self, unit):
+        a, b = unit
+        ref, op = self.R.image(a, b), self.R.image(a, b + 1)
+        got = self[unit] = op.step == ref.step and op.segs == {
+            o + 1: ss for o, ss in ref.segs.items()}
+        return got
+
+    def reach(self, a, b, n):
+        """The least of n and the number of units (a, b), (a, b + 1), ...
+        in a row that move one column right."""
+        m = self.reaches.get((a, b), 0)
+        while m < n and self[a, b + m]:
+            m += 1
+        self.reaches[a, b] = m
+        return min(m, n)
+
+
+def _pair_defects(R, idx, read=None):
     """(i, j, k, l, terms, defect) at the unit pairs x = e_{ij}, y = e_{kl},
-    i, j, k, l in idx, in sweep order (with orbit, the tuples holding a 0):
+    i, j, k, l in idx, in sweep order, except those a column run settles:
     terms is R(x)y + xR(y) as (unit, coeff), column k of R(x) put in column
-    l and row j of R(y) in row i, and defect is R(x)R(y) - R(terms)."""
+    l and row j of R(y) in row i, and defect is R(x)R(y) - R(terms).  Given
+    a set read, idx is 0..2w, the pairs are one per shift orbit of spread at
+    most 2w, min(i, j, k) = 0 and max(i, j, k) - 2w <= l <= 2w, and read
+    gets every unit read, x, y and the units of the terms, at the settled
+    pairs too.
+
+    Column runs: e_kl is e_{k,l-1} S, S the column shift, so D(x, e_kl) is
+    D(x, e_{k,l-1}) S when R(e_{a,b+1}) is R(e_ab) moved one column right at
+    every unit the left neighbour reads, e_{k,l-1} and the units of its
+    terms; the units read at e_kl are then those, moved one column right.
+    So an empty defect settles the pairs to its right for as long as every
+    unit it reads moves that far, and the next defect is computed: a run
+    starts only from an empty defect, never from one that merely passes the
+    cutoff, so the first failing pair is the full sweep's.  A finite domain,
+    whose last column has no right neighbour, takes no runs."""
+    runs = R.domain.kind != "finite"
+    moves = _ColumnMoves(R)
+    orbit = read is not None
+    top = max(idx, default=None)
     for i in idx:
         for j in idx:
             Rx = R.image(i, j)
+            if orbit:
+                read.add((i, j))
             for k in idx:
+                if orbit and min(i, j, k):
+                    continue
                 col = Rx.apply_index(k).items()
-                for l in (idx if not orbit or 0 in (i, j, k) else (0,)):
+                l = max(i, j, k) - top if orbit else idx[0]
+                while l <= top:
                     Ry = R.image(k, l)
                     terms = [((r, l), c) for r, c in col]
                     terms += [((i, cc), c) for cc, c in Ry.row(j).items()]
-                    yield i, j, k, l, terms, operator_sum(
+                    defect = operator_sum(
                         [(-c, R.image(a, b)) for (a, b), c in terms],
                         R.domain, ((1, Rx, Ry),))
+                    yield i, j, k, l, terms, defect
+                    units = [(k, l)] + [unit for unit, _ in terms]
+                    # the run settles the pairs l + 1 .. l + n
+                    n = 0
+                    if runs and not defect:
+                        n = top - l
+                        for a, b in units:
+                            n = moves.reach(a, b, n)
+                    if orbit:
+                        for a, b in units:
+                            read.update(zip(repeat(a), range(b, b + n + 1)))
+                    l += n + 1
 
 
 def _is_shift(op, ref, s):
@@ -155,8 +222,8 @@ def _shift_equivariant(R, spans):
 
 def _orbits_agree(R, window):
     """Whether the shift orbits settle every unit pair of the window: R is
-    shift-equivariant on the window's units, both sides agree at the pair of
-    each orbit whose least index is 0, and R is shift-equivariant on every
+    shift-equivariant on the window's units, both sides agree at each
+    orbit's pair with min(i, j, k) = 0, and R is shift-equivariant on every
     unit that the window pairs of those orbits read."""
     w = window
     inside = {}
@@ -168,11 +235,9 @@ def _orbits_agree(R, window):
     if not _shift_equivariant(R, inside):
         return False
     read = set()
-    for i, j, k, l, terms, defect in _pair_defects(R, range(2 * w + 1),
-                                                   orbit=True):
-        if defect:
-            return False
-        read.update(((i, j), (k, l)), (unit for unit, _ in terms))
+    if any(defect for *_, defect in _pair_defects(R, range(2 * w + 1),
+                                                  read)):
+        return False
     spans = {}
     for a, b in read:
         lo, hi = spans.get(b - a, (a, a))
@@ -195,20 +260,27 @@ def check_rb_identity(R, window=8, cutoff=None):
     sides differ only beyond the cutoff therefore passes, as the
     window-relative verdict says.
 
+    Off finite domains most defects are never built: an empty defect
+    settles the pairs to its right for as long as the images it reads move
+    one column right with y (_pair_defects), and a defect that merely passes
+    the cutoff starts no such run, so every record is the full sweep's.
+
     On the integers, where the window is -window..window, the pairs are
     first settled by shift orbits.  Moving every index by s is conjugation
     by a permutation matrix, which commutes with products and sums; so when
     R(e_{a+s,b+s}) is R(e_{ab}) moved by s at every unit a pair reads, both
     sides at the moved pair are the sides at the pair, moved.  Every window
-    pair is then a pair with least index 0 in [0, 2 * window], moved by some
-    s in [-window, window].  Three checks make up this path:
+    pair (i, j, k, l) is then the pair with min(i, j, k) = 0 and
+    max(i, j, k) - 2 * window <= l <= 2 * window of its orbit, moved by
+    s = min(i, j, k) in [-window, window]; these pairs are one per orbit
+    and lie along long rows in l.  Three checks make up this path:
 
     1. R(e_{a,a+d}) is a reference image inside the window, moved, at every
        unit of the window, and on the corner diagonals d = +-2 * window,
        which hold one window unit each, at the next unit along them;
-    2. the defect is empty at every pair with least index 0 in
-       [0, 2 * window], recording every unit read: x, y and the units of
-       the terms of R(x)y + xR(y), two that cancel included;
+    2. the defect is empty at every such pair, recording every unit read:
+       x, y and the units of the terms of R(x)y + xR(y), two that cancel
+       included, at the pairs that a column run settles too;
     3. on each diagonal d met, the images R(e_{a,a+d}) are one image moved,
        for every a from the least recorded a minus the window to the
        largest plus it, which covers every unit that the full sweep reads.

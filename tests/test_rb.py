@@ -409,6 +409,12 @@ def test_rb_identity_matches_pointwise_oracle_on_sign_mutants(name, units):
         assert '"status": "fail"' in rec, (name, unit)
 
 
+def test_rb_identity_on_an_empty_window():
+    # a negative window sweeps no pair, on every domain and on the orbit path
+    for name in ("r1", "r1_laurent", "ex1"):
+        _same_record(catalog_rb(name), -1, 0)
+
+
 def test_rb_identity_difference_beyond_cutoff():
     # R(e_00) = e_20,20 + e_21,21 + ..., every other image 0: for x = y =
     # e_00 the left side is R(e_00) and the right side is 0, so the two
@@ -469,6 +475,17 @@ def test_orbit_path_reads_units_outside_the_window(name, unit):
         mutate_sign(catalog_rb(name), *unit), 2, 4)
 
 
+def test_orbit_path_checks_the_units_of_settled_pairs():
+    # r1_laurent with R(e_{-4,b}) negated for b >= 0: at window 1 every orbit
+    # pair's defect is empty, but only pairs that a column run settles read
+    # the units on diagonals 4 and 5, e_{-3,1} among them, and R(e_{-4,0})
+    # is not R(e_{-3,1}) moved back along diagonal 4
+    base = catalog_rb("r1_laurent")
+    R = RBOperator("half_row", INTEGERS, lambda a, b: base.image(a, b)
+                   .scale(-1) if a == -4 and b >= 0 else base.image(a, b))
+    assert '"status": "fail"' in _same_record(R, 1, 2)
+
+
 def test_orbit_path_difference_beyond_cutoff():
     # R(e_aa) = e_{a+22,a+22}, every other image 0, is shift-equivariant;
     # for x = y = e_aa the left side is R(e_aa) and the right side is 0, so
@@ -521,7 +538,8 @@ def test_orbit_path_on_strided_images(name, image_fn, window):
     _same_record(RBOperator(name, INTEGERS, image_fn), window, 2 * window)
 
 
-def test_orbit_path_products(monkeypatch):
+def _counting(monkeypatch):
+    """Lists that grow by one per defect computed and per left side built."""
     defects, products = [], []
     pair_defects = rb._pair_defects
 
@@ -536,19 +554,55 @@ def test_orbit_path_products(monkeypatch):
 
     monkeypatch.setattr(rb, "_pair_defects", counted)
     monkeypatch.setattr(rb, "mul_mixed", product)
+    return defects, products
+
+
+def test_orbit_path_products(monkeypatch):
+    defects, products = _counting(monkeypatch)
     assert check_rb_identity(catalog_rb("r1_laurent"), 6).passed
-    # one pair per orbit: the tuples in [0, 12]^4 that hold a 0
-    assert len(defects) == 13 ** 4 - 12 ** 4 == 7825
+    # the column runs compute 1,045 of the 7,825 orbit pairs' defects
+    assert len(defects) == 1045
     # a passing sweep decides every pair on its defect and builds no side,
-    # on the orbit path and on the full one
+    # on the orbit path and on the full one, where the runs compute 120 of
+    # the 256 defects
     assert check_rb_identity(catalog_rb("r1"), 3).passed
-    assert len(defects) == 7825 + 4 ** 4 and not products
+    assert len(defects) == 1045 + 120 and not products
     # a corrupted window unit fails the window precheck, so only the full
     # sweep runs, up to its first failing pair; (-3, 3) and (3, -3) are the
-    # one window unit on their diagonals
-    for unit in ((1, -1), (-3, 3), (3, -3)):
+    # one window unit on their diagonals.  Each row's first defect is
+    # computed, and those where a run meets the corrupted unit
+    for unit, count in (((1, -1), 11), ((-3, 3), 2), ((3, -3), 16)):
         defects.clear()
         products.clear()
+        assert not check_rb_identity(
+            mutate_sign(catalog_rb("r2_laurent"), *unit), 3).passed
+        assert len(defects) == count, unit
+        # the left side is built once, to render the counterexample
+        assert len(products) == 1, unit
+
+
+class _NoMoves:
+    """A column test that never holds, so that no pair is settled by a
+    run."""
+
+    def __init__(self, R):
+        pass
+
+    def reach(self, a, b, n):
+        return 0
+
+
+def test_sweeps_without_runs(monkeypatch):
+    defects, products = _counting(monkeypatch)
+    monkeypatch.setattr(rb, "_ColumnMoves", _NoMoves)
+    assert check_rb_identity(catalog_rb("r1_laurent"), 6).passed
+    # one pair per orbit: as many as the tuples in [0, 12]^4 that hold a 0
+    assert len(defects) == 13 ** 4 - 12 ** 4 == 7825
+    assert check_rb_identity(catalog_rb("r1"), 3).passed
+    assert len(defects) == 7825 + 4 ** 4 and not products
+    # the full sweep computes every pair up to its first failing one
+    for unit in ((1, -1), (-3, 3), (3, -3)):
+        defects.clear()
         rep = check_rb_identity(mutate_sign(catalog_rb("r2_laurent"), *unit),
                                 3)
         pos = 0
@@ -556,8 +610,18 @@ def test_orbit_path_products(monkeypatch):
             for v in x[2:-1].split(","):
                 pos = 7 * pos + int(v) + 3
         assert len(defects) == pos + 1, unit
-        # the left side is built once, to render the counterexample
-        assert len(products) == 1, unit
+
+
+def test_run_starts_only_from_an_empty_defect():
+    # R(e_ab) = e_{a-3,b-3} moves one column right with b everywhere; at x =
+    # y = e[-2,-2] the defect is e_{-5,-5}, beyond the cutoff, so that pair
+    # passes, but the pair to its right fails in column -4
+    R = RBOperator("down3", INTEGERS, lambda a, b:
+                   LocallyFiniteOperator.unit(a - 3, b - 3, INTEGERS))
+    rep = check_rb_identity(R, 2, 4)
+    assert rep.counterexample == {"x": "e[-2,-2]", "y": "e[-2,-1]", "q": -4,
+                                  "lhs": "1*u_-5", "rhs": "0"}
+    _same_record(R, 2, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +686,22 @@ def test_defect_sweep_matches_the_two_sided_sweep(name, window, how, data):
     assert got.to_json() == want.to_json(), R.name
     if how == "scale":
         assert got.passed, R.name
+
+
+@pytest.mark.parametrize("name, window, lo, hi", [
+    (name, 3, 0, 4) for name in ("r1", "r2", "r3", "r4", "p_1")] + [
+    (name, 2, -3, 3) for name in ("r1_laurent", "r2_laurent")])
+def test_every_flipped_unit_matches_the_two_sided_sweep(name, window, lo, hi):
+    # every unit with both indices in [lo, hi], flipped: a unit read only at
+    # a pair that a column run settles, beyond the window's edge included,
+    # must break that run
+    base = _catalog_or_pk(name)
+    for a in range(lo, hi + 1):
+        for b in range(lo, hi + 1):
+            R = mutate_sign(base, a, b)
+            got = check_rb_identity(R, window, 2 * window)
+            assert got.to_json() == _two_sided_rb(R, window, 2 * window) \
+                .to_json(), (name, a, b)
 
 
 # ---------------------------------------------------------------------------
