@@ -21,16 +21,17 @@ Skew-symmetry is the condition <R(x),y> = -<x,R(y)> for the trace pairing
 The catalog covers the two divided-difference operators r1, r2 and their
 transpose conjugates, three finite-dimensional examples, the tensor extension
 by a matrix factor, and the k-step difference preimage family p_k.  r1, r2
-and p_k are written through one helper, as one segment per chamber: r1 and
-r2 split on i > j, p_k on i // k > j // k, and r2 is p_1.  r1_laurent and
-r2_laurent are the images on the integers, and the domain clip cuts them to
-the polynomial r1 and r2 on the naturals.  The finite examples are read from
-one table of images.
+and p_k are chamber tables, one segment per chamber, which also give the
+correspondence's support: r1 and r2 split on i > j, p_k on i // k > j // k,
+and r2 is p_1.  r1_laurent and r2_laurent are the images on the integers,
+and the domain clip cuts them to the polynomial r1 and r2 on the naturals.
+The finite examples are read from one table of images.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
+from math import inf
 
 from .exact import S, sparse_sum
 from .matrices import (INTEGERS, NATURALS, Domain, FinitaryMatrix,
@@ -41,26 +42,58 @@ from .report import VerificationReport
 
 class RBOperator:
     """Basis-indexed linear map from matrix units into locally finite
-    operators.  support_hint(p, q) returns a finite iterable of column
-    indices s for which R(e_{ps}) applied to u_q may be nonzero; on a finite
-    domain it defaults to the whole domain, and it is None when no sound
-    finite hint is known (the Laurent variants, and the transposes that
-    conjugate_by cannot give one)."""
+    operators.  support(p, q) derives the s of the correspondence sum from
+    the finite domain, or from the chamber table of _chamber_operator,
+    which the derived operators that move no entry keep."""
 
-    __slots__ = ("name", "domain", "_image_fn", "support_hint", "N",
-                 "_images", "_applied")
+    __slots__ = ("name", "domain", "_image_fn", "N", "_chambers", "_images",
+                 "_applied")
 
-    def __init__(self, name, domain, image_fn, support_hint=None, N=1):
+    def __init__(self, name, domain, image_fn, N=1):
         self.name = name
         self.domain = domain
         self._image_fn = image_fn
-        if support_hint is None and domain.kind == "finite":
-            cols = range(domain.size)
-            support_hint = lambda p, q: cols
-        self.support_hint = support_hint
         self.N = N
+        self._chambers = None
         self._images = {}
         self._applied = {}
+
+    def _derived(self, name, image_fn, N=None, flip=False):
+        """Same table, for an image_fn that moves no entry (or transposes)."""
+        R = RBOperator(name, self.domain, image_fn, N or self.N)
+        c = self._chambers
+        R._chambers = c and (c[0], c[1], c[2] != flip)
+        return R
+
+    def support(self, p, q):
+        """The s, ascending, at which R(e_{ps}) u_q may be nonzero: the
+        finite domain, exactly those s for a chamber table, None for any
+        other operator.  Raises ValueError if they are infinitely many.
+
+        Per chamber they form one interval: u_q meets R(e_{ps}) at row
+        q - s + p - k (a transpose: row q of R(e_{sp})), so with d = q - k
+        (q) s runs over d - k*hi .. d - k*lo in d's class mod k, cut at
+        k * (p // k) (plus k), nonnegative row and column on the naturals."""
+        if self.domain.kind == "finite":
+            return range(self.domain.size)
+        if self._chambers is None:
+            return None
+        (below, above), k, flip = self._chambers
+        e = k if flip else 0
+        d, cut = q - k + e, k * (p // k) + e
+        floor, ceil = ((0, d + p + e) if self.domain.kind == "naturals"
+                       else (-inf, inf))
+        out = []
+        for (lo, hi, _), first, last in (
+                (above if flip else below, -inf, cut - 1),
+                (below if flip else above, cut, inf)):
+            first = max(first, floor, -inf if hi is None else d - k * hi)
+            last = min(last, ceil, inf if lo is None else d - k * lo)
+            if first == -inf or last == inf:
+                raise ValueError("operator %s: infinitely many s at (p, q) = "
+                                 "(%d, %d)" % (self.name, p, q))
+            out += range(first + (d - first) % k, last + 1, k)
+        return out
 
     def image(self, i, j):
         """R(e_{ij}) as an operator-like value (memoized)."""
@@ -94,9 +127,8 @@ class RBOperator:
 
     def scaled(self, alpha, name=None):
         alpha = S(alpha)
-        return RBOperator(name or "%s*%s" % (alpha, self.name), self.domain,
-                          lambda i, j: self.image(i, j).scale(alpha),
-                          self.support_hint, self.N)
+        return self._derived(name or "%s*%s" % (alpha, self.name),
+                             lambda i, j: self.image(i, j).scale(alpha))
 
     def __repr__(self):
         return "RBOperator(%r, %r, N=%d)" % (self.name, self.domain, self.N)
@@ -341,10 +373,6 @@ def check_skew_symmetry(R, window=8):
     return VerificationReport.success("skew_symmetry", R.name, params, details)
 
 
-def _generic_hint(p, q):
-    return range(0, max(0, p + q + 2))
-
-
 def conjugate_by(R, psi, name=None):
     """Conjugation psi^{-1} R psi by an (anti)automorphism.
 
@@ -352,15 +380,11 @@ def conjugate_by(R, psi, name=None):
     index of i under the automorphism e_{ij} -> e_{perm[i],perm[j]} (finite
     domains only).
 
-    The transpose keeps a support hint when R has the generic one, s < p +
-    q + 2 (the catalog transposes r3, r4 of r1, r2); on a finite domain the
-    domain is the hint.  Any other hint says nothing about the transpose,
-    so it is dropped and bracket_from_rb refuses the result."""
+    The transpose moves each entry across the main diagonal, so it keeps
+    R's chamber table, flipped: r3, r4 and p_k^T have brackets."""
     if psi == "transpose":
-        hint = _generic_hint if R.support_hint is _generic_hint else None
-        return RBOperator(name or "%s^T" % R.name, R.domain,
-                          lambda i, j: R.image(j, i).transpose(),
-                          hint, R.N)
+        return R._derived(name or "%s^T" % R.name,
+                          lambda i, j: R.image(j, i).transpose(), flip=True)
     perm = list(psi)
     if R.domain.kind != "finite" or sorted(perm) != list(range(R.domain.size)):
         raise ValueError("index permutation must cover a finite domain")
@@ -373,8 +397,7 @@ def conjugate_by(R, psi, name=None):
                                R.image(perm[i], perm[j]).entries.items()},
                               R.domain)
 
-    return RBOperator(name or "%s^(psi)" % R.name, R.domain, image_fn,
-                      R.support_hint, R.N)
+    return RBOperator(name or "%s^(psi)" % R.name, R.domain, image_fn, R.N)
 
 
 def tensor_extend(R, N, name=None):
@@ -382,8 +405,7 @@ def tensor_extend(R, N, name=None):
     operator tagged with the matrix factor size."""
     if N < 1:
         raise ValueError("matrix factor size must be positive")
-    return RBOperator(name or "%s(x)id_%d" % (R.name, N), R.domain, R.image,
-                      R.support_hint, N)
+    return R._derived(name or "%s(x)id_%d" % (R.name, N), R.image, N)
 
 
 def mutate_sign(R, i, j):
@@ -393,29 +415,30 @@ def mutate_sign(R, i, j):
         op = R.image(a, b)
         return op.scale(-1) if (a, b) == (i, j) else op
 
-    return RBOperator("%s!flip[%d,%d]" % (R.name, i, j), R.domain, image_fn,
-                      R.support_hint, R.N)
+    return R._derived("%s!flip[%d,%d]" % (R.name, i, j), image_fn)
 
 
 # ---------------------------------------------------------------------------
 # catalog
 
-def _r1_chamber(i, j, k):
-    return (i, None, -1) if i > j else (None, i - 1, 1)
+# chamber tables (below, above): R(e_ij) is c on rows i + k*lo .. i + k*hi
+# of diagonal j - i + k at step k, (lo, hi, c) = below iff j//k < i//k.
+# p_k's below is the back-walk out through a free column head, which the
+# naturals clip at row i - (j // k + 1) * k, and its above the forward ray
+_R1_TABLE = ((0, None, -1), (None, -1, 1))
+_PK_TABLE = ((None, -1, -1), (0, None, 1))
 
 
-def _pk_chamber(i, j, k):
-    # the back-walk out through a free column head, which the naturals clip
-    # at row i - (j // k + 1) * k, or else the forward ray
-    return (None, i - k, -1) if i // k > j // k else (i, None, 1)
+def _chamber_operator(name, domain, table, k=1):
+    """R(e_ij) as its chamber's segment of table, clipped to the domain."""
+    def image_fn(i, j):
+        *ends, c = table[j // k >= i // k]
+        ends = [None if e is None else i + k * e for e in ends]
+        return LocallyFiniteOperator({j - i + k: [(*ends, c)]}, domain, k)
 
-
-def _chamber_image(chamber, domain, k=1):
-    """R(e_ij) as the one segment chamber(i, j, k) = (lo, hi, coeff) on the
-    diagonal j - i + k at step k, None marking an infinite end, clipped to
-    the domain."""
-    return lambda i, j: LocallyFiniteOperator({j - i + k: [chamber(i, j, k)]},
-                                              domain, k)
+    R = RBOperator(name, domain, image_fn)
+    R._chambers = (table, k, False)
+    return R
 
 
 # the finite catalog: name -> (n, {(i, j): R(e_ij) as {(row, col): coeff}})
@@ -430,28 +453,20 @@ def build_pk(k):
     """The preimage operator of the k-step difference map d_k(x) = xA^k - A^kx
     with A = e_{10} + e_{21} + ...: P_k(e_{ij}) is the minimal-support
     solution X of the entrywise recurrence X_{a,b+k} - X_{a-k,b} =
-    delta_{ai} delta_{bj}, one segment at step k (_pk_chamber).  P_1 is r2.
-    The hint s < max(p + k, q + 1) is p_k's own: conjugate_by drops it."""
+    delta_{ai} delta_{bj}, one segment at step k per chamber (_PK_TABLE),
+    from which its support and its transpose's derive.  P_1 is r2."""
     if k < 1:
         raise ValueError("p_k needs k >= 1")
-
-    def hint(p, q):
-        return range(0, max(p + k, q + 1))
-
-    return RBOperator("p_%d" % k, NATURALS,
-                      _chamber_image(_pk_chamber, NATURALS, k), hint)
+    return _chamber_operator("p_%d" % k, NATURALS, _PK_TABLE, k)
 
 
 def catalog_rb(name, **params):
     """Named operators: r1, r2, r3, r4, ex1, ex2, quiver, kac (N=...),
     r1_laurent, r2_laurent, p_k (k=...), zero."""
     if name in ("r1", "r2", "r1_laurent", "r2_laurent"):
-        chamber = _r1_chamber if name[:2] == "r1" else _pk_chamber
-        if name.endswith("_laurent"):
-            return RBOperator(name, INTEGERS,
-                              _chamber_image(chamber, INTEGERS))
-        return RBOperator(name, NATURALS, _chamber_image(chamber, NATURALS),
-                          _generic_hint)
+        return _chamber_operator(
+            name, INTEGERS if name.endswith("_laurent") else NATURALS,
+            _R1_TABLE if name[:2] == "r1" else _PK_TABLE)
     if name == "r3":
         return conjugate_by(catalog_rb("r1"), "transpose", name="r3")
     if name == "r4":
@@ -471,8 +486,7 @@ def catalog_rb(name, **params):
     if name == "zero":
         domain = params.get("domain", NATURALS)
         return RBOperator("zero", domain,
-                          lambda i, j: LocallyFiniteOperator.zero(domain),
-                          lambda p, q: ())
+                          lambda i, j: LocallyFiniteOperator.zero(domain))
     raise ValueError("unknown operator %r" % name)
 
 
@@ -580,7 +594,6 @@ def verify_trace_functional_identities(R, window=6):
     B = bracket_from_rb(R)
     carrier = B.carrier
     idx = list(unit_range(R.domain, window))
-    wide = unit_range(R.domain, 2 * window + 2)
 
     for i in idx:
         si = carrier.sym(i)
@@ -599,7 +612,8 @@ def verify_trace_functional_identities(R, window=6):
                     # R*(y) x through the adjoint, whose (r, i) entry is
                     # R(e_{ir})_{lk} by <x, R*(y)> = <R(x), y>
                     r_rsyx = R._image_sum(
-                        ((r, j), R.image(i, r).entry(l, k)) for r in wide)
+                        ((r, j), R.image(i, r).entry(l, k))
+                        for r in R.support(i, k))
                     for c in idx:
                         sc = carrier.sym(c)
                         identities = (

@@ -62,6 +62,13 @@ def test_criterion_2_correspondence_suite():
             for m in range(13):
                 assert B.eval(tsym(n), tsym(m)) == \
                     divided_difference(br_name, n, m), (op_name, n, m)
+    # on the integers r2's correspondence sums are finite as well
+    B = bracket_from_rb(catalog_rb("r2_laurent"))
+    L2 = catalog_bracket("L2_laurent")
+    for n in range(-8, 9):
+        for m in range(-8, 9):
+            assert B.eval(tsym(n), tsym(m)) == L2.eval(tsym(n), tsym(m)), \
+                (n, m)
     for name in ("ex1", "ex2", "quiver"):
         R = catalog_rb(name)
         back = rb_from_bracket(bracket_from_rb(R), R.domain.size)
@@ -182,8 +189,7 @@ def _projected(R, n):
         cut = mul_mixed(mul_mixed(p, R.image(i, j)), p)
         return FinitaryMatrix(cut.entries, dom)
 
-    return RBOperator("%s|block%d" % (R.name, n), dom, image_fn,
-                      lambda p, q: range(n))
+    return RBOperator("%s|block%d" % (R.name, n), dom, image_fn)
 
 
 def test_criterion_7_projection_suite():

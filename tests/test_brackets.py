@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,9 +21,10 @@ from doublelie.brackets import (CATALOG_BRACKET_NAMES, BasisCarrier,
                                 divided_difference, rb_from_bracket)
 from doublelie.exact import Tensor2, Vec, esym, sparse_sum, tsym, ysym
 from doublelie.grammar import render_sym
+from doublelie.matrices import NATURALS, Domain, FinitaryMatrix
 from doublelie.rb import (RBOperator, build_pk, catalog_rb,
                           check_rb_identity, check_skew_symmetry,
-                          conjugate_by)
+                          conjugate_by, mutate_sign)
 from doublelie.report import VerificationReport
 
 
@@ -165,22 +167,93 @@ def test_bracket_from_operator_matches_closed_forms():
 
 
 def test_laurent_operators_have_no_correspondence_sum():
-    with pytest.raises(ValueError):
+    # R(e_0s) u_0 = +-u_{-s-1} for every s: the sum is infinite
+    with pytest.raises(ValueError, match=r"r1_laurent.*\(p, q\) = \(0, 0\)"):
         bracket_from_rb(catalog_rb("r1_laurent"))
 
 
-def test_transpose_keeps_only_the_generic_hint():
-    # p_2's hint does not bound the transpose's sum: with it, the bracket
-    # of p_2^T, an RB and skew operator, failed anticommutativity at
-    # (t^0, t^0); without a hint the correspondence refuses it
-    pT = conjugate_by(build_pk(2), "transpose")
-    assert check_rb_identity(pT, 4).passed
-    assert check_skew_symmetry(pT, 4).passed
-    assert pT.support_hint is None
-    with pytest.raises(ValueError):
-        bracket_from_rb(pT)
-    for name in ("r3", "r4"):
-        assert catalog_rb(name).support_hint is catalog_rb("r1").support_hint
+def test_transposes_keep_their_chamber_tables():
+    # the transpose moves no entry off its chamber, so p_k^T has a support
+    # and a bracket, as p_k has
+    for k in (2, 3):
+        pT = conjugate_by(build_pk(k), "transpose")
+        assert check_rb_identity(pT, 4).passed, k
+        assert check_skew_symmetry(pT, 4).passed, k
+        B = bracket_from_rb(pT)
+        assert check_anticommutativity(B, 4).passed, k
+        assert check_jacobi(B, 4).passed, k
+
+
+def _perturbed_r3():
+    """r3 with R(e_03) += -e_20 and R(e_02) -= -e_30, which keeps it skew,
+    from bare images."""
+    r3 = catalog_rb("r3")
+    extra = {(0, 3): FinitaryMatrix({(2, 0): -1}),
+             (0, 2): FinitaryMatrix({(3, 0): 1})}
+
+    def image_fn(i, j):
+        op = r3.image(i, j)
+        return op + extra[i, j] if (i, j) in extra else op
+
+    return RBOperator("r3+", NATURALS, image_fn)
+
+
+def test_operators_from_bare_images_have_no_bracket():
+    # its bracket summed over a hand-written bound equalled L3 and passed
+    # the bracket axioms, though R(e_03) u_0 = -u_2 lies beyond the bound
+    R = _perturbed_r3()
+    assert not check_rb_identity(R, 4).passed
+    assert check_skew_symmetry(R, 5).passed
+    with pytest.raises(ValueError, match="r3\\+ has no derived support"):
+        bracket_from_rb(R)
+
+
+def _nonzero_units(R, lo, hi):
+    return [(a, b) for a in range(lo, hi + 1) for b in range(lo, hi + 1)
+            if R.image(a, b)]
+
+
+def test_every_flipped_image_breaks_the_bracket():
+    # mutate_sign keeps the chamber table, so each flipped operator has a
+    # bracket, and each such bracket fails an axiom
+    ops = [catalog_rb(name) for name in ("r1", "r2", "r3", "r4")]
+    ops += [build_pk(k) for k in (2, 3)]
+    ops += [conjugate_by(build_pk(k), "transpose") for k in (2, 3)]
+    flips = [(R, unit) for R in ops for unit in _nonzero_units(R, 0, 3)]
+    r2 = catalog_rb("r2_laurent")
+    flips += [(r2, unit) for unit in _nonzero_units(r2, -3, 3)]
+    assert len(flips) == 169
+    for R, unit in flips:
+        B = bracket_from_rb(mutate_sign(R, *unit))
+        assert not (check_anticommutativity(B, 6).passed
+                    and check_jacobi(B, 4).passed), (R.name, unit)
+
+
+def test_every_small_skew_operator_on_m2_is_rb_iff_its_bracket_is_lie():
+    # all skew operators on M_2 whose trace form <R(e_ij), e_kl> =
+    # R(e_ij)_{lk} has entries in {-1, 0, 1}: 3^6 antisymmetric forms
+    dom = Domain.finite(2)
+    units = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    upper = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    rb_count = 0
+    for values in product((-1, 0, 1), repeat=len(upper)):
+        form = {}
+        for (a, b), v in zip(upper, values):
+            form[a, b], form[b, a] = v, -v
+
+        def image_fn(i, j, form=form):
+            x = units.index((i, j))
+            return FinitaryMatrix({(l, k): form.get((x, y), 0)
+                                   for y, (k, l) in enumerate(units)}, dom)
+
+        R = RBOperator("form%s" % (values,), dom, image_fn)
+        assert check_skew_symmetry(R).passed
+        B = bracket_from_rb(R)
+        is_rb = check_rb_identity(R).passed
+        assert is_rb == (check_anticommutativity(B, 1).passed
+                         and check_jacobi(B, 1).passed), values
+        rb_count += is_rb
+    assert rb_count == 17
 
 
 def test_operator_recovery_inverts_correspondence_on_finite_catalog():
@@ -219,8 +292,8 @@ def test_finite_catalog_brackets_match_their_operators():
 
 
 def test_transposed_finite_operators_keep_their_brackets():
-    # on a finite domain the whole domain is a sound hint, so the transpose
-    # keeps it; the coefficient of u_s (x) u_r in <<u_p, u_q>> of R^T is
+    # a finite domain is its own support, the transpose's too; the
+    # coefficient of u_s (x) u_r in <<u_p, u_q>> of R^T is
     # R(e_sp)_{qr}, the coefficient of u_p (x) u_q in <<u_s, u_r>> of R
     for name, (n, table) in FINITE_TABLES.items():
         B = bracket_from_rb(conjugate_by(catalog_rb(name), "transpose"))
@@ -277,14 +350,20 @@ def _identity_change(u):
 
 @pytest.mark.parametrize("name, ce", [("r1", {"p": 1, "q": 1}),
                                       ("r2", {"p": 0, "q": 1})])
-def test_basis_independence_catches_a_short_hint(name, ce):
-    # the direct bracket sums only over the hint, which here misses its
-    # first column index; the change-of-basis side reads every window unit
-    R = catalog_rb(name)
-    short = RBOperator(name, R.domain, R.image,
-                       lambda p, q: list(R.support_hint(p, q))[1:])
-    rep = check_basis_independence(short, 3, _identity_change(16))
+def test_basis_independence_catches_a_short_hint(short_correspondence, name,
+                                                 ce):
+    # the direct bracket misses the first index of every correspondence
+    # sum; the change-of-basis side reads every window unit
+    rep = check_basis_independence(catalog_rb(name), 3, _identity_change(16))
     assert not rep.passed and rep.counterexample == ce
+
+
+@pytest.mark.parametrize("name, decided", [("r1", 13), ("r2", 16),
+                                           ("r3", 16), ("r4", 6)])
+def test_basis_independence_counts_the_decided_pairs(name, decided):
+    rep = check_basis_independence(catalog_rb(name), 3, _identity_change(16))
+    assert rep.passed
+    assert rep.details == "decided %d of 16 (p, q) pairs" % decided
 
 
 def test_basis_independence_rejects_a_bad_change_matrix():

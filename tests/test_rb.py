@@ -174,15 +174,31 @@ def test_delta_factorisation_matches_the_composite_operator(N):
         assert verdict == (R is base)
 
 
-def test_finite_domain_is_the_default_support_hint():
+def test_finite_domain_is_its_own_support():
     ex1 = catalog_rb("ex1")
-    assert list(ex1.support_hint(1, 0)) == [0, 1]
-    # an explicit hint wins
-    zero = catalog_rb("zero", domain=ex1.domain)
-    assert list(zero.support_hint(1, 0)) == []
+    assert list(ex1.support(1, 0)) == [0, 1]
+    assert list(catalog_rb("zero", domain=ex1.domain).support(1, 0)) == [0, 1]
+    # off a finite domain an operator built from bare images has none
     blank = RBOperator("blank", NATURALS,
                        lambda i, j: LocallyFiniteOperator.zero())
-    assert blank.support_hint is None
+    assert blank.support(0, 0) is None
+
+
+_SUPPORT_OPERATORS = (
+    [catalog_rb(name) for name in ("r1", "r2", "r3", "r4", "r2_laurent")]
+    + [build_pk(k) for k in (1, 2, 3, 4)]
+    + [conjugate_by(build_pk(k), "transpose") for k in (2, 3, 4)]
+    + [catalog_rb("kac", N=2), catalog_rb("r1").scaled(3),
+       mutate_sign(catalog_rb("r3"), 2, 1)])
+
+
+@pytest.mark.parametrize("R", _SUPPORT_OPERATORS, ids=lambda R: R.name)
+def test_support_is_exactly_where_the_images_meet_the_column(R):
+    cols = [s for s in range(-60, 61) if R.domain.contains(s)]
+    for p in unit_range(R.domain, 8):
+        for q in unit_range(R.domain, 8):
+            assert list(R.support(p, q)) == \
+                [s for s in cols if R.apply_image(p, s, q)], (p, q)
 
 
 def test_shift_preimage_matches_second_operator_for_step_one():
@@ -267,6 +283,11 @@ def test_trace_functional_identities_on_finite_and_windowed():
         assert not check_skew_symmetry(R).passed, name
         assert verify_trace_functional_identities(R).passed, name
     assert verify_trace_functional_identities(catalog_rb("r1"), 4).passed
+    # the bracket and the adjoint sum over the derived support, which is
+    # finite for r2 on the integers
+    R = catalog_rb("r2_laurent")
+    for window in (1, 2, 3):
+        assert verify_trace_functional_identities(R, window).passed, window
 
 
 _TRACE_OPERATORS = [catalog_rb(name) for name in ("r1", "r2", "r3", "r4",
@@ -301,21 +322,16 @@ def test_trace_functional_identities_reject_matrix_factor():
     assert verify_trace_functional_identities(catalog_rb("kac", N=1), 2).passed
 
 
-def _without_first_hint(R):
-    """R with a bracket that misses the first column index of every sum."""
-    return RBOperator(R.name, R.domain, R.image,
-                      lambda p, q: list(R.support_hint(p, q))[1:])
-
-
 @pytest.mark.parametrize("name, identity, x, y, u, rhs", [
     ("r1", "second", "e[1,0]", "e[1,0]", 1, "1*u_1"),
     ("r2", "first", "e[0,0]", "e[0,0]", 2, "1*u_0"),
     ("ex1", "first", "e[0,0]", "e[0,1]", 0, "1*u_1"),
 ])
-def test_trace_functional_identities_report_first_failure(name, identity, x,
-                                                          y, u, rhs):
-    rep = verify_trace_functional_identities(
-        _without_first_hint(catalog_rb(name)), 4)
+def test_trace_functional_identities_report_first_failure(
+        short_correspondence, name, identity, x, y, u, rhs):
+    # the bracket misses the first index of every correspondence sum; the
+    # adjoint sums over every index of the operator's support
+    rep = verify_trace_functional_identities(catalog_rb(name), 4)
     assert not rep.passed
     assert rep.counterexample == {"identity": identity, "x": x, "y": y,
                                   "u": u, "lhs": "0", "rhs": rhs}
