@@ -358,9 +358,11 @@ def test_basis_independence_catches_a_short_hint(short_correspondence, name,
     assert not rep.passed and rep.counterexample == ce
 
 
-@pytest.mark.parametrize("name, decided", [("r1", 13), ("r2", 16),
-                                           ("r3", 16), ("r4", 6)])
+@pytest.mark.parametrize("name, decided", [("r1", 16), ("r2", 16),
+                                           ("r3", 16), ("r4", 16)])
 def test_basis_independence_counts_the_decided_pairs(name, decided):
+    # pairs whose support leaves the window are decided on the window's
+    # part of the correspondence sum
     rep = check_basis_independence(catalog_rb(name), 3, _identity_change(16))
     assert rep.passed
     assert rep.details == "decided %d of 16 (p, q) pairs" % decided
@@ -600,6 +602,45 @@ def test_jacobi_computes_one_triple_per_rotation_class(monkeypatch):
     assert len(degrees) == 741
     assert all(abc == min(abc, abc[1:] + abc[:1], abc[2:] + abc[:2])
                for abc in degrees)
+
+
+@pytest.mark.parametrize("name, lo, computed", [
+    ("L2_laurent", -6, 157), ("L3_laurent", -6, 157), ("L2", 0, 43)])
+def test_jacobi_computes_one_triple_per_shift_orbit(monkeypatch, name, lo,
+                                                    computed):
+    calls = count_defects(monkeypatch)
+    assert check_jacobi(catalog_bracket(name), 6).passed
+    # the rotation classes led by the window's first symbol: with n window
+    # symbols, (n^3 + 2n) / 3 less that of n - 1
+    assert len(calls) == computed
+    assert all(lo in abc and abc == min(abc, abc[1:] + abc[:1],
+                                        abc[2:] + abc[:2])
+               for abc in {(a[1], b[1], c[1]) for _B, a, b, c in calls})
+
+
+def _reads_below_the_window():
+    """<<t^-1, t^0>> and its successor <<t^0, t^1>> pass the successor test
+    at window 1; the representative (t^-1, t^0, t^-1) reads <<t^-2, t^-1>>,
+    below the window and 0, where its shift (t^0, t^1, t^0) reads
+    <<t^-1, t^0>>: that shift is the one failing triple."""
+    zero = catalog_bracket("zero", carrier=PolyCarrier(laurent=True))
+    return table_bracket(zero.carrier, {(-1, 0): {(-2, 2): -1},
+                                        (0, 1): {(-1, 3): -1}}, False), 1
+
+
+def _flipped_at_the_corner():
+    """L2_laurent flipped at (t^2, t^-2), which has neither a predecessor
+    nor a successor in window 2."""
+    return flipped(catalog_bracket("L2_laurent"), (tsym(2), tsym(-2))), 2
+
+
+@pytest.mark.parametrize("build", [_reads_below_the_window,
+                                   _flipped_at_the_corner])
+def test_jacobi_orbit_pass_falls_back_to_the_full_sweep(build):
+    B, window = build()
+    rep = check_jacobi(B, window)
+    assert not rep.passed
+    assert rep.to_json() == oracle_jacobi(B, window).to_json()
 
 
 # ---------------------------------------------------------------------------
