@@ -1,5 +1,5 @@
 """Ideals of double Lie algebras: exact subspace arithmetic, quotients,
-ideal verification, minimal-closure search, and a scripted simplicity replay.
+ideal verification, closure search, and a scripted simplicity replay.
 
 A subspace of a windowed carrier is stored as a reduced-echelon basis over
 the window's coordinate list, in primitive integer rows (``linalg.echelon``),
@@ -10,12 +10,16 @@ in I (x) V + V (x) I.  Coordinates come from one integer table, D times the
 true ones with D the lcm of the pivots: the closure search never divides,
 and the exact monic values divide once, at the end.
 
-The closure search looks for the smallest ideals containing a seed: whenever
-some bracket value survives the quotient map, the surviving tensor is written
-as a matrix over quotient coordinates and the candidate ideal is enlarged in
-every way that kills it (adjoin the left factors, the right factors, or a
-mixed split from a rank decomposition).  Diagonal rank-one survivors v (x) v
-force v itself into the ideal, which is the engine of the simplicity replay.
+The closure search looks for ideals containing a seed: whenever some bracket
+value survives the quotient map, the surviving tensor is written as a matrix
+over quotient coordinates and the candidate ideal is enlarged in the ways the
+branching rule lists (adjoin the left factors, the right factors, or a mixed
+split from a rank decomposition).  The rule is not exhaustive (a tensor
+a (x) x + b (x) y also dies modulo span{a - lb, lx + y} for every l), so the
+closures returned are inclusion-minimal among the closures the branching rule
+reaches, not among all ideals containing the seed.  Diagonal rank-one
+survivors v (x) v force v itself into the ideal, which is the engine of the
+simplicity replay.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from fractions import Fraction
 from math import inf, lcm
 import random
 
-from .brackets import BasisCarrier, DoubleBracket, catalog_bracket
+from .brackets import (BasisCarrier, DoubleBracket, catalog_bracket,
+                       check_anticommutativity)
 from .exact import Tensor2, Vec, sparse_sum, tsym
 from .grammar import render_sym, render_vec
 from .linalg import echelon
@@ -93,10 +98,14 @@ class Subspace:
     def vec_of(self, coords):
         return Vec({s: c for s, c in zip(self.syms, coords) if c})
 
+    def basis_vec(self, k):
+        """The k-th echelon row as a vector, monic at its pivot."""
+        row, p = self.rows[k], self.pivots[k]
+        return self.vec_of([_over(c, row[p]) for c in row])
+
     def basis_vecs(self):
         """The echelon rows as vectors, monic at their pivots."""
-        return [self.vec_of([_over(c, row[p]) for c in row])
-                for row, p in zip(self.rows, self.pivots)]
+        return [self.basis_vec(k) for k in range(self.dim)]
 
     def _projections(self):
         """(D, table): D the lcm of the pivots, and table[sym] D times the
@@ -137,11 +146,12 @@ class Subspace:
             self.dim, self.carrier.name, self.window)
 
 
-def _quotient_numerators(u, I):
-    """D^2 times quotient_reduce(u, I), as a dict; integer when u is."""
+def _quotient_numerators(pairs, I):
+    """D^2 times the quotient image of the tensor summed from (key, coeff)
+    pairs, as a dict; integer when the coefficients are."""
     table = I._projections()[1]
     return sparse_sum(((sa, sb), c * ca * cb)
-                      for (a, b), c in u.terms.items()
+                      for (a, b), c in pairs
                       for sa, ca in table[a] for sb, cb in table[b])
 
 
@@ -150,42 +160,80 @@ def quotient_reduce(u, I):
     representatives; zero exactly when u is in I (x) V + V (x) I."""
     D2 = I._projections()[0] ** 2
     return Tensor2({k: _over(c, D2)
-                    for k, c in _quotient_numerators(u, I).items()})
+                    for k, c in _quotient_numerators(u.items(), I).items()})
 
 
 # ---------------------------------------------------------------------------
 # ideal verification and quotient brackets
 
-def _survivors(B, I, window):
+def _anticommutative(B, window):
+    """Whether <<a, b>> = -swap(<<b, a>>) on every pair of window symbols
+    (check_anticommutativity; for a bracket with a degree kernel its
+    label-(1,1) sweep decides every label, see DoubleBracket.from_kernel).
+    A bracket that cannot evaluate every window pair, such as a quotient
+    bracket whose values leave its ideal's window, gets no certificate."""
+    try:
+        return check_anticommutativity(B, window).passed
+    except ValueError:
+        return False
+
+
+def _survivors(B, I, window, anticommutative=False):
     """The bracket values of window symbols v with the integer echelon rows
     of I, both ways round, that survive the quotient map, in a fixed sweep
     order: the tuples (v, k, side, terms of the surviving tensor times D^2
     and the k-th row's pivot).  Only pairs whose bracket output provably
     stays in the window are swept (no truncation artifacts).  Laurent values
-    can also fall below degree -window; those are skipped too."""
+    can also fall below degree -window; those are skipped too.
+
+    anticommutative certifies <<a, b>> = -swap(<<b, a>>) on the window
+    symbols (_anticommutative), and every pair swept lies in the window.
+    Then <<g, v>> = -swap(<<v, g>>) by bilinearity; the quotient map applies
+    one projection table to both factors, so it commutes with swap, and the
+    Laurent filter is symmetric in the factors.  So the "ideal,ambient"
+    value survives exactly when the "ambient,ideal" one does, and its
+    survivor is -swap of the other's: only the "ambient,ideal" values are
+    computed, each survivor followed by its mirror.  Without the certificate
+    both sides are computed.  The certificate reads every window pair both
+    ways, more than one sweep saves, so only a search, which sweeps many
+    subspaces, decides it (once).
+
+    Off Laurent carriers every term of every value swept lies in the window,
+    so the bracket terms are projected as they come, with no summed value;
+    a Laurent value is summed first, for its filter."""
     carrier, shift = B.carrier, B.degree_shift
     laurent = getattr(carrier, "laurent", False)
+    pos = I.pos
     gens = []
     for k, row in enumerate(I.rows):
         g = I.vec_of(row)
         # the largest degree of a symbol whose bracket with g stays inside
         room = inf if shift is None else window - max(shift, 0) - max(
             carrier.degree(s) for s in g.terms)
-        gens.append((k, g, room))
+        gens.append((k, g.terms.items(), room))
+    sides = ((False, "ambient,ideal"),)
+    if not anticommutative:
+        sides += ((True, "ideal,ambient"),)
     for v in carrier.window_syms(window):
-        vv, dv = Vec.basis(v), carrier.degree(v)
+        dv = carrier.degree(v)
         for k, g, room in gens:
             if dv > room:
                 continue
-            for left, right, side in ((vv, g, "ambient,ideal"),
-                                      (g, vv, "ideal,ambient")):
-                value = B.eval_linear(left, right)
-                if laurent and not all(a in I.pos and b in I.pos
-                                       for a, b in value.terms):
-                    continue
-                surv = _quotient_numerators(value, I)
+            for flip, side in sides:
+                pairs = ((key, c * cg) for s, cg in g
+                         for key, c in (B.eval(s, v) if flip
+                                        else B.eval(v, s)).items())
+                if laurent:
+                    value = sparse_sum(pairs)
+                    if not all(a in pos and b in pos for a, b in value):
+                        continue
+                    pairs = value.items()
+                surv = _quotient_numerators(pairs, I)
                 if surv:
                     yield v, k, side, surv
+                    if anticommutative:
+                        yield v, k, "ideal,ambient", {
+                            (b, a): -c for (a, b), c in surv.items()}
 
 
 def is_ideal(B, I, window):
@@ -194,7 +242,7 @@ def is_ideal(B, I, window):
     params = {"window": window, "subspace_dim": I.dim}
     for v, k, side, _surv in _survivors(B, I, window):
         ce = {"ambient": render_sym(v),
-              "generator": render_vec(I.basis_vecs()[k]), "order": side}
+              "generator": render_vec(I.basis_vec(k)), "order": side}
         return VerificationReport.failure("is_ideal", B.name, ce, params)
     return VerificationReport.success("is_ideal", B.name, params)
 
@@ -264,15 +312,19 @@ def _inclusion_minimal(spaces):
 
 
 def ideal_closure(B, seeds, window, budget=5000):
-    """Minimal ideals of the window containing the seed vectors.
+    """Ideals of the window containing the seed vectors, inclusion-minimal
+    among the closures the branching rule reaches (_branches_for; the rule
+    is not exhaustive, so a smaller ideal may exist outside its reach).
 
     Breadth-first branch-and-bound; each node either has no surviving
     bracket (a closure) or branches over the enlargements that kill its
     first survivor.  Returns (closures, exhausted): the inclusion-minimal
     closures found (_inclusion_minimal), in the order found, and whether the
     node budget ran out first.  No node is expanded twice, so the closures
-    are distinct."""
+    are distinct.  The anticommutativity certificate of _survivors is
+    decided once per call, for every node."""
     start = Subspace.from_vectors(B.carrier, window, seeds)
+    anticommutative = _anticommutative(B, window)
     queue = deque([start])
     seen = set()
     closures = []
@@ -293,7 +345,8 @@ def ideal_closure(B, seeds, window, budget=5000):
             closures.append(I)
             continue
         # the first bracket value that survives, if any, decides the node
-        surv = next((t for *_, t in _survivors(B, I, window)), None)
+        surv = next((t for *_, t in _survivors(B, I, window,
+                                               anticommutative)), None)
         if surv is None:
             closures.append(I)
             continue
@@ -325,8 +378,9 @@ def random_polynomials(count, max_degree, seed):
 def simplicity_probe(B, window, seeds=None, seed_count=50, max_degree=8,
                      rng_seed=2024, budget=5000):
     """Window-relative simplicity verdict: the bracket is nonzero and every
-    minimal closure of every seed saturates the guaranteed sub-window
-    V_{<= floor((window-1)/2)}.  Never a proof, and says so in its params."""
+    closure ideal_closure returns for a seed saturates the guaranteed
+    sub-window V_{<= floor((window-1)/2)}.  Never a proof, and says so in
+    its params."""
     params = {"window": window, "rng_seed": rng_seed,
               "guaranteed_degree": (window - 1) // 2}
 
@@ -351,11 +405,11 @@ def simplicity_probe(B, window, seeds=None, seed_count=50, max_degree=8,
                         reason="budget exhausted")
         for I in closures:
             details["closures_checked"] += 1
-            missing = [s for s in need if not I.contains(Vec.basis(s))]
-            if missing:
+            missing = next((s for s in need
+                            if not I.contains(Vec.basis(s))), None)
+            if missing is not None:
                 return fail(seed_index=k, seed=render_vec(f),
-                            missing=render_sym(missing[0]),
-                            closure_dim=I.dim)
+                            missing=render_sym(missing), closure_dim=I.dim)
     return VerificationReport.success("simplicity_probe", B.name, params,
                                       details)
 

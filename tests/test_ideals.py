@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from doublelie import ideals
-from doublelie.brackets import (DoubleBracket, catalog_bracket,
+from doublelie.brackets import (DoubleBracket, PolyCarrier, catalog_bracket,
                                 check_anticommutativity, check_homomorphism,
                                 check_jacobi)
 from doublelie.exact import Tensor2, Vec, esym, sparse_sum, tsym
@@ -295,6 +295,153 @@ def test_survivors_are_positive_multiples_of_the_quotient(gens, name):
         assert len(ratios) == 1 and ratios.pop() > 0
         swept += 1
     assert (swept == 0) == is_ideal(B, I, _DIM - 1).passed
+
+
+def _two_sided_survivors(B, I, window):
+    """The sweep of _survivors with no anticommutativity certificate: both
+    sides of every pair, each value summed (eval_linear) and then
+    projected, as a list."""
+    carrier, shift = B.carrier, B.degree_shift
+    laurent = getattr(carrier, "laurent", False)
+    out = []
+    for v in carrier.window_syms(window):
+        vv = Vec.basis(v)
+        for k, row in enumerate(I.rows):
+            g = I.vec_of(row)
+            room = math.inf if shift is None else window - max(shift, 0) - \
+                max(carrier.degree(s) for s in g.terms)
+            if carrier.degree(v) > room:
+                continue
+            for left, right, side in ((vv, g, "ambient,ideal"),
+                                      (g, vv, "ideal,ambient")):
+                value = B.eval_linear(left, right)
+                if laurent and not all(a in I.pos and b in I.pos
+                                       for a, b in value.terms):
+                    continue
+                surv = ideals._quotient_numerators(value.items(), I)
+                if surv:
+                    out.append((v, k, side, surv))
+    return out
+
+
+def _five_sym_span(carrier, rows):
+    """The span of coordinate rows over a window of five symbols: t^0..t^4,
+    or t^-2..t^2 on a Laurent carrier.  Returns (window, span)."""
+    window = 2 if carrier.laurent else 4
+    syms = carrier.window_syms(window)
+    return window, span(carrier, window,
+                        *(Vec(dict(zip(syms, row))) for row in rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_ROW, min_size=1, max_size=3),
+       st.sampled_from(("L1", "L2", "L3", "L4", "L1_laurent", "L2_laurent",
+                        "L3_laurent", "L4_laurent")))
+def test_survivors_match_the_two_sided_sweep_on_catalog_brackets(gens,
+                                                                 name):
+    B = catalog_bracket(name)
+    window, I = _five_sym_span(B.carrier, gens)
+    assert ideals._anticommutative(B, window)
+    for certified in (False, True):
+        assert list(_survivors(B, I, window, certified)) == \
+            _two_sided_survivors(B, I, window)
+
+
+def _random_bracket(carrier, shift, seed, antisymmetrise):
+    """A sparse bracket on a PolyCarrier: each value has up to three terms of
+    total degree at most deg a + deg b + shift, drawn from a generator
+    seeded by the pair; Laurent terms may fall below the window.
+    Antisymmetrised, the value is T(a, b) - swap(T(b, a))."""
+    def raw(s1, s2):
+        rng = random.Random("%d:%d:%d" % (seed, s1[1], s2[1]))
+        terms = {}
+        for _ in range(rng.randint(0, 3)):
+            total = s1[1] + s2[1] + shift - rng.randint(0, 2)
+            if carrier.laurent:
+                r = rng.randint(-5, 5)
+            elif total >= 0:
+                r = rng.randint(0, total)
+            else:
+                continue
+            terms[(tsym(r), tsym(total - r))] = rng.choice(
+                (1, -1, 2, Fraction(1, 2)))
+        return Tensor2(terms)
+
+    def eval_fn(s1, s2):
+        if not antisymmetrise:
+            return raw(s1, s2)
+        return raw(s1, s2) - Tensor2({(b, a): c
+                                      for (a, b), c in raw(s2, s1).items()})
+
+    return DoubleBracket("random", carrier, eval_fn, degree_shift=shift)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_ROW, min_size=1, max_size=3), st.booleans(),
+       st.sampled_from((-1, 0, 1)), st.integers(0, 2 ** 16),
+       st.booleans())
+def test_survivors_match_the_two_sided_sweep_on_random_brackets(
+        gens, laurent, shift, seed, antisymmetrise):
+    B = _random_bracket(PolyCarrier(laurent), shift, seed, antisymmetrise)
+    window, I = _five_sym_span(B.carrier, gens)
+    certified = ideals._anticommutative(B, window)
+    assert certified or not antisymmetrise
+    expect = _two_sided_survivors(B, I, window)
+    assert list(_survivors(B, I, window)) == expect
+    assert list(_survivors(B, I, window, certified)) == expect
+
+
+def test_a_one_sided_survivor_is_found_without_the_certificate():
+    # flipping <<t^2, t^1>> breaks anticommutativity; modulo span{t + t^2}
+    # the value <<t, t + t^2>> then dies and <<t + t^2, t>> survives
+    L1 = catalog_bracket("L1")
+
+    def eval_fn(s1, s2):
+        value = L1.eval(s1, s2)
+        return -value if (s1, s2) == (tsym(2), tsym(1)) else value
+
+    B = DoubleBracket("L1", L1.carrier, eval_fn, L1.degree_shift)
+    I = span(B.carrier, 3, parse_poly("t + t^2"))
+    certified = ideals._anticommutative(B, 3)
+    assert not certified
+    got = list(_survivors(B, I, 3, certified))
+    assert got == _two_sided_survivors(B, I, 3)
+    assert got[0][:3] == (tsym(1), 0, "ideal,ambient")
+    assert is_ideal(B, I, 3).counterexample == {
+        "ambient": "t^1", "generator": "t^1 + t^2", "order": "ideal,ambient"}
+
+
+def test_closure_search_on_a_bracket_defined_on_part_of_the_window():
+    # the quotient's values at the top of its window leave L1's window, so
+    # it gets no anticommutativity certificate there; the two-sided sweep
+    # reads only pairs whose values stay inside, and the search completes
+    L1 = catalog_bracket("L1")
+    Q = quotient_bracket(L1, span(L1.carrier, 8, Vec.basis(tsym(0))), 8)
+    with pytest.raises(ValueError):
+        check_anticommutativity(Q, 8)
+    assert not ideals._anticommutative(Q, 8)
+    closures, exhausted = ideal_closure(Q, [Vec.basis(tsym(1))], 8)
+    assert not exhausted and closures
+    assert all(is_ideal(Q, I, 8).passed for I in closures)
+
+
+def test_closure_search_certifies_once_and_sums_no_values(monkeypatch):
+    calls = {"check_anticommutativity": 0, "eval_linear": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ideals, "check_anticommutativity", counted(
+        "check_anticommutativity", ideals.check_anticommutativity))
+    monkeypatch.setattr(DoubleBracket, "eval_linear", counted(
+        "eval_linear", DoubleBracket.eval_linear))
+    closures, exhausted = ideal_closure(catalog_bracket("L1"),
+                                        [parse_poly("t^2 + 4*t - 1")], 7)
+    assert not exhausted and len(closures) > 1
+    assert calls == {"check_anticommutativity": 1, "eval_linear": 0}
 
 
 def test_is_ideal_renders_the_monic_generator():
