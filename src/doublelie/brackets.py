@@ -288,7 +288,8 @@ def bracket_from_rb(R, name=None):
 
     s runs over R.support(p, q), derived from data: finite operators, r1-r4,
     p_k, p_k^T, kac and r2_laurent have one; any other operator is refused,
-    and r1_laurent, whose sums are infinite, raises at (p, q) = (0, 0)."""
+    and r1_laurent, whose sums are infinite, raises at (p, q) = (0, 0).
+    The degree shift comes from the same table (R.degree_shift)."""
     if R.support(0, 0) is None:
         raise ValueError("operator %s has no derived support for its "
                          "correspondence sum" % R.name)
@@ -299,7 +300,7 @@ def bracket_from_rb(R, name=None):
                           for r, c in R.apply_image(p, s, q).items())
 
     if R.N > 1:
-        return DoubleBracket.from_kernel(name, R.N, kernel)
+        return DoubleBracket.from_kernel(name, R.N, kernel, R.degree_shift())
     if R.domain.kind == "finite":
         carrier = BasisCarrier.finite(R.domain.size)
     else:
@@ -310,7 +311,7 @@ def bracket_from_rb(R, name=None):
                         in kernel(carrier.index(s1),
                                   carrier.index(s2)).items()})
 
-    return DoubleBracket(name, carrier, eval_fn)
+    return DoubleBracket(name, carrier, eval_fn, R.degree_shift())
 
 
 def rb_from_bracket(B, dim):

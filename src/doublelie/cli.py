@@ -332,8 +332,9 @@ def build_parser():
 
     p = sub.add_parser("ideal", help="ideal operations")
     ps = p.add_subparsers(dest="subcommand", required=True)
-    pc = ps.add_parser("closure", help="minimal ideal closure of a seed",
-                       parents=[common])
+    pc = ps.add_parser("closure", parents=[common],
+                       help="the ideal closures of a seed that the "
+                       "branching rule reaches")
     pc.add_argument("bracket")
     pc.add_argument("--seed", required=True, metavar="POLY",
                     help='seed polynomial, e.g. "t^2 - 3/2*t + 1"')

@@ -26,11 +26,13 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from functools import cache, partial
+from itertools import repeat
 from math import inf, lcm
 import random
 
-from .brackets import (BasisCarrier, DoubleBracket, catalog_bracket,
-                       check_anticommutativity)
+from .brackets import (BasisCarrier, DoubleBracket, _antisymmetric,
+                       catalog_bracket)
 from .exact import Tensor2, Vec, sparse_sum, tsym
 from .grammar import render_sym, render_vec
 from .linalg import echelon
@@ -166,37 +168,21 @@ def quotient_reduce(u, I):
 # ---------------------------------------------------------------------------
 # ideal verification and quotient brackets
 
-def _anticommutative(B, window):
-    """Whether <<a, b>> = -swap(<<b, a>>) on every pair of window symbols
-    (check_anticommutativity; for a bracket with a degree kernel its
-    label-(1,1) sweep decides every label, see DoubleBracket.from_kernel).
-    A bracket that cannot evaluate every window pair, such as a quotient
-    bracket whose values leave its ideal's window, gets no certificate."""
-    try:
-        return check_anticommutativity(B, window).passed
-    except ValueError:
-        return False
+def _survivor(B, I, window, antisymmetric):
+    """The first bracket value of a window symbol v with an integer echelon
+    row of I, either way round, that survives the quotient map, in a fixed
+    sweep order: (v, k, side, terms of the surviving tensor times D^2 and
+    the k-th row's pivot), or None.  Only pairs whose bracket output
+    provably stays in the window are swept (no truncation artifacts).
+    Laurent values can also fall below degree -window; those are skipped
+    too.
 
-
-def _survivors(B, I, window, anticommutative=False):
-    """The bracket values of window symbols v with the integer echelon rows
-    of I, both ways round, that survive the quotient map, in a fixed sweep
-    order: the tuples (v, k, side, terms of the surviving tensor times D^2
-    and the k-th row's pivot).  Only pairs whose bracket output provably
-    stays in the window are swept (no truncation artifacts).  Laurent values
-    can also fall below degree -window; those are skipped too.
-
-    anticommutative certifies <<a, b>> = -swap(<<b, a>>) on the window
-    symbols (_anticommutative), and every pair swept lies in the window.
-    Then <<g, v>> = -swap(<<v, g>>) by bilinearity; the quotient map applies
-    one projection table to both factors, so it commutes with swap, and the
-    Laurent filter is symmetric in the factors.  So the "ideal,ambient"
-    value survives exactly when the "ambient,ideal" one does, and its
-    survivor is -swap of the other's: only the "ambient,ideal" values are
-    computed, each survivor followed by its mirror.  Without the certificate
-    both sides are computed.  The certificate reads every window pair both
-    ways, more than one sweep saves, so only a search, which sweeps many
-    subspaces, decides it (once).
+    The "ideal,ambient" value <<g, v>> of the row g is computed only when
+    antisymmetric(v, s) (brackets._antisymmetric) fails for some symbol s
+    of g.  Otherwise it is -swap(<<v, g>>) by bilinearity; the quotient map
+    applies one projection table to both factors, so it commutes with swap,
+    and the Laurent filter is symmetric in the factors: it dies (or is
+    skipped) with the "ambient,ideal" value, which comes first.
 
     Off Laurent carriers every term of every value swept lies in the window,
     so the bracket terms are projected as they come, with no summed value;
@@ -210,17 +196,17 @@ def _survivors(B, I, window, anticommutative=False):
         # the largest degree of a symbol whose bracket with g stays inside
         room = inf if shift is None else window - max(shift, 0) - max(
             carrier.degree(s) for s in g.terms)
-        gens.append((k, g.terms.items(), room))
-    sides = ((False, "ambient,ideal"),)
-    if not anticommutative:
-        sides += ((True, "ideal,ambient"),)
+        gens.append((k, g.terms, room))
     for v in carrier.window_syms(window):
         dv = carrier.degree(v)
         for k, g, room in gens:
             if dv > room:
                 continue
-            for flip, side in sides:
-                pairs = ((key, c * cg) for s, cg in g
+            for flip, side in ((False, "ambient,ideal"),
+                               (True, "ideal,ambient")):
+                if flip and all(map(antisymmetric, repeat(v), g)):
+                    break
+                pairs = ((key, c * cg) for s, cg in g.items()
                          for key, c in (B.eval(s, v) if flip
                                         else B.eval(v, s)).items())
                 if laurent:
@@ -230,21 +216,21 @@ def _survivors(B, I, window, anticommutative=False):
                     pairs = value.items()
                 surv = _quotient_numerators(pairs, I)
                 if surv:
-                    yield v, k, side, surv
-                    if anticommutative:
-                        yield v, k, "ideal,ambient", {
-                            (b, a): -c for (a, b), c in surv.items()}
+                    return v, k, side, surv
+    return None
 
 
 def is_ideal(B, I, window):
     """Both-sided window check that bracketing the subspace stays inside
     I (x) V + V (x) I."""
     params = {"window": window, "subspace_dim": I.dim}
-    for v, k, side, _surv in _survivors(B, I, window):
-        ce = {"ambient": render_sym(v),
-              "generator": render_vec(I.basis_vec(k)), "order": side}
-        return VerificationReport.failure("is_ideal", B.name, ce, params)
-    return VerificationReport.success("is_ideal", B.name, params)
+    found = _survivor(B, I, window, cache(partial(_antisymmetric, B)))
+    if found is None:
+        return VerificationReport.success("is_ideal", B.name, params)
+    v, k, side, _surv = found
+    ce = {"ambient": render_sym(v),
+          "generator": render_vec(I.basis_vec(k)), "order": side}
+    return VerificationReport.failure("is_ideal", B.name, ce, params)
 
 
 def quotient_bracket(B, I, window):
@@ -321,10 +307,10 @@ def ideal_closure(B, seeds, window, budget=5000):
     first survivor.  Returns (closures, exhausted): the inclusion-minimal
     closures found (_inclusion_minimal), in the order found, and whether the
     node budget ran out first.  No node is expanded twice, so the closures
-    are distinct.  The anticommutativity certificate of _survivors is
-    decided once per call, for every node."""
+    are distinct.  Every node shares one cache of the antisymmetry test
+    that _survivor reads, so each pair is tested at most once per call."""
     start = Subspace.from_vectors(B.carrier, window, seeds)
-    anticommutative = _anticommutative(B, window)
+    antisymmetric = cache(partial(_antisymmetric, B))
     queue = deque([start])
     seen = set()
     closures = []
@@ -345,12 +331,11 @@ def ideal_closure(B, seeds, window, budget=5000):
             closures.append(I)
             continue
         # the first bracket value that survives, if any, decides the node
-        surv = next((t for *_, t in _survivors(B, I, window,
-                                               anticommutative)), None)
-        if surv is None:
+        found = _survivor(B, I, window, antisymmetric)
+        if found is None:
             closures.append(I)
             continue
-        for vectors in _branches_for(surv):
+        for vectors in _branches_for(found[3]):
             if vectors:
                 queue.append(I.extended(vectors))
     return _inclusion_minimal(closures), exhausted

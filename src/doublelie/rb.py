@@ -95,6 +95,13 @@ class RBOperator:
             out += range(first + (d - first) % k, last + 1, k)
         return out
 
+    def degree_shift(self):
+        """s + r - p - q at every term u_s (x) u_r of the correspondence sum,
+        whose row is r = q - s + p - k (flipped: + k) as in support: -k for
+        a chamber table, +k for a flipped one, None for any other operator."""
+        c = self._chambers
+        return c and (c[1] if c[2] else -c[1])
+
     def image(self, i, j):
         """R(e_{ij}) as an operator-like value (memoized)."""
         key = (i, j)

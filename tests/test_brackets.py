@@ -184,6 +184,38 @@ def test_transposes_keep_their_chamber_tables():
         assert check_jacobi(B, 4).passed, k
 
 
+def _operator(name):
+    """A catalog operator, p_k and p_k^T named as p_2, p_2^T, kac(2) as
+    kac(2)."""
+    if name.startswith("p_"):
+        R = build_pk(int(name[2]))
+        return conjugate_by(R, "transpose") if name.endswith("^T") else R
+    if name == "kac(2)":
+        return catalog_rb("kac", N=2)
+    return catalog_rb(name)
+
+
+@pytest.mark.parametrize("name, shift", [
+    ("r1", -1), ("r2", -1), ("r3", 1), ("r4", 1), ("p_2", -2), ("p_3", -3),
+    ("p_2^T", 2), ("p_3^T", 3), ("r2_laurent", -1), ("kac(2)", -1),
+    ("ex1", None), ("quiver", None)])
+def test_correspondence_brackets_declare_the_chamber_degree_shift(name,
+                                                                  shift):
+    # every term u_s (x) u_r of <<u_p, u_q>> has s + r = p + q + shift
+    R = _operator(name)
+    B = bracket_from_rb(R)
+    assert R.degree_shift() == B.degree_shift == shift
+    if shift is None:
+        return
+    deg = B.carrier.degree
+    syms = B.carrier.window_syms(4)
+    terms = [(a, b, x, y) for a in syms for b in syms
+             for x, y in B.eval(a, b).terms]
+    assert terms
+    assert all(deg(x) + deg(y) == deg(a) + deg(b) + shift
+               for a, b, x, y in terms)
+
+
 def _perturbed_r3():
     """r3 with R(e_03) += -e_20 and R(e_02) -= -e_30, which keeps it skew,
     from bare images."""

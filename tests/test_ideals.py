@@ -6,22 +6,28 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import cache, partial
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from doublelie import ideals
-from doublelie.brackets import (DoubleBracket, PolyCarrier, catalog_bracket,
+from doublelie import brackets, ideals
+from doublelie.brackets import (DoubleBracket, PolyCarrier, _antisymmetric,
+                                bracket_from_rb, catalog_bracket,
                                 check_anticommutativity, check_homomorphism,
                                 check_jacobi)
 from doublelie.exact import Tensor2, Vec, esym, sparse_sum, tsym
 from doublelie.grammar import parse_poly, render_vec
-from doublelie.ideals import (Subspace, _inclusion_minimal, _survivors,
+from doublelie.ideals import (Subspace, _inclusion_minimal, _survivor,
                               ideal_closure, is_ideal, quotient_bracket,
                               quotient_reduce, random_polynomials,
                               simplicity_probe, theorem3_replay)
 from doublelie.linalg import reduce_vector, rref
+from doublelie.rb import catalog_rb
+from doublelie.report import VerificationReport
 
 
 def span(carrier, window, *vecs):
@@ -95,6 +101,24 @@ def test_ideal_examples():
                     2).passed
     rep = is_ideal(L2, span(L2.carrier, 10, Vec.basis(tsym(0))), 10)
     assert not rep.passed and rep.counterexample is not None
+
+
+@pytest.mark.parametrize("op, name", [
+    ("r1", "L1"), ("r2", "L2"), ("r3", "L3"), ("r4", "L4"),
+    ("r2_laurent", "L2_laurent")])
+def test_ideal_checks_on_correspondence_brackets_match_the_closed_forms(
+        op, name):
+    # bracket_from_rb declares its chamber table's degree shift, so the
+    # sweep reads only pairs whose values stay in the window, as it does on
+    # the closed form
+    B, L = bracket_from_rb(catalog_rb(op)), catalog_bracket(name)
+    for window in (4, 8):
+        for degree in range(-2, 4):
+            I = Subspace.degree_span(B.carrier, window, degree)
+            got, want = (is_ideal(C, I, window).to_dict() for C in (B, L))
+            assert got.pop("target") == "<<%s>>" % op
+            assert want.pop("target") == name
+            assert got == want, (window, degree)
 
 
 def test_quotient_bracket_matches_two_dimensional_catalog_entry():
@@ -284,23 +308,29 @@ def test_integer_subspace_matches_the_fraction_rref(gens, more, probe, terms):
 def test_survivors_are_positive_multiples_of_the_quotient(gens, name):
     B = catalog_bracket(name)
     I = _row_span(B.carrier, gens)
-    swept = 0
-    for v, k, side, surv in _survivors(B, I, _DIM - 1):
-        g, vv = I.basis_vecs()[k], Vec.basis(v)
-        value = B.eval_linear(*((vv, g) if side == "ambient,ideal"
-                                else (g, vv)))
-        exact = quotient_reduce(value, I).terms
-        assert surv.keys() == exact.keys()
-        ratios = {surv[key] / Fraction(c) for key, c in exact.items()}
-        assert len(ratios) == 1 and ratios.pop() > 0
-        swept += 1
-    assert (swept == 0) == is_ideal(B, I, _DIM - 1).passed
+    found = _first_survivor(B, I, _DIM - 1)
+    assert (found is None) == is_ideal(B, I, _DIM - 1).passed
+    assert (found is None) == (not _two_sided_survivors(B, I, _DIM - 1))
+    if found is None:
+        return
+    v, k, side, surv = found
+    g, vv = I.basis_vecs()[k], Vec.basis(v)
+    value = B.eval_linear(*((vv, g) if side == "ambient,ideal" else (g, vv)))
+    exact = quotient_reduce(value, I).terms
+    assert surv.keys() == exact.keys()
+    ratios = {surv[key] / Fraction(c) for key, c in exact.items()}
+    assert len(ratios) == 1 and ratios.pop() > 0
+
+
+def _first_survivor(B, I, window):
+    """_survivor with the antisymmetry test the package passes it."""
+    return _survivor(B, I, window, cache(partial(_antisymmetric, B)))
 
 
 def _two_sided_survivors(B, I, window):
-    """The sweep of _survivors with no anticommutativity certificate: both
-    sides of every pair, each value summed (eval_linear) and then
-    projected, as a list."""
+    """Every survivor of the sweep of _survivor with no antisymmetry test:
+    both sides of every pair, each value summed (eval_linear) and then
+    projected, as a list in sweep order."""
     carrier, shift = B.carrier, B.degree_shift
     laurent = getattr(carrier, "laurent", False)
     out = []
@@ -341,10 +371,8 @@ def test_survivors_match_the_two_sided_sweep_on_catalog_brackets(gens,
                                                                  name):
     B = catalog_bracket(name)
     window, I = _five_sym_span(B.carrier, gens)
-    assert ideals._anticommutative(B, window)
-    for certified in (False, True):
-        assert list(_survivors(B, I, window, certified)) == \
-            _two_sided_survivors(B, I, window)
+    assert _first_survivor(B, I, window) == \
+        next(iter(_two_sided_survivors(B, I, window)), None)
 
 
 def _random_bracket(carrier, shift, seed, antisymmetrise):
@@ -384,49 +412,65 @@ def test_survivors_match_the_two_sided_sweep_on_random_brackets(
         gens, laurent, shift, seed, antisymmetrise):
     B = _random_bracket(PolyCarrier(laurent), shift, seed, antisymmetrise)
     window, I = _five_sym_span(B.carrier, gens)
-    certified = ideals._anticommutative(B, window)
-    assert certified or not antisymmetrise
-    expect = _two_sided_survivors(B, I, window)
-    assert list(_survivors(B, I, window)) == expect
-    assert list(_survivors(B, I, window, certified)) == expect
+    assert check_anticommutativity(B, window).passed or not antisymmetrise
+    assert _first_survivor(B, I, window) == \
+        next(iter(_two_sided_survivors(B, I, window)), None)
+
+
+def _flipped(B, pair):
+    """B with the sign of its value at one pair flipped."""
+    def eval_fn(s1, s2):
+        value = B.eval(s1, s2)
+        return -value if (s1, s2) == pair else value
+
+    return DoubleBracket(B.name, B.carrier, eval_fn, B.degree_shift)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_ROW, min_size=1, max_size=3),
+       st.sampled_from(("L1", "L2", "L3", "L4", "L1_laurent", "L2_laurent",
+                        "L3_laurent", "L4_laurent")))
+def test_survivors_match_the_two_sided_sweep_on_single_flips(gens, name):
+    # one flipped value leaves every other pair antisymmetric, so the sweep
+    # computes the "ideal,ambient" value only at the pairs that read it
+    B = catalog_bracket(name)
+    window, I = _five_sym_span(B.carrier, gens)
+    for pair in product(B.carrier.window_syms(window), repeat=2):
+        F = _flipped(B, pair)
+        assert _first_survivor(F, I, window) == \
+            next(iter(_two_sided_survivors(F, I, window)), None), pair
 
 
 def test_a_one_sided_survivor_is_found_without_the_certificate():
     # flipping <<t^2, t^1>> breaks anticommutativity; modulo span{t + t^2}
     # the value <<t, t + t^2>> then dies and <<t + t^2, t>> survives
-    L1 = catalog_bracket("L1")
-
-    def eval_fn(s1, s2):
-        value = L1.eval(s1, s2)
-        return -value if (s1, s2) == (tsym(2), tsym(1)) else value
-
-    B = DoubleBracket("L1", L1.carrier, eval_fn, L1.degree_shift)
+    B = _flipped(catalog_bracket("L1"), (tsym(2), tsym(1)))
     I = span(B.carrier, 3, parse_poly("t + t^2"))
-    certified = ideals._anticommutative(B, 3)
-    assert not certified
-    got = list(_survivors(B, I, 3, certified))
-    assert got == _two_sided_survivors(B, I, 3)
-    assert got[0][:3] == (tsym(1), 0, "ideal,ambient")
+    assert not check_anticommutativity(B, 3).passed
+    got = _first_survivor(B, I, 3)
+    assert got == _two_sided_survivors(B, I, 3)[0]
+    assert got[:3] == (tsym(1), 0, "ideal,ambient")
     assert is_ideal(B, I, 3).counterexample == {
         "ambient": "t^1", "generator": "t^1 + t^2", "order": "ideal,ambient"}
 
 
 def test_closure_search_on_a_bracket_defined_on_part_of_the_window():
     # the quotient's values at the top of its window leave L1's window, so
-    # it gets no anticommutativity certificate there; the two-sided sweep
-    # reads only pairs whose values stay inside, and the search completes
+    # a whole-window sweep raises there; the ideal sweep and its
+    # antisymmetry test read only pairs whose values stay inside, and the
+    # search completes
     L1 = catalog_bracket("L1")
     Q = quotient_bracket(L1, span(L1.carrier, 8, Vec.basis(tsym(0))), 8)
     with pytest.raises(ValueError):
         check_anticommutativity(Q, 8)
-    assert not ideals._anticommutative(Q, 8)
     closures, exhausted = ideal_closure(Q, [Vec.basis(tsym(1))], 8)
     assert not exhausted and closures
     assert all(is_ideal(Q, I, 8).passed for I in closures)
 
 
-def test_closure_search_certifies_once_and_sums_no_values(monkeypatch):
-    calls = {"check_anticommutativity": 0, "eval_linear": 0}
+def test_closure_search_tests_each_pair_once_and_builds_no_report(
+        monkeypatch):
+    calls = Counter()
 
     def counted(name, fn):
         def wrapper(*args):
@@ -434,14 +478,26 @@ def test_closure_search_certifies_once_and_sums_no_values(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(ideals, "check_anticommutativity", counted(
-        "check_anticommutativity", ideals.check_anticommutativity))
+    def antisymmetric(B, a, b):
+        calls[a, b] += 1
+        return _antisymmetric(B, a, b)
+
+    monkeypatch.setattr(brackets, "check_anticommutativity", counted(
+        "check_anticommutativity", brackets.check_anticommutativity))
+    monkeypatch.setattr(VerificationReport, "__init__", counted(
+        "VerificationReport", VerificationReport.__init__))
+    monkeypatch.setattr(ideals, "_antisymmetric", antisymmetric)
     monkeypatch.setattr(DoubleBracket, "eval_linear", counted(
         "eval_linear", DoubleBracket.eval_linear))
     closures, exhausted = ideal_closure(catalog_bracket("L1"),
                                         [parse_poly("t^2 + 4*t - 1")], 7)
     assert not exhausted and len(closures) > 1
-    assert calls == {"check_anticommutativity": 1, "eval_linear": 0}
+    assert not hasattr(ideals, "check_anticommutativity")
+    for name in ("check_anticommutativity", "VerificationReport",
+                 "eval_linear"):
+        assert calls.pop(name, 0) == 0, name
+    # the pairs (ambient, ideal symbol) whose "ambient,ideal" value died
+    assert calls and set(calls.values()) == {1}
 
 
 def test_is_ideal_renders_the_monic_generator():
