@@ -7,7 +7,8 @@ The correspondence with operators reads, on basis vectors u_p of V,
 
 with the trace-dual unit e_{ij}* = e_{ji}.  Checkers for anticommutativity,
 the double Jacobi identity and the Leibniz rule evaluate everything exactly
-over a window of basis elements.
+over a window of basis elements, after first trying to decide the axiom for
+all degrees from a divided-difference bracket's numerator table.
 
 The polynomial catalog comes from divided-difference closed forms: rational
 expressions in x = t (x) 1 and y = 1 (x) t whose numerators are divisible by
@@ -18,6 +19,7 @@ finite catalog brackets are the brackets of the finite catalog operators.
 from __future__ import annotations
 
 from itertools import chain
+from operator import add
 
 from .exact import Tensor2, Vec, esym, sparse_sum, tsym, ysym
 from .grammar import render_sym
@@ -136,10 +138,12 @@ class DoubleBracket:
     degree_shift bounds output degrees: every term of <<a, b>> has total
     degree at most deg(a) + deg(b) + degree_shift (None when the carrier is
     finite or no bound is declared).  kernel is the degree kernel of a
-    bracket built by from_kernel, else None."""
+    bracket built by from_kernel, else None.  table is the numerator table
+    of a catalog divided-difference bracket (see _DD_TABLES; the empty
+    table for zero), whose values it gives, else None."""
 
     __slots__ = ("name", "carrier", "_eval_fn", "degree_shift", "kernel",
-                 "_memo")
+                 "table", "_memo")
 
     def __init__(self, name, carrier, eval_fn, degree_shift=None):
         self.name = name
@@ -147,6 +151,7 @@ class DoubleBracket:
         self._eval_fn = eval_fn
         self.degree_shift = degree_shift
         self.kernel = None
+        self.table = None
         self._memo = {}
 
     @classmethod
@@ -213,28 +218,33 @@ def _divide_by_x_minus_y(num):
                       for (a, b), c in num.items() for i in range(a - s))
 
 
-_DD_VARIANTS = ("L1", "L2", "L3", "L4")
-
-
-def _dd_numerator(variant, n, m):
-    if variant == "L1":
-        return sparse_sum((((n + m, 0), 1), ((0, n + m), 1),
-                           ((n, m), -1), ((m, n), -1)))
-    if variant == "L2":
-        return sparse_sum((((n, m), -1), ((m, n), 1)))
-    if variant == "L3":
-        return sparse_sum((((n + 1, m + 1), 1), ((m + 1, n + 1), -1)))
-    if variant == "L4":
-        return sparse_sum((((n + 1, m + 1), 1), ((m + 1, n + 1), 1),
-                           ((n + m + 2, 0), -1), ((0, n + m + 2), -1)))
-    raise ValueError("unknown divided-difference variant %r" % variant)
+# The numerators N_{f,g}(x, y) of the catalog brackets
+# <<f, g>> = N_{f,g}(x, y)/(x - y).  An entry (c, a, b, f_at, g_at) is the
+# term c x^a y^b f(v) g(w), where f_at and g_at name v and w: X for x, Y for y.
+X, Y = 0, 1
+_DD_TABLES = {
+    "L1": ((1, 0, 0, X, X), (1, 0, 0, Y, Y), (-1, 0, 0, X, Y),
+           (-1, 0, 0, Y, X)),
+    "L2": ((-1, 0, 0, X, Y), (1, 0, 0, Y, X)),
+    "L3": ((1, 1, 1, X, Y), (-1, 1, 1, Y, X)),
+    "L4": ((1, 1, 1, X, Y), (1, 1, 1, Y, X), (-1, 2, 0, X, X),
+           (-1, 0, 2, Y, Y)),
+}
 
 
 def divided_difference(variant, n, m):
-    """The bracket <<t^n, t^m>> for the four polynomial catalog brackets,
-    obtained by an honest bivariate division by x - y (x = t (x) 1,
-    y = 1 (x) t).  Negative exponents give the Laurent extension."""
-    quot = _divide_by_x_minus_y(_dd_numerator(variant, n, m))
+    """The bracket <<t^n, t^m>> of a numerator table, or of the polynomial
+    catalog bracket (L1..L4) that variant names, obtained by an honest
+    bivariate division by x - y (x = t (x) 1, y = 1 (x) t).  Negative
+    exponents give the Laurent extension."""
+    table = _DD_TABLES.get(variant) if isinstance(variant, str) else variant
+    if table is None:
+        raise ValueError("unknown divided-difference variant %r" % variant)
+    terms = []
+    for c, a, b, f_at, g_at in table:
+        y = b + n * f_at + m * g_at  # X = 0 and Y = 1
+        terms.append(((a + b + n + m - y, y), c))
+    quot = _divide_by_x_minus_y(sparse_sum(terms))
     return Tensor2({(tsym(a), tsym(b)): c for (a, b), c in quot.items()})
 
 
@@ -247,15 +257,18 @@ def catalog_bracket(name, **params):
     zero."""
     laurent = name.endswith("_laurent")
     base = name[:-len("_laurent")] if laurent else name
-    if base in _DD_VARIANTS:
+    if base in _DD_TABLES:
         product_shift = 1 if base == "L4" else 0
         carrier = PolyCarrier(laurent=laurent, product_shift=product_shift)
         shift = 1 if base in ("L3", "L4") else -1
+        table = _DD_TABLES[base]
 
         def eval_fn(s1, s2):
-            return divided_difference(base, s1[1], s2[1])
+            return divided_difference(table, s1[1], s2[1])
 
-        return DoubleBracket(name, carrier, eval_fn, degree_shift=shift)
+        B = DoubleBracket(name, carrier, eval_fn, degree_shift=shift)
+        B.table = table
+        return B
     if name in _FINITE_IMAGES:
         return bracket_from_rb(catalog_rb(name), name)
     if name == "dY":
@@ -269,8 +282,10 @@ def catalog_bracket(name, **params):
                                          degree_shift=-1)
     if name == "zero":
         carrier = params.get("carrier", PolyCarrier())
-        return DoubleBracket("zero", carrier, lambda a, b: Tensor2(),
-                             degree_shift=-1)
+        B = DoubleBracket("zero", carrier, lambda a, b: Tensor2(),
+                          degree_shift=-1)
+        B.table = ()
+        return B
     raise ValueError("unknown bracket %r" % name)
 
 
@@ -333,6 +348,96 @@ def rb_from_bracket(B, dim):
 
 
 # ---------------------------------------------------------------------------
+# numerator certificates
+#
+# For <<f, g>> = N_{f,g}(x, y)/(x - y) given by a numerator table, each
+# axiom is an identity of rational functions in f, g and h at x1, x2, x3
+# (indices 0, 1, 2).  Its certificate is the defect's numerator, the
+# denominators cleared, summed from terms ((exponents, placeholders), c),
+# where the placeholders, a sorted tuple of pairs (name, i), stand for
+# name(x_i).  They are independent, so a zero certificate proves the axiom
+# for all Laurent f, g, h, hence at every window pair or triple.  A nonzero
+# one proves nothing, and the checker sweeps.
+
+def _term(powers=(), holders=(), c=1):
+    """The one term c times the product of x_i^k over the pairs (i, k) in
+    powers and of the placeholders in holders, as a list."""
+    exps = [0, 0, 0]
+    for i, k in powers:
+        exps[i] += k
+    return [((tuple(exps), tuple(sorted(holders))), c)]
+
+
+def _times(P, *factors):
+    for Q in factors:
+        P = [((tuple(map(add, e, e2)), tuple(sorted(p + p2))), c * c2)
+             for (e, p), c in P for (e2, p2), c2 in Q]
+    return P
+
+
+def _placeholders(names):
+    """The arguments v -> name(x_v)."""
+    return [lambda v, name=name: _term(holders=[(name, v)]) for name in names]
+
+
+def _numerator(table, f, g, x, y):
+    """N_{f,g}(x_x, x_y), where the arguments f and g map a variable index v
+    to the terms of their value at x_v."""
+    at = (x, y)
+    return [term for c, a, b, f_at, g_at in table for term in _times(
+        _term([(x, a), (y, b)], c=c), f(at[f_at]), g(at[g_at]))]
+
+
+def _certificate(*parts):
+    """The sum of s P over the pairs (s, P)."""
+    return sparse_sum((key, s * c) for s, P in parts for key, c in P)
+
+
+def _anticommutativity_numerator(table):
+    """(x - y)(<<f, g>> + swap(<<g, f>>)) = N_{f,g}(x, y) - N_{g,f}(y, x)."""
+    f, g = _placeholders("fg")
+    return _certificate((1, _numerator(table, f, g, 0, 1)),
+                        (-1, _numerator(table, g, f, 1, 0)))
+
+
+def _jacobi_numerator(table):
+    """Delta = (x1 - x2)(x1 - x3)(x2 - x3) times jacobi_defect(f, g, h), its
+    slots at x1, x2, x3.  The three sums are <<f, u>> on slots (1, 2) with
+    u = <<g, h>> at (s, x3), <<g, u>> on slots (2, 3) with u = <<f, h>> at
+    (x1, s), and <<u, h>> on slots (1, 3) with u = <<f, g>> at (s, x2): the
+    outer numerator takes the inner one at s = x_v wherever it evaluates u
+    at x_v, times the factor of Delta that neither denominator has."""
+    f, g, h = _placeholders("fgh")
+
+    def inner(p, q, fixed, free_first, outer):
+        # outer, the outer bracket's slots, is an ascending pair
+        def value(v):
+            xy = (v, fixed) if free_first else (fixed, v)
+            (i, j), = {(0, 1), (0, 2), (1, 2)} - {outer, tuple(sorted(xy))}
+            sign = -1 if xy[0] > xy[1] else 1
+            return _times(_numerator(table, p, q, *xy),
+                          _term([(i, 1)], c=sign) + _term([(j, 1)], c=-sign))
+        return value
+
+    return _certificate(
+        (1, _numerator(table, f, inner(g, h, 2, True, (0, 1)), 0, 1)),
+        (-1, _numerator(table, g, inner(f, h, 0, False, (1, 2)), 1, 2)),
+        (-1, _numerator(table, inner(f, g, 1, True, (0, 2)), h, 0, 2)))
+
+
+def _leibniz_numerator(table, shift):
+    """(x - y)(<<f, gh>> - <<f, g>> h - g <<f, h>>) for the product
+    (gh)(t) = t^shift g(t) h(t), that is N_{f,gh}(x, y)
+    - y^shift h(y) N_{f,g}(x, y) - x^shift g(x) N_{f,h}(x, y)."""
+    f, g, h = _placeholders("fgh")
+    return _certificate(
+        (1, _numerator(table, f, lambda v: _times(_term([(v, shift)]), g(v),
+                                                  h(v)), 0, 1)),
+        (-1, _times(_term([(1, shift)]), h(1), _numerator(table, f, g, 0, 1))),
+        (-1, _times(_term([(0, shift)]), g(0), _numerator(table, f, h, 0, 1))))
+
+
+# ---------------------------------------------------------------------------
 # axiom checkers
 
 def _sweep_syms(B, window):
@@ -360,12 +465,16 @@ def _antisymmetric(B, a, b):
 def check_anticommutativity(B, window=8):
     """<<a, b>> = -swap(<<b, a>>) on all window basis pairs.
 
-    The defect at (b, a) is the swap of the defect at (a, b), so only the
-    pairs with a at or before b in sweep order are checked: the full sweep's
-    first failing pair has that form.  A bracket with a degree kernel is
-    swept on its label-(1,1) symbols (see _sweep_syms), since both sides of
+    A bracket with a numerator table passes at once when its certificate
+    (_anticommutativity_numerator) is zero.  Otherwise the defect at (b, a)
+    is the swap of the defect at (a, b), so only the pairs with a at or
+    before b in sweep order are checked: the full sweep's first failing pair
+    has that form.  A bracket with a degree kernel is swept on its
+    label-(1,1) symbols (see _sweep_syms), since both sides of
     (t^m e_ij, t^n e_kl) carry the labels e_kj (x) e_il."""
     params = {"window": window}
+    if B.table is not None and not _anticommutativity_numerator(B.table):
+        return VerificationReport.success("anticommutativity", B.name, params)
     syms = _sweep_syms(B, window)
     for i, a in enumerate(syms):
         for b in syms[i:]:
@@ -399,44 +508,29 @@ def jacobi_defect(B, a, b, c):
     return {key: v for key, v in J.items() if v}
 
 
-class _Reads:
-    """B seen through eval only, keeping every symbol an evaluation reads;
-    covered turns False when a sweep relies on one it must not."""
+def check_jacobi(B, window=8):
+    """Exact double Jacobi identity on all window basis triples, computed on
+    one triple per rotation class.
 
-    __slots__ = ("B", "syms", "covered")
-
-    def __init__(self, B):
-        self.B = B
-        self.syms = set()
-        self.covered = True
-
-    def eval(self, s1, s2):
-        self.syms.add(s1)
-        self.syms.add(s2)
-        return self.B.eval(s1, s2)
-
-
-def _successors_agree(B, syms):
-    """Whether <<t^(n+1), t^(m+1)>> is <<t^n, t^m>> with every exponent
-    raised by one, at every window pair whose successor is in the window."""
-    for a, a1 in zip(syms, syms[1:]):
-        for b, b1 in zip(syms, syms[1:]):
-            if B.eval(a1, b1).terms != {
-                    (tsym(x[1] + 1), tsym(y[1] + 1)): c
-                    for (x, y), c in B.eval(a, b).terms.items()}:
-                return False
-    return True
-
-
-def _jacobi_defects(B, syms, reads=None):
-    """(a, b, c, defect) at the window triples whose defect the rotation-class
-    sweep computes, in sweep order (see check_jacobi).  Given a _Reads of B,
-    only the triples led by syms[0] are swept, and the sweep stops, with
-    reads.covered False, at the first of them that relies on a symbol of
-    degree outside syms[0]'s to its own largest: one that the defect
-    evaluates, or an x whose <<c, x>> and <<x, c>> the cyclic test needs."""
-    orbit = reads is not None
-    ev = reads if orbit else B
+    A bracket with a numerator table passes at once when its certificate
+    (_jacobi_numerator) is zero.  Otherwise, let A(a,b,c) = <<a,<<b,c>>>>_L
+    and J(a,b,c) = A(a,b,c) + tau A(b,c,a) + tau^2 A(c,a,b), tau moving the
+    last slot to the front.  Then J(b,c,a) = tau^-1 J(a,b,c), and
+    jacobi_defect(a,b,c) = J(a,b,c) when <<c,a>> and every <<c,x>>, x a
+    first factor of <<a,b>>, are anticommutative (the second and third sums
+    of jacobi_defect are then tau A(b,c,a) and tau^2 A(c,a,b)).  So the
+    sweep, in its (a, b, c) order, computes the defect of each triple that
+    is the least of its rotations and skips any other triple whose pairs and
+    whose least rotation's pairs pass that test; the least rotation came
+    earlier and had no defect.  A triple whose test fails gets its defect
+    computed.  Every triple is thus decided in the full sweep's order, and
+    the record is the full sweep's.  The pairs tested may lie outside the
+    window.  A bracket with a degree kernel is swept on its label-(1,1)
+    symbols only (see _sweep_syms)."""
+    params = {"window": window}
+    if B.table is not None and not _jacobi_numerator(B.table):
+        return VerificationReport.success("jacobi", B.name, params)
+    syms = _sweep_syms(B, window)
     needs, known = {}, {}
 
     def cyclic(a, b, c):
@@ -445,8 +539,6 @@ def _jacobi_defects(B, syms, reads=None):
         if need is None:
             need = needs[(a, b)] = {a}.union(
                 x for x, _y in B.eval(a, b).terms)
-        if orbit:
-            reads.syms |= need
         done = known.setdefault(c, set())
         if need <= done:
             return True
@@ -460,147 +552,54 @@ def _jacobi_defects(B, syms, reads=None):
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if orbit:
-                    if min(i, j, k):
-                        continue
-                    reads.syms.clear()
                 a, b, c = syms[i], syms[j], syms[k]
                 least = min((i, j, k), (j, k, i), (k, i, j))
-                defect = None
-                if least == (i, j, k) or not cyclic(a, b, c) or \
-                        not cyclic(*(syms[r] for r in least)):
-                    defect = jacobi_defect(ev, a, b, c)
-                if orbit:
-                    lo, top = syms[0][1], syms[max(i, j, k)][1]
-                    if not all(lo <= s[1] <= top for s in reads.syms):
-                        reads.covered = False
-                        return
-                if defect is not None:
-                    yield a, b, c, defect
-
-
-def check_jacobi(B, window=8):
-    """Exact double Jacobi identity on all window basis triples, computed on
-    one triple per rotation class, and on a PolyCarrier first on one triple
-    per shift orbit.
-
-    Let A(a,b,c) = <<a,<<b,c>>>>_L and J(a,b,c) = A(a,b,c) + tau A(b,c,a)
-    + tau^2 A(c,a,b), tau moving the last slot to the front.  Then
-    J(b,c,a) = tau^-1 J(a,b,c), and jacobi_defect(a,b,c) = J(a,b,c) when
-    <<c,a>> and every <<c,x>>, x a first factor of <<a,b>>, are
-    anticommutative (the second and third sums of jacobi_defect are then
-    tau A(b,c,a) and tau^2 A(c,a,b)).  So the sweep, in its (a, b, c) order,
-    computes the defect of each triple that is the least of its rotations
-    and skips any other triple whose pairs and whose least rotation's pairs
-    pass that test; the least rotation came earlier and had no defect.  A
-    triple whose test fails gets its defect computed.  Every triple is thus
-    decided in the full sweep's order, and the record is the full sweep's.
-    The pairs tested may lie outside the window.
-
-    On a PolyCarrier, moving every exponent by s maps each window triple T
-    to T + s.  Every window triple is T + s for exactly one triple T led by
-    the window's first symbol, with 0 <= s <= window top - max(T).  Three
-    checks make up the orbit pass:
-
-    1. the successor test: <<t^(n+1), t^(m+1)>> is <<t^n, t^m>> with every
-       exponent raised by one at every window pair whose successor is in
-       the window;
-    2. the rotation-class sweep above, cyclic test included, on the triples
-       T led by the first symbol only, where every defect is empty;
-    3. every symbol that a computed defect or a cyclic test at T relies on
-       has its degree from the first symbol's to max(T), so each pair it
-       evaluates stays in the window under every shift s of T.
-
-    By 1, applied along those shifts, the pairs read at T + s take T's
-    values with exponents raised by s, so jacobi_defect(T + s), and the
-    cyclic tests at T + s, are those at T moved: every window triple's
-    defect is empty, and the success record is the full sweep's.  When any
-    check fails, the sweep above runs and gives the record, pass or fail.
-
-    A bracket with a degree kernel is swept on its label-(1,1) symbols only
-    (see _sweep_syms)."""
-    params = {"window": window}
-    syms = _sweep_syms(B, window)
-    if isinstance(B.carrier, PolyCarrier) and _successors_agree(B, syms):
-        reads = _Reads(B)
-        if not any(defect for *_, defect in _jacobi_defects(B, syms, reads)) \
-                and reads.covered:
-            return VerificationReport.success("jacobi", B.name, params)
-    for a, b, c, defect in _jacobi_defects(B, syms):
-        if defect:
-            key = min(defect)
-            ce = {"a": render_sym(a), "b": render_sym(b), "c": render_sym(c),
-                  "defect_term": "%s (x) %s (x) %s -> %s" % (
-                      render_sym(key[0]), render_sym(key[1]),
-                      render_sym(key[2]), defect[key])}
-            return VerificationReport.failure("jacobi", B.name, ce, params)
+                if least != (i, j, k) and cyclic(a, b, c) and \
+                        cyclic(*(syms[r] for r in least)):
+                    continue
+                defect = jacobi_defect(B, a, b, c)
+                if defect:
+                    key = min(defect)
+                    ce = {"a": render_sym(a), "b": render_sym(b),
+                          "c": render_sym(c),
+                          "defect_term": "%s (x) %s (x) %s -> %s" % (
+                              render_sym(key[0]), render_sym(key[1]),
+                              render_sym(key[2]), defect[key])}
+                    return VerificationReport.failure("jacobi", B.name, ce,
+                                                      params)
     return VerificationReport.success("jacobi", B.name, params)
 
 
-def _t2_mul(T, sym, carrier, on_left):
-    """Terms of the outer action sym (x (x) y) = sym x (x) y (on_left) or
-    (x (x) y) sym = x (x) y sym on a tensor T."""
-    for (x, y), c in T.items():
-        if on_left:
-            for s, d in carrier.product(sym, x).terms.items():
-                yield (s, y), c * d
-        else:
-            for s, d in carrier.product(y, sym).terms.items():
-                yield (x, s), c * d
-
-
 def _leibniz_holds(B, a, b, c):
-    carrier = B.carrier
-    lhs = B.eval_linear(Vec.basis(a), carrier.product(b, c))
-    rhs = Tensor2(sparse_sum(chain(_t2_mul(B.eval(a, b), c, carrier, False),
-                                   _t2_mul(B.eval(a, c), b, carrier, True))))
-    return lhs == rhs
-
-
-def _leibniz_generated(B, a, degrees):
-    """Whether the Leibniz rule at a holds on the base column (t^m, t^p0)
-    and the generator relations (t^k, g), on a PolyCarrier with
-    t^m t^p = t^(m+p+s) and generator g = t^(1-s).  If so, it holds for all
-    b, c of the given window degrees: with D = <<a, ->>, t^(p+1) = t^p g
-    and associative, commuting outer actions,
-
-        D(t^m t^(p+1)) = D((t^m t^p) g) = D(t^m t^p) g + t^m t^p D(g)
-                       = D(t^m) t^p g + t^m (D(t^p) g + t^p D(g))
-                       = D(t^m) t^(p+1) + t^m D(t^(p+1)),
-
-    using the relations at k = m+p+s and k = p, and the rule at (t^m, t^p):
-    induction on p from p0 gives every window pair."""
-    s = B.carrier.product_shift
-    t = B.carrier.sym
-    below = degrees[:-1]
-    ks = {m + p + s for m in degrees for p in below}.union(below)
-    return all(_leibniz_holds(B, a, t(m), t(degrees[0])) for m in degrees) \
-        and all(_leibniz_holds(B, a, t(k), t(1 - s)) for k in ks)
+    """<<a, bc>> = <<a,b>>c + b<<a,c>>, with b (x (x) y) c = bx (x) yc."""
+    product = B.carrier.product
+    lhs = B.eval_linear(Vec.basis(a), product(b, c))
+    rhs = chain((((x, s), k * d) for (x, y), k in B.eval(a, b).items()
+                 for s, d in product(y, c).items()),
+                (((s, y), k * d) for (x, y), k in B.eval(a, c).items()
+                 for s, d in product(b, x).items()))
+    return lhs == Tensor2(sparse_sum(rhs))
 
 
 def check_leibniz(B, window=8):
     """<<a, bc>> = <<a,b>>c + b<<a,c>> with the outer action
     b (x (x) y) c = bx (x) yc, on window basis triples.
 
-    On a PolyCarrier with product shift 0 or 1, each a is first decided on
-    generator relations (see _leibniz_generated): 2W + 1 + |K| checks in
-    place of (2W + 1)^2 on the Laurent window.  Only when one of them fails
-    is a's row swept, so the first failing triple, and the record, are the
-    full sweep's.  A bracket with a degree kernel is swept on its
-    label-(1,1) symbols only (see _sweep_syms), where b and c can always be
-    multiplied."""
+    A bracket with a numerator table on a PolyCarrier passes at once when
+    its certificate (_leibniz_numerator at the carrier's product shift) is
+    zero; otherwise every triple is swept.  A bracket with a degree kernel
+    is swept on its label-(1,1) symbols only (see _sweep_syms), where b and
+    c can always be multiplied."""
     params = {"window": window}
     carrier = B.carrier
     syms = _sweep_syms(B, window)
     if carrier.product(syms[0], syms[0]) is None:
         raise ValueError("carrier %s has no associative product"
                          % carrier.name)
-    generated = isinstance(carrier, PolyCarrier) and \
-        carrier.product_shift in (0, 1)
-    degrees = [carrier.degree(s) for s in syms]
+    if B.table is not None and isinstance(carrier, PolyCarrier) and \
+            not _leibniz_numerator(B.table, carrier.product_shift):
+        return VerificationReport.success("leibniz", B.name, params)
     for a in syms:
-        if generated and _leibniz_generated(B, a, degrees):
-            continue
         for b in syms:
             for c in syms:
                 if not _leibniz_holds(B, a, b, c):

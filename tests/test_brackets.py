@@ -19,8 +19,11 @@ from doublelie.brackets import (CATALOG_BRACKET_NAMES, BasisCarrier,
                                 check_bracket_relations, check_homomorphism,
                                 check_jacobi, check_leibniz,
                                 divided_difference, rb_from_bracket)
+from doublelie.dmodules import (induced_module_from_ideal,
+                                trivial_extension_bracket)
 from doublelie.exact import Tensor2, Vec, esym, sparse_sum, tsym, ysym
 from doublelie.grammar import render_sym
+from doublelie.ideals import Subspace, quotient_bracket
 from doublelie.matrices import NATURALS, Domain, FinitaryMatrix
 from doublelie.rb import (RBOperator, build_pk, catalog_rb,
                           check_rb_identity, check_skew_symmetry,
@@ -71,13 +74,8 @@ def test_catalog_cross_relations():
 
 def _relations_with_flipped(monkeypatch, variant):
     """check_bracket_relations with the closed form of variant negated."""
-    numerator = brackets._dd_numerator
-
-    def flipped(name, n, m):
-        num = numerator(name, n, m)
-        return {k: -c for k, c in num.items()} if name == variant else num
-
-    monkeypatch.setattr(brackets, "_dd_numerator", flipped)
+    monkeypatch.setitem(brackets._DD_TABLES, variant, tuple(
+        (-c, *rest) for c, *rest in brackets._DD_TABLES[variant]))
     rep = check_bracket_relations(3)
     assert not rep.passed
     return rep.counterexample
@@ -608,7 +606,9 @@ def test_flipped_catalog_brackets_match_the_full_sweeps(name, window, pick):
     if name == "dY":
         window = min(window, 1)
     pairs = _flip_pairs(B, window)
-    assert_records_agree(flipped(B, pairs[pick % len(pairs)]), window)
+    mutant = flipped(B, pairs[pick % len(pairs)])
+    assert mutant.table is None
+    assert_records_agree(mutant, window)
 
 
 def test_catalog_records_match_the_full_sweeps():
@@ -617,17 +617,28 @@ def test_catalog_records_match_the_full_sweeps():
             assert_records_agree(catalog_bracket(name), window)
 
 
-def count_defects(monkeypatch):
+def full_sweep(B):
+    """The same bracket without its kernel or numerator table, so every
+    checker sweeps all window symbols; the tests above hold that path to
+    the full sweeps."""
+    return DoubleBracket(B.name, B.carrier, B.eval, B.degree_shift)
+
+
+def count_calls(monkeypatch, name):
     calls = []
-    defect = brackets.jacobi_defect
-    monkeypatch.setattr(brackets, "jacobi_defect",
-                        lambda *args: calls.append(args) or defect(*args))
+    fn = getattr(brackets, name)
+    monkeypatch.setattr(brackets, name,
+                        lambda *args: calls.append(args) or fn(*args))
     return calls
+
+
+def count_defects(monkeypatch):
+    return count_calls(monkeypatch, "jacobi_defect")
 
 
 def test_jacobi_computes_one_triple_per_rotation_class(monkeypatch):
     calls = count_defects(monkeypatch)
-    assert check_jacobi(catalog_bracket("L1_laurent"), 6).passed
+    assert check_jacobi(full_sweep(catalog_bracket("L1_laurent")), 6).passed
     # (n^3 + 2n) / 3 with n = 13 window symbols, against n^3 = 2197
     assert len(calls) == 741
     degrees = {(a[1], b[1], c[1]) for _B, a, b, c in calls}
@@ -636,23 +647,9 @@ def test_jacobi_computes_one_triple_per_rotation_class(monkeypatch):
                for abc in degrees)
 
 
-@pytest.mark.parametrize("name, lo, computed", [
-    ("L2_laurent", -6, 157), ("L3_laurent", -6, 157), ("L2", 0, 43)])
-def test_jacobi_computes_one_triple_per_shift_orbit(monkeypatch, name, lo,
-                                                    computed):
-    calls = count_defects(monkeypatch)
-    assert check_jacobi(catalog_bracket(name), 6).passed
-    # the rotation classes led by the window's first symbol: with n window
-    # symbols, (n^3 + 2n) / 3 less that of n - 1
-    assert len(calls) == computed
-    assert all(lo in abc and abc == min(abc, abc[1:] + abc[:1],
-                                        abc[2:] + abc[:2])
-               for abc in {(a[1], b[1], c[1]) for _B, a, b, c in calls})
-
-
 def _reads_below_the_window():
-    """<<t^-1, t^0>> and its successor <<t^0, t^1>> pass the successor test
-    at window 1; the representative (t^-1, t^0, t^-1) reads <<t^-2, t^-1>>,
+    """<<t^-1, t^0>> and its successor <<t^0, t^1>> differ only by the
+    exponent shift; the triple (t^-1, t^0, t^-1) reads <<t^-2, t^-1>>,
     below the window and 0, where its shift (t^0, t^1, t^0) reads
     <<t^-1, t^0>>: that shift is the one failing triple."""
     zero = catalog_bracket("zero", carrier=PolyCarrier(laurent=True))
@@ -668,7 +665,7 @@ def _flipped_at_the_corner():
 
 @pytest.mark.parametrize("build", [_reads_below_the_window,
                                    _flipped_at_the_corner])
-def test_jacobi_orbit_pass_falls_back_to_the_full_sweep(build):
+def test_jacobi_records_match_the_oracle_on_shift_breaking_brackets(build):
     B, window = build()
     rep = check_jacobi(B, window)
     assert not rep.passed
@@ -676,13 +673,129 @@ def test_jacobi_orbit_pass_falls_back_to_the_full_sweep(build):
 
 
 # ---------------------------------------------------------------------------
+# numerator tables: the certificates against the sweeps of table-less copies
+
+X, Y = brackets.X, brackets.Y
+CATALOG_TABLES = [brackets._DD_TABLES[name] for name in
+                  ("L1", "L2", "L3", "L4")]
+
+
+def dd_bracket(table, carrier):
+    """The divided-difference bracket of a numerator table, with the table
+    attached as catalog_bracket attaches it."""
+    B = DoubleBracket("T", carrier, lambda s1, s2: divided_difference(
+        table, s1[1], s2[1]))
+    B.table = table
+    return B
+
+
+def certificates(table, carrier):
+    return ((check_anticommutativity,
+             brackets._anticommutativity_numerator(table)),
+            (check_jacobi, brackets._jacobi_numerator(table)),
+            (check_leibniz,
+             brackets._leibniz_numerator(table, carrier.product_shift)))
+
+
+_COMBINATIONS = st.tuples(*[st.integers(-2, 2)] * 4).map(
+    lambda ks: tuple((k * c, *rest) for k, table in zip(ks, CATALOG_TABLES)
+                     for c, *rest in table if k))
+
+
+@st.composite
+def _divisible_tables(draw):
+    """Small tables with N_{f,g}(x, x) = 0, so that x - y divides every
+    N_{f,g}(x, y): sums of pairs of entries of one total degree a + b with
+    opposite coefficients, which are all such tables.  Half of them are
+    closed under the mirror N_{f,g}(x, y) -> N_{g,f}(y, x), so that they
+    are anticommutative; few random tables are."""
+    at, exp = st.sampled_from((X, Y)), st.integers(0, 2)
+    table = []
+    for _ in range(draw(st.integers(1, 3))):
+        c, a, b = draw(st.integers(-2, 2).filter(bool)), draw(exp), draw(exp)
+        a2 = draw(st.integers(max(0, a + b - 2), min(2, a + b)))
+        table += [(c, a, b, draw(at), draw(at)),
+                  (-c, a2, a + b - a2, draw(at), draw(at))]
+    if draw(st.booleans()):
+        table += [(c, b, a, 1 - g_at, 1 - f_at)
+                  for c, a, b, f_at, g_at in table]
+    return tuple(table)
+
+
+_TABLE_CARRIERS = st.sampled_from([
+    PolyCarrier(laurent=laurent, product_shift=shift)
+    for laurent in (False, True) for shift in (0, 1)])
+
+
+def assert_certificates_sound(table, carrier):
+    """Wherever a certificate is zero, the table-less copy's sweep passes at
+    windows 0 to 3; and the checker's record is that sweep's."""
+    f, g = brackets._placeholders("fg")
+    assert not sparse_sum(brackets._numerator(table, f, g, 0, 0))
+    B = dd_bracket(table, carrier)
+    oracle = full_sweep(B)
+    for check, certificate in certificates(table, carrier):
+        for window in range(4):
+            rep = check(oracle, window)
+            assert check(B, window).to_json() == rep.to_json()
+            assert rep.passed or certificate, (check.__name__, window)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_COMBINATIONS, _TABLE_CARRIERS)
+def test_zero_certificates_hold_on_catalog_combinations(table, carrier):
+    assert_certificates_sound(table, carrier)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_divisible_tables(), _TABLE_CARRIERS)
+def test_zero_certificates_hold_on_small_tables(table, carrier):
+    assert_certificates_sound(table, carrier)
+
+
+@pytest.mark.parametrize("check, table, shift", [
+    (check_anticommutativity, ((1, 0, 0, X, X), (-1, 0, 0, Y, Y)), 0),
+    (check_jacobi, CATALOG_TABLES[0] + CATALOG_TABLES[1], 0),
+    (check_leibniz, CATALOG_TABLES[1], 0),
+    (check_leibniz, CATALOG_TABLES[1], 1)])
+def test_certificates_are_nonzero_where_the_sweeps_fail(check, table, shift):
+    carrier = PolyCarrier(laurent=True, product_shift=shift)
+    assert dict(certificates(table, carrier))[check]
+    B = dd_bracket(table, carrier)
+    rep = check(B, 2)
+    assert not rep.passed
+    assert rep.to_json() == check(full_sweep(B), 2).to_json()
+
+
+def test_catalog_certificates_evaluate_nothing(monkeypatch):
+    defects = count_defects(monkeypatch)
+    values = count_calls(monkeypatch, "divided_difference")
+    for base in ("L1", "L2", "L3", "L4"):
+        for name in (base, base + "_laurent"):
+            B = catalog_bracket(name)
+            assert check_anticommutativity(B, 6).passed, name
+            assert check_jacobi(B, 6).passed, name
+            if base in ("L1", "L4"):
+                assert check_leibniz(B, 6).passed, name
+    assert defects == [] and values == []
+
+
+def test_only_catalog_brackets_carry_a_table():
+    assert catalog_bracket("L1").table == CATALOG_TABLES[0]
+    assert catalog_bracket("zero").table == ()
+    L1 = catalog_bracket("L1")
+    I = Subspace.degree_span(L1.carrier, 8, 2)
+    act, B_L = induced_module_from_ideal(L1, I, 8)
+    for B in (bracket_from_rb(catalog_rb("r1")),
+              bracket_from_rb(catalog_rb("kac", N=2)),
+              DoubleBracket.from_kernel("K", 2, lambda m, n: {}),
+              quotient_bracket(L1, I, 8),
+              trivial_extension_bracket(B_L, act)):
+        assert B.table is None, B.name
+
+
+# ---------------------------------------------------------------------------
 # kernel brackets: the checkers sweep the label-(1,1) symbols
-
-def full_sweep(B):
-    """The same bracket without its kernel, so every checker sweeps all
-    window symbols; the tests above hold that path to the full sweeps."""
-    return DoubleBracket(B.name, B.carrier, B.eval, B.degree_shift)
-
 
 def assert_sweeps_agree(B, window):
     oracle = full_sweep(B)
@@ -720,8 +833,9 @@ def test_flipped_dy_kernels_match_the_full_sweep(N, window, m0, n0, pick):
             value[key] = -value[key]
         return value
 
-    assert_sweeps_agree(DoubleBracket.from_kernel("dY!flip", N, kernel,
-                                                  degree_shift=-1), window)
+    mutant = DoubleBracket.from_kernel("dY!flip", N, kernel, degree_shift=-1)
+    assert mutant.table is None
+    assert_sweeps_agree(mutant, window)
 
 
 def test_kac_bracket_takes_the_kernel_path(monkeypatch):
