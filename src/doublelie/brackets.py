@@ -108,7 +108,10 @@ class BasisCarrier:
 class MatrixPolyCarrier:
     """Basis t^n (x) e_{ij} of polynomials with a matrix factor of size N;
     the product is (t^a (x) e_{ij})(t^b (x) e_{kl}) =
-    delta_{jk} t^{a+b} (x) e_{il}."""
+    delta_{jk} t^{a+b} (x) e_{il}, the ordinary polynomial product on the
+    degrees (product_shift 0)."""
+
+    product_shift = 0
 
     def __init__(self, N):
         self.N = N
@@ -140,7 +143,8 @@ class DoubleBracket:
     finite or no bound is declared).  kernel is the degree kernel of a
     bracket built by from_kernel, else None.  table is the numerator table
     of a catalog divided-difference bracket (see _DD_TABLES; the empty
-    table for zero), whose values it gives, else None."""
+    table for zero), whose values it gives, or, for dY, whose values give
+    the degree kernel; else None."""
 
     __slots__ = ("name", "carrier", "_eval_fn", "degree_shift", "kernel",
                  "table", "_memo")
@@ -170,11 +174,19 @@ class DoubleBracket:
         kernel's coefficient map on degrees times one fixed label tuple:
         whether it vanishes depends on the degrees alone (for Leibniz when
         l = u; when l != u both sides are zero).  The three axiom checkers
-        use this through _sweep_syms."""
+        use this through _sweep_syms, and through a numerator table that
+        gives the kernel (dY's): its certificates decide the degrees.  The
+        N^4 label pairs of two degrees share one kernel value, computed
+        once."""
+        values = {}
+
         def eval_fn(s1, s2):
             (m, i, j), (n, k, l) = s1[1], s2[1]
+            value = values.get((m, n))
+            if value is None:
+                value = values[m, n] = kernel(m, n)
             return Tensor2({(ysym(r, k, j), ysym(s, i, l)): c
-                            for (r, s), c in kernel(m, n).items()})
+                            for (r, s), c in value.items()})
 
         B = cls(name, MatrixPolyCarrier(N), eval_fn, degree_shift)
         B.kernel = kernel
@@ -230,6 +242,8 @@ _DD_TABLES = {
     "L4": ((1, 1, 1, X, Y), (1, 1, 1, Y, X), (-1, 2, 0, X, X),
            (-1, 0, 2, Y, Y)),
 }
+# dY's degree kernel is the negated first divided difference
+_DY_TABLE = tuple((-c, *term) for c, *term in _DD_TABLES["L1"])
 
 
 def divided_difference(variant, n, m):
@@ -275,11 +289,13 @@ def catalog_bracket(name, **params):
         N = params.get("N", 2)
 
         def kernel(m, n):
-            return sparse_sum(term for r in range(min(m, n)) for term in (
-                ((r, m + n - r - 1), 1), ((m + n - r - 1, r), -1)))
+            return {(a[1], b[1]): c for (a, b), c
+                    in divided_difference(_DY_TABLE, m, n).items()}
 
-        return DoubleBracket.from_kernel("dY(%d)" % N, N, kernel,
-                                         degree_shift=-1)
+        B = DoubleBracket.from_kernel("dY(%d)" % N, N, kernel,
+                                      degree_shift=-1)
+        B.table = _DY_TABLE
+        return B
     if name == "zero":
         carrier = params.get("carrier", PolyCarrier())
         B = DoubleBracket("zero", carrier, lambda a, b: Tensor2(),
@@ -357,7 +373,10 @@ def rb_from_bracket(B, dim):
 # where the placeholders, a sorted tuple of pairs (name, i), stand for
 # name(x_i).  They are independent, so a zero certificate proves the axiom
 # for all Laurent f, g, h, hence at every window pair or triple.  A nonzero
-# one proves nothing, and the checker sweeps.
+# one proves nothing, and the checker sweeps.  On a kernel bracket whose
+# kernel the table gives (dY), each defect is the table bracket's defect at
+# the degrees times one label tuple (DoubleBracket.from_kernel), so the
+# same certificate decides it.
 
 def _term(powers=(), holders=(), c=1):
     """The one term c times the product of x_i^k over the pairs (i, k) in
@@ -585,20 +604,22 @@ def check_leibniz(B, window=8):
     """<<a, bc>> = <<a,b>>c + b<<a,c>> with the outer action
     b (x (x) y) c = bx (x) yc, on window basis triples.
 
-    A bracket with a numerator table on a PolyCarrier passes at once when
-    its certificate (_leibniz_numerator at the carrier's product shift) is
-    zero; otherwise every triple is swept.  A bracket with a degree kernel
-    is swept on its label-(1,1) symbols only (see _sweep_syms), where b and
-    c can always be multiplied."""
+    A carrier without a product raises ValueError, at every window.  A
+    bracket with a numerator table passes at once when its certificate
+    (_leibniz_numerator at the carrier's product_shift) is zero; otherwise
+    every triple is swept.  A bracket with a degree kernel is swept on its
+    label-(1,1) symbols only (see _sweep_syms), where b and c can always be
+    multiplied."""
     params = {"window": window}
     carrier = B.carrier
-    syms = _sweep_syms(B, window)
-    if carrier.product(syms[0], syms[0]) is None:
+    unit = carrier.sym(0)
+    if carrier.product(unit, unit) is None:
         raise ValueError("carrier %s has no associative product"
                          % carrier.name)
-    if B.table is not None and isinstance(carrier, PolyCarrier) and \
+    if B.table is not None and \
             not _leibniz_numerator(B.table, carrier.product_shift):
         return VerificationReport.success("leibniz", B.name, params)
+    syms = _sweep_syms(B, window)
     for a in syms:
         for b in syms:
             for c in syms:

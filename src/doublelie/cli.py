@@ -135,10 +135,10 @@ def _verify_bracket(name, window):
     out = [check_anticommutativity(B, window), check_jacobi(B, window)]
     if syms and B.carrier.product(syms[0], syms[0]) is not None:
         if name not in _LEIBNIZ_FAILERS:
-            rep = check_leibniz(B, min(window, 8))
+            rep = check_leibniz(B, window)
         else:
             # the counterexample first shows at window 1
-            rep = check_leibniz(B, max(1, min(window, 8)))
+            rep = check_leibniz(B, max(1, window))
             exhibited = (not rep.passed) and rep.counterexample is not None
             if exhibited:
                 rep = VerificationReport.success(

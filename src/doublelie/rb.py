@@ -12,9 +12,10 @@ of the product and of the scaled images: the pair holds on every basis
 vector iff D is empty.  The two sides are built apart only to render a
 counterexample.  Off finite domains an empty defect, and only an empty one,
 settles the pairs to its right for as long as the images it reads move one
-column right with y.  On the integers the pairs are first settled one per
-shift orbit, each taken with min(i, j, k) = 0 so that those runs are long
-(see check_rb_identity).
+column right with y.  On the integers, an operator whose chamber table
+makes it shift-equivariant has its pairs settled one per shift orbit, each
+taken with min(i, j, k) = 0 so that those runs are long (see
+check_rb_identity).
 Skew-symmetry is the condition <R(x),y> = -<x,R(y)> for the trace pairing
 <x,y> = tr(xy), read off the segments of each window image once.
 
@@ -30,7 +31,6 @@ The finite examples are read from one table of images.
 
 from __future__ import annotations
 
-from itertools import repeat
 from math import inf
 
 from .exact import S, sparse_sum
@@ -44,10 +44,16 @@ class RBOperator:
     """Basis-indexed linear map from matrix units into locally finite
     operators.  support(p, q) derives the s of the correspondence sum from
     the finite domain, or from the chamber table of _chamber_operator,
-    which the derived operators that move no entry keep."""
+    which the derived operators that move no entry keep.
 
-    __slots__ = ("name", "domain", "_image_fn", "N", "_chambers", "_images",
-                 "_applied")
+    shift_equivariant declares that R(e_{i+s,j+s}) is R(e_ij) moved s rows
+    down and s columns right for every unit and every s: a table of step 1
+    on the integers makes it so, and scaling, the transpose and the tensor
+    extension keep it; mutate_sign, which keeps the table for support only,
+    drops it."""
+
+    __slots__ = ("name", "domain", "_image_fn", "N", "_chambers",
+                 "shift_equivariant", "_images", "_applied")
 
     def __init__(self, name, domain, image_fn, N=1):
         self.name = name
@@ -55,14 +61,17 @@ class RBOperator:
         self._image_fn = image_fn
         self.N = N
         self._chambers = None
+        self.shift_equivariant = False
         self._images = {}
         self._applied = {}
 
     def _derived(self, name, image_fn, N=None, flip=False):
-        """Same table, for an image_fn that moves no entry (or transposes)."""
+        """Same table and declaration, for an image_fn that moves no entry
+        (or transposes)."""
         R = RBOperator(name, self.domain, image_fn, N or self.N)
         c = self._chambers
         R._chambers = c and (c[0], c[1], c[2] != flip)
+        R.shift_equivariant = self.shift_equivariant
         return R
 
     def support(self, p, q):
@@ -182,15 +191,13 @@ class _ColumnMoves(dict):
         return min(m, n)
 
 
-def _pair_defects(R, idx, read=None):
+def _pair_defects(R, idx, orbits=False):
     """(i, j, k, l, terms, defect) at the unit pairs x = e_{ij}, y = e_{kl},
     i, j, k, l in idx, in sweep order, except those a column run settles:
     terms is R(x)y + xR(y) as (unit, coeff), column k of R(x) put in column
-    l and row j of R(y) in row i, and defect is R(x)R(y) - R(terms).  Given
-    a set read, idx is 0..2w, the pairs are one per shift orbit of spread at
-    most 2w, min(i, j, k) = 0 and max(i, j, k) - 2w <= l <= 2w, and read
-    gets every unit read, x, y and the units of the terms, at the settled
-    pairs too.
+    l and row j of R(y) in row i, and defect is R(x)R(y) - R(terms).  With
+    orbits, idx is 0..2w and the pairs are one per shift orbit of spread at
+    most 2w: min(i, j, k) = 0 and max(i, j, k) - 2w <= l <= 2w.
 
     Column runs: e_kl is e_{k,l-1} S, S the column shift, so D(x, e_kl) is
     D(x, e_{k,l-1}) S when R(e_{a,b+1}) is R(e_ab) moved one column right at
@@ -203,18 +210,15 @@ def _pair_defects(R, idx, read=None):
     whose last column has no right neighbour, takes no runs."""
     runs = R.domain.kind != "finite"
     moves = _ColumnMoves(R)
-    orbit = read is not None
     top = max(idx, default=None)
     for i in idx:
         for j in idx:
             Rx = R.image(i, j)
-            if orbit:
-                read.add((i, j))
             for k in idx:
-                if orbit and min(i, j, k):
+                if orbits and min(i, j, k):
                     continue
                 col = Rx.apply_index(k).items()
-                l = max(i, j, k) - top if orbit else idx[0]
+                l = max(i, j, k) - top if orbits else idx[0]
                 while l <= top:
                     Ry = R.image(k, l)
                     terms = [((r, l), c) for r, c in col]
@@ -223,67 +227,13 @@ def _pair_defects(R, idx, read=None):
                         [(-c, R.image(a, b)) for (a, b), c in terms],
                         R.domain, ((1, Rx, Ry),))
                     yield i, j, k, l, terms, defect
-                    units = [(k, l)] + [unit for unit, _ in terms]
                     # the run settles the pairs l + 1 .. l + n
                     n = 0
                     if runs and not defect:
                         n = top - l
-                        for a, b in units:
+                        for a, b in [(k, l)] + [unit for unit, _ in terms]:
                             n = moves.reach(a, b, n)
-                    if orbit:
-                        for a, b in units:
-                            read.update(zip(repeat(a), range(b, b + n + 1)))
                     l += n + 1
-
-
-def _is_shift(op, ref, s):
-    """Whether op is ref moved s rows down and s columns right."""
-    segs = {o: tuple((None if lo is None else lo + s,
-                      None if hi is None else hi + s, c) for lo, hi, c in ss)
-            for o, ss in ref.segs.items()}
-    if ref.step > 1:
-        # a class covered end to end is split at its least nonnegative row,
-        # which does not move with the shift
-        return op == LocallyFiniteOperator(segs, ref.domain, ref.step)
-    return op.step == 1 and op.domain == ref.domain and op.segs == segs
-
-
-def _shift_equivariant(R, spans):
-    """Whether R(e_{a,a+d}) is R(e_{lo,lo+d}) moved a - lo rows and columns
-    for every diagonal d and lo <= a <= hi, spans being {d: (lo, hi)}."""
-    for d, (lo, hi) in spans.items():
-        ref = R.image(lo, lo + d)
-        for a in range(lo + 1, hi + 1):
-            if not _is_shift(R.image(a, a + d), ref, a - lo):
-                return False
-    return True
-
-
-def _orbits_agree(R, window):
-    """Whether the shift orbits settle every unit pair of the window: R is
-    shift-equivariant on the window's units, both sides agree at each
-    orbit's pair with min(i, j, k) = 0, and R is shift-equivariant on every
-    unit that the window pairs of those orbits read."""
-    w = window
-    inside = {}
-    for d in range(-2 * w, 2 * w + 1):
-        lo = max(-w, -w - d)
-        # the corner diagonals, d = +-2w, hold one window unit each, which
-        # is compared with the next unit along its diagonal
-        inside[d] = (lo, max(min(w, w - d), lo + 1))
-    if not _shift_equivariant(R, inside):
-        return False
-    read = set()
-    if any(defect for *_, defect in _pair_defects(R, range(2 * w + 1),
-                                                  read)):
-        return False
-    spans = {}
-    for a, b in read:
-        lo, hi = spans.get(b - a, (a, a))
-        spans[b - a] = (min(lo, a), max(hi, a))
-    # the window pairs of an orbit are its pair moved by s in [-w, w]
-    return _shift_equivariant(R, {d: (lo - w, hi + w)
-                                  for d, (lo, hi) in spans.items()})
 
 
 def check_rb_identity(R, window=8, cutoff=None):
@@ -304,30 +254,19 @@ def check_rb_identity(R, window=8, cutoff=None):
     one column right with y (_pair_defects), and a defect that merely passes
     the cutoff starts no such run, so every record is the full sweep's.
 
-    On the integers, where the window is -window..window, the pairs are
-    first settled by shift orbits.  Moving every index by s is conjugation
-    by a permutation matrix, which commutes with products and sums; so when
-    R(e_{a+s,b+s}) is R(e_{ab}) moved by s at every unit a pair reads, both
-    sides at the moved pair are the sides at the pair, moved.  Every window
-    pair (i, j, k, l) is then the pair with min(i, j, k) = 0 and
+    On the integers, an operator that declares shift_equivariant has its
+    pairs first settled by shift orbits.  Moving every index by s is
+    conjugation by a permutation matrix, which commutes with products and
+    sums, and R commutes with it by the declaration; so the defect at the
+    moved pair is the defect at the pair, moved, and empty iff it is.  Every
+    window pair (i, j, k, l) is the pair with min(i, j, k) = 0 and
     max(i, j, k) - 2 * window <= l <= 2 * window of its orbit, moved by
     s = min(i, j, k) in [-window, window]; these pairs are one per orbit
-    and lie along long rows in l.  Three checks make up this path:
-
-    1. R(e_{a,a+d}) is a reference image inside the window, moved, at every
-       unit of the window, and on the corner diagonals d = +-2 * window,
-       which hold one window unit each, at the next unit along them;
-    2. the defect is empty at every such pair, recording every unit read:
-       x, y and the units of the terms of R(x)y + xR(y), two that cancel
-       included, at the pairs that a column run settles too;
-    3. on each diagonal d met, the images R(e_{a,a+d}) are one image moved,
-       for every a from the least recorded a minus the window to the
-       largest plus it, which covers every unit that the full sweep reads.
-
-    Then both sides are equal operators at every window pair, which is
+    and lie along long rows in l.  When the defect is empty at each of
+    them, both sides are equal operators at every window pair, which is
     stronger than agreeing up to the cutoff, and the success record is the
-    full sweep's.  When any check fails, the full sweep below runs and gives
-    the record, pass or fail.
+    full sweep's.  Otherwise the full sweep below runs and gives the
+    record, as it does for every other operator.
 
     For operators carrying a matrix tensor factor (N > 1) the identity on
     composite units e_{ij} (x) e_{ab} reduces, through the Kronecker delta of
@@ -338,7 +277,9 @@ def check_rb_identity(R, window=8, cutoff=None):
     params = {"window": window, "cutoff": cutoff}
     details = ("matrix factor of size %d handled by the delta factorization "
                "of composite units" % R.N if R.N > 1 else None)
-    if R.domain.kind == "integers" and _orbits_agree(R, window):
+    if R.shift_equivariant and not any(
+            defect for *_, defect in _pair_defects(R, range(2 * window + 1),
+                                                   orbits=True)):
         return VerificationReport.success("rb_identity", R.name, params,
                                           details)
     qs = list(unit_range(R.domain, cutoff))
@@ -436,12 +377,16 @@ def tensor_extend(R, N, name=None):
 
 def mutate_sign(R, i, j):
     """Flip the sign of the single image R(e_{ij}); breaks the RB identity
-    for every catalog operator and is used by the mutation tests."""
+    for every catalog operator and is used by the mutation tests.  The
+    mutant keeps R's table for support, but no shifted copy of the unit is
+    flipped, so it is not declared shift-equivariant."""
     def image_fn(a, b):
         op = R.image(a, b)
         return op.scale(-1) if (a, b) == (i, j) else op
 
-    return R._derived("%s!flip[%d,%d]" % (R.name, i, j), image_fn)
+    mutant = R._derived("%s!flip[%d,%d]" % (R.name, i, j), image_fn)
+    mutant.shift_equivariant = False
+    return mutant
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +401,9 @@ _PK_TABLE = ((None, -1, -1), (0, None, 1))
 
 
 def _chamber_operator(name, domain, table, k=1):
-    """R(e_ij) as its chamber's segment of table, clipped to the domain."""
+    """R(e_ij) as its chamber's segment of table, clipped to the domain.  At
+    step 1 on the integers the chamber depends on j - i alone and the
+    segment's rows move with i, so R is shift-equivariant."""
     def image_fn(i, j):
         *ends, c = table[j // k >= i // k]
         ends = [None if e is None else i + k * e for e in ends]
@@ -464,6 +411,7 @@ def _chamber_operator(name, domain, table, k=1):
 
     R = RBOperator(name, domain, image_fn)
     R._chambers = (table, k, False)
+    R.shift_equivariant = k == 1 and domain.kind == "integers"
     return R
 
 

@@ -851,3 +851,74 @@ def test_kac_bracket_takes_the_kernel_path(monkeypatch):
         # (1,1): (n^3 + 2n) / 3 with n = window + 1
         assert len(calls) == 24
         assert {s[1][1:] for abc in calls for s in abc[1:]} == {(1, 1)}
+
+
+# ---------------------------------------------------------------------------
+# dY: its kernel from the negated first numerator table
+
+def hand_written_dy_kernel(m, n):
+    """sum_{r < min(m, n)} t^r (x) t^{m+n-r-1} - t^{m+n-r-1} (x) t^r."""
+    return sparse_sum(term for r in range(min(m, n)) for term in (
+        ((r, m + n - r - 1), 1), ((m + n - r - 1, r), -1)))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_dy_kernel_is_the_hand_written_one(N):
+    dY = catalog_bracket("dY", N=N)
+    assert dY.table == tuple((-c, *rest) for c, *rest in CATALOG_TABLES[0])
+    oracle = DoubleBracket.from_kernel("dY", N, hand_written_dy_kernel)
+    labels = [(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
+    for m in range(13):
+        for n in range(13):
+            assert dY.kernel(m, n) == hand_written_dy_kernel(m, n), (m, n)
+            for (i, j), (k, l) in product(labels, labels):
+                s1, s2 = ysym(m, i, j), ysym(n, k, l)
+                assert dY.eval(s1, s2) == oracle.eval(s1, s2)
+
+
+@pytest.mark.parametrize("N, windows", [(1, range(4)), (2, range(4)),
+                                        (3, range(2))])
+def test_dy_certificates_match_the_full_sweep(monkeypatch, N, windows):
+    dY = catalog_bracket("dY", N=N)
+    for window in windows:
+        for check in (check_anticommutativity, check_jacobi, check_leibniz):
+            rep = check(dY, window)
+            assert rep.passed
+            assert rep.to_json() == check(full_sweep(dY), window).to_json()
+    # the certificates decide every window without evaluating dY
+    defects = count_defects(monkeypatch)
+    dY = catalog_bracket("dY", N=N)
+    for check in (check_anticommutativity, check_jacobi, check_leibniz):
+        assert check(dY, 40).passed
+    assert defects == [] and dY._memo == {}
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_flipped_dy_is_rejected(N):
+    dY = catalog_bracket("dY", N=N)
+    mutant = flipped(dY, (ysym(2, 1, 1), ysym(1, 1, 1)))
+    assert mutant.table is None and mutant.kernel is None
+    for check, oracle in ORACLES[:2]:
+        rep = check(mutant, 2)
+        assert not rep.passed, check.__name__
+        assert rep.to_json() == oracle(mutant, 2).to_json()
+
+
+@pytest.mark.parametrize("B", [catalog_bracket("L1"),
+                               catalog_bracket("L1_laurent"),
+                               catalog_bracket("dY")], ids=lambda B: B.name)
+def test_leibniz_on_an_empty_window(B):
+    # a negative window holds no triple: the record is a pass, as for the
+    # other two axioms
+    for check in (check_anticommutativity, check_jacobi, check_leibniz):
+        rep = check(B, -1)
+        assert rep.to_json() == VerificationReport.success(
+            rep.check, B.name, {"window": -1}).to_json()
+    assert check_leibniz(full_sweep(B), -1).passed
+
+
+def test_leibniz_without_a_product_raises_at_every_window():
+    B = catalog_bracket("ex1")
+    for window in (-1, 0, 2):
+        with pytest.raises(ValueError, match="no associative product"):
+            check_leibniz(B, window)

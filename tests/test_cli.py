@@ -396,6 +396,20 @@ def test_verify_leibniz_failers_at_window_zero(capsys, name):
     assert records(out)[-1]["check"] == "leibniz_counterexample"
 
 
+@pytest.mark.parametrize("name, check", [
+    ("dY", "leibniz"), ("L4_laurent", "leibniz"),
+    ("L2_laurent", "leibniz_counterexample")])
+def test_verify_decides_leibniz_at_the_requested_window(capsys, name, check):
+    # every catalog bracket with a product decides Leibniz from its table,
+    # so the record is at the window asked for, not a capped one
+    code, out, _ = run(capsys, "verify", name, "--window", "40")
+    assert code == 0
+    rec = records(out)[-1]
+    assert (rec["check"], rec["window"], rec["status"]) == (check, 40, "pass")
+    if check == "leibniz_counterexample":
+        assert rec["details"] == {"a": "t^-40", "b": "t^-40", "c": "t^-40"}
+
+
 @pytest.mark.parametrize("argv, expect", [
     (("catalog", "list"), 0),
     # the exit code computed before the output was cut still holds

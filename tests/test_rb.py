@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from doublelie import rb
 from doublelie.exact import sparse_sum
@@ -484,9 +484,8 @@ def test_orbit_path_matches_oracle_on_laurent_sign_mutants(name, window,
                                         ("r2_laurent", (-2, -4))])
 def test_orbit_path_reads_units_outside_the_window(name, unit):
     # at window 2 the unit is read only in the support of R(x)y + xR(y), at
-    # window pairs that are no orbit's pair with least index 0: the operator
-    # is shift-equivariant on the window and on every unit the orbit pairs
-    # read, and fails only through that unit
+    # window pairs that are no orbit's pair with least index 0; a mutant is
+    # not declared shift-equivariant, so the full sweep finds that pair
     assert '"status": "fail"' in _same_record(
         mutate_sign(catalog_rb(name), *unit), 2, 4)
 
@@ -495,7 +494,8 @@ def test_orbit_path_checks_the_units_of_settled_pairs():
     # r1_laurent with R(e_{-4,b}) negated for b >= 0: at window 1 every orbit
     # pair's defect is empty, but only pairs that a column run settles read
     # the units on diagonals 4 and 5, e_{-3,1} among them, and R(e_{-4,0})
-    # is not R(e_{-3,1}) moved back along diagonal 4
+    # is not R(e_{-3,1}) moved back along diagonal 4.  Built from bare
+    # images, R declares nothing and takes the full sweep
     base = catalog_rb("r1_laurent")
     R = RBOperator("half_row", INTEGERS, lambda a, b: base.image(a, b)
                    .scale(-1) if a == -4 and b >= 0 else base.image(a, b))
@@ -505,28 +505,37 @@ def test_orbit_path_checks_the_units_of_settled_pairs():
 def test_orbit_path_difference_beyond_cutoff():
     # R(e_aa) = e_{a+22,a+22}, every other image 0, is shift-equivariant;
     # for x = y = e_aa the left side is R(e_aa) and the right side is 0, so
-    # at window 2 the two differ only on u_q with q >= 20
-    far = RBOperator("far", INTEGERS,
-                     lambda i, j: LocallyFiniteOperator.unit(
-                         i + 22, i + 22, INTEGERS) if i == j
-                     else LocallyFiniteOperator.zero(INTEGERS))
-    assert check_rb_identity(far, 2, 19).passed
-    _same_record(far, 2, 19)
-    rep = check_rb_identity(far, 2, 24)
-    assert rep.counterexample == {"x": "e[-2,-2]", "y": "e[-2,-2]", "q": 20,
-                                  "lhs": "1*u_20", "rhs": "0"}
-    _same_record(far, 2, 24)
+    # at window 2 the two differ only on u_q with q >= 20.  Declared or not,
+    # the record is the full sweep's: a nonempty defect on the orbit path
+    # hands the window to it
+    for declared in (False, True):
+        far = RBOperator("far", INTEGERS,
+                         lambda i, j: LocallyFiniteOperator.unit(
+                             i + 22, i + 22, INTEGERS) if i == j
+                         else LocallyFiniteOperator.zero(INTEGERS))
+        far.shift_equivariant = declared
+        assert check_rb_identity(far, 2, 19).passed
+        _same_record(far, 2, 19)
+        rep = check_rb_identity(far, 2, 24)
+        assert rep.counterexample == {"x": "e[-2,-2]", "y": "e[-2,-2]",
+                                      "q": 20, "lhs": "1*u_20", "rhs": "0"}
+        _same_record(far, 2, 24)
+
+
+def _collapse(window):
+    """R(e_{a,a+w}) = e_aa, every other image 0: the identity fails only at
+    x = e_{a,a+w}, y = e_{a+w,a+2w}, whose indices spread over 2w."""
+    return RBOperator("collapse", INTEGERS,
+                      lambda i, j: LocallyFiniteOperator.unit(i, i, INTEGERS)
+                      if j - i == window
+                      else LocallyFiniteOperator.zero(INTEGERS))
 
 
 @pytest.mark.parametrize("window", [1, 2, 3])
 def test_orbit_path_covers_the_widest_orbits(window):
-    # R(e_{a,a+w}) = e_aa, every other image 0: the identity fails only at
-    # x = e_{a,a+w}, y = e_{a+w,a+2w}, whose indices spread over 2w
-    collapse = RBOperator("collapse", INTEGERS,
-                          lambda i, j: LocallyFiniteOperator.unit(
-                              i, i, INTEGERS) if j - i == window
-                          else LocallyFiniteOperator.zero(INTEGERS))
-    rec = _same_record(collapse, window, 2 * window)
+    # built from bare images, collapse declares nothing and takes the full
+    # sweep; the declared case is below
+    rec = _same_record(_collapse(window), window, 2 * window)
     assert '"x": "e[%d,0]", "y": "e[0,%d]"' % (-window, window) in rec
 
 
@@ -536,22 +545,75 @@ def _class_diagonal(i, j):
                                  INTEGERS, 2)
 
 
-def test_shift_of_a_split_class():
-    # the normal form splits such a class at its least nonnegative row, so
-    # moving it by the step changes its segments but not the operator
-    a, b = _class_diagonal(0, 1), _class_diagonal(2, 3)
-    assert a.segs == b.segs != _class_diagonal(1, 2).segs
-    assert rb._is_shift(b, a, 2) and rb._is_shift(_class_diagonal(1, 2), a, 1)
-    assert not rb._is_shift(b, a, 1)
-
-
 @pytest.mark.parametrize("window", [1, 2, 3])
 @pytest.mark.parametrize("name, image_fn", [
     ("strided", lambda i, j: StridedRayOperator(1, i, j + 2, 2, INTEGERS)),
     ("classes", _class_diagonal),
 ])
 def test_orbit_path_on_strided_images(name, image_fn, window):
-    _same_record(RBOperator(name, INTEGERS, image_fn), window, 2 * window)
+    # operators from bare images on the integers take the full sweep
+    R = RBOperator(name, INTEGERS, image_fn)
+    assert not R.shift_equivariant
+    _same_record(R, window, 2 * window)
+
+
+# ---------------------------------------------------------------------------
+# the declaration of shift equivariance, read off the chamber tables
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_declared_orbit_path_covers_the_widest_orbits(window):
+    # collapse is shift-equivariant, as a step-1 table is, so declared it
+    # takes the orbit path: the one failing orbit, of spread 2w, must be
+    # among the orbit pairs for the full sweep to give the record
+    R = _collapse(window)
+    R.shift_equivariant = True
+    rec = _same_record(R, window, 2 * window)
+    assert '"x": "e[%d,0]", "y": "e[0,%d]"' % (-window, window) in rec
+
+
+def test_declarations_follow_the_chamber_tables():
+    r1 = catalog_rb("r1_laurent")
+    assert r1.shift_equivariant and catalog_rb("r2_laurent").shift_equivariant
+    for R in (r1.scaled(-2), conjugate_by(r1, "transpose"),
+              tensor_extend(r1, 3),
+              conjugate_by(catalog_rb("r2_laurent").scaled(3), "transpose")):
+        assert R.shift_equivariant, R.name
+    # a mutant keeps the table for support, not the declaration
+    flip = mutate_sign(r1, 0, 0)
+    assert flip._chambers == r1._chambers and not flip.shift_equivariant
+    assert not mutate_sign(conjugate_by(r1, "transpose"), 1, 2) \
+        .shift_equivariant
+    # a step-2 table splits on i // 2, which an odd shift moves; on the
+    # naturals no shift is an automorphism
+    p2 = rb._chamber_operator("p2_laurent", INTEGERS, rb._PK_TABLE, 2)
+    assert p2._chambers and not p2.shift_equivariant
+    for name in ("r1", "r2", "r3", "kac"):
+        assert not catalog_rb(name).shift_equivariant, name
+    assert not catalog_rb("zero", domain=INTEGERS).shift_equivariant
+
+
+_ENDS = st.sampled_from((None, -1, 0, 1))
+_CHAMBER = st.tuples(_ENDS, _ENDS, st.integers(-2, 2))
+# the catalog's two step-1 tables, scaled, pass
+_PASSING = st.builds(lambda table, c: tuple((lo, hi, c * d)
+                                            for lo, hi, d in table),
+                     st.sampled_from((rb._R1_TABLE, rb._PK_TABLE)),
+                     st.sampled_from((-2, -1, 1, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.tuples(_CHAMBER, _CHAMBER), _PASSING),
+       st.integers(1, 3))
+@example(rb._R1_TABLE, 3)
+@example(((0, None, 1), (0, None, 1)), 2)
+@example(((None, None, 1), (None, None, 1)), 2)
+def test_random_step_one_tables_match_the_full_sweep(table, window):
+    # most random tables fail, at their first failing pair
+    R = rb._chamber_operator("T", INTEGERS, table)
+    assert R.shift_equivariant
+    want = _two_sided_rb(R, window, 2 * window)
+    assert check_rb_identity(R, window, 2 * window).to_json() == \
+        want.to_json(), table
 
 
 def _counting(monkeypatch):
@@ -583,10 +645,10 @@ def test_orbit_path_products(monkeypatch):
     # the 256 defects
     assert check_rb_identity(catalog_rb("r1"), 3).passed
     assert len(defects) == 1045 + 120 and not products
-    # a corrupted window unit fails the window precheck, so only the full
-    # sweep runs, up to its first failing pair; (-3, 3) and (3, -3) are the
-    # one window unit on their diagonals.  Each row's first defect is
-    # computed, and those where a run meets the corrupted unit
+    # a mutant is not declared shift-equivariant, so only the full sweep
+    # runs, up to its first failing pair; (-3, 3) and (3, -3) are the one
+    # window unit on their diagonals.  Each row's first defect is computed,
+    # and those where a run meets the corrupted unit
     for unit, count in (((1, -1), 11), ((-3, 3), 2), ((3, -3), 16)):
         defects.clear()
         products.clear()
