@@ -481,18 +481,24 @@ def _antisymmetric(B, a, b):
         all(ba.get((y, x)) == -c for (x, y), c in ab.items())
 
 
+def _certified_anticommutative(B):
+    """Whether B carries a numerator table whose anticommutativity
+    certificate is zero, which proves <<a, b>> = -swap(<<b, a>>) for every
+    pair of any degrees."""
+    return B.table is not None and not _anticommutativity_numerator(B.table)
+
+
 def check_anticommutativity(B, window=8):
     """<<a, b>> = -swap(<<b, a>>) on all window basis pairs.
 
-    A bracket with a numerator table passes at once when its certificate
-    (_anticommutativity_numerator) is zero.  Otherwise the defect at (b, a)
-    is the swap of the defect at (a, b), so only the pairs with a at or
-    before b in sweep order are checked: the full sweep's first failing pair
-    has that form.  A bracket with a degree kernel is swept on its
-    label-(1,1) symbols (see _sweep_syms), since both sides of
-    (t^m e_ij, t^n e_kl) carry the labels e_kj (x) e_il."""
+    A bracket passes at once when _certified_anticommutative holds.
+    Otherwise the defect at (b, a) is the swap of the defect at (a, b), so
+    only the pairs with a at or before b in sweep order are checked: the
+    full sweep's first failing pair has that form.  A bracket with a degree
+    kernel is swept on its label-(1,1) symbols (see _sweep_syms), since both
+    sides of (t^m e_ij, t^n e_kl) carry the labels e_kj (x) e_il."""
     params = {"window": window}
-    if B.table is not None and not _anticommutativity_numerator(B.table):
+    if _certified_anticommutative(B):
         return VerificationReport.success("anticommutativity", B.name, params)
     syms = _sweep_syms(B, window)
     for i, a in enumerate(syms):
@@ -528,54 +534,19 @@ def jacobi_defect(B, a, b, c):
 
 
 def check_jacobi(B, window=8):
-    """Exact double Jacobi identity on all window basis triples, computed on
-    one triple per rotation class.
+    """Exact double Jacobi identity on all window basis triples.
 
     A bracket with a numerator table passes at once when its certificate
-    (_jacobi_numerator) is zero.  Otherwise, let A(a,b,c) = <<a,<<b,c>>>>_L
-    and J(a,b,c) = A(a,b,c) + tau A(b,c,a) + tau^2 A(c,a,b), tau moving the
-    last slot to the front.  Then J(b,c,a) = tau^-1 J(a,b,c), and
-    jacobi_defect(a,b,c) = J(a,b,c) when <<c,a>> and every <<c,x>>, x a
-    first factor of <<a,b>>, are anticommutative (the second and third sums
-    of jacobi_defect are then tau A(b,c,a) and tau^2 A(c,a,b)).  So the
-    sweep, in its (a, b, c) order, computes the defect of each triple that
-    is the least of its rotations and skips any other triple whose pairs and
-    whose least rotation's pairs pass that test; the least rotation came
-    earlier and had no defect.  A triple whose test fails gets its defect
-    computed.  Every triple is thus decided in the full sweep's order, and
-    the record is the full sweep's.  The pairs tested may lie outside the
-    window.  A bracket with a degree kernel is swept on its label-(1,1)
-    symbols only (see _sweep_syms)."""
+    (_jacobi_numerator) is zero; otherwise every triple is swept.  A bracket
+    with a degree kernel is swept on its label-(1,1) symbols only (see
+    _sweep_syms)."""
     params = {"window": window}
     if B.table is not None and not _jacobi_numerator(B.table):
         return VerificationReport.success("jacobi", B.name, params)
     syms = _sweep_syms(B, window)
-    needs, known = {}, {}
-
-    def cyclic(a, b, c):
-        # <<c, x>> anticommutative for x = a and each first factor of <<a, b>>
-        need = needs.get((a, b))
-        if need is None:
-            need = needs[(a, b)] = {a}.union(
-                x for x, _y in B.eval(a, b).terms)
-        done = known.setdefault(c, set())
-        if need <= done:
-            return True
-        for x in need - done:
-            if not _antisymmetric(B, c, x):
-                return False
-            done.add(x)
-        return True
-
-    n = len(syms)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                a, b, c = syms[i], syms[j], syms[k]
-                least = min((i, j, k), (j, k, i), (k, i, j))
-                if least != (i, j, k) and cyclic(a, b, c) and \
-                        cyclic(*(syms[r] for r in least)):
-                    continue
+    for a in syms:
+        for b in syms:
+            for c in syms:
                 defect = jacobi_defect(B, a, b, c)
                 if defect:
                     key = min(defect)

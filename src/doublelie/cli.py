@@ -116,9 +116,8 @@ def _cmd_catalog_list(args):
 def _verify_operator(name, window, cutoff):
     from .rb import check_rb_identity, check_skew_symmetry
     R = catalog_rb(name)
-    lw = min(window, 8) if name.endswith("_laurent") else window
-    return [check_rb_identity(R, lw, cutoff),
-            check_skew_symmetry(R, lw)]
+    return [check_rb_identity(R, window, cutoff),
+            check_skew_symmetry(R, window)]
 
 
 # Brackets that are known not to obey the Leibniz rule: for these the

@@ -26,13 +26,11 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from functools import cache, partial
-from itertools import repeat
 from math import inf, lcm
 import random
 
-from .brackets import (BasisCarrier, DoubleBracket, _antisymmetric,
-                       catalog_bracket)
+from .brackets import (BasisCarrier, DoubleBracket,
+                       _certified_anticommutative, catalog_bracket)
 from .exact import Tensor2, Vec, sparse_sum, tsym
 from .grammar import render_sym, render_vec
 from .linalg import echelon
@@ -168,7 +166,7 @@ def quotient_reduce(u, I):
 # ---------------------------------------------------------------------------
 # ideal verification and quotient brackets
 
-def _survivor(B, I, window, antisymmetric):
+def _survivor(B, I, window, anticommutative):
     """The first bracket value of a window symbol v with an integer echelon
     row of I, either way round, that survives the quotient map, in a fixed
     sweep order: (v, k, side, terms of the surviving tensor times D^2 and
@@ -177,12 +175,12 @@ def _survivor(B, I, window, antisymmetric):
     Laurent values can also fall below degree -window; those are skipped
     too.
 
-    The "ideal,ambient" value <<g, v>> of the row g is computed only when
-    antisymmetric(v, s) (brackets._antisymmetric) fails for some symbol s
-    of g.  Otherwise it is -swap(<<v, g>>) by bilinearity; the quotient map
-    applies one projection table to both factors, so it commutes with swap,
-    and the Laurent filter is symmetric in the factors: it dies (or is
-    skipped) with the "ambient,ideal" value, which comes first.
+    When anticommutative is set (brackets._certified_anticommutative), no
+    "ideal,ambient" value <<g, v>> of a row g is computed: it is
+    -swap(<<v, g>>), the quotient map applies one projection table to both
+    factors, so it commutes with swap, and the Laurent filter is symmetric
+    in the factors, so it dies (or is skipped) with the "ambient,ideal"
+    value, which comes first.
 
     Off Laurent carriers every term of every value swept lies in the window,
     so the bracket terms are projected as they come, with no summed value;
@@ -204,7 +202,7 @@ def _survivor(B, I, window, antisymmetric):
                 continue
             for flip, side in ((False, "ambient,ideal"),
                                (True, "ideal,ambient")):
-                if flip and all(map(antisymmetric, repeat(v), g)):
+                if flip and anticommutative:
                     break
                 pairs = ((key, c * cg) for s, cg in g.items()
                          for key, c in (B.eval(s, v) if flip
@@ -224,7 +222,7 @@ def is_ideal(B, I, window):
     """Both-sided window check that bracketing the subspace stays inside
     I (x) V + V (x) I."""
     params = {"window": window, "subspace_dim": I.dim}
-    found = _survivor(B, I, window, cache(partial(_antisymmetric, B)))
+    found = _survivor(B, I, window, _certified_anticommutative(B))
     if found is None:
         return VerificationReport.success("is_ideal", B.name, params)
     v, k, side, _surv = found
@@ -307,10 +305,10 @@ def ideal_closure(B, seeds, window, budget=5000):
     first survivor.  Returns (closures, exhausted): the inclusion-minimal
     closures found (_inclusion_minimal), in the order found, and whether the
     node budget ran out first.  No node is expanded twice, so the closures
-    are distinct.  Every node shares one cache of the antisymmetry test
-    that _survivor reads, so each pair is tested at most once per call."""
+    are distinct.  The anticommutativity certificate that _survivor reads
+    is decided once per call."""
     start = Subspace.from_vectors(B.carrier, window, seeds)
-    antisymmetric = cache(partial(_antisymmetric, B))
+    anticommutative = _certified_anticommutative(B)
     queue = deque([start])
     seen = set()
     closures = []
@@ -331,7 +329,7 @@ def ideal_closure(B, seeds, window, budget=5000):
             closures.append(I)
             continue
         # the first bracket value that survives, if any, decides the node
-        found = _survivor(B, I, window, antisymmetric)
+        found = _survivor(B, I, window, anticommutative)
         if found is None:
             closures.append(I)
             continue

@@ -608,11 +608,17 @@ def test_flipped_catalog_brackets_match_the_full_sweeps(name, window, pick):
     pairs = _flip_pairs(B, window)
     mutant = flipped(B, pairs[pick % len(pairs)])
     assert mutant.table is None
+    assert not brackets._certified_anticommutative(mutant)
     assert_records_agree(mutant, window)
 
 
 def test_catalog_records_match_the_full_sweeps():
+    assert brackets._certified_anticommutative(catalog_bracket("zero"))
     for name in CATALOG_BRACKET_NAMES:
+        B = catalog_bracket(name)
+        assert brackets._certified_anticommutative(B) == \
+            (B.table is not None)
+        assert not brackets._certified_anticommutative(full_sweep(B))
         for window in range(4 if name != "dY" else 2):
             assert_records_agree(catalog_bracket(name), window)
 
@@ -634,17 +640,6 @@ def count_calls(monkeypatch, name):
 
 def count_defects(monkeypatch):
     return count_calls(monkeypatch, "jacobi_defect")
-
-
-def test_jacobi_computes_one_triple_per_rotation_class(monkeypatch):
-    calls = count_defects(monkeypatch)
-    assert check_jacobi(full_sweep(catalog_bracket("L1_laurent")), 6).passed
-    # (n^3 + 2n) / 3 with n = 13 window symbols, against n^3 = 2197
-    assert len(calls) == 741
-    degrees = {(a[1], b[1], c[1]) for _B, a, b, c in calls}
-    assert len(degrees) == 741
-    assert all(abc == min(abc, abc[1:] + abc[:1], abc[2:] + abc[:2])
-               for abc in degrees)
 
 
 def _reads_below_the_window():
@@ -847,9 +842,8 @@ def test_kac_bracket_takes_the_kernel_path(monkeypatch):
         del calls[:]
         assert check_jacobi(B, window).passed
         assert check_leibniz(B, window).passed
-        # one triple per rotation class of degree triples, all on label
-        # (1,1): (n^3 + 2n) / 3 with n = window + 1
-        assert len(calls) == 24
+        # every degree triple, all on label (1,1): (window + 1)^3
+        assert len(calls) == 64
         assert {s[1][1:] for abc in calls for s in abc[1:]} == {(1, 1)}
 
 

@@ -396,18 +396,23 @@ def test_verify_leibniz_failers_at_window_zero(capsys, name):
     assert records(out)[-1]["check"] == "leibniz_counterexample"
 
 
-@pytest.mark.parametrize("name, check", [
-    ("dY", "leibniz"), ("L4_laurent", "leibniz"),
-    ("L2_laurent", "leibniz_counterexample")])
-def test_verify_decides_leibniz_at_the_requested_window(capsys, name, check):
+@pytest.mark.parametrize("name, window, checks", [
+    ("dY", 40, ("leibniz",)), ("L4_laurent", 40, ("leibniz",)),
+    ("L2_laurent", 40, ("leibniz_counterexample",)),
+    ("r1_laurent", 12, ("rb_identity", "skew_symmetry")),
+    ("r2_laurent", 12, ("rb_identity", "skew_symmetry"))])
+def test_verify_decides_at_the_requested_window(capsys, name, window, checks):
     # every catalog bracket with a product decides Leibniz from its table,
-    # so the record is at the window asked for, not a capped one
-    code, out, _ = run(capsys, "verify", name, "--window", "40")
+    # and the Laurent operators sweep the window asked for, so the records
+    # are at that window, not a capped one
+    code, out, _ = run(capsys, "verify", name, "--window", str(window))
     assert code == 0
-    rec = records(out)[-1]
-    assert (rec["check"], rec["window"], rec["status"]) == (check, 40, "pass")
-    if check == "leibniz_counterexample":
-        assert rec["details"] == {"a": "t^-40", "b": "t^-40", "c": "t^-40"}
+    recs = records(out)[-len(checks):]
+    assert [(r["check"], r["window"], r["status"]) for r in recs] == \
+        [(check, window, "pass") for check in checks]
+    if checks == ("leibniz_counterexample",):
+        assert recs[0]["details"] == {
+            "a": "t^-40", "b": "t^-40", "c": "t^-40"}
 
 
 @pytest.mark.parametrize("argv, expect", [

@@ -8,17 +8,16 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import cache, partial
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from doublelie import brackets, ideals
-from doublelie.brackets import (DoubleBracket, PolyCarrier, _antisymmetric,
-                                bracket_from_rb, catalog_bracket,
-                                check_anticommutativity, check_homomorphism,
-                                check_jacobi)
+from doublelie.brackets import (DoubleBracket, PolyCarrier,
+                                _certified_anticommutative, bracket_from_rb,
+                                catalog_bracket, check_anticommutativity,
+                                check_homomorphism, check_jacobi)
 from doublelie.exact import Tensor2, Vec, esym, sparse_sum, tsym
 from doublelie.grammar import parse_poly, render_vec
 from doublelie.ideals import (Subspace, _inclusion_minimal, _survivor,
@@ -323,12 +322,12 @@ def test_survivors_are_positive_multiples_of_the_quotient(gens, name):
 
 
 def _first_survivor(B, I, window):
-    """_survivor with the antisymmetry test the package passes it."""
-    return _survivor(B, I, window, cache(partial(_antisymmetric, B)))
+    """_survivor with the certificate the package passes it."""
+    return _survivor(B, I, window, _certified_anticommutative(B))
 
 
 def _two_sided_survivors(B, I, window):
-    """Every survivor of the sweep of _survivor with no antisymmetry test:
+    """Every survivor of the sweep of _survivor with no certificate:
     both sides of every pair, each value summed (eval_linear) and then
     projected, as a list in sweep order."""
     carrier, shift = B.carrier, B.degree_shift
@@ -371,6 +370,7 @@ def test_survivors_match_the_two_sided_sweep_on_catalog_brackets(gens,
                                                                  name):
     B = catalog_bracket(name)
     window, I = _five_sym_span(B.carrier, gens)
+    assert _certified_anticommutative(B)
     assert _first_survivor(B, I, window) == \
         next(iter(_two_sided_survivors(B, I, window)), None)
 
@@ -413,6 +413,7 @@ def test_survivors_match_the_two_sided_sweep_on_random_brackets(
     B = _random_bracket(PolyCarrier(laurent), shift, seed, antisymmetrise)
     window, I = _five_sym_span(B.carrier, gens)
     assert check_anticommutativity(B, window).passed or not antisymmetrise
+    assert not _certified_anticommutative(B)
     assert _first_survivor(B, I, window) == \
         next(iter(_two_sided_survivors(B, I, window)), None)
 
@@ -431,12 +432,12 @@ def _flipped(B, pair):
        st.sampled_from(("L1", "L2", "L3", "L4", "L1_laurent", "L2_laurent",
                         "L3_laurent", "L4_laurent")))
 def test_survivors_match_the_two_sided_sweep_on_single_flips(gens, name):
-    # one flipped value leaves every other pair antisymmetric, so the sweep
-    # computes the "ideal,ambient" value only at the pairs that read it
+    # a flipped copy carries no table, so the sweep computes both sides
     B = catalog_bracket(name)
     window, I = _five_sym_span(B.carrier, gens)
     for pair in product(B.carrier.window_syms(window), repeat=2):
         F = _flipped(B, pair)
+        assert not _certified_anticommutative(F)
         assert _first_survivor(F, I, window) == \
             next(iter(_two_sided_survivors(F, I, window)), None), pair
 
@@ -452,15 +453,19 @@ def test_a_one_sided_survivor_is_found_without_the_certificate():
     assert got[:3] == (tsym(1), 0, "ideal,ambient")
     assert is_ideal(B, I, 3).counterexample == {
         "ambient": "t^1", "generator": "t^1 + t^2", "order": "ideal,ambient"}
+    closures, exhausted = ideal_closure(B, [parse_poly("t + t^2")], 3)
+    assert not exhausted and I.key() not in {J.key() for J in closures}
+    assert all(is_ideal(B, J, 3).passed for J in closures)
 
 
 def test_closure_search_on_a_bracket_defined_on_part_of_the_window():
     # the quotient's values at the top of its window leave L1's window, so
-    # a whole-window sweep raises there; the ideal sweep and its
-    # antisymmetry test read only pairs whose values stay inside, and the
-    # search completes
+    # a whole-window sweep raises there; the quotient has no certificate,
+    # so the ideal sweep computes both sides, of only the pairs whose values
+    # stay inside, and the search completes
     L1 = catalog_bracket("L1")
     Q = quotient_bracket(L1, span(L1.carrier, 8, Vec.basis(tsym(0))), 8)
+    assert not _certified_anticommutative(Q)
     with pytest.raises(ValueError):
         check_anticommutativity(Q, 8)
     closures, exhausted = ideal_closure(Q, [Vec.basis(tsym(1))], 8)
@@ -468,8 +473,7 @@ def test_closure_search_on_a_bracket_defined_on_part_of_the_window():
     assert all(is_ideal(Q, I, 8).passed for I in closures)
 
 
-def test_closure_search_tests_each_pair_once_and_builds_no_report(
-        monkeypatch):
+def test_closure_search_on_a_certified_bracket_reads_one_side(monkeypatch):
     calls = Counter()
 
     def counted(name, fn):
@@ -478,17 +482,31 @@ def test_closure_search_tests_each_pair_once_and_builds_no_report(
             return fn(*args)
         return wrapper
 
-    def antisymmetric(B, a, b):
-        calls[a, b] += 1
-        return _antisymmetric(B, a, b)
+    evals = []
+    ev = DoubleBracket.eval
+    survivor = ideals._survivor
+
+    def one_sided(B, I, window, anticommutative):
+        # every value the node's sweep reads is <<v, s>>, s in the support
+        # of a row of I: no "ideal,ambient" value <<s, v>> of a symbol v
+        # outside that support
+        assert anticommutative
+        del evals[:]
+        found = survivor(B, I, window, anticommutative)
+        support = {s for row in I.rows for s in I.vec_of(row).terms}
+        assert evals and all(b in support for _a, b in evals)
+        calls["node"] += 1
+        return found
 
     monkeypatch.setattr(brackets, "check_anticommutativity", counted(
         "check_anticommutativity", brackets.check_anticommutativity))
     monkeypatch.setattr(VerificationReport, "__init__", counted(
         "VerificationReport", VerificationReport.__init__))
-    monkeypatch.setattr(ideals, "_antisymmetric", antisymmetric)
     monkeypatch.setattr(DoubleBracket, "eval_linear", counted(
         "eval_linear", DoubleBracket.eval_linear))
+    monkeypatch.setattr(DoubleBracket, "eval", lambda B, a, b: evals.append(
+        (a, b)) or ev(B, a, b))
+    monkeypatch.setattr(ideals, "_survivor", one_sided)
     closures, exhausted = ideal_closure(catalog_bracket("L1"),
                                         [parse_poly("t^2 + 4*t - 1")], 7)
     assert not exhausted and len(closures) > 1
@@ -496,8 +514,7 @@ def test_closure_search_tests_each_pair_once_and_builds_no_report(
     for name in ("check_anticommutativity", "VerificationReport",
                  "eval_linear"):
         assert calls.pop(name, 0) == 0, name
-    # the pairs (ambient, ideal symbol) whose "ambient,ideal" value died
-    assert calls and set(calls.values()) == {1}
+    assert calls["node"] > 1
 
 
 def test_is_ideal_renders_the_monic_generator():
