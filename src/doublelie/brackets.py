@@ -213,23 +213,6 @@ class DoubleBracket:
 # ---------------------------------------------------------------------------
 # divided-difference closed forms
 
-def _divide_by_x_minus_y(num):
-    """Exact quotient of a bivariate (Laurent) polynomial {(a, b): coeff} by
-    x - y; raises if the division leaves a remainder.
-
-    With s the least x-exponent, x^a y^b = x^s y^b (x^(a-s) - y^(a-s))
-    + x^s y^(a-s+b), and (x^k - y^k)/(x - y) = sum_{i<k} x^i y^(k-1-i); the
-    second parts sum to x^s times a polynomial in y alone, which must
-    vanish."""
-    if not num:
-        return {}
-    s = min(a for a, _ in num)
-    if sparse_sum((a + b, c) for (a, b), c in num.items()):
-        raise ValueError("numerator not divisible by x - y")
-    return sparse_sum(((s + i, a - s - 1 - i + b), c)
-                      for (a, b), c in num.items() for i in range(a - s))
-
-
 # The numerators N_{f,g}(x, y) of the catalog brackets
 # <<f, g>> = N_{f,g}(x, y)/(x - y).  An entry (c, a, b, f_at, g_at) is the
 # term c x^a y^b f(v) g(w), where f_at and g_at name v and w: X for x, Y for y.
@@ -248,18 +231,32 @@ _DY_TABLE = tuple((-c, *term) for c, *term in _DD_TABLES["L1"])
 
 def divided_difference(variant, n, m):
     """The bracket <<t^n, t^m>> of a numerator table, or of the polynomial
-    catalog bracket (L1..L4) that variant names, obtained by an honest
-    bivariate division by x - y (x = t (x) 1, y = 1 (x) t).  Negative
-    exponents give the Laurent extension."""
+    catalog bracket (L1..L4) that variant names: N_{t^n,t^m}(x, y)/(x - y)
+    (x = t (x) 1, y = 1 (x) t), raising ValueError when x - y leaves a
+    remainder.  Negative exponents give the Laurent extension.
+
+    In total degree d, N = (x - y) Q makes the coefficient of
+    x^j y^(d-1-j) in Q minus the sum of N's coefficients at x-exponents at
+    most j, so one walk over N's sorted exponents reads Q off; x - y divides
+    N exactly when each degree's coefficients sum to zero."""
     table = _DD_TABLES.get(variant) if isinstance(variant, str) else variant
     if table is None:
         raise ValueError("unknown divided-difference variant %r" % variant)
-    terms = []
-    for c, a, b, f_at, g_at in table:
-        y = b + n * f_at + m * g_at  # X = 0 and Y = 1
-        terms.append(((a + b + n + m - y, y), c))
-    quot = _divide_by_x_minus_y(sparse_sum(terms))
-    return Tensor2({(tsym(a), tsym(b)): c for (a, b), c in quot.items()})
+    # (total degree, x-exponent) -> coefficient, with X = 0 and Y = 1
+    num = sparse_sum(((a + b + n + m, a + n * (1 - f_at) + m * (1 - g_at)), c)
+                     for c, a, b, f_at, g_at in table)
+    quot, acc, last = {}, 0, None
+    for d, x in sorted(num):
+        if acc:
+            if d != last[0]:
+                raise ValueError("numerator not divisible by x - y")
+            quot.update(((tsym(j), tsym(d - 1 - j)), -acc)
+                        for j in range(last[1], x))
+        acc += num[d, x]
+        last = d, x
+    if acc:
+        raise ValueError("numerator not divisible by x - y")
+    return Tensor2(quot)
 
 
 # ---------------------------------------------------------------------------

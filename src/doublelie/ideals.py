@@ -2,7 +2,8 @@
 ideal verification, closure search, and a scripted simplicity replay.
 
 A subspace of a windowed carrier is stored as a reduced-echelon basis over
-the window's coordinate list, in primitive integer rows (``linalg.echelon``),
+the window's coordinate list, in primitive integer rows (``linalg.echelon``,
+whose elimination is integer-only once the input rows are made primitive),
 so membership, equality and quotient representatives are all canonical.  The
 quotient map sends a tensor to its image in (V/I) (x) (V/I) using
 echelon-complement coordinates: a tensor maps to zero exactly when it lies
@@ -17,9 +18,10 @@ branching rule lists (adjoin the left factors, the right factors, or a mixed
 split from a rank decomposition).  The rule is not exhaustive (a tensor
 a (x) x + b (x) y also dies modulo span{a - lb, lx + y} for every l), so the
 closures returned are inclusion-minimal among the closures the branching rule
-reaches, not among all ideals containing the seed.  Diagonal rank-one
-survivors v (x) v force v itself into the ideal, which is the engine of the
-simplicity replay.
+reaches, not among all ideals containing the seed; minimality is decided by
+transitivity, each closure against the smaller minimal ones only.  Diagonal
+rank-one survivors v (x) v force v itself into the ideal, which is the
+engine of the simplicity replay.
 """
 
 from __future__ import annotations
@@ -100,8 +102,9 @@ class Subspace:
 
     def basis_vec(self, k):
         """The k-th echelon row as a vector, monic at its pivot."""
-        row, p = self.rows[k], self.pivots[k]
-        return self.vec_of([_over(c, row[p]) for c in row])
+        row = self.rows[k]
+        a = row[self.pivots[k]]
+        return Vec({s: _over(c, a) for s, c in zip(self.syms, row) if c})
 
     def basis_vecs(self):
         """The echelon rows as vectors, monic at their pivots."""
@@ -183,11 +186,12 @@ def _survivor(B, I, window, anticommutative):
     value, which comes first.
 
     Off Laurent carriers every term of every value swept lies in the window,
-    so the bracket terms are projected as they come, with no summed value;
-    a Laurent value is summed first, for its filter."""
+    so one sum runs over g's symbols, the bracket terms and both factors'
+    projections, with no summed value; a Laurent value is summed first, for
+    its filter."""
     carrier, shift = B.carrier, B.degree_shift
     laurent = getattr(carrier, "laurent", False)
-    pos = I.pos
+    pos, table = I.pos, I._projections()[1]
     gens = []
     for k, row in enumerate(I.rows):
         g = I.vec_of(row)
@@ -204,15 +208,20 @@ def _survivor(B, I, window, anticommutative):
                                (True, "ideal,ambient")):
                 if flip and anticommutative:
                     break
-                pairs = ((key, c * cg) for s, cg in g.items()
-                         for key, c in (B.eval(s, v) if flip
-                                        else B.eval(v, s)).items())
                 if laurent:
-                    value = sparse_sum(pairs)
+                    value = sparse_sum(
+                        (key, c * cg) for s, cg in g.items()
+                        for key, c in (B.eval(s, v) if flip
+                                       else B.eval(v, s)).items())
                     if not all(a in pos and b in pos for a, b in value):
                         continue
-                    pairs = value.items()
-                surv = _quotient_numerators(pairs, I)
+                    surv = _quotient_numerators(value.items(), I)
+                else:
+                    surv = sparse_sum(
+                        ((sa, sb), c * cg * ca * cb) for s, cg in g.items()
+                        for (a, b), c in (B.eval(s, v) if flip
+                                          else B.eval(v, s)).items()
+                        for sa, ca in table[a] for sb, cb in table[b])
                 if surv:
                     return v, k, side, surv
     return None
@@ -279,20 +288,22 @@ def _branches_for(T):
 
 def _inclusion_minimal(spaces):
     """The spaces, in order, that properly contain none of the others; the
-    spaces are pairwise distinct.  I properly contains J when J.dim < I.dim
-    and every echelon row of J lies in I.  The membership tests run only for
-    pairs that also pass a cheap necessary test: J's pivots are a subset of
-    I's, because in reduced echelon form the pivots are the leading
-    coordinates of the space's vectors."""
-    pivots = [frozenset(I.pivots) for I in spaces]
-
-    def properly_contains(I, P, J, Q):
-        return (J.dim < I.dim and Q <= P
-                and all(I.contains(J.vec_of(row)) for row in J.rows))
-
-    return [I for I, P in zip(spaces, pivots)
-            if not any(properly_contains(I, P, J, Q)
-                       for J, Q in zip(spaces, pivots))]
+    spaces are pairwise distinct.  A space properly contains another exactly
+    when it properly contains a minimal one (by transitivity), so the spaces
+    are visited by ascending dimension and each is tested only against the
+    minimal spaces kept so far.  I properly contains J when J.dim < I.dim and
+    every echelon row of J lies in I; the membership tests run only when J's
+    pivots are a subset of I's (compared as bitmasks), because in reduced
+    echelon form the pivots are the leading coordinates of the space's
+    vectors."""
+    kept = []  # (index, space, pivot mask, echelon rows as vectors)
+    for k in sorted(range(len(spaces)), key=lambda k: spaces[k].dim):
+        I = spaces[k]
+        P = sum(1 << p for p in I.pivots)
+        if not any(J.dim < I.dim and not Q & ~P
+                   and all(map(I.contains, rows)) for _k, J, Q, rows in kept):
+            kept.append((k, I, P, list(map(I.vec_of, I.rows))))
+    return [I for _k, I, _P, _rows in sorted(kept, key=lambda m: m[0])]
 
 
 def ideal_closure(B, seeds, window, budget=5000):

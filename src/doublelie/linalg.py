@@ -3,7 +3,8 @@
 Rows are lists of Fractions (or ints); everything is done by Gaussian
 elimination with exact arithmetic, so ranks, memberships and inverses carry
 no numerical caveats.  ``echelon`` is the fraction-free counterpart of
-``rref`` (Bareiss, Math. Comp. 1968): it keeps primitive integer rows.
+``rref`` (Bareiss, Math. Comp. 1968): it keeps primitive integer rows, and
+only its input rows are ever rational.
 """
 
 from __future__ import annotations
@@ -57,11 +58,9 @@ def invert_matrix(rows):
     return [row[n:] for row in red[:n]]
 
 
-def _primitive_row(row):
-    """The primitive integer multiple of a rational row whose first nonzero
-    entry is positive, as a tuple; None for the zero row."""
-    den = lcm(*(c.denominator for c in row))
-    ints = [c.numerator * (den // c.denominator) for c in row]
+def _primitive(ints):
+    """The primitive multiple of an integer row whose first nonzero entry is
+    positive, as a tuple; None for the zero row."""
     g = gcd(*ints)
     if not g:
         return None
@@ -70,21 +69,29 @@ def _primitive_row(row):
     return tuple(ints) if g == 1 else tuple(c // g for c in ints)
 
 
+def _primitive_row(row):
+    """_primitive of the least integer multiple of a rational row."""
+    den = lcm(*(c.denominator for c in row))
+    return _primitive([c.numerator * (den // c.denominator) for c in row])
+
+
 def echelon(new, rows=(), pivots=()):
     """The reduced echelon form of the span of rows and new, fraction-free:
     (rows, pivots), the rows primitive integer tuples with positive pivots in
     pivot order, each a positive multiple of the matching row of ``rref``.
     (rows, pivots) must already be such a form; the new rational rows are
-    inserted one at a time.  A new row v loses its entry f at each row r's
-    pivot a by v <- (a v - f r) / gcd(a, f); then each row r loses its entry
-    f at v's pivot b by r <- b r - f v.  Each result is made primitive."""
+    made primitive integer rows once and inserted one at a time.  A new row
+    v loses its entry f at each row r's pivot a by v <- (a v - f r) /
+    gcd(a, f); then each row r loses its entry f at v's pivot b by
+    r <- b r - f v.  Every combination is an integer row, made primitive by
+    its gcd and sign alone."""
     rows, pivots = list(rows), list(pivots)
     for v in map(_primitive_row, new):
         for r, p in zip(rows, pivots):
             if v and v[p]:
                 g = gcd(r[p], v[p])
                 a, f = r[p] // g, v[p] // g
-                v = _primitive_row([a * x - f * y for x, y in zip(v, r)])
+                v = _primitive([a * x - f * y for x, y in zip(v, r)])
         if not v:
             continue
         q = next(i for i, c in enumerate(v) if c)
@@ -92,7 +99,7 @@ def echelon(new, rows=(), pivots=()):
         for k, r in enumerate(rows):
             f = r[q]
             if f:
-                rows[k] = _primitive_row([b * x - f * y for x, y in zip(r, v)])
+                rows[k] = _primitive([b * x - f * y for x, y in zip(r, v)])
         k = bisect(pivots, q)
         rows.insert(k, v)
         pivots.insert(k, q)

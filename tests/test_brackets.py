@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from doublelie import brackets
 from doublelie.brackets import (CATALOG_BRACKET_NAMES, BasisCarrier,
@@ -746,6 +746,55 @@ def test_zero_certificates_hold_on_catalog_combinations(table, carrier):
 @given(_divisible_tables(), _TABLE_CARRIERS)
 def test_zero_certificates_hold_on_small_tables(table, carrier):
     assert_certificates_sound(table, carrier)
+
+
+def divide_by_x_minus_y(num):
+    """Exact quotient of a bivariate (Laurent) polynomial {(a, b): coeff} by
+    x - y, by division; raises if the division leaves a remainder.
+
+    With s the least x-exponent, x^a y^b = x^s y^b (x^(a-s) - y^(a-s))
+    + x^s y^(a-s+b), and (x^k - y^k)/(x - y) = sum_{i<k} x^i y^(k-1-i); the
+    second parts sum to x^s times a polynomial in y alone, which must
+    vanish.  Applied to all total degrees at once."""
+    if not num:
+        return {}
+    s = min(a for a, _ in num)
+    if sparse_sum((a + b, c) for (a, b), c in num.items()):
+        raise ValueError("numerator not divisible by x - y")
+    return sparse_sum(((s + i, a - s - 1 - i + b), c)
+                      for (a, b), c in num.items() for i in range(a - s))
+
+
+def oracle_divided_difference(table, n, m):
+    """N_{t^n,t^m}(x, y)/(x - y) of a numerator table, by division."""
+    num = sparse_sum(((a + n * (1 - f_at) + m * (1 - g_at),
+                       b + n * f_at + m * g_at), c)
+                     for c, a, b, f_at, g_at in table)
+    return Tensor2({(tsym(a), tsym(b)): c
+                    for (a, b), c in divide_by_x_minus_y(num).items()})
+
+
+_NUMERATOR_ENTRIES = st.lists(st.tuples(
+    st.integers(-2, 2).filter(bool), st.integers(0, 2), st.integers(0, 2),
+    st.sampled_from((X, Y)), st.sampled_from((X, Y))), max_size=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_COMBINATIONS, _NUMERATOR_ENTRIES, st.integers(-4, 4),
+       st.integers(-4, 4))
+@example(((1, 0, 0, X, X),), [], 2, 1)
+@example(CATALOG_TABLES[0] + CATALOG_TABLES[2], [(1, 1, 0, X, Y)], -2, 3)
+def test_divided_difference_matches_the_division(combination, extra, n, m):
+    # inhomogeneous Laurent numerators: catalog combinations of mixed total
+    # degree, with entries added that mostly leave a remainder
+    table = combination + tuple(extra)
+    try:
+        expect = oracle_divided_difference(table, n, m)
+    except ValueError:
+        with pytest.raises(ValueError, match="not divisible"):
+            divided_difference(table, n, m)
+    else:
+        assert divided_difference(table, n, m) == expect
 
 
 @pytest.mark.parametrize("check, table, shift", [

@@ -538,6 +538,10 @@ def _digest(spaces):
     ("L1", "1/2*t^3 - t + 3", 7, 32, "3eee7391b0f1f604", "144423b78f18a2bb"),
     ("L2", "2*t^2 + 3*t - 1", 7, 6, "aa93759cc1a8b298", "621d02e0d6b65722"),
     ("L2", "t + 2", 8, 6, "dd1140d2f839d838", "621d02e0d6b65722"),
+    ("L3", "t^3 + 2*t - 1", 8, 12, "b51aacb2981b46f3", "80a7650def3b994a"),
+    ("L4", "1/2*t^3 - t + 3", 7, 68, "b4326e6a341672ee", "b8ec1f1123654bfc"),
+    ("L1", "t^4 - t^3 + t^2 + 3*t + 3", 9, 80, "7daffb81b3af0857",
+     "f6f874be104ca1e9"),
     ("L1_laurent", "t + 1", 3, 16, "c6027dc4926a3e1d", "3f26aff3c2baeab8"),
     ("L2_laurent", "2*t^-1 + 3*t", 3, 2, "f4017488904ff574",
      "a2730efa988b6f70"),
