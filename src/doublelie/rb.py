@@ -11,11 +11,10 @@ one defect D = R(x)R(y) - R(R(x)y + xR(y)) normalised from the raw segments
 of the product and of the scaled images: the pair holds on every basis
 vector iff D is empty.  The two sides are built apart only to render a
 counterexample.  Off finite domains an empty defect, and only an empty one,
-settles the pairs to its right for as long as the images it reads move one
-column right with y.  On the integers, an operator whose chamber table
-makes it shift-equivariant has its pairs settled one per shift orbit, each
-taken with min(i, j, k) = 0 so that those runs are long (see
-check_rb_identity).
+settles the pairs that column runs and slides down the (j, k) diagonal
+reach from it.  On the integers, an operator whose chamber table makes it
+shift-equivariant has its pairs settled one per shift orbit, each taken
+with i = 0 (see check_rb_identity).
 Skew-symmetry is the condition <R(x),y> = -<x,R(y)> for the trace pairing
 <x,y> = tr(xy), read off the segments of each window image once.
 
@@ -31,6 +30,7 @@ The finite examples are read from one table of images.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from math import inf
 
 from .exact import S, sparse_sum
@@ -164,76 +164,136 @@ def _render_vec_dict(d):
     return " + ".join("%s*u_%d" % (c, r) for r, c in sorted(d.items())) or "0"
 
 
-class _ColumnMoves(dict):
-    """(a, b) -> whether R(e_{a,b+1}) is R(e_ab) moved one column right,
-    compared once, on the first lookup; reaches keeps how far along its row
-    each unit is known to move."""
+class _Moves(dict):
+    """(a, b, down, edge) -> 2 if R(e_{a,b+1}) is R(e_ab) moved one column
+    right (down: R(e_{a+1,b}) is R(e_ab) moved one row down); with edge, on
+    the naturals, 1 if it is that plus entries in column 0 (row 0); else 0.
+    Compared once, per diagonal b - a (at a = 0) if R is shift_equivariant."""
 
     def __init__(self, R):
         super().__init__()
-        self.R = R
-        self.reaches = {}
+        self.R, self.reaches, self.cut_points = R, {}, {}
+        self.edge = R.domain.kind == "naturals"
 
-    def __missing__(self, unit):
-        a, b = unit
-        ref, op = self.R.image(a, b), self.R.image(a, b + 1)
-        got = self[unit] = op.step == ref.step and op.segs == {
+    def __missing__(self, key):
+        a, b, down, edge = key
+        if a and self.R.shift_equivariant:
+            return self.setdefault(key, self[0, b - a, down, edge])
+        ref, op = self.R.image(a, b), self.R.image(a + down, b + 1 - down)
+        moved = {o - 1: tuple([(lo if lo is None else lo + 1,
+                                hi if hi is None else hi + 1, c)
+                               for lo, hi, c in ss])
+                 for o, ss in ref.segs.items()} if down else {
             o + 1: ss for o, ss in ref.segs.items()}
-        return got
+        return self.setdefault(key, op.step == ref.step and (
+            2 if op.segs == moved else int(
+                edge and moved.keys() <= op.segs.keys()
+                and all(ss == moved.get(o) or moved.get(o) == _off_edge(
+                    ss, -o * (1 - down), op.step)
+                    for o, ss in op.segs.items()))))
 
     def reach(self, a, b, n):
-        """The least of n and the number of units (a, b), (a, b + 1), ...
-        in a row that move one column right."""
+        """min(n, how many of (a, b), (a, b + 1), ... move one right)."""
         m = self.reaches.get((a, b), 0)
-        while m < n and self[a, b + m]:
+        while m < n and self[a, b + m, 0, False] == 2:
             m += 1
         self.reaches[a, b] = m
         return min(m, n)
 
+    def slides(self, row, k, right, ls):
+        """The intervals of l in row = (first, last, holes), holes left
+        out, at which (x, e_kl) slides, x at level right: e_kl at level 1 or
+        2 down from e_{k-1,l}, not both at 1 (cut points once per k)."""
+        if (k, right) not in self.cut_points:
+            self.cut_points[k, right] = [
+                l for l in ls if right + self[k - 1, l, 1, self.edge] < 3]
+        a, b, holes = row
+        cuts = self.cut_points[k, right]
+        for c in sorted(cuts[bisect_left(cuts, a):bisect_right(cuts, b)]
+                        + holes):
+            if a < c:
+                yield a, c - 1
+            a = c + 1
+        if a <= b:
+            yield a, b
+
+
+def _off_edge(ss, edge, step):
+    """The segments ss without row edge, the first of their diagonal."""
+    return tuple((lo + step if lo == edge else lo, hi, c)
+                 for lo, hi, c in ss if not lo == hi == edge) or None
+
 
 def _pair_defects(R, idx, orbits=False):
     """(i, j, k, l, terms, defect) at the unit pairs x = e_{ij}, y = e_{kl},
-    i, j, k, l in idx, in sweep order, except those a column run settles:
-    terms is R(x)y + xR(y) as (unit, coeff), column k of R(x) put in column
-    l and row j of R(y) in row i, and defect is R(x)R(y) - R(terms).  With
-    orbits, idx is 0..2w and the pairs are one per shift orbit of spread at
-    most 2w: min(i, j, k) = 0 and max(i, j, k) - 2w <= l <= 2w.
+    i, j, k, l in idx, in sweep order, except those settled by a column run
+    or a slide: terms is R(x)y + xR(y) as (unit, coeff), column k of R(x)
+    put in column l and row j of R(y) in row i, and defect is R(x)R(y) -
+    R(terms).  With orbits, idx is -2w..2w and the pairs are one per shift
+    orbit of spread at most 2w, each with i = 0.
 
-    Column runs: e_kl is e_{k,l-1} S, S the column shift, so D(x, e_kl) is
-    D(x, e_{k,l-1}) S when R(e_{a,b+1}) is R(e_ab) moved one column right at
-    every unit the left neighbour reads, e_{k,l-1} and the units of its
-    terms; the units read at e_kl are then those, moved one column right.
-    So an empty defect settles the pairs to its right for as long as every
-    unit it reads moves that far, and the next defect is computed: a run
-    starts only from an empty defect, never from one that merely passes the
-    cutoff, so the first failing pair is the full sweep's.  A finite domain,
-    whose last column has no right neighbour, takes no runs."""
-    runs = R.domain.kind != "finite"
-    moves = _ColumnMoves(R)
-    top = max(idx, default=None)
-    for i in idx:
+    Runs: with C the column shift, e_kl = e_{k,l-1} C, so D(x, e_kl) is
+    D(x, e_{k,l-1}) C when every unit read at e_{k,l-1} (it and those of
+    its terms) moves one column right.  Slides: with S the transpose of C,
+    (xS)y = x(Sy), so D(e_ij, e_kl) is D(e_{i,j-1}, e_{k-1,l}) when R(e_ij)
+    is R(e_{i,j-1}) moved one column right and R(e_kl) is R(e_{k-1,l})
+    moved one row down; on the naturals they differ only by R(e_ij) e_00
+    R(e_kl), so one of them may also have its edge entry (_Moves level 1).
+    Row (i, j, k) takes over the pairs of row (i, j - 1, k - 1) but its
+    nonempty defects where it slides, and runs on from every pair known
+    empty; as both start only from empty defects, the first failing pair
+    is the full sweep's.  A finite domain, with no right neighbour to its
+    last column, takes neither."""
+    settle = R.domain.kind != "finite"
+    moves = _Moves(R)
+    top = max(idx, default=0)
+    for i in (0,) if orbits else idx:
+        prev = {}
         for j in idx:
-            Rx = R.image(i, j)
+            Rx, cur = R.image(i, j), {}
+            right = settle and prev and (moves[i, j - 1, 0, False]
+                                         or moves[i, j - 1, 0, moves.edge])
             for k in idx:
-                if orbits and min(i, j, k):
-                    continue
-                col = Rx.apply_index(k).items()
-                l = max(i, j, k) - top if orbits else idx[0]
-                while l <= top:
-                    Ry = R.image(k, l)
-                    terms = [((r, l), c) for r, c in col]
+                first, last = idx[0], top
+                if orbits:
+                    lo, hi = min(0, j, k), max(0, j, k)
+                    if hi - lo > top:
+                        continue
+                    first, last = hi - top, lo + top
+                # the pairs known empty in row (i, j - 1, k - 1) that slide
+                spans = right and prev.get(k - 1)
+                spans = spans and moves.slides(spans, k, right, range(
+                    k - top, k + top + 1) if orbits else idx)
+                span, col, holes = spans and next(spans, None), None, []
+                l = first
+                while l <= last:
+                    while span and span[1] < l:
+                        span = next(spans, None)
+                    slid = span and span[0] <= l
+                    end = span[1] if slid else l
+                    if slid and end >= last:
+                        break
+                    # the terms at (i, j, k, end), a gap's defect, the run
+                    if col is None:
+                        col = Rx.apply_index(k).items()
+                    Ry = R.image(k, end)
+                    terms = [((r, end), c) for r, c in col]
                     terms += [((i, cc), c) for cc, c in Ry.row(j).items()]
-                    defect = operator_sum(
-                        [(-c, R.image(a, b)) for (a, b), c in terms],
-                        R.domain, ((1, Rx, Ry),))
-                    yield i, j, k, l, terms, defect
-                    # the run settles the pairs l + 1 .. l + n
-                    n = 0
-                    if runs and not defect:
-                        n = top - l
-                        for a, b in [(k, l)] + [unit for unit, _ in terms]:
-                            n = moves.reach(a, b, n)
-                    l += n + 1
+                    if not slid:
+                        defect = operator_sum(
+                            [(-c, R.image(a, b)) for (a, b), c in terms],
+                            R.domain, ((1, Rx, Ry),))
+                        yield i, j, k, l, terms, defect
+                        if defect:
+                            holes.append(l)
+                            l += 1
+                            continue
+                    n = settle and last - end
+                    for a, b in [(k, end)] + [u for u, _ in terms]:
+                        n = n and moves.reach(a, b, n)
+                    l = end + n + 1
+                cur[k] = first, last, holes
+            prev = cur
 
 
 def check_rb_identity(R, window=8, cutoff=None):
@@ -250,23 +310,23 @@ def check_rb_identity(R, window=8, cutoff=None):
     window-relative verdict says.
 
     Off finite domains most defects are never built: an empty defect
-    settles the pairs to its right for as long as the images it reads move
-    one column right with y (_pair_defects), and a defect that merely passes
-    the cutoff starts no such run, so every record is the full sweep's.
+    settles the pairs that a column run or a slide reaches from it
+    (_pair_defects), and a defect that merely passes the cutoff settles
+    none, so every record is the full sweep's.
 
     On the integers, an operator that declares shift_equivariant has its
     pairs first settled by shift orbits.  Moving every index by s is
     conjugation by a permutation matrix, which commutes with products and
     sums, and R commutes with it by the declaration; so the defect at the
     moved pair is the defect at the pair, moved, and empty iff it is.  Every
-    window pair (i, j, k, l) is the pair with min(i, j, k) = 0 and
-    max(i, j, k) - 2 * window <= l <= 2 * window of its orbit, moved by
-    s = min(i, j, k) in [-window, window]; these pairs are one per orbit
-    and lie along long rows in l.  When the defect is empty at each of
-    them, both sides are equal operators at every window pair, which is
-    stronger than agreeing up to the cutoff, and the success record is the
-    full sweep's.  Otherwise the full sweep below runs and gives the
-    record, as it does for every other operator.
+    window pair (i, j, k, l) is the pair (0, j - i, k - i, l - i) of its
+    orbit, moved by s = i in [-window, window]; these pairs with i = 0 are
+    one per orbit of spread at most 2 * window, and their rows slide down
+    each (j, k) diagonal.  When the defect is empty at each of them, both
+    sides are equal operators at every window pair, which is stronger than
+    agreeing up to the cutoff, and the success record is the full sweep's.
+    Otherwise the full sweep below runs and gives the record, as it does
+    for every other operator.
 
     For operators carrying a matrix tensor factor (N > 1) the identity on
     composite units e_{ij} (x) e_{ab} reduces, through the Kronecker delta of
@@ -278,8 +338,8 @@ def check_rb_identity(R, window=8, cutoff=None):
     details = ("matrix factor of size %d handled by the delta factorization "
                "of composite units" % R.N if R.N > 1 else None)
     if R.shift_equivariant and not any(
-            defect for *_, defect in _pair_defects(R, range(2 * window + 1),
-                                                   orbits=True)):
+            defect for *_, defect in _pair_defects(
+                R, range(-2 * window, 2 * window + 1), orbits=True)):
         return VerificationReport.success("rb_identity", R.name, params,
                                           details)
     qs = list(unit_range(R.domain, cutoff))

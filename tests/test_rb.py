@@ -638,13 +638,13 @@ def _counting(monkeypatch):
 def test_orbit_path_products(monkeypatch):
     defects, products = _counting(monkeypatch)
     assert check_rb_identity(catalog_rb("r1_laurent"), 6).passed
-    # the column runs compute 1,045 of the 7,825 orbit pairs' defects
-    assert len(defects) == 1045
+    # column runs and slides compute 141 of the 7,825 orbit pairs' defects
+    assert len(defects) == 141
     # a passing sweep decides every pair on its defect and builds no side,
-    # on the orbit path and on the full one, where the runs compute 120 of
-    # the 256 defects
+    # on the orbit path and on the full one, where runs and slides compute
+    # 73 of the 256 defects
     assert check_rb_identity(catalog_rb("r1"), 3).passed
-    assert len(defects) == 1045 + 120 and not products
+    assert len(defects) == 141 + 73 and not products
     # a mutant is not declared shift-equivariant, so only the full sweep
     # runs, up to its first failing pair; (-3, 3) and (3, -3) are the one
     # window unit on their diagonals.  Each row's first defect is computed,
@@ -659,20 +659,36 @@ def test_orbit_path_products(monkeypatch):
         assert len(products) == 1, unit
 
 
-class _NoMoves:
-    """A column test that never holds, so that no pair is settled by a
-    run."""
+@pytest.mark.parametrize("name, params, count", [
+    ("r1", {}, 271), ("r4", {}, 271), ("kac", {"N": 2}, 271),
+    ("r2", {}, 651), ("p_k", {"k": 1}, 651), ("r3", {}, 785),
+    ("r1_laurent", {}, 141), ("r2_laurent", {}, 142)])
+def test_battery_defect_counts(monkeypatch, name, params, count):
+    # the eight chamber-table operators of report --all, at its window
+    defects, products = _counting(monkeypatch)
+    assert check_rb_identity(catalog_rb(name, **params), 6).passed
+    assert len(defects) == count and not products
 
-    def __init__(self, R):
-        pass
 
-    def reach(self, a, b, n):
+def test_sweep_builds_the_images_it_reads():
+    # the moves of a declared operator are compared once per diagonal, so
+    # they build few images that no defect reads
+    R = catalog_rb("r1_laurent")
+    assert check_rb_identity(R, 6).passed
+    assert len(R._images) == 304
+
+
+class _NoMoves(rb._Moves):
+    """Moves that never hold, so that no pair is settled by a run or a
+    slide."""
+
+    def __missing__(self, key):
         return 0
 
 
 def test_sweeps_without_runs(monkeypatch):
     defects, products = _counting(monkeypatch)
-    monkeypatch.setattr(rb, "_ColumnMoves", _NoMoves)
+    monkeypatch.setattr(rb, "_Moves", _NoMoves)
     assert check_rb_identity(catalog_rb("r1_laurent"), 6).passed
     # one pair per orbit: as many as the tuples in [0, 12]^4 that hold a 0
     assert len(defects) == 13 ** 4 - 12 ** 4 == 7825
@@ -700,6 +716,97 @@ def test_run_starts_only_from_an_empty_defect():
     assert rep.counterexample == {"x": "e[-2,-2]", "y": "e[-2,-1]", "q": -4,
                                   "lhs": "1*u_-5", "rhs": "0"}
     _same_record(R, 2, 4)
+
+
+def test_slide_starts_only_from_an_empty_defect():
+    # R(e_ab) = e_{a-3,b} for a > b, 0 otherwise.  At cutoff 0 the defect at
+    # x = e[-1,-3], y = e[0,-1] is e_{-4,-1}, beyond the cutoff, so that
+    # pair passes; the same defect one step down the (j, k) diagonal must
+    # not slide and start a run there, as the pair to its right fails
+    R = RBOperator("drop3", INTEGERS, lambda a, b:
+                   LocallyFiniteOperator.unit(a - 3, b, INTEGERS) if a > b
+                   else LocallyFiniteOperator.zero(INTEGERS))
+    rep = check_rb_identity(R, 3, 0)
+    assert rep.counterexample == {"x": "e[-1,-2]", "y": "e[1,0]", "q": 0,
+                                  "lhs": "1*u_-4", "rhs": "0"}
+    _same_record(R, 3, 0)
+
+
+# ---------------------------------------------------------------------------
+# the slide: D(i, j, k, l) = D(i, j - 1, k - 1, l) where the moves hold
+
+def _defect(R, i, j, k, l):
+    """R(x)R(y) - R(R(x)y + xR(y)) at x = e_ij, y = e_kl, each side built
+    apart."""
+    Rx, Ry = R.image(i, j), R.image(k, l)
+    operand = sparse_sum([((r, l), c) for r, c in Rx.apply_index(k).items()]
+                         + [((i, cc), c) for cc, c in Ry.row(j).items()])
+    return mul_mixed(Rx, Ry) - R._image_sum(operand.items())
+
+
+def _slides(R, i, j, k, l, ls):
+    """Whether the sweep slides (i, j, k, l) from (i, j - 1, k - 1, l)."""
+    moves = rb._Moves(R)
+    right = moves[i, j - 1, 0, moves.edge]
+    return bool(right) and [*moves.slides((l, l, []), k, right, ls)] == \
+        [(l, l)]
+
+
+# both chambers the whole diagonal: on the naturals R(e_ij) has an entry in
+# column 0 iff i > j, and R(e_kl) one in row 0 iff k <= l + 1
+_FULL = ((None, None, 1), (None, None, 1))
+
+
+@st.composite
+def _operators(draw):
+    """Catalog operators, p_2, p_3 and random step-1 chamber tables on both
+    domains, maybe scaled, transposed and sign-mutated."""
+    if draw(st.booleans()):
+        R = rb._chamber_operator("T", draw(st.sampled_from((NATURALS,
+                                                            INTEGERS))),
+                                 draw(st.tuples(_CHAMBER, _CHAMBER)))
+    else:
+        R = _catalog_or_pk(draw(st.sampled_from(
+            ("r1", "r2", "r3", "r4", "kac", "p_1", "p_2", "p_3",
+             "r1_laurent", "r2_laurent"))))
+    if draw(st.booleans()):
+        R = R.scaled(draw(st.sampled_from((-2, Fraction(1, 2), 3))))
+    if draw(st.booleans()):
+        R = conjugate_by(R, "transpose")
+    if draw(st.booleans()):
+        units = unit_range(R.domain, 3)
+        R = mutate_sign(R, draw(st.sampled_from(units)),
+                        draw(st.sampled_from(units)))
+    return R
+
+
+@settings(max_examples=80, deadline=None)
+@given(_operators(), st.data())
+def test_slides_keep_the_defect(R, data):
+    ls = unit_range(R.domain, 3)
+    # j and k from the window's second index on, so that j - 1, k - 1 are in
+    quads = data.draw(st.lists(st.tuples(*[st.sampled_from(ls[o:])
+                                           for o in (0, 1, 1, 0)]),
+                               min_size=1, max_size=6))
+    for i, j, k, l in quads:
+        if _slides(R, i, j, k, l, ls):
+            assert _defect(R, i, j, k, l) == _defect(R, i, j - 1, k - 1, l), \
+                (R.name, i, j, k, l)
+
+
+def test_slides_need_an_edge_on_one_side_only():
+    # at x = e_21, y = e_11 R(x) has an entry in column 0 and R(y) one in
+    # row 0, which no move gives, so the defects differ by R(x) e_00 R(y);
+    # with only one of them, as at (3, 2, 2, 0) and (0, 2, 1, 3), they agree
+    R = rb._chamber_operator("T", NATURALS, _FULL)
+    ls = unit_range(NATURALS, 3)
+    moves = rb._Moves(R)
+    assert moves[2, 0, 0, True] == moves[0, 1, 1, True] == 1
+    assert not _slides(R, 2, 1, 1, 1, ls)
+    assert _defect(R, 2, 1, 1, 1) != _defect(R, 2, 0, 0, 1)
+    for i, j, k, l in ((3, 2, 2, 0), (0, 2, 1, 3)):
+        assert _slides(R, i, j, k, l, ls)
+        assert _defect(R, i, j, k, l) == _defect(R, i, j - 1, k - 1, l)
 
 
 # ---------------------------------------------------------------------------
