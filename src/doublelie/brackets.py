@@ -18,12 +18,13 @@ finite catalog brackets are the brackets of the finite catalog operators.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import chain
 from operator import add
 
 from .exact import Tensor2, Vec, esym, sparse_sum, tsym, ysym
 from .grammar import render_sym
-from .linalg import invert_matrix
+from .linalg import echelon
 from .matrices import Domain, FinitaryMatrix
 from .rb import _FINITE_IMAGES, RBOperator, catalog_rb, unit_range
 from .report import VerificationReport
@@ -635,15 +636,20 @@ def check_basis_independence(R, window, change):
     params = {"window": window}
     units = [(a, b) for a in unit_range(R.domain, window)
              for b in unit_range(R.domain, window)]
-    inv = invert_matrix(change)
-    if inv is None:
-        raise ValueError("singular change matrix")
     u = len(units)
-    if len(change) != u:
+    bad = ({len(change)} | {len(row) for row in change}) - {u}
+    if bad:
         raise ValueError("change matrix size %d does not match %d window "
-                         "units" % (len(change), u))
-    # f_j* = sum_m gamma[j][m] e_{units[m]}* with gamma = (change^{-1})^T
-    gamma = [[inv[m][j] for m in range(u)] for j in range(u)]
+                         "units" % (min(bad), u))
+    # f_j* = sum_m gamma[j][m] e_{units[m]}* with gamma = (change^{-1})^T;
+    # row m of the echelon form of (change | 1) is a multiple of
+    # (e_m | row m of change^{-1}) when change is invertible
+    rows, pivots = echelon([list(r) + [int(i == j) for j in range(u)]
+                            for i, r in enumerate(change)])
+    if pivots != list(range(u)):
+        raise ValueError("singular change matrix")
+    gamma = [[Fraction(rows[m][u + j], rows[m][m]) for m in range(u)]
+             for j in range(u)]
     B = bracket_from_rb(R)
     carrier = B.carrier
     idx = unit_range(R.domain, window)

@@ -37,35 +37,30 @@ class InputError(Exception):
     pass
 
 
-class BudgetError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
-# target registries
+# module registry
 
-def _module_instances():
-    """Catalog module instances by name; built lazily per call."""
-    def poly_tail(name, cut, window):
-        B = catalog_bracket(name)
-        I = Subspace.degree_span(B.carrier, window, cut)
-        return induced_module_from_ideal(B, I, window)
-
-    def bimodule_instance():
-        L1 = catalog_bracket("L1")
-        I3 = Subspace.degree_span(L1.carrier, 10, 3)
-        B3 = quotient_bracket(L1, I3, 10)
-        Iq = Subspace.from_vectors(B3.carrier, 4, [Vec.basis(tsym(2))])
-        return induced_module_from_ideal(B3, Iq, 4)
-
-    return {
-        "tpoly-under-third": lambda window: poly_tail("L3", 1, window),
-        "t2poly-under-first": lambda window: poly_tail("L1", 2, window),
-        "block-bimodule": lambda window: bimodule_instance(),
-    }
+def _poly_tail(name, cut, window):
+    B = catalog_bracket(name)
+    I = Subspace.degree_span(B.carrier, window, cut)
+    return induced_module_from_ideal(B, I, window)
 
 
-MODULE_NAMES = ("tpoly-under-third", "t2poly-under-first", "block-bimodule")
+def _block_bimodule(window):
+    """Built at the fixed windows 10 and 4, whatever the window asked."""
+    L1 = catalog_bracket("L1")
+    I3 = Subspace.degree_span(L1.carrier, 10, 3)
+    B3 = quotient_bracket(L1, I3, 10)
+    Iq = Subspace.from_vectors(B3.carrier, 4, [Vec.basis(tsym(2))])
+    return induced_module_from_ideal(B3, Iq, 4)
+
+
+# Catalog module instances by name, each built per call from a window
+MODULES = {
+    "tpoly-under-third": lambda window: _poly_tail("L3", 1, window),
+    "t2poly-under-first": lambda window: _poly_tail("L1", 2, window),
+    "block-bimodule": _block_bimodule,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -75,11 +70,13 @@ def _output(args, lines, code=EXIT_PASS):
     """Print the lines and return the exit code, which is kept on args
     first: main returns it also when the reader closes stdout early.  The
     flush makes a closed reader show here, not at the interpreter's final
-    flush."""
+    flush; a budget exit then says so on stderr."""
     args.exit_code = code
     for line in lines:
         print(line)
     sys.stdout.flush()
+    if code == EXIT_BUDGET:
+        print("budget exhausted: closure budget exhausted", file=sys.stderr)
     return code
 
 
@@ -103,7 +100,7 @@ def _emit(args, reports, extra=None, code=None):
 def _cmd_catalog_list(args):
     records = [("operator", n) for n in CATALOG_RB_NAMES]
     records += [("bracket", n) for n in CATALOG_BRACKET_NAMES]
-    records += [("module", n) for n in MODULE_NAMES]
+    records += [("module", n) for n in MODULES]
     if args.format == "structured":
         lines = [json.dumps({"kind": kind, "name": name},
                             separators=(", ", ": "))
@@ -113,7 +110,7 @@ def _cmd_catalog_list(args):
     return _output(args, lines)
 
 
-def _verify_operator(name, window, cutoff):
+def _verify_operator(name, window, cutoff=None):
     from .rb import check_rb_identity, check_skew_symmetry
     R = catalog_rb(name)
     return [check_rb_identity(R, window, cutoff),
@@ -157,9 +154,7 @@ def _cmd_verify(args):
     name = args.target
     if name in CATALOG_RB_NAMES:
         # the cutoff bounds the RB sweep's rows; brackets have none
-        if cutoff is None:
-            cutoff = 2 * window
-        if window > cutoff:
+        if cutoff is not None and window > cutoff:
             raise InputError("window %d exceeds cutoff %d" % (window, cutoff))
         reports = _verify_operator(name, window, cutoff)
     elif name in CATALOG_BRACKET_NAMES:
@@ -186,6 +181,17 @@ def _cmd_bracket_eval(args):
     return _output(args, [value])
 
 
+def _t_bracket(args, seeds):
+    """The catalog bracket that args names, which must have the t-basis
+    that seeds (a phrase for the message) are written in."""
+    if args.bracket not in CATALOG_BRACKET_NAMES:
+        raise InputError("unknown bracket %r" % args.bracket)
+    B = catalog_bracket(args.bracket)
+    if tsym(0) not in B.carrier.window_syms(0):
+        raise InputError("%s; %s has no t-basis" % (seeds, args.bracket))
+    return B
+
+
 def _parse_seed_poly(text):
     try:
         return parse_poly(text)
@@ -194,9 +200,7 @@ def _parse_seed_poly(text):
 
 
 def _cmd_ideal_closure(args):
-    if args.bracket not in CATALOG_BRACKET_NAMES:
-        raise InputError("unknown bracket %r" % args.bracket)
-    B = catalog_bracket(args.bracket)
+    B = _t_bracket(args, "ideal closure takes a t-polynomial seed")
     seed = _parse_seed_poly(args.seed)
     if not set(seed.terms) <= set(B.carrier.window_syms(args.window)):
         raise InputError("seed %r has terms outside window %d of %s"
@@ -215,16 +219,12 @@ def _cmd_ideal_closure(args):
                                      if exhausted else "")]
         lines += ["  span{%s}" % ", ".join(basis)
                   for basis in record["closures"]]
-    _output(args, lines, EXIT_BUDGET if exhausted else EXIT_PASS)
-    if exhausted:
-        raise BudgetError("closure budget exhausted")
-    return EXIT_PASS
+    return _output(args, lines, EXIT_BUDGET if exhausted else EXIT_PASS)
 
 
 def _cmd_simplicity(args):
     from .ideals import simplicity_probe
-    if args.bracket not in CATALOG_BRACKET_NAMES:
-        raise InputError("unknown bracket %r" % args.bracket)
+    B = _t_bracket(args, "simplicity draws t-polynomial seeds")
     if args.seeds < 1:
         raise InputError("--seeds must be at least 1, got %d" % args.seeds)
     if args.window < 1:  # <<1, 1>> = 0 leaves nothing to decide at window 0
@@ -234,36 +234,29 @@ def _cmd_simplicity(args):
     if not 0 <= args.max_degree <= args.window:
         raise InputError("--max-degree must lie in 0..%d (the window), got %d"
                          % (args.window, args.max_degree))
-    B = catalog_bracket(args.bracket)
-    if tsym(0) not in B.carrier.window_syms(0):
-        raise InputError("simplicity draws t-polynomial seeds; %s has no "
-                         "t-basis" % args.bracket)
     rep = simplicity_probe(B, args.window, seed_count=args.seeds,
                            max_degree=args.max_degree,
                            rng_seed=args.rng_seed, budget=args.budget)
     exhausted = not rep.passed and rep.counterexample and \
         rep.counterexample.get("reason") == "budget exhausted"
-    code = _emit(args, [rep], code=EXIT_BUDGET if exhausted else None)
-    if exhausted:
-        raise BudgetError("closure budget exhausted")
-    return code
+    return _emit(args, [rep], code=EXIT_BUDGET if exhausted else None)
 
 
 def _cmd_module_check(args):
     from .dmodules import (check_module_axioms, proposition_equivalence,
                            rb_bimodule_split_check)
-    instances = _module_instances()
-    if args.name not in instances:
+    if args.name not in MODULES:
         raise InputError("unknown module instance %r (have: %s)"
-                         % (args.name, ", ".join(MODULE_NAMES)))
+                         % (args.name, ", ".join(MODULES)))
     try:
-        act, B_L = instances[args.name](args.window)
+        act, B_L = MODULES[args.name](args.window)
     except ValueError as exc:
         raise InputError("%s at window %d: %s" % (args.name, args.window, exc))
+    if args.name == "block-bimodule":  # built without the window
+        return _emit(args, [check_module_axioms(act, B_L),
+                            rb_bimodule_split_check(B_L, act)])
     reports = [check_module_axioms(act, B_L, args.window)]
-    if args.name == "block-bimodule":
-        reports.append(rb_bimodule_split_check(B_L, act))
-    elif any(act.eval(l, m) for l in act.l_syms for m in act.m_syms):
+    if any(act.eval(l, m) for l in act.l_syms for m in act.m_syms):
         reports.append(proposition_equivalence(B_L, act, mutations=5,
                                                rng_seed=args.rng_seed))
     return _emit(args, reports)
@@ -274,20 +267,18 @@ def _cmd_report_all(args):
     window = args.window
     reports = []
     for name in CATALOG_RB_NAMES:
-        reports.extend(_verify_operator(name, min(window, 6),
-                                        2 * min(window, 6)))
+        reports.extend(_verify_operator(name, window))
     for name in CATALOG_BRACKET_NAMES:
-        reports.extend(_verify_bracket(name, min(window, 6)))
+        reports.extend(_verify_bracket(name, window))
     from .rb import remark3_suite
     reports.append(remark3_suite(window))
     from .brackets import check_bracket_relations
     reports.append(check_bracket_relations(window))
     from .ideals import theorem3_replay
     reports.append(theorem3_replay(max(window, 6)))
-    instances = _module_instances()
     from .dmodules import check_module_axioms, rb_bimodule_split_check
-    for name in MODULE_NAMES:
-        act, B_L = instances[name](max(window, 4))
+    for name, build in MODULES.items():
+        act, B_L = build(max(window, 4))
         reports.append(check_module_axioms(act, B_L))
         if name == "block-bimodule":
             reports.append(rb_bimodule_split_check(B_L, act))
@@ -384,9 +375,6 @@ def main(argv=None):
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    except BudgetError as exc:
-        print("budget exhausted: %s" % exc, file=sys.stderr)
-        return EXIT_BUDGET
     except BrokenPipeError:
         # the reader closed stdout early: point it at devnull, so that the
         # interpreter's final flush of what is still buffered cannot raise

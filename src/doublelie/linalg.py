@@ -1,8 +1,8 @@
 """Small exact linear algebra helpers over the rationals.
 
 Rows are lists of Fractions (or ints); everything is done by Gaussian
-elimination with exact arithmetic, so ranks, memberships and inverses carry
-no numerical caveats.  ``echelon`` is the fraction-free counterpart of
+elimination with exact arithmetic, so ranks and memberships carry no
+numerical caveats.  ``echelon`` is the fraction-free counterpart of
 ``rref`` (Bareiss, Math. Comp. 1968): it keeps primitive integer rows, and
 only its input rows are ever rational.
 """
@@ -45,17 +45,6 @@ def reduce_vector(vec, basis_rows, pivots):
         if f:
             v = [a - f * b if b else a for a, b in zip(v, row)]
     return v
-
-
-def invert_matrix(rows):
-    """Inverse of a square matrix, or None if singular."""
-    n = len(rows)
-    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)]
-           for i, r in enumerate(rows)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in red[:n]]
 
 
 def _primitive(ints):

@@ -406,6 +406,19 @@ def test_basis_independence_rejects_a_bad_change_matrix():
         check_basis_independence(R, 3, singular)
     with pytest.raises(ValueError, match="size 9 does not match 16 window"):
         check_basis_independence(R, 3, _identity_change(9))
+    ragged = _identity_change(16)
+    ragged[5] = ragged[5][:15]
+    with pytest.raises(ValueError, match="size 15 does not match 16 window"):
+        check_basis_independence(R, 3, ragged)
+    # ex1 has 4 units at window 1; a fifth column (or a missing fourth)
+    # is a size error, not a failing record or a singular matrix
+    ex1 = catalog_rb("ex1")
+    for cols in (5, 3):
+        wide = [row[:cols] + [Fraction(0)] * (cols - 4)
+                for row in _identity_change(4)]
+        with pytest.raises(ValueError,
+                           match="size %d does not match 4 window" % cols):
+            check_basis_independence(ex1, 1, wide)
 
 
 def test_homomorphism_checker_detects_mismatch():

@@ -197,6 +197,16 @@ def test_simplicity_without_a_t_basis_is_input_error(capsys, name):
     assert "input error" in err and "%s has no t-basis" % name in err
 
 
+@pytest.mark.parametrize("name", ["ex1", "dY"])
+def test_closure_without_a_t_basis_is_input_error(capsys, name):
+    # the seed is a t-polynomial; the error names the carrier, not the
+    # seed's terms
+    code, out, err = run(capsys, "ideal", "closure", name, "--seed", "1",
+                         "--window", "2")
+    assert code == 2 and not out
+    assert "input error" in err and "%s has no t-basis" % name in err
+
+
 def test_laurent_closure_skips_values_below_the_window(capsys):
     # the node span{t^-3, 1, t} meets <<t^-3, t^-3>>, which has a t^-6 term
     code, out, _ = run(capsys, "ideal", "closure", "L1_laurent", "--seed",
@@ -298,6 +308,16 @@ def test_module_check_instances(capsys):
         assert all(r["status"] == "pass" for r in records(out)), name
 
 
+def test_module_record_has_the_window_it_was_built_at(capsys):
+    # the block bimodule is built at fixed windows, whatever --window says
+    code, out, _ = run(capsys, "module", "check", "block-bimodule",
+                       "--window", "0")
+    assert code == 0 and "window" not in records(out)[0]
+    code, out, _ = run(capsys, "module", "check", "t2poly-under-first",
+                       "--window", "6")
+    assert code == 0 and records(out)[0]["window"] == 6
+
+
 @pytest.mark.parametrize("name, window, code", [
     ("tpoly-under-third", "0", 2),
     ("tpoly-under-third", "1", 0),
@@ -378,6 +398,19 @@ def test_report_all_is_deterministic_and_green(capsys):
     assert len(recs) > 30
     assert all(r["status"] == "pass" for r in recs)
     assert all(r["rng_seed"] == 2024 for r in recs)
+
+
+def test_report_all_sweeps_the_catalog_at_the_window_asked(capsys):
+    # no cap at window 6: operators get the default cutoff 2 * window
+    code, out, _ = run(capsys, "report", "--all", "--window", "7")
+    assert code == 0
+    recs = records(out)
+    rb = [r for r in recs if r["check"] == "rb_identity"]
+    assert len(rb) == len(cli.CATALOG_RB_NAMES)
+    assert all((r["window"], r["cutoff"]) == (7, 14) for r in rb)
+    brackets = [r for r in recs if r["target"] in cli.CATALOG_BRACKET_NAMES]
+    assert len(brackets) >= 2 * len(cli.CATALOG_BRACKET_NAMES)
+    assert all(r["window"] == 7 for r in brackets)
 
 
 @pytest.mark.parametrize("window", ["0", "1", "2", "3"])

@@ -9,7 +9,7 @@ from fractions import Fraction
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from doublelie.linalg import echelon, invert_matrix, reduce_vector, rref
+from doublelie.linalg import echelon, reduce_vector, rref
 
 
 def random_matrix(rng, rows, cols):
@@ -115,22 +115,3 @@ def test_echelon_rows_are_primitive_multiples_of_the_rref_rows(system, more):
     extra = [r[:len(vec)] + [0] * (len(vec) - len(r)) for r in more[0]]
     assert echelon(extra + [vec], rows, pivots) == echelon(mat + extra + [vec])
 
-
-def test_inverse_multiplies_to_identity():
-    rng = random.Random(8)
-    found = 0
-    while found < 10:
-        m = random_matrix(rng, 4, 4)
-        inv = invert_matrix(m)
-        if inv is None:
-            continue
-        found += 1
-        prod = [[sum(m[i][k] * inv[k][j] for k in range(4)) for j in range(4)]
-                for i in range(4)]
-        assert prod == [[Fraction(int(i == j)) for j in range(4)]
-                        for i in range(4)]
-
-
-def test_singular_matrix_has_no_inverse():
-    m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert invert_matrix(m) is None
