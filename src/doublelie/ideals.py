@@ -15,13 +15,15 @@ The closure search looks for ideals containing a seed: whenever some bracket
 value survives the quotient map, the surviving tensor is written as a matrix
 over quotient coordinates and the candidate ideal is enlarged in the ways the
 branching rule lists (adjoin the left factors, the right factors, or a mixed
-split from a rank decomposition).  The rule is not exhaustive (a tensor
-a (x) x + b (x) y also dies modulo span{a - lb, lx + y} for every l), so the
-closures returned are inclusion-minimal among the closures the branching rule
-reaches, not among all ideals containing the seed; minimality is decided by
-transitivity, each closure against the smaller minimal ones only.  Diagonal
-rank-one survivors v (x) v force v itself into the ideal, which is the
-engine of the simplicity replay.
+split from a rank decomposition; the right factors are skipped when the
+tensor is + or - its own swap, as they then span what the left ones span).
+The rule is not exhaustive (a tensor a (x) x + b (x) y also dies modulo
+span{a - lb, lx + y} for every l), so the closures returned are
+inclusion-minimal among the closures the branching rule reaches, not among
+all ideals containing the seed; minimality is decided by transitivity, each
+closure against the smaller minimal ones only.  Diagonal rank-one survivors
+v (x) v force v itself into the ideal, which is the engine of the simplicity
+replay.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import random
 
 from .brackets import (BasisCarrier, DoubleBracket,
                        _certified_anticommutative, catalog_bracket)
-from .exact import Tensor2, Vec, sparse_sum, tsym
+from .exact import Tensor2, Vec, _pruned, sparse_sum, tsym
 from .grammar import render_sym, render_vec
 from .linalg import echelon
 from .report import VerificationReport
@@ -51,6 +53,8 @@ class _Window(dict):
 
 def _over(c, d):
     """c / d exactly, an int when d divides c."""
+    if type(c) is int and not c % d:
+        return c // d
     q = Fraction(c, d) if d != 1 else c
     return q.numerator if q.denominator == 1 else q
 
@@ -186,19 +190,19 @@ def _survivor(B, I, window, anticommutative):
     value, which comes first.
 
     Off Laurent carriers every term of every value swept lies in the window,
-    so one sum runs over g's symbols, the bracket terms and both factors'
-    projections, with no summed value; a Laurent value is summed first, for
-    its filter."""
+    so one integer pass sums g's symbols, the bracket terms and both factors'
+    projections into one dict, pruned only for the survivor; a Laurent value
+    is summed first, for its filter."""
     carrier, shift = B.carrier, B.degree_shift
     laurent = getattr(carrier, "laurent", False)
     pos, table = I.pos, I._projections()[1]
     gens = []
     for k, row in enumerate(I.rows):
-        g = I.vec_of(row)
+        g = [(s, c) for s, c in zip(I.syms, row) if c]
         # the largest degree of a symbol whose bracket with g stays inside
         room = inf if shift is None else window - max(shift, 0) - max(
-            carrier.degree(s) for s in g.terms)
-        gens.append((k, g.terms, room))
+            carrier.degree(s) for s, _c in g)
+        gens.append((k, g, room))
     for v in carrier.window_syms(window):
         dv = carrier.degree(v)
         for k, g, room in gens:
@@ -210,18 +214,25 @@ def _survivor(B, I, window, anticommutative):
                     break
                 if laurent:
                     value = sparse_sum(
-                        (key, c * cg) for s, cg in g.items()
+                        (key, c * cg) for s, cg in g
                         for key, c in (B.eval(s, v) if flip
                                        else B.eval(v, s)).items())
                     if not all(a in pos and b in pos for a, b in value):
                         continue
                     surv = _quotient_numerators(value.items(), I)
                 else:
-                    surv = sparse_sum(
-                        ((sa, sb), c * cg * ca * cb) for s, cg in g.items()
+                    acc = {}
+                    get = acc.get
+                    for s, cg in g:
                         for (a, b), c in (B.eval(s, v) if flip
-                                          else B.eval(v, s)).items()
-                        for sa, ca in table[a] for sb, cb in table[b])
+                                          else B.eval(v, s)).items():
+                            c *= cg
+                            for sa, ca in table[a]:
+                                cca = c * ca
+                                for sb, cb in table[b]:
+                                    key = sa, sb
+                                    acc[key] = get(key, 0) + cca * cb
+                    surv = any(acc.values()) and _pruned(acc)
                 if surv:
                     return v, k, side, surv
     return None
@@ -264,14 +275,19 @@ def _branches_for(T):
     terms, dies: adjoin all left factors, all right factors, or a mixed
     split from the echelon rank decomposition.  Returned as lists of Vec,
     deterministically ordered; a positive multiple of T gives the same
-    spans."""
+    spans.  The right factors' branch is left out when T = +-tau T, tau the
+    swap of the factors: its vectors are then the left ones up to sign."""
     lefts = sorted({a for (a, _b) in T}, key=repr)
     rights = sorted({b for (_a, b) in T}, key=repr)
     mat = [[T.get((a, b), 0) for b in rights] for a in lefts]
     # column space: left vectors l_b = sum_a M[a][b] x_a; row space: right
     # vectors r_a = sum_b M[a][b] y_b (none is zero, as T's terms are nonzero)
     cols = [Vec(dict(zip(lefts, col))) for col in zip(*mat)]
-    branches = [cols, [Vec(dict(zip(rights, row))) for row in mat]]
+    branches = [cols]
+    if lefts != rights or not any(
+            all(T.get((b, a)) == e * c for (a, b), c in T.items())
+            for e in (1, -1)):
+        branches.append([Vec(dict(zip(rights, row))) for row in mat])
     # mixed splits from M = sum_k c_k (x) e_k with e_k the echelon rows of M:
     # push some factors left and the rest right.
     red, pivots = echelon(mat)
@@ -336,11 +352,9 @@ def ideal_closure(B, seeds, window, budget=5000):
             exhausted = True
             break
         expanded += 1
-        if I.dim == full_dim:
-            closures.append(I)
-            continue
         # the first bracket value that survives, if any, decides the node
-        found = _survivor(B, I, window, anticommutative)
+        found = (None if I.dim == full_dim
+                 else _survivor(B, I, window, anticommutative))
         if found is None:
             closures.append(I)
             continue
@@ -374,9 +388,14 @@ def simplicity_probe(B, window, seeds=None, seed_count=50, max_degree=8,
     """Window-relative simplicity verdict: the bracket is nonzero and every
     closure ideal_closure returns for a seed saturates the guaranteed
     sub-window V_{<= floor((window-1)/2)}.  Never a proof, and says so in
-    its params."""
-    params = {"window": window, "rng_seed": rng_seed,
-              "guaranteed_degree": (window - 1) // 2}
+    its params, which name rng_seed only when the seeds are drawn from it,
+    and say "given" otherwise."""
+    params = {"window": window, "guaranteed_degree": (window - 1) // 2}
+    if seeds is None:
+        params["rng_seed"] = rng_seed
+        seeds = random_polynomials(seed_count, max_degree, rng_seed)
+    else:
+        params["seeds"] = "given"
 
     def fail(**ce):
         return VerificationReport.failure("simplicity_probe", B.name, ce,
@@ -386,8 +405,6 @@ def simplicity_probe(B, window, seeds=None, seed_count=50, max_degree=8,
     syms = carrier.window_syms(window)
     if not any(B.eval(a, b) for a in syms for b in syms):
         return fail(reason="bracket vanishes on the window")
-    if seeds is None:
-        seeds = random_polynomials(seed_count, max_degree, rng_seed)
     need = [s for s in syms if carrier.degree(s) <= (window - 1) // 2]
     details = {"seeds": len(seeds), "closures_checked": 0}
     for k, f in enumerate(seeds):

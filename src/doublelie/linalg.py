@@ -60,6 +60,8 @@ def _primitive(ints):
 
 def _primitive_row(row):
     """_primitive of the least integer multiple of a rational row."""
+    if all(type(c) is int for c in row):
+        return _primitive(row)
     den = lcm(*(c.denominator for c in row))
     return _primitive([c.numerator * (den // c.denominator) for c in row])
 

@@ -256,6 +256,16 @@ def test_simplicity_pass(capsys):
     assert records(out)[0]["status"] == "pass"
 
 
+def test_simplicity_record_is_pinned(capsys):
+    code, out, _ = run(capsys, "simplicity", "L2", "--window", "12",
+                       "--seeds", "20")
+    assert code == 0
+    assert out == (
+        '{"check": "simplicity_probe", "target": "L2", "guaranteed_degree": '
+        '5, "rng_seed": 2024, "window": 12, "status": "pass", "details": '
+        '{"seeds": 20, "closures_checked": 20}}\n')
+
+
 def test_closure_budget_exhaustion_exit_code(capsys):
     code, out, _ = run(capsys, "ideal", "closure", "L2", "--seed", "1",
                        "--window", "12", "--budget", "1")
@@ -284,6 +294,8 @@ def test_dense_quadratic_closure_record_is_pinned(capsys):
 
 
 @pytest.mark.parametrize("target, seed, window, count, digest", [
+    ("L1", "t^2", "8", 3,
+     "76f58b0a269eda6c81bd1a737e7bb3d58e2b2650e8e2707666e4b99ed89b25bd"),
     # not monic at its pivot, so the closures carry fractional coefficients
     ("L1", "2*t^2 + 3*t - 1", "7", 24,
      "f2b1463c0107777a710028bccdb9f32e7dc5bbcac7e6efacccc5b3670affc4cd"),

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from doublelie import brackets, ideals
 from doublelie.brackets import (DoubleBracket, PolyCarrier,
@@ -546,23 +546,151 @@ def _digest(spaces):
     ("L2_laurent", "2*t^-1 + 3*t", 3, 2, "f4017488904ff574",
      "a2730efa988b6f70"),
 ])
-def test_closure_search_tree_is_pinned(monkeypatch, name, seed, window,
-                                       nodes, tree, closures):
-    # every node the search builds, in order, and the closures it returns;
-    # the digests are of their monic echelon bases
-    built = []
-    extended = Subspace.extended
+def test_closure_search_tree_is_pinned(name, seed, window, nodes, tree,
+                                       closures):
+    # every node the search builds under the full branching rule (with the
+    # right-factor child of every survivor), in order, and the closures it
+    # returns; the digests are of their monic echelon bases
+    got, exhausted, built, _decided = _searched(
+        catalog_bracket(name), parse_poly(seed), window,
+        every_right_branch=True)
+    assert not exhausted and len(built) == nodes
+    assert _digest(built).startswith(tree)
+    assert _digest(got).startswith(closures)
+
+
+@pytest.mark.parametrize("name, seed, window, nodes, tree, expanded", [
+    ("L1", "2*t^2 + 3*t - 1", 7, 57, "3f83c025371266fb", "d04c32ead80c7971"),
+    ("L1", "t^2 + 4*t - 1", 9, 267, "80403c79eb721364", "8045dcd8b9bd23d1"),
+    ("L1", "1/2*t^3 - t + 3", 7, 24, "978d2f06eaf4ca61", "fc4c7ff099bc2f71"),
+    ("L2", "2*t^2 + 3*t - 1", 7, 4, "9355193c5904cc3a", "0874f0ce097404af"),
+    ("L2", "t + 2", 8, 3, "24d26e79f98a82c6", "0d6f3294821bbb6a"),
+    ("L3", "t^3 + 2*t - 1", 8, 9, "5f3e7dbfa20ec4f8", "ec9ddcbebb8f2206"),
+    ("L4", "1/2*t^3 - t + 3", 7, 51, "7cba2e662a79a0b6", "bd260bce4ba025ab"),
+    ("L1", "t^4 - t^3 + t^2 + 3*t + 3", 9, 60, "59481941ebd0fec2",
+     "0dad70dbdadfc301"),
+    ("L1_laurent", "t + 1", 3, 12, "9fcaee36703f2782", "dfe42f0873b2b484"),
+    ("L2_laurent", "2*t^-1 + 3*t", 3, 1, "a2730efa988b6f70",
+     "ee61a6c45799b650"),
+])
+def test_closure_search_builds_each_symmetric_child_once(name, seed, window,
+                                                         nodes, tree,
+                                                         expanded):
+    # the nodes the search builds and the nodes _survivor decides, in order;
+    # the full rule's extra children repeat spans built anyway, so it
+    # decides the same nodes and returns the same closures
+    B, f = catalog_bracket(name), parse_poly(seed)
+    got, exhausted, built, decided = _searched(B, f, window)
+    assert not exhausted and len(built) == nodes
+    assert _digest(built).startswith(tree)
+    assert _digest(decided).startswith(expanded)
+    full, _exhausted, full_built, full_decided = _searched(
+        B, f, window, every_right_branch=True)
+    assert _keys(got) == _keys(full) and _keys(decided) == _keys(full_decided)
+    assert set(_keys(built)) == set(_keys(full_built))
+
+
+def _keys(spaces):
+    return [I.key() for I in spaces]
+
+
+def _right_branch(T):
+    """The right-factor branch of a surviving tensor: for each left factor
+    a, the vector sum_b T[a, b] b."""
+    lefts = sorted({a for a, _b in T}, key=repr)
+    rights = sorted({b for _a, b in T}, key=repr)
+    return [Vec({b: T.get((a, b), 0) for b in rights}) for a in lefts]
+
+
+def _searched(B, seed, window, budget=5000, every_right_branch=False):
+    """ideal_closure on one seed: (closures, exhausted, the nodes built, the
+    nodes _survivor decides).  every_right_branch puts the right-factor
+    branch back into _branches_for where it is left out, for a tensor that
+    is plus or minus its own swap."""
+    built, decided = [], []
+    extended, survivor = Subspace.extended, ideals._survivor
+    rule = ideals._branches_for
 
     def record(self, vectors):
         built.append(extended(self, vectors))
         return built[-1]
 
-    monkeypatch.setattr(Subspace, "extended", record)
-    got, exhausted = ideal_closure(catalog_bracket(name), [parse_poly(seed)],
-                                   window)
-    assert not exhausted and len(built) == nodes
-    assert _digest(built).startswith(tree)
-    assert _digest(got).startswith(closures)
+    def decide(B, I, window, anticommutative):
+        decided.append(I)
+        return survivor(B, I, window, anticommutative)
+
+    def every_branch(T):
+        branches = rule(T)
+        swapped = {(b, a): c for (a, b), c in T.items()}
+        if T in (swapped, {key: -c for key, c in swapped.items()}):
+            branches.insert(1, _right_branch(T))
+        return branches
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Subspace, "extended", record)
+        mp.setattr(ideals, "_survivor", decide)
+        if every_right_branch:
+            mp.setattr(ideals, "_branches_for", every_branch)
+        closures, exhausted = ideal_closure(B, [seed], window, budget)
+    return closures, exhausted, built, decided
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("L1", "L2", "L3", "L4")), st.booleans(),
+       st.lists(st.integers(-3, 3), min_size=2, max_size=5),
+       st.sampled_from((1, 2, 5, 5000)))
+def test_the_full_branching_rule_decides_the_same_nodes(name, laurent,
+                                                        coeffs, budget):
+    # L1-L4 and their Laurent variants on a seed of small degree, also when
+    # the budget runs out
+    B = catalog_bracket(name + "_laurent" if laurent else name)
+    window, low = (3, -1) if laurent else (6, 0)
+    f = Vec({tsym(low + k): c for k, c in enumerate(coeffs) if c})
+    assume(f)
+    got, exhausted, _built, decided = _searched(B, f, window, budget)
+    full, full_exhausted, _built, full_decided = _searched(
+        B, f, window, budget, every_right_branch=True)
+    assert (_keys(got), exhausted) == (_keys(full), full_exhausted)
+    assert _keys(decided) == _keys(full_decided)
+
+
+@st.composite
+def _tensors_up_to_swap(draw):
+    """(T, sign): an integer tensor on t^0..t^3 with T = sign tau T, tau the
+    swap of the factors, or sign None for a tensor that is neither."""
+    sign = draw(st.sampled_from((1, -1, None)))
+    entries = st.tuples(st.integers(0, 3), st.integers(0, 3),
+                        st.sampled_from((1, -1, 2, -3)))
+    T = {}
+    for i, j, c in draw(st.lists(entries, min_size=1, max_size=6)):
+        if sign == -1 and i == j:
+            continue
+        T[tsym(i), tsym(j)] = c
+        if sign is not None:
+            T[tsym(j), tsym(i)] = sign * c
+    swapped = {(b, a): c for (a, b), c in T.items()}
+    assume(T)
+    if sign is None:
+        assume(T not in (swapped, {key: -c for key, c in swapped.items()}))
+    return T, sign
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tensors_up_to_swap())
+def test_the_right_branch_is_left_out_only_where_it_repeats(tensor):
+    T, sign = tensor
+    carrier = catalog_bracket("L1").carrier
+    branches = ideals._branches_for(T)
+    rank = len(rref([[T.get((tsym(a), tsym(b)), 0) for b in range(4)]
+                     for a in range(4)])[1])
+    mixed = 2 ** rank - 2 if 2 <= rank <= 3 else 0
+    left, right = branches[0], _right_branch(T)
+    if sign is None:
+        assert len(branches) == 2 + mixed and branches[1] == right
+    else:
+        assert len(branches) == 1 + mixed
+        assert Subspace.from_vectors(carrier, 3, right).key() == \
+            Subspace.from_vectors(carrier, 3, left).key()
 
 
 def test_budget_exhaustion_is_flagged():
@@ -582,6 +710,21 @@ def test_simplicity_probe_verdicts():
     assert not rep.passed
     zero = catalog_bracket("zero")
     assert not simplicity_probe(zero, 4, seeds=[Vec.basis(tsym(0))]).passed
+
+
+def test_simplicity_probe_names_its_rng_seed_only_when_it_draws():
+    L2 = catalog_bracket("L2")
+    drawn = simplicity_probe(L2, 6, seed_count=2, max_degree=5, rng_seed=7)
+    given = simplicity_probe(L2, 6, seeds=random_polynomials(2, 5, 7),
+                             rng_seed=7)
+    assert drawn.params == {"window": 6, "guaranteed_degree": 2,
+                            "rng_seed": 7}
+    assert given.params == {"window": 6, "guaranteed_degree": 2,
+                            "seeds": "given"}
+    assert drawn.passed and given.passed and drawn.details == given.details
+    zero = simplicity_probe(catalog_bracket("zero"), 4,
+                            seeds=[Vec.basis(tsym(0))])
+    assert zero.params["seeds"] == "given" and "rng_seed" not in zero.params
 
 
 def test_random_polynomial_family_is_replayable():
