@@ -21,7 +21,7 @@ from .grammar import parse_poly, render_tensor2, render_vec
 from .ideals import (Subspace, ideal_closure, is_ideal, quotient_bracket,
                      quotient_reduce, simplicity_probe, theorem3_replay)
 from .matrices import (Domain, FinitaryMatrix, LocallyFiniteOperator,
-                       StridedRayOperator, commutator, mul_mixed)
+                       commutator, mul_mixed)
 from .rb import (CATALOG_RB_NAMES, RBOperator, build_pk, catalog_rb,
                  check_rb_identity, check_skew_symmetry, conjugate_by,
                  remark3_suite, tensor_extend,
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CATALOG_BRACKET_NAMES", "CATALOG_RB_NAMES", "Domain", "DoubleAction",
     "DoubleBracket", "FinitaryMatrix", "LocallyFiniteOperator", "RBOperator",
-    "StridedRayOperator", "Subspace", "Tensor2", "Vec",
+    "Subspace", "Tensor2", "Vec",
     "VerificationReport", "bracket_from_rb", "build_pk",
     "catalog_bracket", "catalog_rb", "check_anticommutativity",
     "check_jacobi", "check_leibniz", "check_module_axioms",

@@ -4,17 +4,14 @@ A locally finite operator has finitely many nonzero entries in every row and
 in every column; all catalog operators are supported on finitely many
 slope-one diagonals, so the canonical representation used here is
 
-    step, {offset: sorted disjoint segments (lo, hi, coeff)}
+    {offset: sorted disjoint segments (lo, hi, coeff)}
 
 where offset = column - row, and a segment contributes coeff * e_{r, r+offset}
-for every row r = lo, lo + step, ... up to hi.  lo = None means the segment
-extends to -infinity (integers domain only; its rows are then hi, hi - step,
-...) and hi = None means +infinity.  Step 1 gives point entries and the
-diagonal "rays"; a larger step gives the strided rays of the k-step
-difference preimages, whose support walks a diagonal in jumps of k.  Each
-operator takes the least step at which every diagonal is finitely many
-segments, so a single normal form covers the finitary part, the rays and the
-strided rays, and structural equality equals mathematical equality.
+for every row r from lo to hi.  lo = None means the segment extends to
+-infinity (integers domain only) and hi = None means +infinity.  Point
+entries and the diagonal "rays" are both segments, so a single normal form
+covers the finitary part and the rays, and structural equality equals
+mathematical equality.
 
 A finitary matrix (finitely many nonzero entries; these form the two-sided
 ideal inside the locally finite operators) is the case in which every segment
@@ -23,8 +20,6 @@ is finite.  FinitaryMatrix only builds one from {(row, col): coeff}, and
 """
 
 from __future__ import annotations
-
-from math import lcm
 
 from .exact import ONE, S, Vec, sparse_sum
 
@@ -80,41 +75,15 @@ NATURALS = Domain("naturals")
 INTEGERS = Domain("integers")
 
 
-def _norm_segments(raw, step=1):
-    """Normalize possibly-overlapping segments at the given step into a
-    canonical tuple: each residue class mod step in turn, as disjoint,
-    sorted, maximal segments with nonzero coefficients, integral ones as int.
+def _norm_segments(raw):
+    """Normalize possibly-overlapping segments into a canonical tuple of
+    disjoint, sorted, maximal segments with nonzero coefficients, integral
+    ones as int.
 
-    A raw segment (lo, hi, c) covers the rows from lo to hi in the class of
-    lo (of hi when lo is None); (None, None, c) covers every row.  Above
-    step 1 each class r is normalised as a step-1 diagonal in the coordinate
-    m of its rows r + m*step, and a class covered end to end is split at r,
-    which names the class.
-
-    At step 1, one sweep over the sorted breakpoints: a segment adds its
-    coefficient at lo and takes it back at hi + 1, a backward-infinite one
-    starts in the running total.  A breakpoint whose changes cancel is
-    dropped, so each emitted segment differs in coefficient from the next
-    adjacent one."""
-    if step > 1:
-        classes = [[] for _ in range(step)]
-        for lo, hi, c in raw:
-            if lo is None and hi is None:
-                for cls in classes:
-                    cls.append((lo, hi, c))
-                continue
-            r = (hi if lo is None else lo) % step
-            classes[r].append((None if lo is None else (lo - r) // step,
-                               None if hi is None else (hi - r) // step, c))
-        out = []
-        for r, cls in enumerate(classes):
-            for lo, hi, c in _norm_segments(cls):
-                if lo is None and hi is None:
-                    out.append((None, r - step, c))
-                    lo = 0
-                out.append((None if lo is None else r + lo * step,
-                            None if hi is None else r + hi * step, c))
-        return tuple(out)
+    One sweep over the sorted breakpoints: a segment adds its coefficient
+    at lo and takes it back at hi + 1, a backward-infinite one starts in the
+    running total.  A breakpoint whose changes cancel is dropped, so each
+    emitted segment differs in coefficient from the next adjacent one."""
     start = 0
     delta = {}
     get = delta.get
@@ -147,95 +116,36 @@ def _integral(c):
     return c.numerator if c.denominator == 1 else c
 
 
-def _meet(lo1, hi1, lo2, hi2, s1, s2, step):
-    """Ends (lo, hi) of the rows common to the progressions lo1, lo1 + s1,
-    ... up to hi1 and lo2, lo2 + s2, ... up to hi2, aligned at step (the lcm
-    of s1 and s2), or None when there are none.  None stands for the
-    corresponding infinity; a progression without lo is anchored at its hi,
-    and one without either has step 1."""
+def _meet(lo1, hi1, lo2, hi2):
+    """Ends (lo, hi) of the rows common to lo1..hi1 and lo2..hi2, or None
+    when there are none.  None stands for the corresponding infinity."""
     lo = lo2 if lo1 is None else (lo1 if lo2 is None or lo2 < lo1 else lo2)
     hi = hi2 if hi1 is None else (hi1 if hi2 is None or hi1 < hi2 else hi2)
-    if step > 1:
-        a1 = hi1 if lo1 is None else lo1
-        a2 = hi2 if lo2 is None else lo2
-        # a row in both classes: the chinese remainder, by search
-        x = a2 if s1 == 1 else next(
-            (x for x in range(a1, a1 + step, s1)
-             if s2 == 1 or (x - a2) % s2 == 0), None)
-        if x is None:
-            return None
-        if lo is not None:
-            lo += (x - lo) % step
-        if hi is not None:
-            hi -= (hi - x) % step
     if lo is not None and hi is not None and lo > hi:
         return None
     return lo, hi
 
 
-def _seg_contains(seg, r, step):
+def _seg_contains(seg, r):
     lo, hi, _ = seg
-    return ((lo is None or lo <= r) and (hi is None or r <= hi)
-            and (step == 1 or (r - (hi if lo is None else lo)) % step == 0))
-
-
-def _least_step(segs, step):
-    """The least divisor of step at which every diagonal of the canonical
-    step-`step` segments is finitely many segments: the least period of the
-    tail coefficients over the row classes, 1 when there are no tails."""
-    tails = {(o, hi is None, (hi if lo is None else lo) % step): c
-             for o, ss in segs.items() for lo, hi, c in ss
-             if lo is None or hi is None}
-    for p in range(1, step):
-        if not step % p and all(tails.get((o, fwd, (r + p) % step)) == c
-                                for (o, fwd, r), c in tails.items()):
-            return p
-    return step
-
-
-def _refine(ss, step, p):
-    """The canonical step-`step` segments ss as raw segments at step p, a
-    divisor of step at which their tails repeat: the tails beyond every tail
-    start and end become tails at step p, every other covered row a point."""
-    fwd = {lo % step: c for lo, hi, c in ss if hi is None}
-    back = {hi % step: c for lo, hi, c in ss if lo is None}
-    top = max((lo for lo, hi, _ in ss if hi is None), default=0)
-    bot = min((hi for lo, hi, _ in ss if lo is None), default=0)
-    raw = []
-    for lo, hi, c in ss:
-        a = hi if lo is None else lo
-        first = lo if lo is not None else bot + 1 + (a - bot - 1) % step
-        last = hi if hi is not None else top - 1 - (top - 1 - a) % step
-        raw += [(x, x, c) for x in range(first, last + 1, step)]
-    for r in range(p):
-        x = top + (r - top) % p
-        y = bot - (bot - r) % p
-        raw += [(x, None, fwd.get(x % step, 0)),
-                (None, y, back.get(y % step, 0))]
-    return raw
+    return (lo is None or lo <= r) and (hi is None or r <= hi)
 
 
 class LocallyFiniteOperator:
     """Operator supported on finitely many diagonals, finitely many segments
     per diagonal.  Every row and every column then has at most one entry per
-    diagonal, so local finiteness is structural.
+    diagonal, so local finiteness is structural."""
 
-    A segment (lo, hi, c) covers the rows lo, lo + step, ... up to hi, a
-    backward-infinite one the rows hi, hi - step, ...; step is the same for
-    every segment and is lowered at construction to the least one at which
-    every diagonal is finitely many segments, so structural equality equals
-    mathematical equality."""
+    __slots__ = ("domain", "segs")
 
-    __slots__ = ("domain", "segs", "step")
-
-    def __init__(self, segs=None, domain=NATURALS, step=1):
+    def __init__(self, segs=None, domain=NATURALS):
         self.domain = domain
         norm = {}
         finite = domain.kind == "finite"
         for offset, raw in (segs or {}).items():
             if finite and any(lo is None or hi is None for lo, hi, _ in raw):
                 raise ValueError("infinite ray in finite domain")
-            ss = _norm_segments(raw, step)
+            ss = _norm_segments(raw)
             bounds = ss and domain.row_bounds(offset)
             if not bounds:
                 continue
@@ -243,21 +153,15 @@ class LocallyFiniteOperator:
             canon = []
             for lo, hi, c in ss:
                 # the segment's rows within the domain's rows
-                cut = _meet(lo, hi, blo, bhi, step, 1, step)
+                cut = _meet(lo, hi, blo, bhi)
                 if cut is not None:
                     canon.append((cut[0], cut[1], c))
             if canon:
                 norm[offset] = tuple(canon)
-        if step > 1 and (least := _least_step(norm, step)) < step:
-            norm = {o: canon for o, ss in norm.items()
-                    if (canon := _norm_segments(_refine(ss, step, least),
-                                                least))}
-            step = least
         self.segs = norm
-        self.step = step
 
-    # zero, ray and unit build a LocallyFiniteOperator on the subclasses as
-    # well, whose constructors take other arguments
+    # zero, ray and unit build the same operator on the subclasses as well,
+    # whose constructors take other arguments
     @staticmethod
     def zero(domain=NATURALS):
         return LocallyFiniteOperator({}, domain)
@@ -266,7 +170,7 @@ class LocallyFiniteOperator:
     def ray(coeff, row0, col0):
         """coeff * (e_{row0,col0} + e_{row0+1,col0+1} + ...) on the
         naturals."""
-        return LocallyFiniteOperator({col0 - row0: [(row0, None, coeff)]})
+        return StridedRayOperator(coeff, row0, col0)
 
     @staticmethod
     def unit(i, j, domain=NATURALS):
@@ -277,20 +181,18 @@ class LocallyFiniteOperator:
 
     def __eq__(self, other):
         return (isinstance(other, LocallyFiniteOperator)
-                and self.domain == other.domain and self.step == other.step
-                and self.segs == other.segs)
+                and self.domain == other.domain and self.segs == other.segs)
 
     def __hash__(self):
-        return hash((self.domain, self.step, tuple(sorted(self.segs.items()))))
+        return hash((self.domain, tuple(sorted(self.segs.items()))))
 
     def __repr__(self):
-        return "LocallyFiniteOperator(%r, %r%s)" % (
-            dict(sorted(self.segs.items())), self.domain,
-            ", step=%d" % self.step if self.step > 1 else "")
+        return "LocallyFiniteOperator(%r, %r)" % (
+            dict(sorted(self.segs.items())), self.domain)
 
     def entry(self, i, j):
         for seg in self.segs.get(j - i, ()):
-            if _seg_contains(seg, i, self.step):
+            if _seg_contains(seg, i):
                 return seg[2]
         return 0
 
@@ -299,7 +201,7 @@ class LocallyFiniteOperator:
         out = {}
         for offset, segs in self.segs.items():
             for seg in segs:
-                if _seg_contains(seg, i, self.step):
+                if _seg_contains(seg, i):
                     out[i + offset] = seg[2]
                     break
         return out
@@ -326,7 +228,7 @@ class LocallyFiniteOperator:
                 moved.append((None if lo is None else lo + offset,
                               None if hi is None else hi + offset, c))
             segs[-offset] = moved
-        return LocallyFiniteOperator(segs, self.domain, self.step)
+        return LocallyFiniteOperator(segs, self.domain)
 
     def apply(self, v):
         """Matrix-vector product on basis symbols u_q := (tag, q); the
@@ -343,14 +245,13 @@ class LocallyFiniteOperator:
         for offset, ss in self.segs.items():
             r = q - offset
             for seg in ss:
-                if _seg_contains(seg, r, self.step):
+                if _seg_contains(seg, r):
                     out[r] = seg[2]
                     break
         return out
 
     def to_finitary(self):
-        """The operator itself, once its support is known to be finite (and
-        so its step is 1)."""
+        """The operator itself, once its support is known to be finite."""
         if any(lo is None or hi is None
                for ss in self.segs.values() for lo, hi, _ in ss):
             raise ValueError("operator has infinite rays; not finitary")
@@ -382,18 +283,15 @@ class FinitaryMatrix(LocallyFiniteOperator):
 
 
 class StridedRayOperator(LocallyFiniteOperator):
-    """coeff * sum of e_{row0+m*step, col0+m*step} over m >= 0: one ray
-    segment at the given step.  Steps >= 2 arise as preimages of the k-step
-    difference maps, whose support walks a diagonal in jumps of k; step 1 is
-    the ordinary ray.  Every operation on it returns a LocallyFiniteOperator,
-    which compares and hashes equal to it."""
+    """coeff * (e_{row0,col0} + e_{row0+1,col0+1} + ...): one ray segment,
+    the operator that LocallyFiniteOperator.ray builds.  Every operation on
+    it returns a LocallyFiniteOperator, which compares and hashes equal to
+    it."""
 
     __slots__ = ()
 
-    def __init__(self, coeff, row0, col0, step, domain=NATURALS):
-        if step < 1:
-            raise ValueError("stride must be positive")
-        super().__init__({col0 - row0: [(row0, None, S(coeff))]}, domain, step)
+    def __init__(self, coeff, row0, col0, domain=NATURALS):
+        super().__init__({col0 - row0: [(row0, None, S(coeff))]}, domain)
 
     # bench/tracing.py counts calls by patching apply_index in this class's
     # own namespace
@@ -405,55 +303,29 @@ def _need_same_domain(a, b):
         raise ValueError("index domain mismatch: %r vs %r" % (a.domain, b.domain))
 
 
-def _spread(out, lo, hi, c, s, step):
-    """Append c on the rows lo, lo + s, ... to hi (hi, hi - s, ... if lo is
-    None) to out at step, a multiple of s: one segment per class of step."""
-    if s == step or (lo is None and hi is None):
-        out.append((lo, hi, c))
-    else:
-        out += [(None, hi - m, c) if lo is None else (lo + m, hi, c)
-                for m in range(0, step, s)]
-
-
 def operator_sum(terms, domain, products=()):
     """The sum of c * op over (c, op) in terms and of the matrix products
     c * ab over (c, a, b) in products, normalised once from all their raw
-    segments at the lcm of the steps.  A segment on offset o1 over rows lo1,
-    lo1 + s1, ... to hi1 times one on offset o2 over rows lo2, lo2 + s2, ...
-    to hi2 gives, on offset o1 + o2, the rows of the first whose shift by o1
-    lies in the second: a progression at lcm(s1, s2)."""
-    terms = list(terms)
-    step = 1
-    for _, op in terms:
-        if op.step != step:
-            step = lcm(step, op.step)
-    for _, a, b in products:
-        if a.step != step or b.step != step:
-            step = lcm(step, a.step, b.step)
+    segments.  A segment on offset o1 over rows lo1..hi1 times one on offset
+    o2 over rows lo2..hi2 gives, on offset o1 + o2, the rows of the first
+    whose shift by o1 lies in the second."""
     segs = {}
     for c, op in terms:
         for offset, ss in op.segs.items():
             out = segs.setdefault(offset, [])
-            if op.step == step:
-                out += ss if c == 1 else [(lo, hi, c * d) for lo, hi, d in ss]
-                continue
-            for lo, hi, d in ss:
-                _spread(out, lo, hi, c * d, op.step, step)
+            out += ss if c == 1 else [(lo, hi, c * d) for lo, hi, d in ss]
     for c, a, b in products:
-        s1, s2 = a.step, b.step
-        s = lcm(s1, s2)
         for o1, ss1 in a.segs.items():
             for o2, ss2 in b.segs.items():
                 for lo1, hi1, c1 in ss1:
                     for lo2, hi2, c2 in ss2:
                         cut = _meet(lo1, hi1,
                                     None if lo2 is None else lo2 - o1,
-                                    None if hi2 is None else hi2 - o1,
-                                    s1, s2, s)
+                                    None if hi2 is None else hi2 - o1)
                         if cut is not None:
-                            _spread(segs.setdefault(o1 + o2, []), *cut,
-                                    c * c1 * c2, s, step)
-    return LocallyFiniteOperator(segs, domain, step)
+                            segs.setdefault(o1 + o2, []).append(
+                                (*cut, c * c1 * c2))
+    return LocallyFiniteOperator(segs, domain)
 
 
 def mul_mixed(a, b):

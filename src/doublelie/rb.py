@@ -20,12 +20,13 @@ Skew-symmetry is the condition <R(x),y> = -<x,R(y)> for the trace pairing
 
 The catalog covers the two divided-difference operators r1, r2 and their
 transpose conjugates, three finite-dimensional examples, the tensor extension
-by a matrix factor, and the k-step difference preimage family p_k.  r1, r2
-and p_k are chamber tables, one segment per chamber, which also give the
-correspondence's support: r1 and r2 split on i > j, p_k on i // k > j // k,
-and r2 is p_1.  r1_laurent and r2_laurent are the images on the integers,
-and the domain clip cuts them to the polynomial r1 and r2 on the naturals.
-The finite examples are read from one table of images.
+by a matrix factor, and the k-step difference preimage family p_k.  r1 and
+r2 are chamber tables, one segment per chamber split on i > j, which also
+give the correspondence's support.  r1_laurent and r2_laurent are the images
+on the integers, and the domain clip cuts them to the polynomial r1 and r2
+on the naturals.  p_k is the tensor extension r2 (x) id_k, which is the
+N-indexed p_k read through the index bijection i <-> (i // k, i mod k), and
+p_1 is r2.  The finite examples are read from one table of images.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ class RBOperator:
     which the derived operators that move no entry keep.
 
     shift_equivariant declares that R(e_{i+s,j+s}) is R(e_ij) moved s rows
-    down and s columns right for every unit and every s: a table of step 1
-    on the integers makes it so, and scaling, the transpose and the tensor
+    down and s columns right for every unit and every s: a chamber table on
+    the integers makes it so, and scaling, the transpose and the tensor
     extension keep it; mutate_sign, which keeps the table for support only,
     drops it."""
 
@@ -70,7 +71,7 @@ class RBOperator:
         (or transposes)."""
         R = RBOperator(name, self.domain, image_fn, N or self.N)
         c = self._chambers
-        R._chambers = c and (c[0], c[1], c[2] != flip)
+        R._chambers = c and (c[0], c[1] != flip)
         R.shift_equivariant = self.shift_equivariant
         return R
 
@@ -80,36 +81,36 @@ class RBOperator:
         other operator.  Raises ValueError if they are infinitely many.
 
         Per chamber they form one interval: u_q meets R(e_{ps}) at row
-        q - s + p - k (a transpose: row q of R(e_{sp})), so with d = q - k
-        (q) s runs over d - k*hi .. d - k*lo in d's class mod k, cut at
-        k * (p // k) (plus k), nonnegative row and column on the naturals."""
+        q - s + p - 1 (a transpose: row q of R(e_{sp})), so with d = q - 1
+        (q) s runs over d - hi .. d - lo, cut at p (plus 1), nonnegative row
+        and column on the naturals."""
         if self.domain.kind == "finite":
             return range(self.domain.size)
         if self._chambers is None:
             return None
-        (below, above), k, flip = self._chambers
-        e = k if flip else 0
-        d, cut = q - k + e, k * (p // k) + e
+        (below, above), flip = self._chambers
+        e = 1 if flip else 0
+        d, cut = q - 1 + e, p + e
         floor, ceil = ((0, d + p + e) if self.domain.kind == "naturals"
                        else (-inf, inf))
         out = []
         for (lo, hi, _), first, last in (
                 (above if flip else below, -inf, cut - 1),
                 (below if flip else above, cut, inf)):
-            first = max(first, floor, -inf if hi is None else d - k * hi)
-            last = min(last, ceil, inf if lo is None else d - k * lo)
+            first = max(first, floor, -inf if hi is None else d - hi)
+            last = min(last, ceil, inf if lo is None else d - lo)
             if first == -inf or last == inf:
                 raise ValueError("operator %s: infinitely many s at (p, q) = "
                                  "(%d, %d)" % (self.name, p, q))
-            out += range(first + (d - first) % k, last + 1, k)
+            out += range(first, last + 1)
         return out
 
     def degree_shift(self):
         """s + r - p - q at every term u_s (x) u_r of the correspondence sum,
-        whose row is r = q - s + p - k (flipped: + k) as in support: -k for
-        a chamber table, +k for a flipped one, None for any other operator."""
+        whose row is r = q - s + p - 1 (flipped: + 1) as in support: -1 for
+        a chamber table, +1 for a flipped one, None for any other operator."""
         c = self._chambers
-        return c and (c[1] if c[2] else -c[1])
+        return c and (1 if c[1] else -1)
 
     def image(self, i, j):
         """R(e_{ij}) as an operator-like value (memoized)."""
@@ -185,12 +186,11 @@ class _Moves(dict):
                                for lo, hi, c in ss])
                  for o, ss in ref.segs.items()} if down else {
             o + 1: ss for o, ss in ref.segs.items()}
-        return self.setdefault(key, op.step == ref.step and (
-            2 if op.segs == moved else int(
-                edge and moved.keys() <= op.segs.keys()
-                and all(ss == moved.get(o) or moved.get(o) == _off_edge(
-                    ss, -o * (1 - down), op.step)
-                    for o, ss in op.segs.items()))))
+        return self.setdefault(key, 2 if op.segs == moved else int(
+            edge and moved.keys() <= op.segs.keys()
+            and all(ss == moved.get(o)
+                    or moved.get(o) == _off_edge(ss, -o * (1 - down))
+                    for o, ss in op.segs.items())))
 
     def reach(self, a, b, n):
         """min(n, how many of (a, b), (a, b + 1), ... move one right)."""
@@ -218,9 +218,9 @@ class _Moves(dict):
             yield a, b
 
 
-def _off_edge(ss, edge, step):
+def _off_edge(ss, edge):
     """The segments ss without row edge, the first of their diagonal."""
-    return tuple((lo + step if lo == edge else lo, hi, c)
+    return tuple((lo + 1 if lo == edge else lo, hi, c)
                  for lo, hi, c in ss if not lo == hi == edge) or None
 
 
@@ -384,9 +384,7 @@ def check_skew_symmetry(R, window=8):
                     # rows l of the segment with l and l + o in the window
                     first = max(lo, lo - o, lo if a is None else a)
                     last = min(hi, hi - o, hi if b is None else b)
-                    if Rx.step > 1:
-                        first += ((b if a is None else a) - first) % Rx.step
-                    for l in range(first, last + 1, Rx.step):
+                    for l in range(first, last + 1):
                         pairing[i, j, l + o, l] = c
     bad = [x for key, c in pairing.items()
            if c != -pairing.get(key[2:] + key[:2], 0)
@@ -452,26 +450,26 @@ def mutate_sign(R, i, j):
 # ---------------------------------------------------------------------------
 # catalog
 
-# chamber tables (below, above): R(e_ij) is c on rows i + k*lo .. i + k*hi
-# of diagonal j - i + k at step k, (lo, hi, c) = below iff j//k < i//k.
-# p_k's below is the back-walk out through a free column head, which the
-# naturals clip at row i - (j // k + 1) * k, and its above the forward ray
+# chamber tables (below, above): R(e_ij) is c on rows i + lo .. i + hi of
+# diagonal j - i + 1, (lo, hi, c) = below iff j < i.  r2's below is the
+# back-walk out through a free column head, which the naturals clip at row
+# i - j - 1, and its above the forward ray
 _R1_TABLE = ((0, None, -1), (None, -1, 1))
-_PK_TABLE = ((None, -1, -1), (0, None, 1))
+_R2_TABLE = ((None, -1, -1), (0, None, 1))
 
 
-def _chamber_operator(name, domain, table, k=1):
-    """R(e_ij) as its chamber's segment of table, clipped to the domain.  At
-    step 1 on the integers the chamber depends on j - i alone and the
-    segment's rows move with i, so R is shift-equivariant."""
+def _chamber_operator(name, domain, table):
+    """R(e_ij) as its chamber's segment of table, clipped to the domain.  On
+    the integers the chamber depends on j - i alone and the segment's rows
+    move with i, so R is shift-equivariant."""
     def image_fn(i, j):
-        *ends, c = table[j // k >= i // k]
-        ends = [None if e is None else i + k * e for e in ends]
-        return LocallyFiniteOperator({j - i + k: [(*ends, c)]}, domain, k)
+        *ends, c = table[j >= i]
+        ends = [None if e is None else i + e for e in ends]
+        return LocallyFiniteOperator({j - i + 1: [(*ends, c)]}, domain)
 
     R = RBOperator(name, domain, image_fn)
-    R._chambers = (table, k, False)
-    R.shift_equivariant = k == 1 and domain.kind == "integers"
+    R._chambers = (table, False)
+    R.shift_equivariant = domain.kind == "integers"
     return R
 
 
@@ -487,11 +485,19 @@ def build_pk(k):
     """The preimage operator of the k-step difference map d_k(x) = xA^k - A^kx
     with A = e_{10} + e_{21} + ...: P_k(e_{ij}) is the minimal-support
     solution X of the entrywise recurrence X_{a,b+k} - X_{a-k,b} =
-    delta_{ai} delta_{bj}, one segment at step k per chamber (_PK_TABLE),
-    from which its support and its transpose's derive.  P_1 is r2."""
+    delta_{ai} delta_{bj}.
+
+    Through the index bijection i <-> (i // k, i mod k), which identifies
+    the N-indexed matrices with M_k-valued ones, A^k is the block shift
+    A (x) 1 and the recurrence is r2's on block indices, each label pair
+    carried along: entry (a, b) of P_k(e_ij) is r2(e_{i//k, j//k})'s entry
+    (a // k, b // k) when (a mod k, b mod k) = (i mod k, j mod k), and 0
+    otherwise.  So P_k is r2 (x) M_k, built as the tensor extension r2 (x)
+    id_k on block indices, with r2's support and its transpose's; P_1 is
+    r2."""
     if k < 1:
         raise ValueError("p_k needs k >= 1")
-    return _chamber_operator("p_%d" % k, NATURALS, _PK_TABLE, k)
+    return tensor_extend(catalog_rb("r2"), k, name="p_%d" % k)
 
 
 def catalog_rb(name, **params):
@@ -500,7 +506,7 @@ def catalog_rb(name, **params):
     if name in ("r1", "r2", "r1_laurent", "r2_laurent"):
         return _chamber_operator(
             name, INTEGERS if name.endswith("_laurent") else NATURALS,
-            _R1_TABLE if name[:2] == "r1" else _PK_TABLE)
+            _R1_TABLE if name[:2] == "r1" else _R2_TABLE)
     if name == "r3":
         return conjugate_by(catalog_rb("r1"), "transpose", name="r3")
     if name == "r4":
@@ -529,7 +535,7 @@ CATALOG_RB_NAMES = ("r1", "r2", "r3", "r4", "ex1", "ex2", "quiver", "kac",
 
 
 # ---------------------------------------------------------------------------
-# the derivation d(x) = xA - Ax and its k-step analogues
+# the derivation d(x) = xA - Ax
 
 def shift_ray():
     """A = e_{10} + e_{21} + ... (the lower shift), as an operator."""

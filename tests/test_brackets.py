@@ -194,12 +194,13 @@ def _operator(name):
 
 
 @pytest.mark.parametrize("name, shift", [
-    ("r1", -1), ("r2", -1), ("r3", 1), ("r4", 1), ("p_2", -2), ("p_3", -3),
-    ("p_2^T", 2), ("p_3^T", 3), ("r2_laurent", -1), ("kac(2)", -1),
+    ("r1", -1), ("r2", -1), ("r3", 1), ("r4", 1), ("p_2", -1), ("p_3", -1),
+    ("p_2^T", 1), ("p_3^T", 1), ("r2_laurent", -1), ("kac(2)", -1),
     ("ex1", None), ("quiver", None)])
 def test_correspondence_brackets_declare_the_chamber_degree_shift(name,
                                                                   shift):
-    # every term u_s (x) u_r of <<u_p, u_q>> has s + r = p + q + shift
+    # every term u_s (x) u_r of <<u_p, u_q>> has s + r = p + q + shift; p_k
+    # and kac carry a matrix factor, so their degrees are block indices
     R = _operator(name)
     B = bracket_from_rb(R)
     assert R.degree_shift() == B.degree_shift == shift

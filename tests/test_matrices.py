@@ -1,5 +1,5 @@
 """Finitary matrices and locally finite operators: products, rays, strided
-rays and the step normal form, transposes and block cuts.
+diagonals and the segment normal form, transposes and block cuts.
 
 Oracles: small dense multiplication over explicit windows, and the unit
 product rule e_ij e_kl = delta_jk e_il."""
@@ -16,7 +16,6 @@ from doublelie.exact import Vec, tsym
 from doublelie.matrices import (INTEGERS, NATURALS, Domain, FinitaryMatrix,
                                 LocallyFiniteOperator, StridedRayOperator,
                                 _norm_segments, commutator, mul_mixed)
-from doublelie.rb import build_pk
 
 
 def dense_window(op, n):
@@ -37,6 +36,13 @@ def dense_mul(a, b, n):
 def random_finitary(rng, n=6):
     return FinitaryMatrix({(rng.randrange(n), rng.randrange(n)):
                            Fraction(rng.randint(-4, 4)) for _ in range(7)})
+
+
+def strided(coeff, row0, col0, k, rows=40):
+    """coeff * e_{row0+mk, col0+mk} over m >= 0 with row0 + mk < rows: a
+    diagonal that skips k - 1 entries after each one, cut below row rows."""
+    return FinitaryMatrix({(r, r + col0 - row0): coeff
+                           for r in range(row0, rows, k)})
 
 
 def block_cut(x, n):
@@ -80,25 +86,24 @@ def test_finitary_matrix_is_a_point_segment_operator():
 
 
 def test_strided_products_match_dense_oracle():
-    # a strided ray on either side of a finitary factor gives a finitary
-    # product
+    # a strided diagonal on either side of a finitary factor
     rng = random.Random(11)
-    strided = (StridedRayOperator(Fraction(2), 1, 3, 2),
-               StridedRayOperator(-1, 0, 0, 3), build_pk(2).image(1, 0))
-    for s in strided:
+    diagonals = (strided(Fraction(2), 1, 3, 2), strided(-1, 0, 0, 3),
+                 strided(1, 1, 2, 2))
+    for s in diagonals:
         ds = dense_window(s, 30)
         for _ in range(10):
             m = random_finitary(rng)
             dm = dict(m.entries)
             assert mul_mixed(s, m).entries == dense_mul(ds, dm, 30)
             assert mul_mixed(m, s).entries == dense_mul(dm, ds, 30)
-    # strided times strided, and strided times an infinite ray: every
-    # factor only moves column indices down or keeps them, so entries with
-    # both indices below 20 are exact on the 40 x 40 window
-    rays = strided + (StridedRayOperator(1, 2, 0, 4),
-                      LocallyFiniteOperator.ray(Fraction(-1), 0, 0),
-                      LocallyFiniteOperator.ray(3, 2, 1),
-                      build_pk(3).image(2, 1))
+    # strided times strided, and strided times an infinite ray: no factor
+    # moves an index by more than 2, so entries with both indices below 20
+    # are exact on the 40 x 40 window
+    rays = diagonals + (strided(1, 2, 0, 4),
+                        LocallyFiniteOperator.ray(Fraction(-1), 0, 0),
+                        LocallyFiniteOperator.ray(3, 2, 1),
+                        strided(1, 2, 4, 3))
     for a in rays:
         for b in rays:
             got = dense_window(mul_mixed(a, b), 20)
@@ -191,7 +196,9 @@ def test_apply_to_vector_with_tag():
 
 
 def test_strided_ray_skips_intermediate_diagonentries():
-    s = StridedRayOperator(Fraction(1), 0, 2, 3)
+    s = strided(Fraction(1), 0, 2, 3)
+    # one point segment per entry: the skipped rows split the diagonal
+    assert s.segs == {2: tuple((r, r, 1) for r in range(0, 40, 3))}
     assert s.entry(0, 2) == 1 and s.entry(3, 5) == 1 and s.entry(1, 3) == 0
     assert s.apply_index(5) == {3: 1}
     assert s.transpose().entry(2, 0) == 1
@@ -208,62 +215,43 @@ def test_domain_membership():
 _END = st.none() | st.integers(min_value=-8, max_value=8)
 _COEFF = st.integers(min_value=-2, max_value=2) | st.fractions(
     min_value=-2, max_value=2, max_denominator=3)
-_STEP = st.integers(min_value=1, max_value=4)
 
 
-@st.composite
-def _raw_at_step(draw):
-    """A step and raw segments at it, each with a finite lo above step 1."""
-    step = draw(_STEP)
-    lo = _END if step == 1 else st.integers(min_value=-8, max_value=8)
-    return step, draw(st.lists(st.tuples(lo, _END, _COEFF), max_size=10))
+def _covers(lo, hi, r):
+    return (lo is None or lo <= r) and (hi is None or r <= hi)
 
 
-def _covers(lo, hi, r, step=1):
-    return ((lo is None or lo <= r) and (hi is None or r <= hi)
-            and (step == 1 or (r - (hi if lo is None else lo)) % step == 0))
-
-
-@given(_raw_at_step())
-def test_norm_segments_matches_dense_oracle(drawn):
-    step, raw = drawn
-    out = _norm_segments(raw, step)
+@given(st.lists(st.tuples(_END, _END, _COEFF), max_size=10))
+def test_norm_segments_matches_dense_oracle(raw):
+    out = _norm_segments(raw)
     # rows -40..40 reach past every finite endpoint, so they also see each
     # infinite end
     for r in range(-40, 41):
-        want = sum(c for lo, hi, c in raw if _covers(lo, hi, r, step))
-        got = [c for lo, hi, c in out if _covers(lo, hi, r, step)]
+        want = sum(c for lo, hi, c in raw if _covers(lo, hi, r))
+        got = [c for lo, hi, c in out if _covers(lo, hi, r)]
         assert got == ([want] if want else []), r
-    # residue classes come in increasing order
-    classes = [(hi if lo is None else lo) % step if step > 1 else 0
-               for lo, hi, _ in out]
-    assert classes == sorted(classes)
     for k, (lo, hi, c) in enumerate(out):
         assert c and not isinstance(c, float)
         assert type(c) is int or c.denominator != 1
-        assert lo is None or hi is None or (lo <= hi and (hi - lo) % step == 0)
-        first = k == 0 or classes[k - 1] != classes[k]
-        assert lo is not None or first
-        assert (hi is not None or k == len(out) - 1
-                or classes[k + 1] != classes[k])
-        if not first:
+        assert lo is None or hi is None or lo <= hi
+        assert lo is not None or k == 0
+        assert hi is not None or k == len(out) - 1
+        if k:
             _, prev_hi, prev_c = out[k - 1]
-            # sorted and disjoint within the class; adjacent segments are
-            # maximal
+            # sorted and disjoint; adjacent segments are maximal
             assert lo > prev_hi
-            assert lo > prev_hi + step or c != prev_c
+            assert lo > prev_hi + 1 or c != prev_c
 
 
 @st.composite
 def _operators(draw, domain):
-    """An operator at a drawn step; a raw segment without lo is anchored at
-    its hi, one without either covers its whole diagonal."""
-    step = draw(_STEP)
+    """An operator; a raw segment without lo is anchored at its hi, one
+    without either covers its whole diagonal."""
     segs = draw(st.dictionaries(st.integers(min_value=-3, max_value=3),
                                 st.lists(st.tuples(_END, _END, _COEFF),
                                          max_size=3),
                                 max_size=3))
-    return LocallyFiniteOperator(segs, domain, step)
+    return LocallyFiniteOperator(segs, domain)
 
 
 @settings(deadline=None)
@@ -273,7 +261,6 @@ def test_operator_sums_are_canonical_across_steps(ops):
     a, b = ops
     back = a + b - b
     assert back == a and hash(back) == hash(a)
-    assert back.step == a.step
     for i in range(-30, 30):
         for o in range(-3, 4):
             assert (a + b).entry(i, i + o) == a.entry(i, i + o) \
@@ -282,15 +269,19 @@ def test_operator_sums_are_canonical_across_steps(ops):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_residue_shifted_strided_rays_sum_to_the_ray(k):
-    total = LocallyFiniteOperator.zero()
+    # the k residue classes of the rows below 40, and the ray from row 40 on
+    tail = LocallyFiniteOperator.ray(3, 40, 41)
+    total = tail
     for r in range(k):
-        total = total + StridedRayOperator(3, r, r + 1, k)
+        total = total + strided(3, r, r + 1, k)
     ray = LocallyFiniteOperator.ray(3, 0, 1)
-    assert total == ray and hash(total) == hash(ray) and total.step == 1
-    # k - 1 of them stay at step k; a step-1 strided ray is the ray
-    part = total - StridedRayOperator(3, 0, 1, k)
-    assert part.step == k and bool(part) == (k > 1)
-    assert StridedRayOperator(3, 0, 1, 1) == ray
+    assert total == ray and hash(total) == hash(ray)
+    assert total.segs == {1: ((0, None, 3),)}
+    # k - 1 classes stay; at k = 1 the one class is the whole diagonal
+    part = total - strided(3, 0, 1, k) - tail
+    assert bool(part) == (k > 1)
+    assert part.entries == {(r, r + 1): 3 for r in range(40) if r % k}
+    assert StridedRayOperator(3, 0, 1) == ray
 
 
 def test_large_diagonal_builds():

@@ -11,8 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from doublelie import rb
 from doublelie.exact import sparse_sum
 from doublelie.matrices import (INTEGERS, Domain, FinitaryMatrix,
-                                LocallyFiniteOperator, NATURALS,
-                                StridedRayOperator, commutator, mul_mixed)
+                                LocallyFiniteOperator, NATURALS, commutator,
+                                mul_mixed)
 from doublelie.report import VerificationReport
 from doublelie.rb import (CATALOG_RB_NAMES, RBOperator, build_pk, catalog_rb,
                           check_rb_identity, check_skew_symmetry,
@@ -43,7 +43,7 @@ def test_laurent_variants_pass_on_integer_window():
 def test_sign_mutation_fails_with_counterexample():
     for R, unit in ((catalog_rb("r1"), (2, 0)), (catalog_rb("r2"), (0, 1)),
                     (catalog_rb("ex1"), (0, 0)),
-                    # strided-ray images of p_k, k >= 2
+                    # p_k, k >= 2: r2 on block indices, with a matrix factor
                     (build_pk(2), (0, 0)), (build_pk(3), (1, 2))):
         bad = mutate_sign(R, *unit)
         rep = check_rb_identity(bad, 4, 8)
@@ -140,21 +140,26 @@ def test_tensor_extension_keeps_base_images():
     assert check_skew_symmetry(ext, 5).passed
 
 
-def _kron_id(R, N):
-    """R (x) id_N as an operator on the naturals, the composite index (i, a)
-    flattened to i*N + a: the image of e_{(i,a),(j,b)} is R(e_ij) (x) e_ab,
-    each segment of R(e_ij) on diagonal o over rows lo..hi at step s moved
-    to diagonal o*N + b - a over rows lo*N + a..hi*N + a at step N*s."""
+def _n_indexed(R, rows=64):
+    """The labelled operator R on the naturals (block indices, and a matrix
+    factor of size N = R.N) read as an N-indexed one through the index
+    bijection u <-> (u // N, u mod N): entry (a, b) of its image of e_uv is
+    R(e_{u//N, v//N})'s entry (a // N, b // N) when (a mod N, b mod N) =
+    (u mod N, v mod N), and 0 otherwise.  The rays of the N-indexed images
+    walk their diagonals in jumps of N, so each image is cut below row
+    rows, which the windows read here never reach."""
+    N = R.N
+
     def image_fn(u, v):
         (i, a), (j, b) = divmod(u, N), divmod(v, N)
-        op = R.image(i, j)
-        return LocallyFiniteOperator(
-            {o * N + b - a: [(None if lo is None else lo * N + a,
-                              None if hi is None else hi * N + a, c)
-                             for lo, hi, c in ss]
-             for o, ss in op.segs.items()}, NATURALS, N * op.step)
+        stop = -(-(rows - a) // N)
+        return FinitaryMatrix({(r * N + a, (r + o) * N + b): c
+                               for o, ss in R.image(i, j).segs.items()
+                               for lo, hi, c in ss
+                               for r in range(lo, stop if hi is None
+                                              else min(hi + 1, stop))})
 
-    return RBOperator("%s(x)id_%d" % (R.name, N), NATURALS, image_fn)
+    return RBOperator("%s, N-indexed" % R.name, NATURALS, image_fn)
 
 
 @pytest.mark.parametrize("N", [2, 3])
@@ -162,7 +167,7 @@ def test_delta_factorisation_matches_the_composite_operator(N):
     # check_rb_identity sweeps kac(N) = -r1 (x) id_N on base units only; the
     # composite operator, swept on its own units, gives the same verdicts
     base = catalog_rb("r1").scaled(-1)
-    K = _kron_id(base, N)
+    K = _n_indexed(tensor_extend(base, N))
     for i, j, a, b in ((0, 0, 0, 0), (2, 1, 1, 0), (1, 3, N - 1, 1)):
         for q in range(3 * N):
             col = base.apply_image(i, j, q // N) if q % N == b else {}
@@ -170,7 +175,8 @@ def test_delta_factorisation_matches_the_composite_operator(N):
                 {r * N + a: c for r, c in col.items()}
     for R in (base, mutate_sign(base, 1, 0)):
         verdict = check_rb_identity(tensor_extend(R, N), 7).passed
-        assert check_rb_identity(_kron_id(R, N), 7).passed == verdict
+        assert check_rb_identity(_n_indexed(tensor_extend(R, N)),
+                                 7).passed == verdict
         assert verdict == (R is base)
 
 
@@ -209,32 +215,33 @@ def test_shift_preimage_matches_second_operator_for_step_one():
             assert images_equal(p1.image(i, j), r2.image(i, j), 16), (i, j)
 
 
-def _pointwise_pk_image(k):
-    """P_k(e_ij) built point by point: -1 at each row of the back-walk
-    i - k, i - 2k, ... when i // k > j // k, else the strided forward ray."""
+def _pointwise_pk_image(k, rows=64):
+    """P_k(e_ij) built point by point, N-indexed, as {(row, col): coeff}
+    below row rows: -1 at each row of the back-walk i - k, i - 2k, ... when
+    i // k > j // k, else 1 along the forward ray i, i + k, ... of diagonal
+    j + k - i."""
     def image_fn(i, j):
         if i // k > j // k:
-            rows = range(i - k, i - (j // k + 2) * k, -k)
-            return LocallyFiniteOperator({j + k - i: [(r, r, -1)
-                                                      for r in rows]})
-        return StridedRayOperator(1, i, j + k, k)
+            walk = range(i - k, i - (j // k + 2) * k, -k)
+            return {(r, r + j + k - i): -1 for r in walk}
+        return {(r, r + j + k - i): 1 for r in range(i, rows, k)}
 
     return image_fn
 
 
 def test_shift_preimages_match_the_pointwise_construction():
     for k in range(1, 6):
-        pk, oracle = build_pk(k), _pointwise_pk_image(k)
+        pk, oracle = _n_indexed(build_pk(k)), _pointwise_pk_image(k)
         for i in range(30):
             for j in range(30):
-                assert pk.image(i, j) == oracle(i, j), (k, i, j)
+                assert pk.image(i, j).entries == oracle(i, j), (k, i, j)
 
 
 def test_shift_preimages_satisfy_defining_equation():
-    # X = P_k(e_ij) must satisfy X*A^k - A^k*X = e_ij; with A the downward
-    # shift the left side is entrywise X[a, b+k] - X[a-k, b]
+    # X = P_k(e_ij), read N-indexed, must satisfy X*A^k - A^k*X = e_ij; with
+    # A the downward shift the left side is entrywise X[a, b+k] - X[a-k, b]
     for k in (1, 2, 3):
-        pk = build_pk(k)
+        pk = _n_indexed(build_pk(k))
         for i in range(5):
             for j in range(5):
                 X = pk.image(i, j)
@@ -292,7 +299,7 @@ def test_trace_functional_identities_on_finite_and_windowed():
 
 _TRACE_OPERATORS = [catalog_rb(name) for name in ("r1", "r2", "r3", "r4",
                                                    "ex1", "ex2", "quiver")] \
-    + [build_pk(k) for k in (1, 2, 3)] + [catalog_rb("kac", N=1)]
+    + [build_pk(1), catalog_rb("kac", N=1)]
 
 
 @pytest.mark.parametrize("R", _TRACE_OPERATORS, ids=lambda R: R.name)
@@ -341,7 +348,7 @@ def test_scaling_preserves_rb_weight_zero():
     R = catalog_rb("r1").scaled(Fraction(3, 2))
     assert check_rb_identity(R, 4, 8).passed
     assert check_skew_symmetry(R, 4).passed
-    # p_2 has strided-ray images
+    # p_2 has a matrix factor
     assert check_rb_identity(build_pk(2).scaled(-1), 4).passed
 
 
@@ -413,7 +420,7 @@ def test_rb_identity_matches_pointwise_oracle_on_catalog():
     ("r1_laurent", ((0, 0), (1, -1), (-1, 1))),
     ("r2", ((0, 1), (2, 0), (1, 1))),
     ("r3", ((0, 2), (1, 2))),
-    # strided-ray images: their products and sums are step-form operators
+    # r2's images on block indices, with a matrix factor
     ("p_2", ((0, 0), (1, 2), (2, 1))),
     ("p_3", ((1, 2), (0, 3))),
 ])
@@ -539,15 +546,20 @@ def test_orbit_path_covers_the_widest_orbits(window):
     assert '"x": "e[%d,0]", "y": "e[0,%d]"' % (-window, window) in rec
 
 
+def _stride2(i, j, ms):
+    """e_{i+2m,j+2m} over m in ms: a diagonal walked in jumps of 2."""
+    return FinitaryMatrix({(i + 2 * m, j + 2 * m): 1 for m in ms}, INTEGERS)
+
+
 def _class_diagonal(i, j):
-    """Every e_{i+2m,j+2m}, m in Z: a step-2 class covered end to end."""
-    return LocallyFiniteOperator({j - i: [(None, i, 1), (i + 2, None, 1)]},
-                                 INTEGERS, 2)
+    """e_{i+2m,j+2m} for |m| <= 8: the class of row i mod 2 on the diagonal
+    of (i, j), both ways from it."""
+    return _stride2(i, j, range(-8, 9))
 
 
 @pytest.mark.parametrize("window", [1, 2, 3])
 @pytest.mark.parametrize("name, image_fn", [
-    ("strided", lambda i, j: StridedRayOperator(1, i, j + 2, 2, INTEGERS)),
+    ("strided", lambda i, j: _stride2(i, j + 2, range(9))),
     ("classes", _class_diagonal),
 ])
 def test_orbit_path_on_strided_images(name, image_fn, window):
@@ -562,7 +574,7 @@ def test_orbit_path_on_strided_images(name, image_fn, window):
 
 @pytest.mark.parametrize("window", [1, 2, 3])
 def test_declared_orbit_path_covers_the_widest_orbits(window):
-    # collapse is shift-equivariant, as a step-1 table is, so declared it
+    # collapse is shift-equivariant, as a chamber table is, so declared it
     # takes the orbit path: the one failing orbit, of spread 2w, must be
     # among the orbit pairs for the full sweep to give the record
     R = _collapse(window)
@@ -583,10 +595,7 @@ def test_declarations_follow_the_chamber_tables():
     assert flip._chambers == r1._chambers and not flip.shift_equivariant
     assert not mutate_sign(conjugate_by(r1, "transpose"), 1, 2) \
         .shift_equivariant
-    # a step-2 table splits on i // 2, which an odd shift moves; on the
-    # naturals no shift is an automorphism
-    p2 = rb._chamber_operator("p2_laurent", INTEGERS, rb._PK_TABLE, 2)
-    assert p2._chambers and not p2.shift_equivariant
+    # on the naturals no shift is an automorphism
     for name in ("r1", "r2", "r3", "kac"):
         assert not catalog_rb(name).shift_equivariant, name
     assert not catalog_rb("zero", domain=INTEGERS).shift_equivariant
@@ -594,10 +603,10 @@ def test_declarations_follow_the_chamber_tables():
 
 _ENDS = st.sampled_from((None, -1, 0, 1))
 _CHAMBER = st.tuples(_ENDS, _ENDS, st.integers(-2, 2))
-# the catalog's two step-1 tables, scaled, pass
+# the catalog's two tables, scaled, pass
 _PASSING = st.builds(lambda table, c: tuple((lo, hi, c * d)
                                             for lo, hi, d in table),
-                     st.sampled_from((rb._R1_TABLE, rb._PK_TABLE)),
+                     st.sampled_from((rb._R1_TABLE, rb._R2_TABLE)),
                      st.sampled_from((-2, -1, 1, 2)))
 
 
@@ -759,7 +768,7 @@ _FULL = ((None, None, 1), (None, None, 1))
 
 @st.composite
 def _operators(draw):
-    """Catalog operators, p_2, p_3 and random step-1 chamber tables on both
+    """Catalog operators, p_2, p_3 and random chamber tables on both
     domains, maybe scaled, transposed and sign-mutated."""
     if draw(st.booleans()):
         R = rb._chamber_operator("T", draw(st.sampled_from((NATURALS,
@@ -841,7 +850,11 @@ def _two_sided_rb(R, window, cutoff):
                                  "y": "e[%d,%d]" % (k, l), "q": q,
                                  "lhs": _rows(lhs_q), "rhs": _rows(rhs_q)},
                                 params)
-    return VerificationReport.success("rb_identity", R.name, params)
+    details = None
+    if R.N > 1:
+        details = ("matrix factor of size %d handled by the delta "
+                   "factorization of composite units" % R.N)
+    return VerificationReport.success("rb_identity", R.name, params, details)
 
 
 def _catalog_or_pk(name):
@@ -874,7 +887,8 @@ def test_defect_sweep_matches_the_two_sided_sweep(name, window, how, data):
 
 
 @pytest.mark.parametrize("name, window, lo, hi", [
-    (name, 3, 0, 4) for name in ("r1", "r2", "r3", "r4", "p_1")] + [
+    (name, 3, 0, 4) for name in ("r1", "r2", "r3", "r4", "p_1", "p_2",
+                                 "p_3")] + [
     (name, 2, -3, 3) for name in ("r1_laurent", "r2_laurent")])
 def test_every_flipped_unit_matches_the_two_sided_sweep(name, window, lo, hi):
     # every unit with both indices in [lo, hi], flipped: a unit read only at
@@ -924,8 +938,7 @@ def _skew_agrees(R, window):
 
 
 def _random_operator(domain, rays, skew):
-    """R(e_ij) is the segments rays[(i, j)] = (step, {offset: segments})
-    plus, for each (i, j, k, l) -> c of skew inside the domain, c at (l, k)
+    """R(e_ij) is the segments rays[(i, j)] = {offset: segments} plus, for each (i, j, k, l) -> c of skew inside the domain, c at (l, k)
     of R(e_ij) and -c at (j, i) of R(e_kl), which are skew on their own."""
     cells = {}
     for (i, j, k, l), c in skew.items():
@@ -935,8 +948,7 @@ def _random_operator(domain, rays, skew):
                 m[cell] = m.get(cell, 0) + v
 
     def image_fn(i, j):
-        step, segs = rays.get((i, j), (1, {}))
-        return LocallyFiniteOperator(segs, domain, step) + \
+        return LocallyFiniteOperator(rays.get((i, j)), domain) + \
             FinitaryMatrix(cells.get((i, j)), domain)
 
     return RBOperator("random", domain, image_fn)
@@ -952,15 +964,14 @@ _INDEX = st.integers(-3, 3)
                         Domain.finite(3)]),
        st.integers(0, 3), st.data())
 def test_skew_pairing_matches_the_quadruple_sweep(domain, window, data):
-    # rays infinite either way off finite domains, at steps 1 to 3
+    # rays infinite either way off finite domains
     end = _INDEX if domain.kind == "finite" else st.none() | _INDEX
     segments = st.lists(st.tuples(end, end, _COEFF), min_size=1, max_size=2)
     unit = st.integers(-1, 1) if domain.kind == "integers" else \
         st.integers(0, 1)
     rays = data.draw(st.dictionaries(
         st.tuples(unit, unit),
-        st.tuples(st.integers(1, 3),
-                  st.dictionaries(st.integers(-3, 3), segments, max_size=2)),
+        st.dictionaries(st.integers(-3, 3), segments, max_size=2),
         max_size=3))
     skew = data.draw(st.dictionaries(st.tuples(_INDEX, _INDEX, _INDEX, _INDEX),
                                      _COEFF, max_size=6))
@@ -972,10 +983,10 @@ def test_skew_pairing_matches_the_quadruple_sweep(domain, window, data):
                                   "p_3_laurent"])
 def test_every_flipped_skew_pairing_matches_the_quadruple_sweep(name):
     if name.startswith("p_") and name.endswith("_laurent"):
-        # p_k's table on the integers: backward strided rays, which reach
-        # the window's first row from another residue class
-        base = rb._chamber_operator(name, INTEGERS, rb._PK_TABLE,
-                                    int(name[2]))
+        # p_k on the integers: r2_laurent on block indices, with a matrix
+        # factor
+        base = tensor_extend(catalog_rb("r2_laurent"), int(name[2]),
+                             name=name)
     else:
         base = _catalog_or_pk(name)
     for window in range(4):
