@@ -12,7 +12,6 @@ Exit codes: 0 all checks pass, 1 at least one check failed, 2 input error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -22,7 +21,7 @@ from .exact import Vec, tsym
 from .grammar import parse_poly, render_tensor2, render_vec
 from .ideals import Subspace, ideal_closure, quotient_bracket
 from .rb import CATALOG_RB_NAMES, catalog_rb
-from .report import VerificationReport
+from .report import VerificationReport, json_line
 
 # The checkers are imported where they are called, so that a wrapper set on
 # a checker's module attribute (a timer, a tracer) sees every call.
@@ -80,15 +79,11 @@ def _output(args, lines, code=EXIT_PASS):
     return code
 
 
-def _emit(args, reports, extra=None, code=None):
+def _emit(args, reports, code=None):
     """Print one line per report; the exit code is code, or else whether
     every report passed."""
-    lines = []
-    for rep in reports:
-        if extra:
-            rep.params.update(extra)
-        lines.append(rep.to_json() if args.format == "structured"
-                     else rep.summary_line())
+    lines = [rep.to_json() if args.format == "structured"
+             else rep.summary_line() for rep in reports]
     if code is None:
         code = EXIT_PASS if all(rep.passed for rep in reports) else EXIT_FAIL
     return _output(args, lines, code)
@@ -102,18 +97,17 @@ def _cmd_catalog_list(args):
     records += [("bracket", n) for n in CATALOG_BRACKET_NAMES]
     records += [("module", n) for n in MODULES]
     if args.format == "structured":
-        lines = [json.dumps({"kind": kind, "name": name},
-                            separators=(", ", ": "))
+        lines = [json_line({"kind": kind, "name": name})
                  for kind, name in records]
     else:
         lines = ["%-8s %s" % (kind, name) for kind, name in records]
     return _output(args, lines)
 
 
-def _verify_operator(name, window, cutoff=None):
+def _verify_operator(name, window):
     from .rb import check_rb_identity, check_skew_symmetry
     R = catalog_rb(name)
-    return [check_rb_identity(R, window, cutoff),
+    return [check_rb_identity(R, window),
             check_skew_symmetry(R, window)]
 
 
@@ -150,15 +144,11 @@ def _verify_bracket(name, window):
 
 
 def _cmd_verify(args):
-    window, cutoff = args.window, args.cutoff
     name = args.target
     if name in CATALOG_RB_NAMES:
-        # the cutoff bounds the RB sweep's rows; brackets have none
-        if cutoff is not None and window > cutoff:
-            raise InputError("window %d exceeds cutoff %d" % (window, cutoff))
-        reports = _verify_operator(name, window, cutoff)
+        reports = _verify_operator(name, args.window)
     elif name in CATALOG_BRACKET_NAMES:
-        reports = _verify_bracket(name, window)
+        reports = _verify_bracket(name, args.window)
     else:
         raise InputError("unknown target %r (see: catalog list)" % name)
     return _emit(args, reports)
@@ -175,9 +165,8 @@ def _cmd_bracket_eval(args):
         raise InputError("basis index out of range: %s" % exc)
     value = render_tensor2(B.eval(s1, s2))
     if args.format == "structured":
-        value = json.dumps({"check": "bracket_eval", "target": args.name,
-                            "n": args.n, "m": args.m, "value": value},
-                           separators=(", ", ": "))
+        value = json_line({"check": "bracket_eval", "target": args.name,
+                           "n": args.n, "m": args.m, "value": value})
     return _output(args, [value])
 
 
@@ -213,7 +202,7 @@ def _cmd_ideal_closure(args):
               "closures": [[render_vec(v) for v in I.basis_vecs()]
                            for I in closures]}
     if args.format == "structured":
-        lines = [json.dumps(record, separators=(", ", ": "))]
+        lines = [json_line(record)]
     else:
         lines = ["closures: %d%s" % (len(closures), "  (budget exhausted)"
                                      if exhausted else "")]
@@ -229,14 +218,8 @@ def _cmd_simplicity(args):
         raise InputError("--seeds must be at least 1, got %d" % args.seeds)
     if args.window < 1:  # <<1, 1>> = 0 leaves nothing to decide at window 0
         raise InputError("simplicity needs --window of at least 1, got 0")
-    if args.max_degree is None:  # the default: 8, within the window
-        args.max_degree = min(8, args.window)
-    if not 0 <= args.max_degree <= args.window:
-        raise InputError("--max-degree must lie in 0..%d (the window), got %d"
-                         % (args.window, args.max_degree))
     rep = simplicity_probe(B, args.window, seed_count=args.seeds,
-                           max_degree=args.max_degree,
-                           rng_seed=args.rng_seed, budget=args.budget)
+                           budget=args.budget)
     exhausted = not rep.passed and rep.counterexample and \
         rep.counterexample.get("reason") == "budget exhausted"
     return _emit(args, [rep], code=EXIT_BUDGET if exhausted else None)
@@ -257,8 +240,7 @@ def _cmd_module_check(args):
                             rb_bimodule_split_check(B_L, act)])
     reports = [check_module_axioms(act, B_L, args.window)]
     if any(act.eval(l, m) for l in act.l_syms for m in act.m_syms):
-        reports.append(proposition_equivalence(B_L, act, mutations=5,
-                                               rng_seed=args.rng_seed))
+        reports.append(proposition_equivalence(B_L, act, mutations=5))
     return _emit(args, reports)
 
 
@@ -282,7 +264,9 @@ def _cmd_report_all(args):
         reports.append(check_module_axioms(act, B_L))
         if name == "block-bimodule":
             reports.append(rb_bimodule_split_check(B_L, act))
-    return _emit(args, reports, extra={"rng_seed": args.rng_seed})
+    for rep in reports:
+        rep.params["rng_seed"] = args.rng_seed
+    return _emit(args, reports)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +281,10 @@ def build_parser():
     common.add_argument("--format", choices=("text", "structured"),
                         default="structured",
                         help="output mode (default: structured JSON lines)")
+    windowed = argparse.ArgumentParser(add_help=False, parents=[common])
+    windowed.add_argument("--window", type=int, default=8)
+    budgeted = argparse.ArgumentParser(add_help=False, parents=[windowed])
+    budgeted.add_argument("--budget", type=int, default=5000)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("catalog", help="catalog access")
@@ -305,10 +293,8 @@ def build_parser():
                   parents=[common]).set_defaults(func=_cmd_catalog_list)
 
     p = sub.add_parser("verify", help="verify an operator or bracket",
-                       parents=[common])
+                       parents=[windowed])
     p.add_argument("target")
-    p.add_argument("--window", type=int, default=8)
-    p.add_argument("--cutoff", type=int, default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bracket", help="bracket operations")
@@ -322,39 +308,30 @@ def build_parser():
 
     p = sub.add_parser("ideal", help="ideal operations")
     ps = p.add_subparsers(dest="subcommand", required=True)
-    pc = ps.add_parser("closure", parents=[common],
+    pc = ps.add_parser("closure", parents=[budgeted],
                        help="the ideal closures of a seed that the "
                        "branching rule reaches")
     pc.add_argument("bracket")
     pc.add_argument("--seed", required=True, metavar="POLY",
                     help='seed polynomial, e.g. "t^2 - 3/2*t + 1"')
-    pc.add_argument("--window", type=int, default=8)
-    pc.add_argument("--budget", type=int, default=5000)
     pc.set_defaults(func=_cmd_ideal_closure)
 
     p = sub.add_parser("simplicity", help="window-relative simplicity probe",
-                       parents=[common])
+                       parents=[budgeted])
     p.add_argument("bracket")
-    p.add_argument("--window", type=int, default=8)
     p.add_argument("--seeds", type=int, default=50)
-    p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--rng-seed", type=int, default=2024)
-    p.add_argument("--budget", type=int, default=5000)
     p.set_defaults(func=_cmd_simplicity)
 
     p = sub.add_parser("module", help="module operations")
     ps = p.add_subparsers(dest="subcommand", required=True)
     pm = ps.add_parser("check", help="check a catalog module instance",
-                       parents=[common])
+                       parents=[windowed])
     pm.add_argument("name")
-    pm.add_argument("--window", type=int, default=8)
-    pm.add_argument("--rng-seed", type=int, default=2024)
     pm.set_defaults(func=_cmd_module_check)
 
     p = sub.add_parser("report", help="batch verification report",
-                       parents=[common])
+                       parents=[windowed])
     p.add_argument("--all", action="store_true", required=True)
-    p.add_argument("--window", type=int, default=8)
     p.add_argument("--rng-seed", type=int, default=2024)
     p.set_defaults(func=_cmd_report_all)
 

@@ -53,8 +53,6 @@ class _Window(dict):
 
 def _over(c, d):
     """c / d exactly, an int when d divides c."""
-    if type(c) is int and not c % d:
-        return c // d
     q = Fraction(c, d) if d != 1 else c
     return q.numerator if q.denominator == 1 else q
 
@@ -308,18 +306,14 @@ def _inclusion_minimal(spaces):
     when it properly contains a minimal one (by transitivity), so the spaces
     are visited by ascending dimension and each is tested only against the
     minimal spaces kept so far.  I properly contains J when J.dim < I.dim and
-    every echelon row of J lies in I; the membership tests run only when J's
-    pivots are a subset of I's (compared as bitmasks), because in reduced
-    echelon form the pivots are the leading coordinates of the space's
-    vectors."""
-    kept = []  # (index, space, pivot mask, echelon rows as vectors)
+    every echelon row of J lies in I."""
+    kept = []  # (index, space, echelon rows as vectors)
     for k in sorted(range(len(spaces)), key=lambda k: spaces[k].dim):
         I = spaces[k]
-        P = sum(1 << p for p in I.pivots)
-        if not any(J.dim < I.dim and not Q & ~P
-                   and all(map(I.contains, rows)) for _k, J, Q, rows in kept):
-            kept.append((k, I, P, list(map(I.vec_of, I.rows))))
-    return [I for _k, I, _P, _rows in sorted(kept, key=lambda m: m[0])]
+        if not any(J.dim < I.dim and all(map(I.contains, rows))
+                   for _k, J, rows in kept):
+            kept.append((k, I, list(map(I.vec_of, I.rows))))
+    return [I for _k, I, _rows in sorted(kept, key=lambda m: m[0])]
 
 
 def ideal_closure(B, seeds, window, budget=5000):
@@ -383,16 +377,19 @@ def random_polynomials(count, max_degree, seed):
     return out
 
 
-def simplicity_probe(B, window, seeds=None, seed_count=50, max_degree=8,
+def simplicity_probe(B, window, seeds=None, seed_count=50, max_degree=None,
                      rng_seed=2024, budget=5000):
     """Window-relative simplicity verdict: the bracket is nonzero and every
     closure ideal_closure returns for a seed saturates the guaranteed
     sub-window V_{<= floor((window-1)/2)}.  Never a proof, and says so in
     its params, which name rng_seed only when the seeds are drawn from it,
-    and say "given" otherwise."""
+    and say "given" otherwise.  Drawn seeds have degree at most max_degree,
+    by default 8 cut to the window."""
     params = {"window": window, "guaranteed_degree": (window - 1) // 2}
     if seeds is None:
         params["rng_seed"] = rng_seed
+        if max_degree is None:
+            max_degree = min(8, window)
         seeds = random_polynomials(seed_count, max_degree, rng_seed)
     else:
         params["seeds"] = "given"

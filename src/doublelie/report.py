@@ -10,6 +10,11 @@ from __future__ import annotations
 import json
 
 
+def json_line(record):
+    """One structured output line: the record's keys in insertion order."""
+    return json.dumps(record, separators=(", ", ": "), default=str)
+
+
 class VerificationReport:
     """Outcome of one exact check over a window of basis elements."""
 
@@ -45,8 +50,7 @@ class VerificationReport:
         return rec
 
     def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=False,
-                          separators=(", ", ": "), default=str)
+        return json_line(self.to_dict())
 
     def summary_line(self):
         status = "PASS" if self.passed else "FAIL"

@@ -133,7 +133,7 @@ def test_seed_outside_window_is_input_error(capsys, seed):
 
 
 @pytest.mark.parametrize("argv", [
-    ("verify", "r1", "--window", "-1", "--cutoff", "0"),
+    ("verify", "r1", "--window", "-1"),
     ("verify", "L1", "--window", "-1"),
     ("ideal", "closure", "L1", "--seed", "1", "--window", "-1"),
     ("simplicity", "L2", "--window", "-2", "--seeds", "1"),
@@ -148,16 +148,9 @@ def test_negative_window_is_input_error(capsys, argv):
 @pytest.mark.parametrize("argv, message", [
     (("simplicity", "L2", "--window", "3", "--seeds", "0"), "--seeds"),
     (("simplicity", "L2", "--window", "3", "--seeds", "-2"), "--seeds"),
-    (("simplicity", "L2", "--window", "3", "--max-degree", "2",
-      "--budget", "-1"), "budget"),
+    (("simplicity", "L2", "--window", "3", "--budget", "-1"), "budget"),
     (("ideal", "closure", "L1", "--seed", "1", "--budget", "-1"), "budget"),
     (("ideal", "closure", "L1", "--seed", "1", "--budget", "0"), "budget"),
-    (("simplicity", "L2", "--window", "3", "--max-degree", "8"),
-     "--max-degree"),
-    (("simplicity", "L2", "--window", "3", "--max-degree", "4"),
-     "--max-degree"),
-    (("simplicity", "L2", "--window", "3", "--max-degree", "-1"),
-     "--max-degree"),
 ])
 def test_out_of_range_search_options_are_input_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -175,7 +168,7 @@ def test_simplicity_default_max_degree_fits_the_window(capsys, window):
 
 def test_simplicity_budget_exhaustion_exit_code(capsys):
     code, out, err = run(capsys, "simplicity", "L2", "--window", "6",
-                         "--seeds", "3", "--max-degree", "6", "--budget", "1")
+                         "--seeds", "3", "--budget", "1")
     assert code == 3 and "budget exhausted" in err
     rec = records(out)[0]
     assert rec["status"] == "fail"
@@ -183,8 +176,9 @@ def test_simplicity_budget_exhaustion_exit_code(capsys):
 
 
 def test_simplicity_accepts_max_degree_equal_to_window(capsys):
+    # below window 8 the seeds' default degree bound is the window itself
     code, out, _ = run(capsys, "simplicity", "L2", "--window", "3",
-                       "--max-degree", "3", "--seeds", "4")
+                       "--seeds", "4")
     assert code == 0 and records(out)[0]["details"]["seeds"] == 4
 
 
@@ -192,7 +186,7 @@ def test_simplicity_accepts_max_degree_equal_to_window(capsys):
 def test_simplicity_without_a_t_basis_is_input_error(capsys, name):
     # the probe's seeds are t-polynomials, which these carriers do not have
     code, out, err = run(capsys, "simplicity", name, "--window", "2",
-                         "--max-degree", "1", "--seeds", "1")
+                         "--seeds", "1")
     assert code == 2 and not out
     assert "input error" in err and "%s has no t-basis" % name in err
 
@@ -224,20 +218,46 @@ def test_laurent_closure_record_is_pinned(capsys):
         '[["t^-3", "t^-2", "t^-1", "t^0", "t^1"]]}\n')
 
 
-def test_window_beyond_cutoff_is_input_error(capsys):
-    code, _, err = run(capsys, "verify", "r1", "--window", "9",
-                       "--cutoff", "4")
-    assert code == 2
+@pytest.mark.parametrize("argv", [
+    ("verify", "r1", "--cutoff", "16"),
+    ("simplicity", "L2", "--max-degree", "3"),
+    ("simplicity", "L2", "--rng-seed", "7"),
+    ("module", "check", "block-bimodule", "--rng-seed", "7"),
+])
+def test_removed_options_are_usage_errors(capsys, argv):
+    # each option's value is the library's default: the RB cutoff 2 * window,
+    # the seeds' degree bound min(8, window), and rng_seed 2024
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and not captured.out
+    assert "unrecognized arguments: %s" % " ".join(argv[-2:]) in captured.err
 
 
-def test_cutoff_is_ignored_for_brackets(capsys):
-    plain = run(capsys, "verify", "L1", "--window", "4")
-    code, out, err = run(capsys, "verify", "L1", "--window", "4",
-                         "--cutoff", "2")
-    assert (code, out, err) == plain and code == 0 and out
-    code, out, err = run(capsys, "verify", "r1", "--window", "4",
-                         "--cutoff", "2")
-    assert code == 2 and not out and "window 4 exceeds cutoff 2" in err
+def test_report_keeps_its_rng_seed_option(capsys):
+    # the seed is stamped on every record; it draws nothing
+    code, out, _ = run(capsys, "report", "--all", "--window", "1",
+                       "--rng-seed", "7")
+    assert code == 0 and all(r["rng_seed"] == 7 for r in records(out))
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("verify", "r1", "--window", "8"),
+     "5a3df51875fc8ca6af990fe88cb39ee3d95e78155979ba088215f9e340b874c1"),
+    (("module", "check", "tpoly-under-third"),
+     "fd417c07cd3d86fefe5f1e6dba8b1d4899ba589df8cddda4dd147fe2d21e288b"),
+    (("module", "check", "t2poly-under-first"),
+     "069ddb2191d742348a620150bd1baf6f6386d2fe4a5f9144ca8633710097fa0b"),
+    (("module", "check", "block-bimodule"),
+     "9620feec2a78d145317e905776b056b06ed53f00d60aef91b1e1e678dfddcdd8"),
+])
+def test_default_records_are_pinned(capsys, argv, digest):
+    # the records of the defaults: cutoff 16 at window 8, and the module
+    # checks' five mutations from rng_seed 2024 (the simplicity record at
+    # the default degree bound is test_simplicity_record_is_pinned's)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_simplicity_failure_embeds_counterexample(capsys):
@@ -285,7 +305,7 @@ def test_closure_success_lists_bases(capsys):
 
 def test_dense_quadratic_closure_record_is_pinned(capsys):
     # 96 minimal closures; the digest is that of the pairwise-containment
-    # minimality filter, which the pivot-filtered test must reproduce
+    # minimality filter, which the transitive filter must reproduce
     code, out, _ = run(capsys, "ideal", "closure", "L1", "--seed",
                        "t^2 + 4*t - 1", "--window", "9")
     assert code == 0 and len(records(out)[0]["closures"]) == 96

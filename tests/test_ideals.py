@@ -727,6 +727,19 @@ def test_simplicity_probe_names_its_rng_seed_only_when_it_draws():
     assert zero.params["seeds"] == "given" and "rng_seed" not in zero.params
 
 
+def test_simplicity_probe_default_degree_fits_the_window():
+    # the drawn seeds' degree bound defaults to 8 cut to the window; an
+    # uncut 8 would put terms outside window 3
+    L2 = catalog_bracket("L2")
+    record = (
+        '{"check": "simplicity_probe", "target": "L2", "guaranteed_degree": '
+        '1, "rng_seed": 2024, "window": 3, "status": "pass", "details": '
+        '{"seeds": 5, "closures_checked": 5}}')
+    assert simplicity_probe(L2, 3, seed_count=5).to_json() == record
+    assert simplicity_probe(L2, 3, seed_count=5,
+                            max_degree=3).to_json() == record
+
+
 def test_random_polynomial_family_is_replayable():
     a = random_polynomials(5, 4, 99)
     b = random_polynomials(5, 4, 99)
