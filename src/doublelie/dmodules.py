@@ -170,12 +170,13 @@ def extension_double_lie_check(B_L, act):
     return check_jacobi(E, None)
 
 
-def proposition_equivalence(B_L, act, mutations=20, rng_seed=2024):
+def proposition_equivalence(B_L, act, mutations=20):
     """The extension equivalence, stress-tested: for the given action and a
-    family of sign-flip mutations, the module axioms pass exactly when the
-    trivial extension passes anticommutativity and Jacobi."""
-    rng = random.Random(rng_seed)
-    params = {"mutations": mutations, "rng_seed": rng_seed}
+    family of sign-flip mutations, drawn from seed 2024 (which the record
+    states), the module axioms pass exactly when the trivial extension
+    passes anticommutativity and Jacobi."""
+    rng = random.Random(2024)
+    params = {"mutations": mutations, "rng_seed": 2024}
     instances = [("original", act)]
     for k in range(mutations):
         instances.append(

@@ -12,9 +12,12 @@ of the product and of the scaled images: the pair holds on every basis
 vector iff D is empty.  The two sides are built apart only to render a
 counterexample.  Off finite domains an empty defect, and only an empty one,
 settles the pairs that column runs and slides down the (j, k) diagonal
-reach from it.  On the integers, an operator whose chamber table makes it
-shift-equivariant has its pairs settled one per shift orbit, each taken
-with i = 0 (see check_rb_identity).
+reach from it, as far as the images move one column right or one row
+down: a chamber table gives these moves but at a mutant's flipped unit, and
+only there and for an operator without a table are images compared.  On
+the integers, an operator whose chamber table makes it shift-equivariant
+has its pairs settled one per shift orbit, each taken with i = 0 (see
+check_rb_identity).
 Skew-symmetry is the condition <R(x),y> = -<x,R(y)> for the trace pairing
 <x,y> = tr(xy), read off the segments of each window image once.
 
@@ -22,7 +25,8 @@ The catalog covers the two divided-difference operators r1, r2 and their
 transpose conjugates, three finite-dimensional examples, the tensor extension
 by a matrix factor, and the k-step difference preimage family p_k.  r1 and
 r2 are chamber tables, one segment per chamber split on i > j, which also
-give the correspondence's support.  r1_laurent and r2_laurent are the images
+give the correspondence's support; the operators derived from them keep the
+table and read their images off it.  r1_laurent and r2_laurent are the images
 on the integers, and the domain clip cuts them to the polynomial r1 and r2
 on the naturals.  p_k is the tensor extension r2 (x) id_k, which is the
 N-indexed p_k read through the index bijection i <-> (i // k, i mod k), and
@@ -36,24 +40,25 @@ from math import inf
 
 from .exact import S, sparse_sum
 from .matrices import (INTEGERS, NATURALS, Domain, FinitaryMatrix,
-                       LocallyFiniteOperator, commutator, mul_mixed,
+                       LocallyFiniteOperator, _meet, commutator, mul_mixed,
                        operator_sum)
 from .report import VerificationReport
 
 
 class RBOperator:
     """Basis-indexed linear map from matrix units into locally finite
-    operators.  support(p, q) derives the s of the correspondence sum from
-    the finite domain, or from the chamber table of _chamber_operator,
-    which the derived operators that move no entry keep.
+    operators.  A chamber table (_chamber_operator), which scaling, the
+    transpose, the tensor extension and mutate_sign keep, gives the images
+    (negated at the units that mutate_sign flipped, _flipped), the RB
+    sweep's moves but at those units, and support(p, q), the s of the
+    correspondence sum, which a finite domain gives too.
 
     shift_equivariant declares that R(e_{i+s,j+s}) is R(e_ij) moved s rows
     down and s columns right for every unit and every s: a chamber table on
     the integers makes it so, and scaling, the transpose and the tensor
-    extension keep it; mutate_sign, which keeps the table for support only,
-    drops it."""
+    extension keep it; mutate_sign, which keeps the table, drops it."""
 
-    __slots__ = ("name", "domain", "_image_fn", "N", "_chambers",
+    __slots__ = ("name", "domain", "_image_fn", "N", "_chambers", "_flipped",
                  "shift_equivariant", "_images", "_applied")
 
     def __init__(self, name, domain, image_fn, N=1):
@@ -62,16 +67,22 @@ class RBOperator:
         self._image_fn = image_fn
         self.N = N
         self._chambers = None
+        self._flipped = frozenset()
         self.shift_equivariant = False
         self._images = {}
         self._applied = {}
 
-    def _derived(self, name, image_fn, N=None, flip=False):
-        """Same table and declaration, for an image_fn that moves no entry
-        (or transposes)."""
+    def _derived(self, name, image_fn, N=None, flip=False, alpha=1):
+        """R's table times alpha, flipped units and declaration, for an
+        image_fn that scales by alpha or transposes (flip: the table and
+        the units flipped).  With a table, image_fn is not called."""
         R = RBOperator(name, self.domain, image_fn, N or self.N)
-        c = self._chambers
-        R._chambers = c and (c[0], c[1] != flip)
+        if self._chambers:
+            table, f = self._chambers
+            R._chambers = (tuple((lo, hi, alpha * c) for lo, hi, c in table),
+                           f != flip)
+        R._flipped = frozenset((j, i) for i, j in self._flipped) if flip \
+            else self._flipped
         R.shift_equivariant = self.shift_equivariant
         return R
 
@@ -120,9 +131,29 @@ class RBOperator:
             if not (self.domain.contains(i) and self.domain.contains(j)):
                 raise ValueError("unit (%d, %d) outside domain %r"
                                  % (i, j, self.domain))
-            op = self._image_fn(i, j)
+            op = self._image_fn(i, j) if self._chambers is None \
+                else self._table_image(i, j)
             self._images[key] = op
         return op
+
+    def _table_image(self, i, j):
+        """R(e_ij) read off the table: its chamber's segment, that of
+        R(e_ji) transposed if the table is flipped, negated at a flipped
+        unit."""
+        table, flip = self._chambers
+        a, b = (j, i) if flip else (i, j)
+        seg = _chamber_segment(table, self.domain, a, b)
+        if seg is None:
+            return LocallyFiniteOperator.zero(self.domain)
+        lo, hi, c = seg
+        o = b - a + 1
+        if flip:
+            # the entry at (r, r + o) moves to (r + o, r)
+            lo, hi, o = lo if lo is None else lo + o, \
+                hi if hi is None else hi + o, -o
+        if (i, j) in self._flipped:
+            c = -c
+        return LocallyFiniteOperator({o: [(lo, hi, c)]}, self.domain)
 
     def apply_image(self, i, j, q):
         """R(e_{ij}) u_q as a dict {row: coeff} (memoized)."""
@@ -145,7 +176,8 @@ class RBOperator:
     def scaled(self, alpha, name=None):
         alpha = S(alpha)
         return self._derived(name or "%s*%s" % (alpha, self.name),
-                             lambda i, j: self.image(i, j).scale(alpha))
+                             lambda i, j: self.image(i, j).scale(alpha),
+                             alpha=alpha)
 
     def __repr__(self):
         return "RBOperator(%r, %r, N=%d)" % (self.name, self.domain, self.N)
@@ -168,29 +200,32 @@ def _render_vec_dict(d):
 class _Moves(dict):
     """(a, b, down, edge) -> 2 if R(e_{a,b+1}) is R(e_ab) moved one column
     right (down: R(e_{a+1,b}) is R(e_ab) moved one row down); with edge, on
-    the naturals, 1 if it is that plus entries in column 0 (row 0); else 0.
-    Compared once, per diagonal b - a (at a = 0) if R is shift_equivariant."""
+    the naturals, 1 if it is that plus an entry in column 0 (row 0); else 0.
+
+    A chamber table gives the level (_table_move), and a row's cut points
+    for the slides (_cuts), but where a move touches a unit that
+    mutate_sign flipped; there, and without a table, the two images are
+    compared."""
 
     def __init__(self, R):
         super().__init__()
         self.R, self.reaches, self.cut_points = R, {}, {}
         self.edge = R.domain.kind == "naturals"
+        self.table = R._chambers and (*R._chambers, R.domain)
+        # the moves (a, b, down) that touch a flipped unit
+        self.compared = {m for i, j in R._flipped for m in (
+            (i, j - 1, 0), (i, j, 0), (i - 1, j, 1), (i, j, 1))}
 
     def __missing__(self, key):
+        if self.table and key[:3] not in self.compared:
+            level = self[key] = _table_move(*self.table, *key)
+            return level
         a, b, down, edge = key
-        if a and self.R.shift_equivariant:
-            return self.setdefault(key, self[0, b - a, down, edge])
-        ref, op = self.R.image(a, b), self.R.image(a + down, b + 1 - down)
-        moved = {o - 1: tuple([(lo if lo is None else lo + 1,
-                                hi if hi is None else hi + 1, c)
-                               for lo, hi, c in ss])
-                 for o, ss in ref.segs.items()} if down else {
-            o + 1: ss for o, ss in ref.segs.items()}
-        return self.setdefault(key, 2 if op.segs == moved else int(
-            edge and moved.keys() <= op.segs.keys()
-            and all(ss == moved.get(o)
-                    or moved.get(o) == _off_edge(ss, -o * (1 - down))
-                    for o, ss in op.segs.items())))
+        R = self.R
+        level = self[key] = _level(R.image(a, b).segs,
+                                   R.image(a + down, b + 1 - down).segs,
+                                   down, edge)
+        return level
 
     def reach(self, a, b, n):
         """min(n, how many of (a, b), (a, b + 1), ... move one right)."""
@@ -205,8 +240,7 @@ class _Moves(dict):
         out, at which (x, e_kl) slides, x at level right: e_kl at level 1 or
         2 down from e_{k-1,l}, not both at 1 (cut points once per k)."""
         if (k, right) not in self.cut_points:
-            self.cut_points[k, right] = [
-                l for l in ls if right + self[k - 1, l, 1, self.edge] < 3]
+            self.cut_points[k, right] = self._cuts(k - 1, right, ls)
         a, b, holes = row
         cuts = self.cut_points[k, right]
         for c in sorted(cuts[bisect_left(cuts, a):bisect_right(cuts, b)]
@@ -217,11 +251,67 @@ class _Moves(dict):
         if a <= b:
             yield a, b
 
+    def _cuts(self, a, right, ls):
+        """The l in ls, ascending, at which right + the level of (a, l,
+        down) is below 3.  A table's down moves along l are at level 2
+        before the chamber wall w = a (flipped: a + 1) and all at one level
+        past it: 1 (with edge) if -w - 1 lies in the rows, taken from its
+        unit, of the chamber past the wall, so that the naturals' clip
+        keeps an edge entry in every R(e_{a+1,l}); else 2 (_table_move)."""
+        edge = self.edge
+        if not self.table or any(m[0] == a and m[2] for m in self.compared):
+            return [l for l in ls if right + self[a, l, 1, edge] < 3]
+        table, flip, _ = self.table
+        w, (lo, hi, c) = a + flip, table[1 - flip]
+        past = 1 if edge and c and (lo is None or lo <= -w - 1) and (
+            hi is None or -w - 1 <= hi) else 2
+        cuts = [w] if w in ls and right + self[a, w, 1, edge] < 3 else []
+        return cuts + [l for l in ls if l > w] if right + past < 3 else cuts
+
+
+def _level(ref, op, down, edge):
+    """The level of the move from segments ref to segments op, each
+    {offset: segments}: 2 if op is ref moved (down: one row down, else one
+    column right), 1 with edge if it is that plus an edge entry, else 0."""
+    moved = {o - 1: tuple([(lo if lo is None else lo + 1,
+                            hi if hi is None else hi + 1, c)
+                           for lo, hi, c in ss])
+             for o, ss in ref.items()} if down else {
+        o + 1: ss for o, ss in ref.items()}
+    return 2 if op == moved else int(
+        edge and moved.keys() <= op.keys()
+        and all(ss == moved.get(o)
+                or moved.get(o) == _off_edge(ss, -o * (1 - down))
+                for o, ss in op.items()))
+
 
 def _off_edge(ss, edge):
     """The segments ss without row edge, the first of their diagonal."""
     return tuple((lo + 1 if lo == edge else lo, hi, c)
                  for lo, hi, c in ss if not lo == hi == edge) or None
+
+
+def _table_move(table, flip, domain, a, b, down, edge):
+    """_Moves' level at (a, b, down, edge) off the table, images unbuilt.
+    With e_ij the unit that e_ab moves to and e its edge row (row 0, or
+    column 0's): in one chamber R(e_ij) is R(e_ab) moved, but for row e,
+    which on the naturals the clip cuts from R(e_ab) alone; across the
+    chamber wall the two segments are compared (_level).  A transpose
+    swaps right and down moves, as R^T(e_ab) = R(e_ba)^T."""
+    if flip:
+        a, b, down = b, a, 1 - down
+    i, j, e = a + down, b + 1 - down, 0 if down else a - b - 2
+    if (b >= a) == (j >= i):
+        if domain.kind != "naturals" or e < max(0, i - j - 1):
+            return 2
+        # the clip leaves row e in R(e_ij): is it in the chamber's rows?
+        lo, hi, c = table[j >= i]
+        return int(edge) if c and (lo is None or i + lo <= e) and (
+            hi is None or e <= i + hi) else 2
+    ref = _chamber_segment(table, domain, a, b)
+    op = _chamber_segment(table, domain, i, j)
+    return _level({b - a + 1: (ref,)} if ref else {},
+                  {j - i + 1: (op,)} if op else {}, down, edge)
 
 
 def _pair_defects(R, idx, orbits=False):
@@ -312,7 +402,8 @@ def check_rb_identity(R, window=8, cutoff=None):
     Off finite domains most defects are never built: an empty defect
     settles the pairs that a column run or a slide reaches from it
     (_pair_defects), and a defect that merely passes the cutoff settles
-    none, so every record is the full sweep's.
+    none, so every record is the full sweep's.  Their moves are read off
+    R's chamber table where it has one (_Moves).
 
     On the integers, an operator that declares shift_equivariant has its
     pairs first settled by shift orbits.  Moving every index by s is
@@ -436,13 +527,16 @@ def tensor_extend(R, N, name=None):
 def mutate_sign(R, i, j):
     """Flip the sign of the single image R(e_{ij}); breaks the RB identity
     for every catalog operator and is used by the mutation tests.  The
-    mutant keeps R's table for support, but no shifted copy of the unit is
-    flipped, so it is not declared shift-equivariant."""
+    mutant keeps R's table and records (i, j) as flipped: its image there
+    is the table's negated, and its moves there are compared from images
+    (_Moves).  No shifted copy of the unit is flipped, so it is not
+    declared shift-equivariant."""
     def image_fn(a, b):
         op = R.image(a, b)
         return op.scale(-1) if (a, b) == (i, j) else op
 
     mutant = R._derived("%s!flip[%d,%d]" % (R.name, i, j), image_fn)
+    mutant._flipped ^= {(i, j)}
     mutant.shift_equivariant = False
     return mutant
 
@@ -458,16 +552,23 @@ _R1_TABLE = ((0, None, -1), (None, -1, 1))
 _R2_TABLE = ((None, -1, -1), (0, None, 1))
 
 
-def _chamber_operator(name, domain, table):
-    """R(e_ij) as its chamber's segment of table, clipped to the domain.  On
-    the integers the chamber depends on j - i alone and the segment's rows
-    move with i, so R is shift-equivariant."""
-    def image_fn(i, j):
-        *ends, c = table[j >= i]
-        ends = [None if e is None else i + e for e in ends]
-        return LocallyFiniteOperator({j - i + 1: [(*ends, c)]}, domain)
+def _chamber_segment(table, domain, i, j):
+    """R(e_ij) as its chamber's segment (lo, hi, c) of table on diagonal
+    j - i + 1, clipped to the domain's rows, or None if that is empty."""
+    lo, hi, c = table[j >= i]
+    bounds = c and domain.row_bounds(j - i + 1)
+    if not bounds:
+        return None
+    cut = _meet(lo if lo is None else i + lo, hi if hi is None else i + hi,
+                *bounds)
+    return cut and (*cut, c)
 
-    R = RBOperator(name, domain, image_fn)
+
+def _chamber_operator(name, domain, table):
+    """R(e_ij) as its chamber's segment of table (RBOperator._table_image).
+    On the integers the chamber depends on j - i alone and the segment's
+    rows move with i, so R is shift-equivariant."""
+    R = RBOperator(name, domain, None)
     R._chambers = (table, False)
     R.shift_equivariant = domain.kind == "integers"
     return R

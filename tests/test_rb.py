@@ -4,6 +4,7 @@ conjugation, derivations, and the diagonal-shift preimages."""
 from __future__ import annotations
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -680,11 +681,11 @@ def test_battery_defect_counts(monkeypatch, name, params, count):
 
 
 def test_sweep_builds_the_images_it_reads():
-    # the moves of a declared operator are compared once per diagonal, so
-    # they build few images that no defect reads
+    # the moves of a table operator are read off its table, so the sweep
+    # builds only the images that its defects read
     R = catalog_rb("r1_laurent")
     assert check_rb_identity(R, 6).passed
-    assert len(R._images) == 304
+    assert len(R._images) == 269
 
 
 class _NoMoves(rb._Moves):
@@ -819,6 +820,80 @@ def test_slides_need_an_edge_on_one_side_only():
 
 
 # ---------------------------------------------------------------------------
+# the moves read off a chamber table against the compared images
+
+@settings(max_examples=100, deadline=None)
+@given(_operators(), st.booleans())
+@example(mutate_sign(catalog_rb("r2"), 2, 1), True)
+@example(mutate_sign(catalog_rb("r1_laurent"), -1, 1), True)
+def test_table_moves_match_the_compared_images(R, transpose):
+    if transpose:
+        # a mutant, transposed: its flipped unit is transposed too
+        R = conjugate_by(R, "transpose")
+    # the same images with no table, so that every move compares them
+    bare = RBOperator(R.name, R.domain, R.image)
+    asked = set()
+
+    class Asked(rb._Moves):
+        def __missing__(self, key):
+            asked.add(key[:2])
+            return super().__missing__(key)
+
+    with mock.patch.object(rb, "_Moves", Asked):
+        check_rb_identity(R, 3)
+    idx = unit_range(R.domain, 3)
+    asked.update((a, b) for a in idx for b in idx)
+    table, compared = rb._Moves(R), rb._Moves(bare)
+    for a, b in asked:
+        for key in ((a, b, 0, False), (a, b, 0, True), (a, b, 1, False),
+                    (a, b, 1, True)):
+            # equal, so never stronger; at a key that touches a flipped
+            # unit both compare the images
+            assert table[key] == compared[key], (R.name, key)
+    # the slides' cut points, read off the table along each row
+    for a in {a for a, _ in asked}:
+        for right in (1, 2):
+            assert table._cuts(a, right, idx) == compared._cuts(
+                a, right, idx), (R.name, a, right)
+
+
+_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("scale"), st.sampled_from((-2, 0, Fraction(1, 2),
+                                                 3))),
+    st.tuples(st.just("transpose"), st.none()),
+    st.tuples(st.just("tensor"), st.integers(1, 3)),
+    st.tuples(st.just("flip"), st.tuples(st.integers(0, 3),
+                                         st.integers(0, 3)))), max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((NATURALS, INTEGERS)),
+       st.one_of(st.tuples(_CHAMBER, _CHAMBER),
+                 st.sampled_from((rb._R1_TABLE, rb._R2_TABLE))), _STEPS)
+@example(NATURALS, rb._R1_TABLE, [("flip", (2, 1)), ("transpose", None)])
+@example(INTEGERS, rb._R2_TABLE, [("flip", (1, 1)), ("scale", 0),
+                                  ("flip", (1, 1))])
+def test_table_images_match_the_composed_images(domain, table, steps):
+    # a table operator reads its images off its table; the same steps on
+    # its copy from bare images compose their image functions instead
+    R = rb._chamber_operator("T", domain, table)
+    bare = RBOperator("T", domain, R.image)
+    for step, arg in steps:
+        if step == "scale":
+            R, bare = R.scaled(arg), bare.scaled(arg)
+        elif step == "transpose":
+            R, bare = (conjugate_by(X, "transpose") for X in (R, bare))
+        elif step == "tensor":
+            R, bare = tensor_extend(R, arg), tensor_extend(bare, arg)
+        else:
+            R, bare = mutate_sign(R, *arg), mutate_sign(bare, *arg)
+    idx = unit_range(domain, 4)
+    for i in idx:
+        for j in idx:
+            assert R.image(i, j) == bare.image(i, j), (R.name, i, j)
+
+
+# ---------------------------------------------------------------------------
 # the defect sweep against the two-sided sweep it replaced
 
 def _two_sided_rb(R, window, cutoff):
@@ -901,6 +976,34 @@ def test_every_flipped_unit_matches_the_two_sided_sweep(name, window, lo, hi):
             got = check_rb_identity(R, window, 2 * window)
             assert got.to_json() == _two_sided_rb(R, window, 2 * window) \
                 .to_json(), (name, a, b)
+
+
+_UNIT = st.tuples(st.integers(0, 4), st.integers(0, 4))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(("r1", "r2", "r3", "r4")),
+       st.lists(st.tuples(_UNIT, _UNIT,
+                          st.sampled_from((-2, -1, Fraction(1, 2), 1, 2))),
+                min_size=1, max_size=2))
+def test_skew_perturbations_match_the_two_sided_sweep(name, changes):
+    # R(e_ab) += c e_rs and R(e_sr) -= c e_ba keeps <R(x), y> = -<x, R(y)>,
+    # as the pinned r3 perturbation of test_brackets does; built from bare
+    # images, the operator has no table, so its moves compare images
+    base = catalog_rb(name)
+    extra = {}
+    for (a, b), (r, s), c in changes:
+        for unit, entry, d in (((a, b), (r, s), c), ((s, r), (b, a), -c)):
+            extra.setdefault(unit, []).append(FinitaryMatrix({entry: d}))
+
+    def image_fn(i, j):
+        return sum(extra.get((i, j), ()), base.image(i, j))
+
+    R = RBOperator(name + "+", NATURALS, image_fn)
+    assert check_skew_symmetry(R, 5).passed, changes
+    for window in (2, 3):
+        assert check_rb_identity(R, window).to_json() == _two_sided_rb(
+            R, window, 2 * window).to_json(), (changes, window)
 
 
 # ---------------------------------------------------------------------------
