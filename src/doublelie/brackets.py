@@ -145,7 +145,7 @@ class DoubleBracket:
     bracket built by from_kernel, else None.  table is the numerator table
     of a catalog divided-difference bracket (see _DD_TABLES; the empty
     table for zero), whose values it gives, or, for dY, whose values give
-    the degree kernel; else None."""
+    the degree kernel, and whose terms give degree_shift; else None."""
 
     __slots__ = ("name", "carrier", "_eval_fn", "degree_shift", "kernel",
                  "table", "_memo")
@@ -272,15 +272,12 @@ def catalog_bracket(name, **params):
     if base in _DD_TABLES:
         product_shift = 1 if base == "L4" else 0
         carrier = PolyCarrier(laurent=laurent, product_shift=product_shift)
-        shift = 1 if base in ("L3", "L4") else -1
         table = _DD_TABLES[base]
 
         def eval_fn(s1, s2):
             return divided_difference(table, s1[1], s2[1])
 
-        B = DoubleBracket(name, carrier, eval_fn, degree_shift=shift)
-        B.table = table
-        return B
+        return _with_table(DoubleBracket(name, carrier, eval_fn), table)
     if name in _FINITE_IMAGES:
         return bracket_from_rb(catalog_rb(name), name)
     if name == "dY":
@@ -290,17 +287,22 @@ def catalog_bracket(name, **params):
             return {(a[1], b[1]): c for (a, b), c
                     in divided_difference(_DY_TABLE, m, n).items()}
 
-        B = DoubleBracket.from_kernel("dY(%d)" % N, N, kernel,
-                                      degree_shift=-1)
-        B.table = _DY_TABLE
-        return B
+        return _with_table(DoubleBracket.from_kernel("dY(%d)" % N, N, kernel),
+                           _DY_TABLE)
     if name == "zero":
         carrier = params.get("carrier", PolyCarrier())
-        B = DoubleBracket("zero", carrier, lambda a, b: Tensor2(),
-                          degree_shift=-1)
-        B.table = ()
-        return B
+        return _with_table(DoubleBracket("zero", carrier,
+                                         lambda a, b: Tensor2()), ())
     raise ValueError("unknown bracket %r" % name)
+
+
+def _with_table(B, table):
+    """B with its numerator table, and the degree shift read off it: a term
+    c x^a y^b f g of degree a + b + deg f + deg g leaves a quotient of one
+    degree less, so the shift is max(a + b) - 1, and -1 for no terms."""
+    B.table = table
+    B.degree_shift = max((a + b for _, a, b, *_ in table), default=0) - 1
+    return B
 
 
 CATALOG_BRACKET_NAMES = ("L1", "L2", "L3", "L4", "L1_laurent", "L2_laurent",

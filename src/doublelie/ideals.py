@@ -377,20 +377,17 @@ def random_polynomials(count, max_degree, seed):
     return out
 
 
-def simplicity_probe(B, window, seeds=None, seed_count=50, max_degree=None,
-                     rng_seed=2024, budget=5000):
+def simplicity_probe(B, window, seeds=None, seed_count=50, budget=5000):
     """Window-relative simplicity verdict: the bracket is nonzero and every
     closure ideal_closure returns for a seed saturates the guaranteed
     sub-window V_{<= floor((window-1)/2)}.  Never a proof, and says so in
-    its params, which name rng_seed only when the seeds are drawn from it,
-    and say "given" otherwise.  Drawn seeds have degree at most max_degree,
-    by default 8 cut to the window."""
+    its params, which name rng_seed 2024 when seed_count seeds are drawn
+    from it, of degree at most 8 cut to the window, and say "given"
+    otherwise."""
     params = {"window": window, "guaranteed_degree": (window - 1) // 2}
     if seeds is None:
-        params["rng_seed"] = rng_seed
-        if max_degree is None:
-            max_degree = min(8, window)
-        seeds = random_polynomials(seed_count, max_degree, rng_seed)
+        params["rng_seed"] = 2024
+        seeds = random_polynomials(seed_count, min(8, window), 2024)
     else:
         params["seeds"] = "given"
 

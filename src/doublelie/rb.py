@@ -15,20 +15,21 @@ settles the pairs that column runs and slides down the (j, k) diagonal
 reach from it, as far as the images move one column right or one row
 down: a chamber table gives these moves but at a mutant's flipped unit, and
 only there and for an operator without a table are images compared.  On
-the integers, an operator whose chamber table makes it shift-equivariant
-has its pairs settled one per shift orbit, each taken with i = 0 (see
-check_rb_identity).
+the integers, a chamber table makes an operator shift-equivariant, unless a
+unit is flipped, and its pairs are then settled one per shift orbit, each
+taken with i = 0 (see check_rb_identity).
 Skew-symmetry is the condition <R(x),y> = -<x,R(y)> for the trace pairing
 <x,y> = tr(xy), read off the segments of each window image once.
 
 The catalog covers the two divided-difference operators r1, r2 and their
 transpose conjugates, three finite-dimensional examples, the tensor extension
 by a matrix factor, and the k-step difference preimage family p_k.  r1 and
-r2 are chamber tables, one segment per chamber split on i > j, which also
-give the correspondence's support; the operators derived from them keep the
-table and read their images off it.  r1_laurent and r2_laurent are the images
-on the integers, and the domain clip cuts them to the polynomial r1 and r2
-on the naturals.  p_k is the tensor extension r2 (x) id_k, which is the
+r2 are chamber tables, one segment per chamber on diagonal j - i + offset,
+split at j - i >= split, which also give the correspondence's support: r1
+and r2 have (offset, split) = (1, 0), their transposes r3, r4 (-1, 1), and
+the operators derived from them read their images off their tables.
+r1_laurent and r2_laurent are the images on the integers, and the domain
+clip cuts them to the polynomial r1 and r2 on the naturals.  p_k is the tensor extension r2 (x) id_k, which is the
 N-indexed p_k read through the index bijection i <-> (i // k, i mod k), and
 p_1 is r2.  The finite examples are read from one table of images.
 """
@@ -47,19 +48,16 @@ from .report import VerificationReport
 
 class RBOperator:
     """Basis-indexed linear map from matrix units into locally finite
-    operators.  A chamber table (_chamber_operator), which scaling, the
-    transpose, the tensor extension and mutate_sign keep, gives the images
-    (negated at the units that mutate_sign flipped, _flipped), the RB
-    sweep's moves but at those units, and support(p, q), the s of the
-    correspondence sum, which a finite domain gives too.
-
-    shift_equivariant declares that R(e_{i+s,j+s}) is R(e_ij) moved s rows
-    down and s columns right for every unit and every s: a chamber table on
-    the integers makes it so, and scaling, the transpose and the tensor
-    extension keep it; mutate_sign, which keeps the table, drops it."""
+    operators.  A chamber table _chambers = (table, offset, split), table =
+    (below, above), makes R(e_ij) c on rows i + lo .. i + hi of diagonal
+    j - i + offset, (lo, hi, c) = above iff j - i >= split.  Scaling, the
+    transpose, the tensor extension and mutate_sign keep a table, and it
+    gives the images (negated at the units that mutate_sign flipped,
+    _flipped), the RB sweep's moves but at those units, and support(p, q),
+    the s of the correspondence sum, which a finite domain gives too."""
 
     __slots__ = ("name", "domain", "_image_fn", "N", "_chambers", "_flipped",
-                 "shift_equivariant", "_images", "_applied")
+                 "_images", "_applied")
 
     def __init__(self, name, domain, image_fn, N=1):
         self.name = name
@@ -68,22 +66,35 @@ class RBOperator:
         self.N = N
         self._chambers = None
         self._flipped = frozenset()
-        self.shift_equivariant = False
         self._images = {}
         self._applied = {}
 
-    def _derived(self, name, image_fn, N=None, flip=False, alpha=1):
-        """R's table times alpha, flipped units and declaration, for an
-        image_fn that scales by alpha or transposes (flip: the table and
-        the units flipped).  With a table, image_fn is not called."""
+    @property
+    def shift_equivariant(self):
+        """Whether R(e_{i+s,j+s}) is R(e_ij) moved s rows down and s columns
+        right for every unit and s, as a chamber table on the integers with
+        no unit flipped makes it."""
+        return self._chambers is not None and not self._flipped \
+            and self.domain.kind == "integers"
+
+    def _derived(self, name, image_fn, N=None, transpose=False, alpha=1):
+        """R's table times alpha and its flipped units, for an image_fn that
+        scales by alpha or transposes; with a table, image_fn is not called.
+        R^T(e_ij) = R(e_ji)^T is c on rows i + lo + offset .. i + hi + offset
+        of diagonal j - i - offset, from R's above iff j - i < 1 - split: the
+        shape (-offset, 1 - split), chambers swapped, row ends moved."""
         R = RBOperator(name, self.domain, image_fn, N or self.N)
         if self._chambers:
-            table, f = self._chambers
-            R._chambers = (tuple((lo, hi, alpha * c) for lo, hi, c in table),
-                           f != flip)
-        R._flipped = frozenset((j, i) for i, j in self._flipped) if flip \
-            else self._flipped
-        R.shift_equivariant = self.shift_equivariant
+            table, offset, split = self._chambers
+            table = tuple((lo, hi, alpha * c) for lo, hi, c in table)
+            if transpose:
+                table = tuple((lo if lo is None else lo + offset,
+                               hi if hi is None else hi + offset, c)
+                              for lo, hi, c in reversed(table))
+                offset, split = -offset, 1 - split
+            R._chambers = table, offset, split
+        R._flipped = frozenset((j, i) for i, j in self._flipped) \
+            if transpose else self._flipped
         return R
 
     def support(self, p, q):
@@ -92,22 +103,20 @@ class RBOperator:
         other operator.  Raises ValueError if they are infinitely many.
 
         Per chamber they form one interval: u_q meets R(e_{ps}) at row
-        q - s + p - 1 (a transpose: row q of R(e_{sp})), so with d = q - 1
-        (q) s runs over d - hi .. d - lo, cut at p (plus 1), nonnegative row
-        and column on the naturals."""
+        r = q - s + p - offset, so with d = q - offset s runs over d - hi ..
+        d - lo, below p + split in the below chamber and from it in the
+        above one, with s >= 0 and r >= 0 on the naturals."""
         if self.domain.kind == "finite":
             return range(self.domain.size)
         if self._chambers is None:
             return None
-        (below, above), flip = self._chambers
-        e = 1 if flip else 0
-        d, cut = q - 1 + e, p + e
-        floor, ceil = ((0, d + p + e) if self.domain.kind == "naturals"
+        (below, above), offset, split = self._chambers
+        d, cut = q - offset, p + split
+        floor, ceil = ((0, d + p) if self.domain.kind == "naturals"
                        else (-inf, inf))
         out = []
-        for (lo, hi, _), first, last in (
-                (above if flip else below, -inf, cut - 1),
-                (below if flip else above, cut, inf)):
+        for (lo, hi, _), first, last in ((below, -inf, cut - 1),
+                                         (above, cut, inf)):
             first = max(first, floor, -inf if hi is None else d - hi)
             last = min(last, ceil, inf if lo is None else d - lo)
             if first == -inf or last == inf:
@@ -118,10 +127,10 @@ class RBOperator:
 
     def degree_shift(self):
         """s + r - p - q at every term u_s (x) u_r of the correspondence sum,
-        whose row is r = q - s + p - 1 (flipped: + 1) as in support: -1 for
-        a chamber table, +1 for a flipped one, None for any other operator."""
-        c = self._chambers
-        return c and (1 if c[1] else -1)
+        whose row is r = q - s + p - offset as in support: -offset for a
+        chamber table (-1 for r1, r2 and p_k, +1 for their transposes), None
+        for any other operator."""
+        return self._chambers and -self._chambers[1]
 
     def image(self, i, j):
         """R(e_{ij}) as an operator-like value (memoized)."""
@@ -137,23 +146,12 @@ class RBOperator:
         return op
 
     def _table_image(self, i, j):
-        """R(e_ij) read off the table: its chamber's segment, that of
-        R(e_ji) transposed if the table is flipped, negated at a flipped
-        unit."""
-        table, flip = self._chambers
-        a, b = (j, i) if flip else (i, j)
-        seg = _chamber_segment(table, self.domain, a, b)
-        if seg is None:
-            return LocallyFiniteOperator.zero(self.domain)
-        lo, hi, c = seg
-        o = b - a + 1
-        if flip:
-            # the entry at (r, r + o) moves to (r + o, r)
-            lo, hi, o = lo if lo is None else lo + o, \
-                hi if hi is None else hi + o, -o
+        """R(e_ij) read off the table: its chamber's segment, negated at a
+        flipped unit."""
+        segs = _chamber_segment(self._chambers, self.domain, i, j)
         if (i, j) in self._flipped:
-            c = -c
-        return LocallyFiniteOperator({o: [(lo, hi, c)]}, self.domain)
+            segs = {o: ((lo, hi, -c),) for o, ((lo, hi, c),) in segs.items()}
+        return LocallyFiniteOperator(segs, self.domain)
 
     def apply_image(self, i, j, q):
         """R(e_{ij}) u_q as a dict {row: coeff} (memoized)."""
@@ -202,23 +200,23 @@ class _Moves(dict):
     right (down: R(e_{a+1,b}) is R(e_ab) moved one row down); with edge, on
     the naturals, 1 if it is that plus an entry in column 0 (row 0); else 0.
 
-    A chamber table gives the level (_table_move), and a row's cut points
-    for the slides (_cuts), but where a move touches a unit that
-    mutate_sign flipped; there, and without a table, the two images are
-    compared."""
+    A chamber table, of either shape (offset, split), gives the level
+    (_table_move), and a row's cut points for the slides (_cuts), but where
+    a move touches a unit that mutate_sign flipped; there, and without a
+    table, the two images are compared."""
 
     def __init__(self, R):
         super().__init__()
         self.R, self.reaches, self.cut_points = R, {}, {}
         self.edge = R.domain.kind == "naturals"
-        self.table = R._chambers and (*R._chambers, R.domain)
+        self.table = R._chambers
         # the moves (a, b, down) that touch a flipped unit
         self.compared = {m for i, j in R._flipped for m in (
             (i, j - 1, 0), (i, j, 0), (i - 1, j, 1), (i, j, 1))}
 
     def __missing__(self, key):
         if self.table and key[:3] not in self.compared:
-            level = self[key] = _table_move(*self.table, *key)
+            level = self[key] = _table_move(self.table, self.R.domain, *key)
             return level
         a, b, down, edge = key
         R = self.R
@@ -254,17 +252,19 @@ class _Moves(dict):
     def _cuts(self, a, right, ls):
         """The l in ls, ascending, at which right + the level of (a, l,
         down) is below 3.  A table's down moves along l are at level 2
-        before the chamber wall w = a (flipped: a + 1) and all at one level
-        past it: 1 (with edge) if -w - 1 lies in the rows, taken from its
-        unit, of the chamber past the wall, so that the naturals' clip
-        keeps an edge entry in every R(e_{a+1,l}); else 2 (_table_move)."""
+        before the chamber wall w = a + split and all at one level past it:
+        1 (with edge) if row -a - 1 lies in the rows, taken from its unit,
+        of the above chamber, so that the naturals' clip keeps an edge
+        entry in every R(e_{a+1,l}); else 2 (_table_move)."""
         edge = self.edge
         if not self.table or any(m[0] == a and m[2] for m in self.compared):
             return [l for l in ls if right + self[a, l, 1, edge] < 3]
-        table, flip, _ = self.table
-        w, (lo, hi, c) = a + flip, table[1 - flip]
-        past = 1 if edge and c and (lo is None or lo <= -w - 1) and (
-            hi is None or -w - 1 <= hi) else 2
+        # with 0 <= offset + split <= 1, as in (1, 0) and (-1, 1), the clip
+        # cuts row 0 from R(e_{a+1,l}) at every l < w and at no l > w
+        (_, (lo, hi, c)), _, split = self.table
+        w = a + split
+        past = 1 if edge and c and (lo is None or lo <= -a - 1) and (
+            hi is None or -a - 1 <= hi) else 2
         cuts = [w] if w in ls and right + self[a, w, 1, edge] < 3 else []
         return cuts + [l for l in ls if l > w] if right + past < 3 else cuts
 
@@ -291,27 +291,25 @@ def _off_edge(ss, edge):
                  for lo, hi, c in ss if not lo == hi == edge) or None
 
 
-def _table_move(table, flip, domain, a, b, down, edge):
-    """_Moves' level at (a, b, down, edge) off the table, images unbuilt.
-    With e_ij the unit that e_ab moves to and e its edge row (row 0, or
-    column 0's): in one chamber R(e_ij) is R(e_ab) moved, but for row e,
-    which on the naturals the clip cuts from R(e_ab) alone; across the
-    chamber wall the two segments are compared (_level).  A transpose
-    swaps right and down moves, as R^T(e_ab) = R(e_ba)^T."""
-    if flip:
-        a, b, down = b, a, 1 - down
-    i, j, e = a + down, b + 1 - down, 0 if down else a - b - 2
-    if (b >= a) == (j >= i):
-        if domain.kind != "naturals" or e < max(0, i - j - 1):
+def _table_move(chambers, domain, a, b, down, edge):
+    """_Moves' level at (a, b, down, edge) off the chamber table, images
+    unbuilt.  With e_ij the unit that e_ab moves to and e its edge row (row
+    0, or column 0's, on diagonal j - i + offset): in one chamber R(e_ij) is
+    R(e_ab) moved, but for row e, which on the naturals the clip cuts from
+    R(e_ab) alone; across the chamber wall the two segments are compared
+    (_level)."""
+    table, offset, split = chambers
+    i, j = a + down, b + 1 - down
+    e = 0 if down else a - b - offset - 1
+    if (b - a >= split) == (j - i >= split):
+        if domain.kind != "naturals" or e < max(0, i - j - offset):
             return 2
         # the clip leaves row e in R(e_ij): is it in the chamber's rows?
-        lo, hi, c = table[j >= i]
+        lo, hi, c = table[j - i >= split]
         return int(edge) if c and (lo is None or i + lo <= e) and (
             hi is None or e <= i + hi) else 2
-    ref = _chamber_segment(table, domain, a, b)
-    op = _chamber_segment(table, domain, i, j)
-    return _level({b - a + 1: (ref,)} if ref else {},
-                  {j - i + 1: (op,)} if op else {}, down, edge)
+    return _level(_chamber_segment(chambers, domain, a, b),
+                  _chamber_segment(chambers, domain, i, j), down, edge)
 
 
 def _pair_defects(R, idx, orbits=False):
@@ -405,19 +403,19 @@ def check_rb_identity(R, window=8, cutoff=None):
     none, so every record is the full sweep's.  Their moves are read off
     R's chamber table where it has one (_Moves).
 
-    On the integers, an operator that declares shift_equivariant has its
-    pairs first settled by shift orbits.  Moving every index by s is
-    conjugation by a permutation matrix, which commutes with products and
-    sums, and R commutes with it by the declaration; so the defect at the
-    moved pair is the defect at the pair, moved, and empty iff it is.  Every
-    window pair (i, j, k, l) is the pair (0, j - i, k - i, l - i) of its
-    orbit, moved by s = i in [-window, window]; these pairs with i = 0 are
-    one per orbit of spread at most 2 * window, and their rows slide down
-    each (j, k) diagonal.  When the defect is empty at each of them, both
-    sides are equal operators at every window pair, which is stronger than
-    agreeing up to the cutoff, and the success record is the full sweep's.
-    Otherwise the full sweep below runs and gives the record, as it does
-    for every other operator.
+    On the integers, a shift_equivariant operator has its pairs first
+    settled by shift orbits.  Moving every index by s is conjugation by a
+    permutation matrix, which commutes with products and sums, and R
+    commutes with it; so the defect at the moved pair is the defect at the
+    pair, moved, and empty iff it is.  Every window pair (i, j, k, l) is
+    the pair (0, j - i, k - i, l - i) of its orbit, moved by s = i in
+    [-window, window]; these pairs with i = 0 are one per orbit of spread
+    at most 2 * window, and their rows slide down each (j, k) diagonal.
+    When the defect is empty at each of them, both sides are equal
+    operators at every window pair, which is stronger than agreeing up to
+    the cutoff, and the success record is the full sweep's.  Otherwise the
+    full sweep below runs and gives the record, as it does for every other
+    operator.
 
     For operators carrying a matrix tensor factor (N > 1) the identity on
     composite units e_{ij} (x) e_{ab} reduces, through the Kronecker delta of
@@ -496,11 +494,13 @@ def conjugate_by(R, psi, name=None):
     index of i under the automorphism e_{ij} -> e_{perm[i],perm[j]} (finite
     domains only).
 
-    The transpose moves each entry across the main diagonal, so it keeps
-    R's chamber table, flipped: r3, r4 and p_k^T have brackets."""
+    The transpose moves each entry across the main diagonal, so it maps
+    R's chamber table of shape (offset, split) to one of shape (-offset,
+    1 - split) (RBOperator._derived): r3, r4 and p_k^T have brackets."""
     if psi == "transpose":
         return R._derived(name or "%s^T" % R.name,
-                          lambda i, j: R.image(j, i).transpose(), flip=True)
+                          lambda i, j: R.image(j, i).transpose(),
+                          transpose=True)
     perm = list(psi)
     if R.domain.kind != "finite" or sorted(perm) != list(range(R.domain.size)):
         raise ValueError("index permutation must cover a finite domain")
@@ -530,47 +530,45 @@ def mutate_sign(R, i, j):
     mutant keeps R's table and records (i, j) as flipped: its image there
     is the table's negated, and its moves there are compared from images
     (_Moves).  No shifted copy of the unit is flipped, so it is not
-    declared shift-equivariant."""
+    shift-equivariant; flipped twice at the same unit, its images are R's."""
     def image_fn(a, b):
         op = R.image(a, b)
         return op.scale(-1) if (a, b) == (i, j) else op
 
     mutant = R._derived("%s!flip[%d,%d]" % (R.name, i, j), image_fn)
     mutant._flipped ^= {(i, j)}
-    mutant.shift_equivariant = False
     return mutant
 
 
 # ---------------------------------------------------------------------------
 # catalog
 
-# chamber tables (below, above): R(e_ij) is c on rows i + lo .. i + hi of
-# diagonal j - i + 1, (lo, hi, c) = below iff j < i.  r2's below is the
-# back-walk out through a free column head, which the naturals clip at row
-# i - j - 1, and its above the forward ray
+# chamber tables (below, above) of the shape (offset, split) = (1, 0): R(e_ij)
+# is c on rows i + lo .. i + hi of diagonal j - i + 1, (lo, hi, c) = below iff
+# j < i.  r2's below is the back-walk out through a free column head, which
+# the naturals clip at row i - j - 1, and its above the forward ray
 _R1_TABLE = ((0, None, -1), (None, -1, 1))
 _R2_TABLE = ((None, -1, -1), (0, None, 1))
 
 
-def _chamber_segment(table, domain, i, j):
-    """R(e_ij) as its chamber's segment (lo, hi, c) of table on diagonal
-    j - i + 1, clipped to the domain's rows, or None if that is empty."""
-    lo, hi, c = table[j >= i]
-    bounds = c and domain.row_bounds(j - i + 1)
-    if not bounds:
-        return None
-    cut = _meet(lo if lo is None else i + lo, hi if hi is None else i + hi,
-                *bounds)
-    return cut and (*cut, c)
+def _chamber_segment(chambers, domain, i, j):
+    """R(e_ij) as segments {j - i + offset: ((lo, hi, c),)}: its chamber's
+    segment of the table (table, offset, split), clipped to the domain's
+    rows, or {} if that is empty."""
+    table, offset, split = chambers
+    lo, hi, c = table[j - i >= split]
+    bounds = c and domain.row_bounds(j - i + offset)
+    cut = bounds and _meet(lo if lo is None else i + lo,
+                           hi if hi is None else i + hi, *bounds)
+    return {j - i + offset: ((*cut, c),)} if cut else {}
 
 
 def _chamber_operator(name, domain, table):
-    """R(e_ij) as its chamber's segment of table (RBOperator._table_image).
-    On the integers the chamber depends on j - i alone and the segment's
-    rows move with i, so R is shift-equivariant."""
+    """R(e_ij) as its chamber's segment of table = (below, above) in the
+    shape (offset, split) = (1, 0): on diagonal j - i + 1, from above iff
+    j >= i (RBOperator._table_image)."""
     R = RBOperator(name, domain, None)
-    R._chambers = (table, False)
-    R.shift_equivariant = domain.kind == "integers"
+    R._chambers = table, 1, 0
     return R
 
 

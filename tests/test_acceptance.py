@@ -12,6 +12,8 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from doublelie.brackets import (bracket_from_rb, catalog_bracket,
                                 check_anticommutativity,
                                 check_basis_independence, check_homomorphism,
@@ -166,8 +168,7 @@ def test_criterion_5_matrix_polynomial_suite():
 
 def test_criterion_6_simplicity_suite():
     assert theorem3_replay(20).passed
-    rep = simplicity_probe(catalog_bracket("L2"), 20, seed_count=50,
-                           max_degree=8, rng_seed=2024)
+    rep = simplicity_probe(catalog_bracket("L2"), 20, seed_count=50)
     assert rep.passed
     assert rep.params["guaranteed_degree"] == 9
     # the two-dimensional catalog brackets are not simple: each has an
@@ -274,3 +275,19 @@ def test_criterion_10_deterministic_report(capsys):
     assert code3 == 1
     fail = json.loads(out3.splitlines()[0])
     assert fail["status"] == "fail" and fail["counterexample"]
+
+
+# the report at the default window 8, and at window 12, where the naturals'
+# clip reaches the moves and cut points that the RB sweeps read off the
+# chamber tables
+REPORT_ALL_SHA256 = {
+    8: "03127c3532d70297f9d33021d03bcef3a33a2e890c6daf880b05b01245a0e712",
+    12: "03f0f88aadd4351eb33d0ab5a20f47c5858008fa349593ffa653e11c6d16c5c1"}
+
+
+@pytest.mark.parametrize("window", sorted(REPORT_ALL_SHA256))
+def test_criterion_10_report_at_wider_windows(capsys, window):
+    assert cli_main(["report", "--all", "--window", str(window)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        REPORT_ALL_SHA256[window]

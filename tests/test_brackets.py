@@ -215,6 +215,25 @@ def test_correspondence_brackets_declare_the_chamber_degree_shift(name,
                for a, b, x, y in terms)
 
 
+@pytest.mark.parametrize("name, shift", [
+    ("L1", -1), ("L2", -1), ("L3", 1), ("L4", 1), ("L1_laurent", -1),
+    ("L2_laurent", -1), ("L3_laurent", 1), ("L4_laurent", 1), ("dY", -1),
+    ("zero", -1)])
+def test_table_brackets_declare_the_numerator_degree_shift(name, shift):
+    # the shift read off the numerator table, max(a + b) - 1 (-1 for zero's
+    # empty table, which gives no terms), is the one every term of a window
+    # value has
+    B = catalog_bracket(name)
+    assert B.degree_shift == shift
+    deg = B.carrier.degree
+    syms = B.carrier.window_syms(4)
+    terms = [(a, b, x, y) for a in syms for b in syms
+             for x, y in B.eval(a, b).terms]
+    assert terms or B.table == ()
+    assert all(deg(x) + deg(y) == deg(a) + deg(b) + shift
+               for a, b, x, y in terms)
+
+
 def _perturbed_r3():
     """r3 with R(e_03) += -e_20 and R(e_02) -= -e_30, which keeps it skew,
     from bare images."""

@@ -255,7 +255,7 @@ def _subspace_families(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_subspace_families())
-def test_pivot_filtered_minimality_matches_pairwise_containment(family):
+def test_inclusion_minimal_matches_pairwise_containment(family):
     got = _inclusion_minimal(family)
     assert [I.key() for I in got] == \
         [I.key() for I in reference_minimal(family)]
@@ -714,11 +714,10 @@ def test_simplicity_probe_verdicts():
 
 def test_simplicity_probe_names_its_rng_seed_only_when_it_draws():
     L2 = catalog_bracket("L2")
-    drawn = simplicity_probe(L2, 6, seed_count=2, max_degree=5, rng_seed=7)
-    given = simplicity_probe(L2, 6, seeds=random_polynomials(2, 5, 7),
-                             rng_seed=7)
+    drawn = simplicity_probe(L2, 6, seed_count=2)
+    given = simplicity_probe(L2, 6, seeds=random_polynomials(2, 6, 2024))
     assert drawn.params == {"window": 6, "guaranteed_degree": 2,
-                            "rng_seed": 7}
+                            "rng_seed": 2024}
     assert given.params == {"window": 6, "guaranteed_degree": 2,
                             "seeds": "given"}
     assert drawn.passed and given.passed and drawn.details == given.details
@@ -727,17 +726,24 @@ def test_simplicity_probe_names_its_rng_seed_only_when_it_draws():
     assert zero.params["seeds"] == "given" and "rng_seed" not in zero.params
 
 
-def test_simplicity_probe_default_degree_fits_the_window():
-    # the drawn seeds' degree bound defaults to 8 cut to the window; an
-    # uncut 8 would put terms outside window 3
+def test_simplicity_probe_default_degree_fits_the_window(monkeypatch):
+    # the drawn seeds' degree bound is 8 cut to the window; an uncut 8
+    # would put terms outside window 3
+    drawn = []
+
+    def spy(count, max_degree, seed):
+        drawn.append((count, max_degree, seed))
+        return random_polynomials(count, max_degree, seed)
+
+    monkeypatch.setattr(ideals, "random_polynomials", spy)
     L2 = catalog_bracket("L2")
     record = (
         '{"check": "simplicity_probe", "target": "L2", "guaranteed_degree": '
         '1, "rng_seed": 2024, "window": 3, "status": "pass", "details": '
         '{"seeds": 5, "closures_checked": 5}}')
     assert simplicity_probe(L2, 3, seed_count=5).to_json() == record
-    assert simplicity_probe(L2, 3, seed_count=5,
-                            max_degree=3).to_json() == record
+    assert simplicity_probe(L2, 12, seed_count=1).passed
+    assert drawn == [(5, 3, 2024), (1, 8, 2024)]
 
 
 def test_random_polynomial_family_is_replayable():

@@ -510,18 +510,24 @@ def test_orbit_path_checks_the_units_of_settled_pairs():
     assert '"status": "fail"' in _same_record(R, 1, 2)
 
 
+class _ShiftEquivariant(RBOperator):
+    """An operator from bare images that declares itself shift-equivariant,
+    as no chamber table can express it, so that it takes the orbit path."""
+
+    shift_equivariant = True
+
+
 def test_orbit_path_difference_beyond_cutoff():
     # R(e_aa) = e_{a+22,a+22}, every other image 0, is shift-equivariant;
     # for x = y = e_aa the left side is R(e_aa) and the right side is 0, so
     # at window 2 the two differ only on u_q with q >= 20.  Declared or not,
     # the record is the full sweep's: a nonempty defect on the orbit path
     # hands the window to it
-    for declared in (False, True):
-        far = RBOperator("far", INTEGERS,
-                         lambda i, j: LocallyFiniteOperator.unit(
-                             i + 22, i + 22, INTEGERS) if i == j
-                         else LocallyFiniteOperator.zero(INTEGERS))
-        far.shift_equivariant = declared
+    for cls in (RBOperator, _ShiftEquivariant):
+        far = cls("far", INTEGERS,
+                  lambda i, j: LocallyFiniteOperator.unit(
+                      i + 22, i + 22, INTEGERS) if i == j
+                  else LocallyFiniteOperator.zero(INTEGERS))
         assert check_rb_identity(far, 2, 19).passed
         _same_record(far, 2, 19)
         rep = check_rb_identity(far, 2, 24)
@@ -530,13 +536,12 @@ def test_orbit_path_difference_beyond_cutoff():
         _same_record(far, 2, 24)
 
 
-def _collapse(window):
+def _collapse(window, cls=RBOperator):
     """R(e_{a,a+w}) = e_aa, every other image 0: the identity fails only at
     x = e_{a,a+w}, y = e_{a+w,a+2w}, whose indices spread over 2w."""
-    return RBOperator("collapse", INTEGERS,
-                      lambda i, j: LocallyFiniteOperator.unit(i, i, INTEGERS)
-                      if j - i == window
-                      else LocallyFiniteOperator.zero(INTEGERS))
+    return cls("collapse", INTEGERS,
+               lambda i, j: LocallyFiniteOperator.unit(i, i, INTEGERS)
+               if j - i == window else LocallyFiniteOperator.zero(INTEGERS))
 
 
 @pytest.mark.parametrize("window", [1, 2, 3])
@@ -571,15 +576,14 @@ def test_orbit_path_on_strided_images(name, image_fn, window):
 
 
 # ---------------------------------------------------------------------------
-# the declaration of shift equivariance, read off the chamber tables
+# shift equivariance, read off the chamber tables
 
 @pytest.mark.parametrize("window", [1, 2, 3])
 def test_declared_orbit_path_covers_the_widest_orbits(window):
     # collapse is shift-equivariant, as a chamber table is, so declared it
     # takes the orbit path: the one failing orbit, of spread 2w, must be
     # among the orbit pairs for the full sweep to give the record
-    R = _collapse(window)
-    R.shift_equivariant = True
+    R = _collapse(window, _ShiftEquivariant)
     rec = _same_record(R, window, 2 * window)
     assert '"x": "e[%d,0]", "y": "e[0,%d]"' % (-window, window) in rec
 
@@ -591,11 +595,21 @@ def test_declarations_follow_the_chamber_tables():
               tensor_extend(r1, 3),
               conjugate_by(catalog_rb("r2_laurent").scaled(3), "transpose")):
         assert R.shift_equivariant, R.name
-    # a mutant keeps the table for support, not the declaration
+    # a mutant keeps the table for support, not shift equivariance
     flip = mutate_sign(r1, 0, 0)
     assert flip._chambers == r1._chambers and not flip.shift_equivariant
     assert not mutate_sign(conjugate_by(r1, "transpose"), 1, 2) \
         .shift_equivariant
+    # flipped twice at the same unit, a mutant is r1 again
+    twice = mutate_sign(flip, 0, 0)
+    assert twice.shift_equivariant
+    idx = unit_range(INTEGERS, 3)
+    assert all(twice.image(i, j) == r1.image(i, j) for i in idx for j in idx)
+    # the transpose's table has the shape (offset, split) = (-1, 1), and
+    # transposed twice r1_laurent has its own table back
+    r3 = conjugate_by(r1, "transpose")
+    assert r3._chambers[1:] == (-1, 1)
+    assert conjugate_by(r3, "transpose")._chambers == r1._chambers
     # on the naturals no shift is an automorphism
     for name in ("r1", "r2", "r3", "kac"):
         assert not catalog_rb(name).shift_equivariant, name
