@@ -12,6 +12,7 @@ Exit codes: 0 all checks pass, 1 at least one check failed, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -107,8 +108,7 @@ def _cmd_catalog_list(args):
 def _verify_operator(name, window):
     from .rb import check_rb_identity, check_skew_symmetry
     R = catalog_rb(name)
-    return [check_rb_identity(R, window),
-            check_skew_symmetry(R, window)]
+    return [check_rb_identity(R, window), check_skew_symmetry(R, window)]
 
 
 # Brackets that are known not to obey the Leibniz rule: for these the
@@ -272,7 +272,9 @@ def _cmd_report_all(args):
 # ---------------------------------------------------------------------------
 # argument parsing
 
+@functools.cache
 def build_parser():
+    """Built once per process: main may run many times in one."""
     parser = argparse.ArgumentParser(
         prog="doublelie",
         description="Exact verification of double Lie algebra structures "
@@ -339,8 +341,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if getattr(args, "window", 0) < 0:
             raise InputError("window must be nonnegative, got %d"
@@ -354,8 +355,7 @@ def main(argv=None):
         return EXIT_INPUT
     except BrokenPipeError:
         # the reader closed stdout early: point it at devnull, so that the
-        # interpreter's final flush of what is still buffered cannot raise
-        # again
+        # interpreter's final flush of the buffer cannot raise again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

@@ -12,12 +12,9 @@ of the product and of the scaled images: the pair holds on every basis
 vector iff D is empty.  The two sides are built apart only to render a
 counterexample.  Off finite domains an empty defect, and only an empty one,
 settles the pairs that column runs and slides down the (j, k) diagonal
-reach from it, as far as the images move one column right or one row
-down: a chamber table gives these moves but at a mutant's flipped unit, and
-only there and for an operator without a table are images compared.  On
-the integers, a chamber table makes an operator shift-equivariant, unless a
-unit is flipped, and its pairs are then settled one per shift orbit, each
-taken with i = 0 (see check_rb_identity).
+reach from it, moves read off a chamber table but at a flipped unit.  On
+the integers a chamber table with no flipped unit makes R shift-equivariant,
+and every unit pair of Z^4 is then settled at its region representatives.
 Skew-symmetry is the condition <R(x),y> = -<x,R(y)> for the trace pairing
 <x,y> = tr(xy), read off the segments of each window image once.
 
@@ -36,7 +33,6 @@ p_1 is r2.  The finite examples are read from one table of images.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from math import inf
 
 from .exact import S, sparse_sum
@@ -233,21 +229,17 @@ class _Moves(dict):
         self.reaches[a, b] = m
         return min(m, n)
 
-    def slides(self, row, k, right, ls):
-        """The intervals of l in row = (first, last, holes), holes left
-        out, at which (x, e_kl) slides, x at level right: e_kl at level 1 or
-        2 down from e_{k-1,l}, not both at 1 (cut points once per k)."""
+    def slides(self, holes, k, right, ls):
+        """The intervals of l in ls, holes left out, at which (x, e_kl)
+        slides, x at level right: e_kl at level 1 or 2 down from e_{k-1,l},
+        not both at 1 (cut points once per k)."""
         if (k, right) not in self.cut_points:
             self.cut_points[k, right] = self._cuts(k - 1, right, ls)
-        a, b, holes = row
-        cuts = self.cut_points[k, right]
-        for c in sorted(cuts[bisect_left(cuts, a):bisect_right(cuts, b)]
-                        + holes):
+        a = ls[0]
+        for c in sorted(self.cut_points[k, right] + holes) + [ls[-1] + 1]:
             if a < c:
                 yield a, c - 1
             a = c + 1
-        if a <= b:
-            yield a, b
 
     def _cuts(self, a, right, ls):
         """The l in ls, ascending, at which right + the level of (a, l,
@@ -312,13 +304,23 @@ def _table_move(chambers, domain, a, b, down, edge):
                   _chamber_segment(chambers, domain, i, j), down, edge)
 
 
-def _pair_defects(R, idx, orbits=False):
+def _terms(i, j, l, col, Ry):
+    """R(x)y + xR(y) at x = e_ij, y = e_kl as (unit, coeff): col, column k
+    of R(x) as items, put in column l, and row j of Ry = R(y) in row i."""
+    return [((r, l), c) for r, c in col] + [
+        ((i, cc), c) for cc, c in Ry.row(j).items()]
+
+
+def _defect(R, Rx, Ry, terms):
+    """The defect Rx Ry - R(terms), normalised, terms as _terms gives."""
+    return operator_sum([(-c, R.image(a, b)) for (a, b), c in terms],
+                        R.domain, ((1, Rx, Ry),))
+
+
+def _pair_defects(R, idx):
     """(i, j, k, l, terms, defect) at the unit pairs x = e_{ij}, y = e_{kl},
     i, j, k, l in idx, in sweep order, except those settled by a column run
-    or a slide: terms is R(x)y + xR(y) as (unit, coeff), column k of R(x)
-    put in column l and row j of R(y) in row i, and defect is R(x)R(y) -
-    R(terms).  With orbits, idx is -2w..2w and the pairs are one per shift
-    orbit of spread at most 2w, each with i = 0.
+    or a slide (_terms, _defect).
 
     Runs: with C the column shift, e_kl = e_{k,l-1} C, so D(x, e_kl) is
     D(x, e_{k,l-1}) C when every unit read at e_{k,l-1} (it and those of
@@ -335,67 +337,71 @@ def _pair_defects(R, idx, orbits=False):
     settle = R.domain.kind != "finite"
     moves = _Moves(R)
     top = max(idx, default=0)
-    for i in (0,) if orbits else idx:
-        prev = {}
+    for i in idx:
+        holes_at = {}
         for j in idx:
-            Rx, cur = R.image(i, j), {}
-            right = settle and prev and (moves[i, j - 1, 0, False]
-                                         or moves[i, j - 1, 0, moves.edge])
+            Rx = R.image(i, j)
+            right = settle and j > idx[0] and (
+                moves[i, j - 1, 0, False] or moves[i, j - 1, 0, moves.edge])
             for k in idx:
-                first, last = idx[0], top
-                if orbits:
-                    lo, hi = min(0, j, k), max(0, j, k)
-                    if hi - lo > top:
-                        continue
-                    first, last = hi - top, lo + top
                 # the pairs known empty in row (i, j - 1, k - 1) that slide
-                spans = right and prev.get(k - 1)
-                spans = spans and moves.slides(spans, k, right, range(
-                    k - top, k + top + 1) if orbits else idx)
+                spans = right and k > idx[0] and moves.slides(
+                    holes_at[j - 1, k - 1], k, right, idx)
                 span, col, holes = spans and next(spans, None), None, []
-                l = first
-                while l <= last:
+                l = idx[0]
+                while l <= top:
                     while span and span[1] < l:
                         span = next(spans, None)
                     slid = span and span[0] <= l
                     end = span[1] if slid else l
-                    if slid and end >= last:
+                    if slid and end >= top:
                         break
                     # the terms at (i, j, k, end), a gap's defect, the run
                     if col is None:
                         col = Rx.apply_index(k).items()
                     Ry = R.image(k, end)
-                    terms = [((r, end), c) for r, c in col]
-                    terms += [((i, cc), c) for cc, c in Ry.row(j).items()]
+                    terms = _terms(i, j, end, col, Ry)
                     if not slid:
-                        defect = operator_sum(
-                            [(-c, R.image(a, b)) for (a, b), c in terms],
-                            R.domain, ((1, Rx, Ry),))
+                        defect = _defect(R, Rx, Ry, terms)
                         yield i, j, k, l, terms, defect
                         if defect:
                             holes.append(l)
                             l += 1
                             continue
-                    n = settle and last - end
+                    n = settle and top - end
                     for a, b in [(k, end)] + [u for u, _ in terms]:
                         n = n and moves.reach(a, b, n)
                     l = end + n + 1
-                cur[k] = first, last, holes
-            prev = cur
+                holes_at[j, k] = holes
+
+
+def _holds_everywhere(R):
+    """Whether every unit pair of Z^4 holds (check_rb_identity; m = M + 1)."""
+    table, offset, split = R._chambers
+    m = 2 * max([abs(e) for *ends, _ in table for e in ends if e is not None],
+                default=0) + abs(offset) + 3
+    t = abs(split) + abs(offset) + 1
+    near, reps = sorted(range(-t, t + 1), key=abs), {}
+    for p in near:
+        for q in near:
+            reps.setdefault((p >= split, q >= split,
+                             p + q + offset >= split), (p, q))
+    return not any(
+        _defect(R, Rx, Ry, _terms(0, p, k + q, Rx.apply_index(k).items(), Ry))
+        for p, q in reps.values() for Rx in [R.image(0, p)]
+        for k in range(p - m, p + m + 1) for Ry in [R.image(k, k + q)])
 
 
 def check_rb_identity(R, window=8, cutoff=None):
     """Exact check of R(x)R(y) = R(R(x)y + xR(y)) on all unit pairs in the
     window, on every basis vector up to the cutoff.
 
-    Each pair is decided on its defect D = R(x)R(y) - sum of c * R(e_u)
-    over the terms (u, c) of R(x)y + xR(y): operator_sum normalises the
-    product's and the images' raw segments together, and an empty D settles
-    every basis vector.  For a nonempty D the first q up to the cutoff with
-    a nonzero column is the counterexample; only then are the two sides
-    built, by mul_mixed and _image_sum, to render that column.  A pair whose
-    sides differ only beyond the cutoff therefore passes, as the
-    window-relative verdict says.
+    Each pair is decided on its defect D = R(x)R(y) - R(R(x)y + xR(y))
+    (_defect), and an empty D settles every basis vector.  For a nonempty D
+    the first q up to the cutoff with a nonzero column is the
+    counterexample; only then are the two sides built, by mul_mixed and
+    _image_sum, to render that column.  A pair whose sides differ only
+    beyond the cutoff therefore passes, as the window-relative verdict says.
 
     Off finite domains most defects are never built: an empty defect
     settles the pairs that a column run or a slide reaches from it
@@ -403,36 +409,30 @@ def check_rb_identity(R, window=8, cutoff=None):
     none, so every record is the full sweep's.  Their moves are read off
     R's chamber table where it has one (_Moves).
 
-    On the integers, a shift_equivariant operator has its pairs first
-    settled by shift orbits.  Moving every index by s is conjugation by a
-    permutation matrix, which commutes with products and sums, and R
-    commutes with it; so the defect at the moved pair is the defect at the
-    pair, moved, and empty iff it is.  Every window pair (i, j, k, l) is
-    the pair (0, j - i, k - i, l - i) of its orbit, moved by s = i in
-    [-window, window]; these pairs with i = 0 are one per orbit of spread
-    at most 2 * window, and their rows slide down each (j, k) diagonal.
-    When the defect is empty at each of them, both sides are equal
-    operators at every window pair, which is stronger than agreeing up to
-    the cutoff, and the success record is the full sweep's.  Otherwise the
-    full sweep below runs and gives the record, as it does for every other
-    operator.
+    A shift_equivariant operator is first decided on its table's regions
+    (_holds_everywhere).  With p = j - i, q = l - k, d = k - j and a, b, s
+    the chambers of p, q and p + q + offset, D(e_ij, e_kl) moved up i rows
+    lies on diagonal p + q + 2 offset: c_a c_b on [lo_a, hi_a] meet
+    d - offset + [lo_b, hi_b], minus c_a c_s on d - offset + [lo_s, hi_s]
+    if d - offset is in [lo_a, hi_a], minus c_b c_s on [lo_s, hi_s] if -d
+    is in [lo_b, hi_b].  Whether it is empty depends on (a, b, s) and on
+    how d compares with constants of size at most M = 2E + |offset| + 2, E
+    the largest finite |row end|: the pairs (0, p, p + d, p + d + q), one
+    (p, q) per chamber triple and d in [-(M + 1), M + 1], stand for every
+    unit pair of Z^4.  If each of their defects is empty the success record
+    is the full sweep's; otherwise the full sweep gives the record.
 
     For operators carrying a matrix tensor factor (N > 1) the identity on
     composite units e_{ij} (x) e_{ab} reduces, through the Kronecker delta of
     the matrix factor, to the identity on the base units scaled by delta_{bc};
     the sweep below over base units is therefore exhaustive."""
-    if cutoff is None:
-        cutoff = 2 * window
+    cutoff = 2 * window if cutoff is None else cutoff
     params = {"window": window, "cutoff": cutoff}
     details = ("matrix factor of size %d handled by the delta factorization "
                "of composite units" % R.N if R.N > 1 else None)
-    if R.shift_equivariant and not any(
-            defect for *_, defect in _pair_defects(
-                R, range(-2 * window, 2 * window + 1), orbits=True)):
-        return VerificationReport.success("rb_identity", R.name, params,
-                                          details)
     qs = list(unit_range(R.domain, cutoff))
-    for i, j, k, l, terms, defect in _pair_defects(
+    settled = R.shift_equivariant and _holds_everywhere(R)
+    for i, j, k, l, terms, defect in () if settled else _pair_defects(
             R, unit_range(R.domain, window)):
         for q in qs if defect else ():
             if defect.apply_index(q):

@@ -241,6 +241,15 @@ def test_report_keeps_its_rng_seed_option(capsys):
     assert code == 0 and all(r["rng_seed"] == 7 for r in records(out))
 
 
+def test_the_shared_parser_keeps_no_option_between_calls(capsys):
+    # main builds its parser once per process; an option one call sets must
+    # not reach the next call
+    assert cli.build_parser() is cli.build_parser()
+    run(capsys, "report", "--all", "--window", "1", "--rng-seed", "7")
+    code, out, _ = run(capsys, "report", "--all", "--window", "1")
+    assert code == 0 and all(r["rng_seed"] == 2024 for r in records(out))
+
+
 @pytest.mark.parametrize("argv, digest", [
     (("verify", "r1", "--window", "8"),
      "5a3df51875fc8ca6af990fe88cb39ee3d95e78155979ba088215f9e340b874c1"),

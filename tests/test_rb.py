@@ -434,7 +434,8 @@ def test_rb_identity_matches_pointwise_oracle_on_sign_mutants(name, units):
 
 
 def test_rb_identity_on_an_empty_window():
-    # a negative window sweeps no pair, on every domain and on the orbit path
+    # a negative window sweeps no pair, on every domain, and the
+    # representatives of a shift-equivariant operator give the same record
     for name in ("r1", "r1_laurent", "ex1"):
         _same_record(catalog_rb(name), -1, 0)
 
@@ -456,7 +457,8 @@ def test_rb_identity_difference_beyond_cutoff():
 
 
 # ---------------------------------------------------------------------------
-# the shift-orbit path on the integers, against the pointwise oracle
+# the integers, decided at the region representatives where R is
+# shift-equivariant, against the pointwise oracle
 
 _LAURENT = st.sampled_from(("r1_laurent", "r2_laurent"))
 
@@ -491,63 +493,65 @@ def test_orbit_path_matches_oracle_on_laurent_sign_mutants(name, window,
 @pytest.mark.parametrize("name, unit", [("r1_laurent", (-7, -2)),
                                         ("r2_laurent", (-2, -4))])
 def test_orbit_path_reads_units_outside_the_window(name, unit):
-    # at window 2 the unit is read only in the support of R(x)y + xR(y), at
-    # window pairs that are no orbit's pair with least index 0; a mutant is
-    # not declared shift-equivariant, so the full sweep finds that pair
+    # at window 2 the unit is read only in the support of R(x)y + xR(y); a
+    # mutant is not shift-equivariant, so the full sweep finds that pair
     assert '"status": "fail"' in _same_record(
         mutate_sign(catalog_rb(name), *unit), 2, 4)
 
 
 def test_orbit_path_checks_the_units_of_settled_pairs():
-    # r1_laurent with R(e_{-4,b}) negated for b >= 0: at window 1 every orbit
-    # pair's defect is empty, but only pairs that a column run settles read
-    # the units on diagonals 4 and 5, e_{-3,1} among them, and R(e_{-4,0})
-    # is not R(e_{-3,1}) moved back along diagonal 4.  Built from bare
-    # images, R declares nothing and takes the full sweep
+    # r1_laurent with R(e_{-4,b}) negated for b >= 0: at window 1 only
+    # pairs that a column run settles read the units on diagonals 4 and 5,
+    # e_{-3,1} among them, and R(e_{-4,0}) is not R(e_{-3,1}) moved back
+    # along diagonal 4.  Built from bare images, R has no table and takes
+    # the full sweep
     base = catalog_rb("r1_laurent")
     R = RBOperator("half_row", INTEGERS, lambda a, b: base.image(a, b)
                    .scale(-1) if a == -4 and b >= 0 else base.image(a, b))
     assert '"status": "fail"' in _same_record(R, 1, 2)
 
 
-class _ShiftEquivariant(RBOperator):
-    """An operator from bare images that declares itself shift-equivariant,
-    as no chamber table can express it, so that it takes the orbit path."""
-
-    shift_equivariant = True
-
-
 def test_orbit_path_difference_beyond_cutoff():
-    # R(e_aa) = e_{a+22,a+22}, every other image 0, is shift-equivariant;
-    # for x = y = e_aa the left side is R(e_aa) and the right side is 0, so
-    # at window 2 the two differ only on u_q with q >= 20.  Declared or not,
-    # the record is the full sweep's: a nonempty defect on the orbit path
-    # hands the window to it
-    for cls in (RBOperator, _ShiftEquivariant):
-        far = cls("far", INTEGERS,
-                  lambda i, j: LocallyFiniteOperator.unit(
-                      i + 22, i + 22, INTEGERS) if i == j
-                  else LocallyFiniteOperator.zero(INTEGERS))
-        assert check_rb_identity(far, 2, 19).passed
-        _same_record(far, 2, 19)
-        rep = check_rb_identity(far, 2, 24)
-        assert rep.counterexample == {"x": "e[-2,-2]", "y": "e[-2,-2]",
-                                      "q": 20, "lhs": "1*u_20", "rhs": "0"}
-        _same_record(far, 2, 24)
+    # R(e_aa) = e_{a+22,a+22}, every other image 0, is shift-equivariant
+    # but has no table, so it takes the full sweep; for x = y = e_aa the
+    # left side is R(e_aa) and the right side is 0, so at window 2 the two
+    # differ only on u_q with q >= 20
+    far = RBOperator("far", INTEGERS,
+                     lambda i, j: LocallyFiniteOperator.unit(
+                         i + 22, i + 22, INTEGERS) if i == j
+                     else LocallyFiniteOperator.zero(INTEGERS))
+    assert check_rb_identity(far, 2, 19).passed
+    _same_record(far, 2, 19)
+    rep = check_rb_identity(far, 2, 24)
+    assert rep.counterexample == {"x": "e[-2,-2]", "y": "e[-2,-2]",
+                                  "q": 20, "lhs": "1*u_20", "rhs": "0"}
+    _same_record(far, 2, 24)
+    # R(e_ij) = e_{i+22,j+23} for j >= i, else 0, is a chamber table whose
+    # representatives fail: the full sweep gives the record, and at window
+    # 2 its defects have no column below 20
+    far = rb._chamber_operator("far", INTEGERS, ((0, 0, 0), (22, 22, 1)))
+    assert far.shift_equivariant and not rb._holds_everywhere(far)
+    assert check_rb_identity(far, 2, 19).passed
+    _same_record(far, 2, 19)
+    rep = check_rb_identity(far, 2, 24)
+    assert rep.counterexample == {"x": "e[-2,-2]", "y": "e[-1,-1]",
+                                  "q": 22, "lhs": "1*u_20", "rhs": "0"}
+    _same_record(far, 2, 24)
 
 
-def _collapse(window, cls=RBOperator):
+def _collapse(window):
     """R(e_{a,a+w}) = e_aa, every other image 0: the identity fails only at
     x = e_{a,a+w}, y = e_{a+w,a+2w}, whose indices spread over 2w."""
-    return cls("collapse", INTEGERS,
-               lambda i, j: LocallyFiniteOperator.unit(i, i, INTEGERS)
-               if j - i == window else LocallyFiniteOperator.zero(INTEGERS))
+    return RBOperator("collapse", INTEGERS,
+                      lambda i, j: LocallyFiniteOperator.unit(i, i, INTEGERS)
+                      if j - i == window
+                      else LocallyFiniteOperator.zero(INTEGERS))
 
 
 @pytest.mark.parametrize("window", [1, 2, 3])
 def test_orbit_path_covers_the_widest_orbits(window):
-    # built from bare images, collapse declares nothing and takes the full
-    # sweep; the declared case is below
+    # built from bare images, collapse has no table and takes the full
+    # sweep; a chamber table failing first at the same spread is below
     rec = _same_record(_collapse(window), window, 2 * window)
     assert '"x": "e[%d,0]", "y": "e[0,%d]"' % (-window, window) in rec
 
@@ -580,12 +584,17 @@ def test_orbit_path_on_strided_images(name, image_fn, window):
 
 @pytest.mark.parametrize("window", [1, 2, 3])
 def test_declared_orbit_path_covers_the_widest_orbits(window):
-    # collapse is shift-equivariant, as a chamber table is, so declared it
-    # takes the orbit path: the one failing orbit, of spread 2w, must be
-    # among the orbit pairs for the full sweep to give the record
-    R = _collapse(window, _ShiftEquivariant)
+    # the table of shape (offset, split) = (-w, w) with R(e_ij) = e_{i,j-w}
+    # for j - i >= w, else 0: every failing window pair reads a unit with
+    # j - i >= w, and the first has y = e_{-w,w}, of the widest spread 2w.
+    # The representatives must reach the chamber j - i >= w, however wide,
+    # to hand the window to the full sweep
+    R = RBOperator("wide", INTEGERS, None)
+    R._chambers = ((0, 0, 0), (0, 0, 1)), -window, window
+    assert R.shift_equivariant and not rb._holds_everywhere(R)
     rec = _same_record(R, window, 2 * window)
-    assert '"x": "e[%d,0]", "y": "e[0,%d]"' % (-window, window) in rec
+    assert '"x": "e[%d,%d]", "y": "e[%d,%d]"' % (
+        -window, -window, -window, window) in rec
 
 
 def test_declarations_follow_the_chamber_tables():
@@ -616,7 +625,7 @@ def test_declarations_follow_the_chamber_tables():
     assert not catalog_rb("zero", domain=INTEGERS).shift_equivariant
 
 
-_ENDS = st.sampled_from((None, -1, 0, 1))
+_ENDS = st.sampled_from((None, -3, -2, -1, 0, 1, 2, 3))
 _CHAMBER = st.tuples(_ENDS, _ENDS, st.integers(-2, 2))
 # the catalog's two tables, scaled, pass
 _PASSING = st.builds(lambda table, c: tuple((lo, hi, c * d)
@@ -640,21 +649,48 @@ def test_random_step_one_tables_match_the_full_sweep(table, window):
         want.to_json(), table
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.tuples(_CHAMBER, _CHAMBER), _PASSING), st.booleans(),
+       st.one_of(st.none(), st.tuples(st.integers(-2, 2), st.integers(-2, 2))))
+@example(((-1, -1, -2), (-1, -1, -2)), False, None)
+@example(((None, None, 0), (None, -1, -2)), False, None)
+@example(((None, None, 0), (-1, -1, -2)), True, None)
+@example(((None, 0, -2), (1, None, 2)), False, (-1, -1))
+@example(((None, 0, -2), (1, None, 2)), True, (-1, -1))
+@example(((None, None, 0), (2, 2, -2)), False, (2, 0))
+def test_representatives_decide_every_unit_pair(table, transpose, shape):
+    # the representatives' verdict, for every unit pair of Z^4, is the full
+    # sweep's on the same images with no table, at a window that holds
+    # every unit the representatives read.  The table has shape (1, 0), or
+    # the (offset, split) drawn, and then maybe its transpose.  In order,
+    # the examples fail: only at d = 0; in one chamber triple for d <= 0
+    # and another for d >= 1; only at d = -1 and 0; only in the triple
+    # (above, above, below); transposed, only in (below, below, above);
+    # only at d = -2, 2 and 4
+    R = rb._chamber_operator("T", INTEGERS, table)
+    if shape:
+        R._chambers = table, *shape
+    R = conjugate_by(R, "transpose") if transpose else R
+    holds = rb._holds_everywhere(R)
+    window = max(abs(n) for unit in R._images for n in unit)
+    bare = RBOperator("T", INTEGERS, R.image)
+    assert check_rb_identity(bare, window).passed == holds, (table, window)
+
+
 def _counting(monkeypatch):
     """Lists that grow by one per defect computed and per left side built."""
     defects, products = [], []
-    pair_defects = rb._pair_defects
+    defect = rb._defect
 
-    def counted(*args, **kwargs):
-        for item in pair_defects(*args, **kwargs):
-            defects.append(None)
-            yield item
+    def counted(*args):
+        defects.append(None)
+        return defect(*args)
 
     def product(a, b):
         products.append(None)
         return mul_mixed(a, b)
 
-    monkeypatch.setattr(rb, "_pair_defects", counted)
+    monkeypatch.setattr(rb, "_defect", counted)
     monkeypatch.setattr(rb, "mul_mixed", product)
     return defects, products
 
@@ -662,14 +698,14 @@ def _counting(monkeypatch):
 def test_orbit_path_products(monkeypatch):
     defects, products = _counting(monkeypatch)
     assert check_rb_identity(catalog_rb("r1_laurent"), 6).passed
-    # column runs and slides compute 141 of the 7,825 orbit pairs' defects
-    assert len(defects) == 141
-    # a passing sweep decides every pair on its defect and builds no side,
-    # on the orbit path and on the full one, where runs and slides compute
-    # 73 of the 256 defects
+    # 13 values of d for each of the 6 chamber triples, E = 1 and M = 5
+    assert len(defects) == 78
+    # a passing check decides every pair on its defect and builds no side,
+    # at the representatives and on the full sweep, where runs and slides
+    # compute 73 of the 256 defects
     assert check_rb_identity(catalog_rb("r1"), 3).passed
-    assert len(defects) == 141 + 73 and not products
-    # a mutant is not declared shift-equivariant, so only the full sweep
+    assert len(defects) == 78 + 73 and not products
+    # a mutant is not shift-equivariant, so only the full sweep
     # runs, up to its first failing pair; (-3, 3) and (3, -3) are the one
     # window unit on their diagonals.  Each row's first defect is computed,
     # and those where a run meets the corrupted unit
@@ -686,7 +722,7 @@ def test_orbit_path_products(monkeypatch):
 @pytest.mark.parametrize("name, params, count", [
     ("r1", {}, 271), ("r4", {}, 271), ("kac", {"N": 2}, 271),
     ("r2", {}, 651), ("p_k", {"k": 1}, 651), ("r3", {}, 785),
-    ("r1_laurent", {}, 141), ("r2_laurent", {}, 142)])
+    ("r1_laurent", {}, 78), ("r2_laurent", {}, 78)])
 def test_battery_defect_counts(monkeypatch, name, params, count):
     # the eight chamber-table operators of report --all, at its window
     defects, products = _counting(monkeypatch)
@@ -696,10 +732,20 @@ def test_battery_defect_counts(monkeypatch, name, params, count):
 
 def test_sweep_builds_the_images_it_reads():
     # the moves of a table operator are read off its table, so the sweep
-    # builds only the images that its defects read
+    # builds only the images that its defects read, and the representatives
+    # theirs
     R = catalog_rb("r1_laurent")
     assert check_rb_identity(R, 6).passed
-    assert len(R._images) == 269
+    assert len(R._images) == 50
+
+
+@pytest.mark.parametrize("name", ["r1_laurent", "r2_laurent"])
+def test_laurent_defects_do_not_grow_with_the_window(monkeypatch, name):
+    defects, _ = _counting(monkeypatch)
+    for window in (1, 6, 30):
+        defects.clear()
+        assert check_rb_identity(catalog_rb(name), window).passed
+        assert len(defects) == 78, window
 
 
 class _NoMoves(rb._Moves):
@@ -714,10 +760,10 @@ def test_sweeps_without_runs(monkeypatch):
     defects, products = _counting(monkeypatch)
     monkeypatch.setattr(rb, "_Moves", _NoMoves)
     assert check_rb_identity(catalog_rb("r1_laurent"), 6).passed
-    # one pair per orbit: as many as the tuples in [0, 12]^4 that hold a 0
-    assert len(defects) == 13 ** 4 - 12 ** 4 == 7825
+    # the representatives read no moves
+    assert len(defects) == 78
     assert check_rb_identity(catalog_rb("r1"), 3).passed
-    assert len(defects) == 7825 + 4 ** 4 and not products
+    assert len(defects) == 78 + 4 ** 4 and not products
     # the full sweep computes every pair up to its first failing one
     for unit in ((1, -1), (-3, 3), (3, -3)):
         defects.clear()
@@ -772,8 +818,8 @@ def _slides(R, i, j, k, l, ls):
     """Whether the sweep slides (i, j, k, l) from (i, j - 1, k - 1, l)."""
     moves = rb._Moves(R)
     right = moves[i, j - 1, 0, moves.edge]
-    return bool(right) and [*moves.slides((l, l, []), k, right, ls)] == \
-        [(l, l)]
+    holes = [m for m in ls if m != l]
+    return bool(right) and [*moves.slides(holes, k, right, ls)] == [(l, l)]
 
 
 # both chambers the whole diagonal: on the naturals R(e_ij) has an entry in
@@ -914,7 +960,7 @@ def _two_sided_rb(R, window, cutoff):
     """Reference for check_rb_identity's full sweep: at every unit pair both
     sides are built as operators, R(x)R(y) by mul_mixed and R(R(x)y +
     xR(y)) by _image_sum, compared, and where they differ read column by
-    column up to the cutoff; no shift orbits, no defect."""
+    column up to the cutoff; no representatives, no defect."""
     params = {"window": window, "cutoff": cutoff}
     idx = unit_range(R.domain, window)
     for i in idx:
