@@ -155,10 +155,9 @@ def _cmd_verify(args):
 
 
 def _cmd_bracket_eval(args):
-    try:
-        B = catalog_bracket(args.name)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    if args.name not in CATALOG_BRACKET_NAMES:
+        raise InputError("unknown bracket %r" % args.name)
+    B = catalog_bracket(args.name)
     try:
         s1, s2 = B.carrier.sym(args.n), B.carrier.sym(args.m)
     except (ValueError, IndexError) as exc:

@@ -133,9 +133,7 @@ class RBOperator:
         key = (i, j)
         op = self._images.get(key)
         if op is None:
-            if not (self.domain.contains(i) and self.domain.contains(j)):
-                raise ValueError("unit (%d, %d) outside domain %r"
-                                 % (i, j, self.domain))
+            _check_unit(self.domain, i, j)
             op = self._image_fn(i, j) if self._chambers is None \
                 else self._table_image(i, j)
             self._images[key] = op
@@ -177,6 +175,12 @@ class RBOperator:
         return "RBOperator(%r, %r, N=%d)" % (self.name, self.domain, self.N)
 
 
+def _check_unit(domain, i, j):
+    """Raise ValueError unless e_ij is a unit of the domain."""
+    if not (domain.contains(i) and domain.contains(j)):
+        raise ValueError("unit (%d, %d) outside domain %r" % (i, j, domain))
+
+
 def unit_range(domain, window):
     """Index range swept by windowed checks: the full finite domain, 0..window
     over the naturals, -window..window over the integers."""
@@ -192,39 +196,34 @@ def _render_vec_dict(d):
 
 
 class _Moves(dict):
-    """(a, b, down, edge) -> 2 if R(e_{a,b+1}) is R(e_ab) moved one column
-    right (down: R(e_{a+1,b}) is R(e_ab) moved one row down); with edge, on
-    the naturals, 1 if it is that plus an entry in column 0 (row 0); else 0.
+    """(a, b, down) -> 2 if R(e_{a,b+1}) is R(e_ab) moved one column right
+    (down: R(e_{a+1,b}) is R(e_ab) moved one row down); on the naturals 1 if
+    it is that plus an entry in column 0 (row 0); else 0.
 
     A chamber table, of either shape (offset, split), gives the level
-    (_table_move), and a row's cut points for the slides (_cuts), but where
-    a move touches a unit that mutate_sign flipped; there, and without a
-    table, the two images are compared."""
+    (_table_move) but where the move's source or target unit is one that
+    mutate_sign flipped; there, and without a table, the two images are
+    compared (_level)."""
 
     def __init__(self, R):
         super().__init__()
         self.R, self.reaches, self.cut_points = R, {}, {}
-        self.edge = R.domain.kind == "naturals"
-        self.table = R._chambers
-        # the moves (a, b, down) that touch a flipped unit
-        self.compared = {m for i, j in R._flipped for m in (
-            (i, j - 1, 0), (i, j, 0), (i - 1, j, 1), (i, j, 1))}
 
     def __missing__(self, key):
-        if self.table and key[:3] not in self.compared:
-            level = self[key] = _table_move(self.table, self.R.domain, *key)
-            return level
-        a, b, down, edge = key
-        R = self.R
-        level = self[key] = _level(R.image(a, b).segs,
-                                   R.image(a + down, b + 1 - down).segs,
-                                   down, edge)
+        a, b, down = key
+        R, i, j = self.R, a + down, b + 1 - down
+        if R._chambers and not {(a, b), (i, j)} & R._flipped:
+            level = _table_move(R._chambers, R.domain, a, b, down)
+        else:
+            level = _level(R.image(a, b).segs, R.image(i, j).segs, down,
+                           R.domain.kind == "naturals")
+        self[key] = level
         return level
 
     def reach(self, a, b, n):
         """min(n, how many of (a, b), (a, b + 1), ... move one right)."""
         m = self.reaches.get((a, b), 0)
-        while m < n and self[a, b + m, 0, False] == 2:
+        while m < n and self[a, b + m, 0] == 2:
             m += 1
         self.reaches[a, b] = m
         return min(m, n)
@@ -232,33 +231,17 @@ class _Moves(dict):
     def slides(self, holes, k, right, ls):
         """The intervals of l in ls, holes left out, at which (x, e_kl)
         slides, x at level right: e_kl at level 1 or 2 down from e_{k-1,l},
-        not both at 1 (cut points once per k)."""
-        if (k, right) not in self.cut_points:
-            self.cut_points[k, right] = self._cuts(k - 1, right, ls)
+        not both at 1.  The cut points, the l at which right plus that
+        level is below 3, are read off the moves once per (k, right)."""
+        cuts = self.cut_points.get((k, right))
+        if cuts is None:
+            cuts = self.cut_points[k, right] = [
+                l for l in ls if right + self[k - 1, l, 1] < 3]
         a = ls[0]
-        for c in sorted(self.cut_points[k, right] + holes) + [ls[-1] + 1]:
+        for c in sorted(cuts + holes) + [ls[-1] + 1]:
             if a < c:
                 yield a, c - 1
             a = c + 1
-
-    def _cuts(self, a, right, ls):
-        """The l in ls, ascending, at which right + the level of (a, l,
-        down) is below 3.  A table's down moves along l are at level 2
-        before the chamber wall w = a + split and all at one level past it:
-        1 (with edge) if row -a - 1 lies in the rows, taken from its unit,
-        of the above chamber, so that the naturals' clip keeps an edge
-        entry in every R(e_{a+1,l}); else 2 (_table_move)."""
-        edge = self.edge
-        if not self.table or any(m[0] == a and m[2] for m in self.compared):
-            return [l for l in ls if right + self[a, l, 1, edge] < 3]
-        # with 0 <= offset + split <= 1, as in (1, 0) and (-1, 1), the clip
-        # cuts row 0 from R(e_{a+1,l}) at every l < w and at no l > w
-        (_, (lo, hi, c)), _, split = self.table
-        w = a + split
-        past = 1 if edge and c and (lo is None or lo <= -a - 1) and (
-            hi is None or -a - 1 <= hi) else 2
-        cuts = [w] if w in ls and right + self[a, w, 1, edge] < 3 else []
-        return cuts + [l for l in ls if l > w] if right + past < 3 else cuts
 
 
 def _level(ref, op, down, edge):
@@ -283,25 +266,26 @@ def _off_edge(ss, edge):
                  for lo, hi, c in ss if not lo == hi == edge) or None
 
 
-def _table_move(chambers, domain, a, b, down, edge):
-    """_Moves' level at (a, b, down, edge) off the chamber table, images
-    unbuilt.  With e_ij the unit that e_ab moves to and e its edge row (row
-    0, or column 0's, on diagonal j - i + offset): in one chamber R(e_ij) is
-    R(e_ab) moved, but for row e, which on the naturals the clip cuts from
-    R(e_ab) alone; across the chamber wall the two segments are compared
-    (_level)."""
+def _table_move(chambers, domain, a, b, down):
+    """_Moves' level at (a, b, down) off the chamber table, images unbuilt.
+    With e_ij the unit that e_ab moves to and e its edge row (row 0, or
+    column 0's, on diagonal j - i + offset): in one chamber R(e_ij) is
+    R(e_ab) moved, at level 2, but for row e, which on the naturals the clip
+    cuts from R(e_ab) alone, at level 1; across the chamber wall the two
+    segments are compared (_level)."""
     table, offset, split = chambers
     i, j = a + down, b + 1 - down
     e = 0 if down else a - b - offset - 1
+    naturals = domain.kind == "naturals"
     if (b - a >= split) == (j - i >= split):
-        if domain.kind != "naturals" or e < max(0, i - j - offset):
+        if not naturals or e < max(0, i - j - offset):
             return 2
         # the clip leaves row e in R(e_ij): is it in the chamber's rows?
         lo, hi, c = table[j - i >= split]
-        return int(edge) if c and (lo is None or i + lo <= e) and (
+        return 1 if c and (lo is None or i + lo <= e) and (
             hi is None or e <= i + hi) else 2
     return _level(_chamber_segment(chambers, domain, a, b),
-                  _chamber_segment(chambers, domain, i, j), down, edge)
+                  _chamber_segment(chambers, domain, i, j), down, naturals)
 
 
 def _terms(i, j, l, col, Ry):
@@ -341,8 +325,7 @@ def _pair_defects(R, idx):
         holes_at = {}
         for j in idx:
             Rx = R.image(i, j)
-            right = settle and j > idx[0] and (
-                moves[i, j - 1, 0, False] or moves[i, j - 1, 0, moves.edge])
+            right = settle and j > idx[0] and moves[i, j - 1, 0]
             for k in idx:
                 # the pairs known empty in row (i, j - 1, k - 1) that slide
                 spans = right and k > idx[0] and moves.slides(
@@ -518,10 +501,11 @@ def conjugate_by(R, psi, name=None):
 
 def tensor_extend(R, N, name=None):
     """R (x) id on composite units e_{ij} (x) e_{st}; stored as the base
-    operator tagged with the matrix factor size."""
+    operator tagged with the matrix factor size, N times R's, as M_n (x) M_N
+    is M_{nN}."""
     if N < 1:
         raise ValueError("matrix factor size must be positive")
-    return R._derived(name or "%s(x)id_%d" % (R.name, N), R.image, N)
+    return R._derived(name or "%s(x)id_%d" % (R.name, N), R.image, N * R.N)
 
 
 def mutate_sign(R, i, j):
@@ -530,7 +514,10 @@ def mutate_sign(R, i, j):
     mutant keeps R's table and records (i, j) as flipped: its image there
     is the table's negated, and its moves there are compared from images
     (_Moves).  No shifted copy of the unit is flipped, so it is not
-    shift-equivariant; flipped twice at the same unit, its images are R's."""
+    shift-equivariant; flipped twice at the same unit, its images are R's.
+    Raises ValueError if e_ij is not a unit of R's domain."""
+    _check_unit(R.domain, i, j)
+
     def image_fn(a, b):
         op = R.image(a, b)
         return op.scale(-1) if (a, b) == (i, j) else op

@@ -86,6 +86,8 @@ def test_bracket_eval_matrix_polynomial_basis(capsys):
     (("ideal", "closure", "nosuch", "--seed", "1"),
      "unknown bracket 'nosuch'"),
     (("simplicity", "nosuch"), "unknown bracket 'nosuch'"),
+    # built by catalog_bracket, but not listed by catalog list
+    (("bracket", "eval", "zero", "0", "0"), "unknown bracket 'zero'"),
 ])
 def test_unknown_bracket_or_index_is_input_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
