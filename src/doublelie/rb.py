@@ -7,14 +7,16 @@ defining identity
     R(x)R(y) = R(R(x)y + xR(y))
 
 is checked per pair of units x, y in a window on the segment normal form, as
-one defect D = R(x)R(y) - R(R(x)y + xR(y)) normalised from the raw segments
-of the product and of the scaled images: the pair holds on every basis
-vector iff D is empty.  The two sides are built apart only to render a
-counterexample.  Off finite domains an empty defect, and only an empty one,
-settles the pairs that column runs and slides down the (j, k) diagonal
-reach from it, moves read off a chamber table but at a flipped unit.  On
-the integers a chamber table with no flipped unit makes R shift-equivariant,
-and every unit pair of Z^4 is then settled at its region representatives.
+one defect D = R(x)R(y) - R(R(x)y + xR(y)): the pair holds on every basis
+vector iff D is empty.  A chamber table gives D as at most three segments
+on one diagonal, with no image built; any other operator normalises it from
+the raw segments of the product and of the scaled images.  The two sides
+are built apart only to render a counterexample.  Off finite domains an
+empty defect, and only an empty one, settles the pairs that column runs and
+slides down the (j, k) diagonal reach from it, moves read off a chamber
+table where R has one.  On the integers a chamber table with no flipped
+unit makes R shift-equivariant, and every unit pair of Z^4 is then settled
+at its region representatives.
 Skew-symmetry is the condition <R(x),y> = -<x,R(y)> for the trace pairing
 <x,y> = tr(xy), read off the segments of each window image once.
 
@@ -37,8 +39,8 @@ from math import inf
 
 from .exact import S, sparse_sum
 from .matrices import (INTEGERS, NATURALS, Domain, FinitaryMatrix,
-                       LocallyFiniteOperator, _meet, commutator, mul_mixed,
-                       operator_sum)
+                       LocallyFiniteOperator, _meet, _norm_segments,
+                       _seg_contains, commutator, mul_mixed, operator_sum)
 from .report import VerificationReport
 
 
@@ -49,8 +51,8 @@ class RBOperator:
     j - i + offset, (lo, hi, c) = above iff j - i >= split.  Scaling, the
     transpose, the tensor extension and mutate_sign keep a table, and it
     gives the images (negated at the units that mutate_sign flipped,
-    _flipped), the RB sweep's moves but at those units, and support(p, q),
-    the s of the correspondence sum, which a finite domain gives too."""
+    _flipped), the RB sweep's moves and defects, and support(p, q), the s
+    of the correspondence sum, which a finite domain gives too."""
 
     __slots__ = ("name", "domain", "_image_fn", "N", "_chambers", "_flipped",
                  "_images", "_applied")
@@ -140,12 +142,8 @@ class RBOperator:
         return op
 
     def _table_image(self, i, j):
-        """R(e_ij) read off the table: its chamber's segment, negated at a
-        flipped unit."""
-        segs = _chamber_segment(self._chambers, self.domain, i, j)
-        if (i, j) in self._flipped:
-            segs = {o: ((lo, hi, -c),) for o, ((lo, hi, c),) in segs.items()}
-        return LocallyFiniteOperator(segs, self.domain)
+        """R(e_ij) read off the table (_chamber_segment)."""
+        return LocallyFiniteOperator(_chamber_segs(self, i, j), self.domain)
 
     def apply_image(self, i, j, q):
         """R(e_{ij}) u_q as a dict {row: coeff} (memoized)."""
@@ -201,9 +199,7 @@ class _Moves(dict):
     it is that plus an entry in column 0 (row 0); else 0.
 
     A chamber table, of either shape (offset, split), gives the level
-    (_table_move) but where the move's source or target unit is one that
-    mutate_sign flipped; there, and without a table, the two images are
-    compared (_level)."""
+    (_table_move); without one the two images are compared (_level)."""
 
     def __init__(self, R):
         super().__init__()
@@ -211,11 +207,12 @@ class _Moves(dict):
 
     def __missing__(self, key):
         a, b, down = key
-        R, i, j = self.R, a + down, b + 1 - down
-        if R._chambers and not {(a, b), (i, j)} & R._flipped:
-            level = _table_move(R._chambers, R.domain, a, b, down)
+        R = self.R
+        if R._chambers:
+            level = _table_move(R, a, b, down)
         else:
-            level = _level(R.image(a, b).segs, R.image(i, j).segs, down,
+            level = _level(R.image(a, b).segs,
+                           R.image(a + down, b + 1 - down).segs, down,
                            R.domain.kind == "naturals")
         self[key] = level
         return level
@@ -266,45 +263,100 @@ def _off_edge(ss, edge):
                  for lo, hi, c in ss if not lo == hi == edge) or None
 
 
-def _table_move(chambers, domain, a, b, down):
-    """_Moves' level at (a, b, down) off the chamber table, images unbuilt.
+def _table_move(R, a, b, down):
+    """_Moves' level at (a, b, down) off R's chamber table, images unbuilt.
     With e_ij the unit that e_ab moves to and e its edge row (row 0, or
     column 0's, on diagonal j - i + offset): in one chamber R(e_ij) is
     R(e_ab) moved, at level 2, but for row e, which on the naturals the clip
-    cuts from R(e_ab) alone, at level 1; across the chamber wall the two
-    segments are compared (_level)."""
-    table, offset, split = chambers
+    cuts from R(e_ab) alone, at level 1; across the chamber wall, or where
+    mutate_sign flipped either unit, the two segments are compared
+    (_level)."""
+    table, offset, split = R._chambers
     i, j = a + down, b + 1 - down
     e = 0 if down else a - b - offset - 1
-    naturals = domain.kind == "naturals"
-    if (b - a >= split) == (j - i >= split):
+    naturals = R.domain.kind == "naturals"
+    if (b - a >= split) == (j - i >= split) and not (
+            {(a, b), (i, j)} & R._flipped):
         if not naturals or e < max(0, i - j - offset):
             return 2
         # the clip leaves row e in R(e_ij): is it in the chamber's rows?
         lo, hi, c = table[j - i >= split]
         return 1 if c and (lo is None or i + lo <= e) and (
             hi is None or e <= i + hi) else 2
-    return _level(_chamber_segment(chambers, domain, a, b),
-                  _chamber_segment(chambers, domain, i, j), down, naturals)
+    return _level(_chamber_segs(R, a, b), _chamber_segs(R, i, j), down,
+                  naturals)
 
 
-def _terms(i, j, l, col, Ry):
-    """R(x)y + xR(y) at x = e_ij, y = e_kl as (unit, coeff): col, column k
-    of R(x) as items, put in column l, and row j of Ry = R(y) in row i."""
-    return [((r, l), c) for r, c in col] + [
-        ((i, cc), c) for cc, c in Ry.row(j).items()]
+def _image_pairs(R, i, j):
+    """at(k, l, decide): the terms of R(x)y + xR(y) at x = e_ij, y = e_kl as
+    (unit, coeff), column k of R(x) put in column l and row j of R(y) in
+    row i, and, if decide, the defect D = R(x)R(y) - R(R(x)y + xR(y))
+    normalised from the raw segments of the product and of the scaled
+    images, else None."""
+    Rx = R.image(i, j)
+
+    def at(k, l, decide=True):
+        Ry = R.image(k, l)
+        terms = [((r, l), c) for r, c in Rx.apply_index(k).items()] + [
+            ((i, cc), c) for cc, c in Ry.row(j).items()]
+        return terms, decide and operator_sum(
+            [(-c, R.image(a, b)) for (a, b), c in terms], R.domain,
+            ((1, Rx, Ry),)) or None
+    return at
 
 
-def _defect(R, Rx, Ry, terms):
-    """The defect Rx Ry - R(terms), normalised, terms as _terms gives."""
-    return operator_sum([(-c, R.image(a, b)) for (a, b), c in terms],
-                        R.domain, ((1, Rx, Ry),))
+def _table_pairs(R, i, j):
+    """_image_pairs read off R's chamber table, images unbuilt, with D None
+    where it is empty.
+
+    With p = j - i and q = l - k, R(x) is c_x on rows S_x of diagonal o = p
+    + offset and R(y) c_y on rows S_y of diagonal q + offset
+    (_chamber_segment), so R(x)y is c_x e_{r,l}, r = k - o, if r is in S_x,
+    and xR(y) is c_y e_{i,j+q+offset} if j is in S_y.  Both term units lie
+    on diagonal p + q + offset, in chamber s, and D on diagonal d = p + q +
+    2 offset: c_x c_y on the rows of S_x whose shift by o lies in S_y, minus
+    c_t c_s on t's row + [lo_s, hi_s], clipped to the domain's rows, at
+    each term c_t e_t (c_s negated where mutate_sign flipped e_t).  Their
+    normal form is the one _image_pairs gives."""
+    table, offset, split = R._chambers
+    row_bounds, flipped = R.domain.row_bounds, R._flipped
+    o = j - i + offset
+    x = _chamber_segment(R, i, j)
+
+    def at(k, l, decide=True):
+        y = _chamber_segment(R, k, l)
+        terms = [((k - o, l), x[2])] if x and _seg_contains(x, k - o) else []
+        if y and _seg_contains(y, j):
+            terms.append(((i, j + l - k + offset), y[2]))
+        if not decide:
+            return terms, None
+        raw = []
+        if x and y:
+            lo, hi, c = y
+            cut = _meet(x[0], x[1], lo if lo is None else lo - o,
+                        hi if hi is None else hi - o)
+            if cut:
+                raw.append((*cut, x[2] * c))
+        d = o + l - k + offset
+        if terms:
+            lo, hi, c = table[d - offset >= split]
+            bounds = c and row_bounds(d)
+            for (a, b), ct in terms:
+                cut = bounds and _meet(lo if lo is None else a + lo,
+                                       hi if hi is None else a + hi, *bounds)
+                if cut:
+                    raw.append((*cut, (ct if (a, b) in flipped else -ct)
+                                * c))
+        return terms, _norm_segments(raw) and LocallyFiniteOperator(
+            {d: raw}, R.domain) or None
+    return at
 
 
 def _pair_defects(R, idx):
     """(i, j, k, l, terms, defect) at the unit pairs x = e_{ij}, y = e_{kl},
     i, j, k, l in idx, in sweep order, except those settled by a column run
-    or a slide (_terms, _defect).
+    or a slide; an operator with a chamber table reads each pair off it
+    (_table_pairs), any other off its images (_image_pairs).
 
     Runs: with C the column shift, e_kl = e_{k,l-1} C, so D(x, e_kl) is
     D(x, e_{k,l-1}) C when every unit read at e_{k,l-1} (it and those of
@@ -315,22 +367,24 @@ def _pair_defects(R, idx):
     R(e_kl), so one of them may also have its edge entry (_Moves level 1).
     Row (i, j, k) takes over the pairs of row (i, j - 1, k - 1) but its
     nonempty defects where it slides, and runs on from every pair known
-    empty; as both start only from empty defects, the first failing pair
-    is the full sweep's.  A finite domain, with no right neighbour to its
-    last column, takes neither."""
+    empty; a slid pair reads only its terms, for the run.  As both start
+    only from empty defects, the first failing pair is the full sweep's.  A
+    finite domain, with no right neighbour to its last column, takes
+    neither."""
     settle = R.domain.kind != "finite"
     moves = _Moves(R)
+    pairs = _table_pairs if R._chambers else _image_pairs
     top = max(idx, default=0)
     for i in idx:
         holes_at = {}
         for j in idx:
-            Rx = R.image(i, j)
+            at = pairs(R, i, j)
             right = settle and j > idx[0] and moves[i, j - 1, 0]
             for k in idx:
                 # the pairs known empty in row (i, j - 1, k - 1) that slide
                 spans = right and k > idx[0] and moves.slides(
                     holes_at[j - 1, k - 1], k, right, idx)
-                span, col, holes = spans and next(spans, None), None, []
+                span, holes = spans and next(spans, None), []
                 l = idx[0]
                 while l <= top:
                     while span and span[1] < l:
@@ -340,12 +394,8 @@ def _pair_defects(R, idx):
                     if slid and end >= top:
                         break
                     # the terms at (i, j, k, end), a gap's defect, the run
-                    if col is None:
-                        col = Rx.apply_index(k).items()
-                    Ry = R.image(k, end)
-                    terms = _terms(i, j, end, col, Ry)
+                    terms, defect = at(k, end, not slid)
                     if not slid:
-                        defect = _defect(R, Rx, Ry, terms)
                         yield i, j, k, l, terms, defect
                         if defect:
                             holes.append(l)
@@ -369,22 +419,23 @@ def _holds_everywhere(R):
         for q in near:
             reps.setdefault((p >= split, q >= split,
                              p + q + offset >= split), (p, q))
-    return not any(
-        _defect(R, Rx, Ry, _terms(0, p, k + q, Rx.apply_index(k).items(), Ry))
-        for p, q in reps.values() for Rx in [R.image(0, p)]
-        for k in range(p - m, p + m + 1) for Ry in [R.image(k, k + q)])
+    return not any(at(k, k + q)[1] for p, q in reps.values()
+                   for at in [_table_pairs(R, 0, p)]
+                   for k in range(p - m, p + m + 1))
 
 
 def check_rb_identity(R, window=8, cutoff=None):
     """Exact check of R(x)R(y) = R(R(x)y + xR(y)) on all unit pairs in the
     window, on every basis vector up to the cutoff.
 
-    Each pair is decided on its defect D = R(x)R(y) - R(R(x)y + xR(y))
-    (_defect), and an empty D settles every basis vector.  For a nonempty D
-    the first q up to the cutoff with a nonzero column is the
-    counterexample; only then are the two sides built, by mul_mixed and
-    _image_sum, to render that column.  A pair whose sides differ only
-    beyond the cutoff therefore passes, as the window-relative verdict says.
+    Each pair is decided on its defect D = R(x)R(y) - R(R(x)y + xR(y)),
+    read off R's chamber table where it has one (_table_pairs, no image
+    built) and from R's images otherwise (_image_pairs), and an empty D
+    settles every basis vector.  For a nonempty D the first q up to the
+    cutoff with a nonzero column is the counterexample; only then are the
+    two sides built, by mul_mixed and _image_sum, to render that column.  A
+    pair whose sides differ only beyond the cutoff therefore passes, as the
+    window-relative verdict says.
 
     Off finite domains most defects are never built: an empty defect
     settles the pairs that a column run or a slide reaches from it
@@ -393,17 +444,18 @@ def check_rb_identity(R, window=8, cutoff=None):
     R's chamber table where it has one (_Moves).
 
     A shift_equivariant operator is first decided on its table's regions
-    (_holds_everywhere).  With p = j - i, q = l - k, d = k - j and a, b, s
-    the chambers of p, q and p + q + offset, D(e_ij, e_kl) moved up i rows
-    lies on diagonal p + q + 2 offset: c_a c_b on [lo_a, hi_a] meet
-    d - offset + [lo_b, hi_b], minus c_a c_s on d - offset + [lo_s, hi_s]
-    if d - offset is in [lo_a, hi_a], minus c_b c_s on [lo_s, hi_s] if -d
-    is in [lo_b, hi_b].  Whether it is empty depends on (a, b, s) and on
-    how d compares with constants of size at most M = 2E + |offset| + 2, E
-    the largest finite |row end|: the pairs (0, p, p + d, p + d + q), one
-    (p, q) per chamber triple and d in [-(M + 1), M + 1], stand for every
-    unit pair of Z^4.  If each of their defects is empty the success record
-    is the full sweep's; otherwise the full sweep gives the record.
+    (_holds_everywhere), on the same table defects.  With p = j - i, q = l
+    - k, d = k - j and a, b, s the chambers of p, q and p + q + offset,
+    D(e_ij, e_kl) moved up i rows lies on diagonal p + q + 2 offset: c_a c_b
+    on [lo_a, hi_a] meet d - offset + [lo_b, hi_b], minus c_a c_s on d -
+    offset + [lo_s, hi_s] if d - offset is in [lo_a, hi_a], minus c_b c_s
+    on [lo_s, hi_s] if -d is in [lo_b, hi_b].  Whether it is empty depends
+    on (a, b, s) and on how d compares with constants of size at most M =
+    2E + |offset| + 2, E the largest finite |row end|: the pairs (0, p, p +
+    d, p + d + q), one (p, q) per chamber triple and d in [-(M + 1), M + 1],
+    stand for every unit pair of Z^4.  If each of their defects is empty the
+    success record is the full sweep's; otherwise the full sweep gives the
+    record.
 
     For operators carrying a matrix tensor factor (N > 1) the identity on
     composite units e_{ij} (x) e_{ab} reduces, through the Kronecker delta of
@@ -512,10 +564,11 @@ def mutate_sign(R, i, j):
     """Flip the sign of the single image R(e_{ij}); breaks the RB identity
     for every catalog operator and is used by the mutation tests.  The
     mutant keeps R's table and records (i, j) as flipped: its image there
-    is the table's negated, and its moves there are compared from images
-    (_Moves).  No shifted copy of the unit is flipped, so it is not
-    shift-equivariant; flipped twice at the same unit, its images are R's.
-    Raises ValueError if e_ij is not a unit of R's domain."""
+    is the table's negated, and its moves there are compared on the
+    table's segments (_table_move).  No shifted copy of the unit is
+    flipped, so it is not shift-equivariant; flipped twice at the same
+    unit, its images are R's.  Raises ValueError if e_ij is not a unit of
+    R's domain."""
     _check_unit(R.domain, i, j)
 
     def image_fn(a, b):
@@ -538,16 +591,23 @@ _R1_TABLE = ((0, None, -1), (None, -1, 1))
 _R2_TABLE = ((None, -1, -1), (0, None, 1))
 
 
-def _chamber_segment(chambers, domain, i, j):
-    """R(e_ij) as segments {j - i + offset: ((lo, hi, c),)}: its chamber's
-    segment of the table (table, offset, split), clipped to the domain's
-    rows, or {} if that is empty."""
-    table, offset, split = chambers
+def _chamber_segment(R, i, j):
+    """R(e_ij)'s segment (lo, hi, c) on diagonal j - i + offset, read off R's
+    chamber table (table, offset, split): its chamber's, clipped to the
+    domain's rows and negated at a flipped unit, or None if R(e_ij) = 0."""
+    table, offset, split = R._chambers
     lo, hi, c = table[j - i >= split]
-    bounds = c and domain.row_bounds(j - i + offset)
+    bounds = c and R.domain.row_bounds(j - i + offset)
     cut = bounds and _meet(lo if lo is None else i + lo,
                            hi if hi is None else i + hi, *bounds)
-    return {j - i + offset: ((*cut, c),)} if cut else {}
+    return cut and (*cut, -c if (i, j) in R._flipped else c) or None
+
+
+def _chamber_segs(R, i, j):
+    """R(e_ij) as segments {j - i + offset: ((lo, hi, c),)}, or {} if it is
+    0 (_chamber_segment)."""
+    seg = _chamber_segment(R, i, j)
+    return {j - i + R._chambers[1]: (seg,)} if seg else {}
 
 
 def _chamber_operator(name, domain, table):

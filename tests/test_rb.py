@@ -687,26 +687,44 @@ def test_representatives_decide_every_unit_pair(table, transpose, shape):
     if shape:
         R._chambers = table, *shape
     R = conjugate_by(R, "transpose") if transpose else R
-    holds = rb._holds_everywhere(R)
-    window = max(abs(n) for unit in R._images for n in unit)
+    read = set()
+    with mock.patch.object(rb, "_table_pairs",
+                           _spied(rb._table_pairs, [], read)):
+        holds = rb._holds_everywhere(R)
+    window = max(abs(n) for unit in read for n in unit)
     bare = RBOperator("T", INTEGERS, R.image)
     assert check_rb_identity(bare, window).passed == holds, (table, window)
 
 
-def _counting(monkeypatch):
-    """Lists that grow by one per defect computed and per left side built."""
-    defects, products = [], []
-    defect = rb._defect
+def _spied(pairs, defects, read):
+    """pairs (rb._table_pairs or rb._image_pairs), but each defect it
+    decides appends to defects and adds the units it reads, x, y and its
+    terms', to read."""
+    def spied_pairs(R, i, j):
+        at = pairs(R, i, j)
 
-    def counted(*args):
-        defects.append(None)
-        return defect(*args)
+        def spied_at(k, l, decide=True):
+            terms, defect = at(k, l, decide)
+            if decide:
+                defects.append(None)
+                read.update([(i, j), (k, l)] + [u for u, _ in terms])
+            return terms, defect
+        return spied_at
+    return spied_pairs
+
+
+def _counting(monkeypatch):
+    """Lists that grow by one per defect decided, off a chamber table or off
+    images, and per left side built."""
+    defects, products = [], []
+    for name in ("_table_pairs", "_image_pairs"):
+        monkeypatch.setattr(rb, name, _spied(getattr(rb, name), defects,
+                                             set()))
 
     def product(a, b):
         products.append(None)
         return mul_mixed(a, b)
 
-    monkeypatch.setattr(rb, "_defect", counted)
     monkeypatch.setattr(rb, "mul_mixed", product)
     return defects, products
 
@@ -747,12 +765,31 @@ def test_battery_defect_counts(monkeypatch, name, params, count):
 
 
 def test_sweep_builds_the_images_it_reads():
-    # the moves of a table operator are read off its table, so the sweep
-    # builds only the images that its defects read, and the representatives
-    # theirs
+    # the moves and the defects of a table operator are read off its table,
+    # so neither the representatives nor the sweep build an image
     R = catalog_rb("r1_laurent")
     assert check_rb_identity(R, 6).passed
-    assert len(R._images) == 50
+    assert len(R._images) == 0
+
+
+@pytest.mark.parametrize("window", [6, 12])
+@pytest.mark.parametrize("name, params", [
+    ("r1", {}), ("r2", {}), ("r3", {}), ("r4", {}), ("kac", {"N": 2}),
+    ("p_k", {"k": 1}), ("p_k", {"k": 2}), ("r1_laurent", {}),
+    ("r2_laurent", {})])
+def test_table_verdicts_build_images_only_to_render(name, params, window):
+    R = catalog_rb(name, **params)
+    assert check_rb_identity(R, window).passed
+    assert not R._images and not R._applied
+    # a failing mutant builds the images of x, y and their terms, to render
+    # the counterexample, and no other
+    M = mutate_sign(R, 1, 2)
+    ce = check_rb_identity(M, window).counterexample
+    built = set(M._images)
+    (i, j), (k, l) = (tuple(int(v) for v in ce[u][2:-1].split(","))
+                      for u in "xy")
+    terms = rb._image_pairs(M, i, j)(k, l, False)[0]
+    assert built == {(i, j), (k, l)} | {u for u, _ in terms}, built
 
 
 @pytest.mark.parametrize("name", ["r1_laurent", "r2_laurent"])
@@ -961,6 +998,48 @@ def test_table_images_match_the_composed_images(domain, table, steps):
     for i in idx:
         for j in idx:
             assert R.image(i, j) == bare.image(i, j), (R.name, i, j)
+
+
+# ---------------------------------------------------------------------------
+# the terms and defects read off a chamber table against the image-built ones
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((NATURALS, INTEGERS)), st.tuples(_CHAMBER, _CHAMBER),
+       st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+       st.sampled_from((1, Fraction(-3, 2))), st.booleans(),
+       st.tuples(*[st.integers(0, 3)] * 4), st.integers(0, 4))
+@example(NATURALS, rb._R1_TABLE, (1, 0), 1, False, (1, 1, 1, 1), 3)
+@example(INTEGERS, rb._R2_TABLE, (1, 0), Fraction(-3, 2), True, (0, 2, 1, 0),
+         3)
+def test_table_pairs_match_the_image_pairs(domain, table, shape, alpha,
+                                           transpose, pair, pick):
+    # a table of shape (offset, split), scaled and maybe transposed, against
+    # the same images with no table, maybe both sign-mutated at x, y or a
+    # term unit of pair (pick indexes [no flip, x, y, terms]); the bare
+    # copy's flip negates its image, the table's its chamber coefficient.
+    # In the first example the flipped unit is only a term unit
+    R = rb._chamber_operator("T", domain, table)
+    R._chambers = table, *shape
+    R = R.scaled(alpha)
+    R = conjugate_by(R, "transpose") if transpose else R
+    bare = RBOperator("T", domain, R.image)
+    i, j, k, l = pair
+    terms = rb._image_pairs(bare, i, j)(k, l, False)[0]
+    units = [None, (i, j), (k, l)] + [u for u, _ in terms]
+    flip = units[pick % len(units)]
+    if flip:
+        R, bare = mutate_sign(R, *flip), mutate_sign(bare, *flip)
+    # on the naturals the window holds row 0 and column 0
+    idx = unit_range(domain, 3 if domain.kind == "naturals" else 2)
+    for i in idx:
+        for j in idx:
+            from_table = rb._table_pairs(R, i, j)
+            from_images = rb._image_pairs(bare, i, j)
+            for k in idx:
+                for l in idx:
+                    want = from_images(k, l)
+                    assert from_table(k, l) == want, (flip, i, j, k, l)
+                    assert from_table(k, l, False) == (want[0], None)
 
 
 # ---------------------------------------------------------------------------
