@@ -143,9 +143,9 @@ class DoubleBracket:
     degree at most deg(a) + deg(b) + degree_shift (None when the carrier is
     finite or no bound is declared).  kernel is the degree kernel of a
     bracket built by from_kernel, else None.  table is the numerator table
-    of a catalog divided-difference bracket (see _DD_TABLES; the empty
-    table for zero), whose values it gives, or, for dY, whose values give
-    the degree kernel, and whose terms give degree_shift; else None."""
+    of a catalog divided-difference bracket (see _DD_TABLES), whose values
+    it gives, or, for dY, whose values give the degree kernel, and whose
+    terms give degree_shift; else None."""
 
     __slots__ = ("name", "carrier", "_eval_fn", "degree_shift", "kernel",
                  "table", "_memo")
@@ -265,8 +265,8 @@ def divided_difference(variant, n, m):
 
 def catalog_bracket(name, **params):
     """Named brackets: L1..L4 (polynomial), their _laurent variants, ex1,
-    ex2, quiver (the brackets of the finite catalog operators), dY (N=...),
-    zero."""
+    ex2, quiver (the brackets of the finite catalog operators), dY
+    (N=...)."""
     laurent = name.endswith("_laurent")
     base = name[:-len("_laurent")] if laurent else name
     if base in _DD_TABLES:
@@ -289,10 +289,6 @@ def catalog_bracket(name, **params):
 
         return _with_table(DoubleBracket.from_kernel("dY(%d)" % N, N, kernel),
                            _DY_TABLE)
-    if name == "zero":
-        carrier = params.get("carrier", PolyCarrier())
-        return _with_table(DoubleBracket("zero", carrier,
-                                         lambda a, b: Tensor2()), ())
     raise ValueError("unknown bracket %r" % name)
 
 

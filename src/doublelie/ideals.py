@@ -11,6 +11,13 @@ in I (x) V + V (x) I.  Coordinates come from one integer table, D times the
 true ones with D the lcm of the pivots: the closure search never divides,
 and the exact monic values divide once, at the end.
 
+Every ideal verdict reads one sweep, _survivor: each bracket value of a
+window symbol with an echelon row is summed in one integer pass that
+projects its terms inside the window and keeps the others as an
+out-of-window residue.  A value whose residue is nonzero leaves the window
+and is skipped, so that residue is the one place where a truncated pair
+shows.
+
 The closure search looks for ideals containing a seed: whenever some bracket
 value survives the quotient map, the surviving tensor is written as a matrix
 over quotient coordinates and the candidate ideal is enlarged in the ways the
@@ -151,21 +158,14 @@ class Subspace:
             self.dim, self.carrier.name, self.window)
 
 
-def _quotient_numerators(pairs, I):
-    """D^2 times the quotient image of the tensor summed from (key, coeff)
-    pairs, as a dict; integer when the coefficients are."""
-    table = I._projections()[1]
-    return sparse_sum(((sa, sb), c * ca * cb)
-                      for (a, b), c in pairs
-                      for sa, ca in table[a] for sb, cb in table[b])
-
-
 def quotient_reduce(u, I):
     """Image of a tensor in (V/I) (x) (V/I), written on echelon-complement
     representatives; zero exactly when u is in I (x) V + V (x) I."""
-    D2 = I._projections()[0] ** 2
-    return Tensor2({k: _over(c, D2)
-                    for k, c in _quotient_numerators(u.items(), I).items()})
+    D, table = I._projections()
+    D2 = D ** 2
+    return Tensor2({k: _over(c, D2) for k, c in sparse_sum(
+        ((sa, sb), c * ca * cb) for (a, b), c in u.items()
+        for sa, ca in table[a] for sb, cb in table[b]).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -177,23 +177,22 @@ def _survivor(B, I, window, anticommutative):
     sweep order: (v, k, side, terms of the surviving tensor times D^2 and
     the k-th row's pivot), or None.  Only pairs whose bracket output
     provably stays in the window are swept (no truncation artifacts).
-    Laurent values can also fall below degree -window; those are skipped
-    too.
 
     When anticommutative is set (brackets._certified_anticommutative), no
     "ideal,ambient" value <<g, v>> of a row g is computed: it is
     -swap(<<v, g>>), the quotient map applies one projection table to both
-    factors, so it commutes with swap, and the Laurent filter is symmetric
-    in the factors, so it dies (or is skipped) with the "ambient,ideal"
-    value, which comes first.
+    factors, so it commutes with swap, and the window test below is
+    symmetric in the factors, so it dies (or is skipped) with the
+    "ambient,ideal" value, which comes first.
 
-    Off Laurent carriers every term of every value swept lies in the window,
-    so one integer pass sums g's symbols, the bracket terms and both factors'
-    projections into one dict, pruned only for the survivor; a Laurent value
-    is summed first, for its filter."""
+    One integer pass sums g's symbols and the bracket terms: a term whose
+    two factors lie in the window goes through both factors' projections
+    into one dict, pruned only for the survivor, and every other term into
+    an out-of-window residue.  A value whose residue is nonzero leaves the
+    window (a Laurent value can fall below degree -window) and is skipped;
+    out-of-window terms that cancel across g's symbols leave it swept."""
     carrier, shift = B.carrier, B.degree_shift
-    laurent = getattr(carrier, "laurent", False)
-    pos, table = I.pos, I._projections()[1]
+    row_of = I._projections()[1].get
     gens = []
     for k, row in enumerate(I.rows):
         g = [(s, c) for s, c in zip(I.syms, row) if c]
@@ -210,27 +209,24 @@ def _survivor(B, I, window, anticommutative):
                                (True, "ideal,ambient")):
                 if flip and anticommutative:
                     break
-                if laurent:
-                    value = sparse_sum(
-                        (key, c * cg) for s, cg in g
-                        for key, c in (B.eval(s, v) if flip
-                                       else B.eval(v, s)).items())
-                    if not all(a in pos and b in pos for a, b in value):
-                        continue
-                    surv = _quotient_numerators(value.items(), I)
-                else:
-                    acc = {}
-                    get = acc.get
-                    for s, cg in g:
-                        for (a, b), c in (B.eval(s, v) if flip
-                                          else B.eval(v, s)).items():
-                            c *= cg
-                            for sa, ca in table[a]:
-                                cca = c * ca
-                                for sb, cb in table[b]:
-                                    key = sa, sb
-                                    acc[key] = get(key, 0) + cca * cb
-                    surv = any(acc.values()) and _pruned(acc)
+                acc, residue = {}, {}
+                get = acc.get
+                for s, cg in g:
+                    for (a, b), c in (B.eval(s, v) if flip
+                                      else B.eval(v, s)).items():
+                        c *= cg
+                        ta, tb = row_of(a), row_of(b)
+                        if ta is None or tb is None:
+                            residue[a, b] = residue.get((a, b), 0) + c
+                            continue
+                        for sa, ca in ta:
+                            cca = c * ca
+                            for sb, cb in tb:
+                                key = sa, sb
+                                acc[key] = get(key, 0) + cca * cb
+                if any(residue.values()):
+                    continue
+                surv = any(acc.values()) and _pruned(acc)
                 if surv:
                     return v, k, side, surv
     return None

@@ -648,7 +648,7 @@ def build_pk(k):
 
 def catalog_rb(name, **params):
     """Named operators: r1, r2, r3, r4, ex1, ex2, quiver, kac (N=...),
-    r1_laurent, r2_laurent, p_k (k=...), zero."""
+    r1_laurent, r2_laurent, p_k (k=...)."""
     if name in ("r1", "r2", "r1_laurent", "r2_laurent"):
         return _chamber_operator(
             name, INTEGERS if name.endswith("_laurent") else NATURALS,
@@ -669,10 +669,6 @@ def catalog_rb(name, **params):
         return tensor_extend(base, N, name="kac(%d)" % N)
     if name == "p_k":
         return build_pk(params.get("k", 1))
-    if name == "zero":
-        domain = params.get("domain", NATURALS)
-        return RBOperator("zero", domain,
-                          lambda i, j: LocallyFiniteOperator.zero(domain))
     raise ValueError("unknown operator %r" % name)
 
 

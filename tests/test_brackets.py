@@ -215,6 +215,12 @@ def test_correspondence_brackets_declare_the_chamber_degree_shift(name,
                for a, b, x, y in terms)
 
 
+def zero_bracket(carrier=None):
+    """The zero bracket, with the empty numerator table."""
+    return brackets._with_table(DoubleBracket(
+        "zero", carrier or PolyCarrier(), lambda a, b: Tensor2()), ())
+
+
 @pytest.mark.parametrize("name, shift", [
     ("L1", -1), ("L2", -1), ("L3", 1), ("L4", 1), ("L1_laurent", -1),
     ("L2_laurent", -1), ("L3_laurent", 1), ("L4_laurent", 1), ("dY", -1),
@@ -223,7 +229,7 @@ def test_table_brackets_declare_the_numerator_degree_shift(name, shift):
     # the shift read off the numerator table, max(a + b) - 1 (-1 for zero's
     # empty table, which gives no terms), is the one every term of a window
     # value has
-    B = catalog_bracket(name)
+    B = zero_bracket() if name == "zero" else catalog_bracket(name)
     assert B.degree_shift == shift
     deg = B.carrier.degree
     syms = B.carrier.window_syms(4)
@@ -443,7 +449,7 @@ def test_basis_independence_rejects_a_bad_change_matrix():
 
 def test_homomorphism_checker_detects_mismatch():
     ex1 = catalog_bracket("ex1")
-    zero = catalog_bracket("zero", carrier=ex1.carrier)
+    zero = zero_bracket(ex1.carrier)
     phi = {esym(1): Vec.basis(esym(1)), esym(2): Vec.basis(esym(2))}
     ident = check_homomorphism(ex1, ex1, phi)
     assert ident.passed
@@ -611,7 +617,7 @@ def test_perturbed_catalog_brackets_match_the_full_sweeps(name, data,
         ({(0, 1): {(0, 0): 1}}, 1))])
 def test_pinned_brackets_match_the_full_sweeps(base, table, window):
     base = catalog_bracket(base) if isinstance(base, str) else \
-        catalog_bracket("zero", carrier=base)
+        zero_bracket(base)
     assert_records_agree(table_bracket(base.carrier, table, False, base),
                          window)
 
@@ -646,7 +652,7 @@ def test_flipped_catalog_brackets_match_the_full_sweeps(name, window, pick):
 
 
 def test_catalog_records_match_the_full_sweeps():
-    assert brackets._certified_anticommutative(catalog_bracket("zero"))
+    assert brackets._certified_anticommutative(zero_bracket())
     for name in CATALOG_BRACKET_NAMES:
         B = catalog_bracket(name)
         assert brackets._certified_anticommutative(B) == \
@@ -680,9 +686,9 @@ def _reads_below_the_window():
     exponent shift; the triple (t^-1, t^0, t^-1) reads <<t^-2, t^-1>>,
     below the window and 0, where its shift (t^0, t^1, t^0) reads
     <<t^-1, t^0>>: that shift is the one failing triple."""
-    zero = catalog_bracket("zero", carrier=PolyCarrier(laurent=True))
-    return table_bracket(zero.carrier, {(-1, 0): {(-2, 2): -1},
-                                        (0, 1): {(-1, 3): -1}}, False), 1
+    return table_bracket(PolyCarrier(laurent=True),
+                         {(-1, 0): {(-2, 2): -1}, (0, 1): {(-1, 3): -1}},
+                         False), 1
 
 
 def _flipped_at_the_corner():
@@ -859,7 +865,6 @@ def test_catalog_certificates_evaluate_nothing(monkeypatch):
 
 def test_only_catalog_brackets_carry_a_table():
     assert catalog_bracket("L1").table == CATALOG_TABLES[0]
-    assert catalog_bracket("zero").table == ()
     L1 = catalog_bracket("L1")
     I = Subspace.degree_span(L1.carrier, 8, 2)
     act, B_L = induced_module_from_ideal(L1, I, 8)

@@ -33,6 +33,11 @@ def span(carrier, window, *vecs):
     return Subspace.from_vectors(carrier, window, list(vecs))
 
 
+def zero_bracket():
+    """The zero bracket on the polynomials."""
+    return DoubleBracket("zero", PolyCarrier(), lambda a, b: Tensor2())
+
+
 def test_echelon_membership_and_canonical_reduction():
     carrier = catalog_bracket("L1").carrier
     I = span(carrier, 6, Vec.basis(tsym(2)) + Vec.basis(tsym(1)).scale(2),
@@ -328,10 +333,18 @@ def _first_survivor(B, I, window):
 
 def _two_sided_survivors(B, I, window):
     """Every survivor of the sweep of _survivor with no certificate:
-    both sides of every pair, each value summed (eval_linear) and then
-    projected, as a list in sweep order."""
+    both sides of every pair, each value summed (eval_linear), skipped when
+    a term leaves the window, and then projected by the monic Fraction
+    echelon rows times D (D the lcm of I's integer pivots), as a list in
+    sweep order."""
     carrier, shift = B.carrier, B.degree_shift
-    laurent = getattr(carrier, "laurent", False)
+    red, pivots = rref(I.rows)
+    D = math.lcm(*(row[p] for row, p in zip(I.rows, I.pivots)))
+    proj = {}
+    for k, s in enumerate(I.syms):
+        unit = reduce_vector([D * (i == k) for i in range(len(I.syms))],
+                             red, pivots)
+        proj[s] = [(I.syms[i], c) for i, c in enumerate(unit) if c]
     out = []
     for v in carrier.window_syms(window):
         vv = Vec.basis(v)
@@ -344,10 +357,11 @@ def _two_sided_survivors(B, I, window):
             for left, right, side in ((vv, g, "ambient,ideal"),
                                       (g, vv, "ideal,ambient")):
                 value = B.eval_linear(left, right)
-                if laurent and not all(a in I.pos and b in I.pos
-                                       for a, b in value.terms):
+                if not all(a in proj and b in proj for a, b in value.terms):
                     continue
-                surv = ideals._quotient_numerators(value.items(), I)
+                surv = sparse_sum(((sa, sb), c * ca * cb)
+                                  for (a, b), c in value.items()
+                                  for sa, ca in proj[a] for sb, cb in proj[b])
                 if surv:
                     out.append((v, k, side, surv))
     return out
@@ -440,6 +454,24 @@ def test_survivors_match_the_two_sided_sweep_on_single_flips(gens, name):
         assert not _certified_anticommutative(F)
         assert _first_survivor(F, I, window) == \
             next(iter(_two_sided_survivors(F, I, window)), None), pair
+
+
+def test_out_of_window_terms_that_cancel_leave_the_value_swept():
+    # <<t^-1, 1>> and <<t^-1, t>> each have the term t^-5 (x) 1 outside the
+    # window, with opposite signs, so <<t^-1, 1 + t>> lies in the window,
+    # and its term t^-1 (x) t^-1 survives modulo span{1 + t}
+    carrier = PolyCarrier(laurent=True)
+    out = (tsym(-5), tsym(0))
+    values = {(tsym(-1), tsym(0)): Tensor2({out: 1,
+                                            (tsym(-1), tsym(-1)): 1}),
+              (tsym(-1), tsym(1)): Tensor2({out: -1})}
+    B = DoubleBracket("cancel", carrier,
+                      lambda a, b: values.get((a, b), Tensor2()),
+                      degree_shift=-1)
+    I = span(carrier, 1, parse_poly("1 + t"))
+    got = _first_survivor(B, I, 1)
+    assert got == (tsym(-1), 0, "ambient,ideal", {(tsym(-1), tsym(-1)): 1})
+    assert got == _two_sided_survivors(B, I, 1)[0]
 
 
 def test_a_one_sided_survivor_is_found_without_the_certificate():
@@ -708,7 +740,7 @@ def test_simplicity_probe_verdicts():
     seeds = [Vec.basis(esym(2))]
     rep = simplicity_probe(ex1, 2, seeds=seeds)
     assert not rep.passed
-    zero = catalog_bracket("zero")
+    zero = zero_bracket()
     assert not simplicity_probe(zero, 4, seeds=[Vec.basis(tsym(0))]).passed
 
 
@@ -721,8 +753,7 @@ def test_simplicity_probe_names_its_rng_seed_only_when_it_draws():
     assert given.params == {"window": 6, "guaranteed_degree": 2,
                             "seeds": "given"}
     assert drawn.passed and given.passed and drawn.details == given.details
-    zero = simplicity_probe(catalog_bracket("zero"), 4,
-                            seeds=[Vec.basis(tsym(0))])
+    zero = simplicity_probe(zero_bracket(), 4, seeds=[Vec.basis(tsym(0))])
     assert zero.params["seeds"] == "given" and "rng_seed" not in zero.params
 
 

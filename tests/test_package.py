@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import doublelie
 
 
@@ -15,6 +17,16 @@ def test_every_exported_name_resolves_once():
     assert len(names) == len(set(names))
     for name in names:
         assert getattr(doublelie, name) is not None, name
+
+
+def test_the_catalogs_build_exactly_their_listed_names():
+    for catalog, names in ((doublelie.catalog_rb, doublelie.CATALOG_RB_NAMES),
+                           (doublelie.catalog_bracket,
+                            doublelie.CATALOG_BRACKET_NAMES)):
+        for name in names:
+            catalog(name)
+        with pytest.raises(ValueError, match="unknown"):
+            catalog("zero")
 
 
 def test_module_entry_point_runs_the_cli():
